@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,7 @@ HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE))
 
 import run                                       # noqa: E402
+import spans                                     # noqa: E402
 import workloads                                 # noqa: E402
 
 BENCHMARK = json.loads((HERE.parent / "BENCHMARK.json").read_text(encoding="utf-8"))
@@ -49,6 +51,35 @@ def test_every_named_metric_is_emitted(name, trace, tmp_path, capsys):
     assert summary["correct"] is True
     if not trace:
         assert all(m["value"] > 0 for m in summary["metrics"].values())
+
+
+def test_tracer_keeps_every_span_under_thread_contention():
+    tracer = spans.Tracer()
+    work = tracer.wrap("work", lambda: None)
+
+    def worker():
+        for _ in range(2000):
+            with tracer.span("outer"):
+                work()
+
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old)
+    assert not any(t.is_alive() for t in threads)
+    assert len(tracer.spans) == 8 * 2000 * 2
+    # A span closed through the wrong index would keep end == 0.
+    assert all(span.end >= span.start > 0 for span in tracer.spans)
+    for span in tracer.spans:
+        if span.name == "work":
+            assert tracer.spans[span.parent].name == "outer"
+            assert tracer.spans[span.parent].thread == span.thread
 
 
 def test_corrupted_digest_raises_failed_ratio(tmp_path):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import importlib
 import threading
 import time
 from dataclasses import dataclass
@@ -76,6 +77,7 @@ class Tracer:
 
     def __init__(self):
         self.spans: list[Span] = []
+        self._append = threading.Lock()     # spans come from pool threads too
         self._local = threading.local()
         self._main = threading.main_thread().ident
         self._main_stack: list[int] = []
@@ -98,8 +100,9 @@ class Tracer:
             main = self._main_stack
             parent = main[-1] if main else None
         span = Span(name, time.perf_counter(), 0.0, parent, threading.get_ident())
-        self.spans.append(span)    # list.append is atomic under the GIL
-        index = len(self.spans) - 1
+        with self._append:
+            self.spans.append(span)
+            index = len(self.spans) - 1
         stack.append(index)
         return index, stack
 
@@ -127,7 +130,6 @@ class Tracer:
             self._close(index, stack)
 
     def install(self):
-        import importlib
         undo = []
         for module_name, attr, name in FUNCTION_SITES:
             module = importlib.import_module(module_name)

@@ -46,7 +46,7 @@ WORKLOADS = {
     "text-train": {
         "why": "fitting dominates and there is no audio: grid-searched and "
                "classification GBT on n=200 text responses; tree-engine gains "
-               "show here and must not show on audio-extract",
+               "show here, not in extraction metrics",
         "synth": {"n": 200, "audio": False},
         "per_grade": None,
         "threads": 1,
@@ -83,8 +83,7 @@ WORKLOADS = {
             _extract(ALL_GROUPS, "$out/features"),
             # Residual trees on 16 rows grow to full depth whatever the seed,
             # so the cost of training and explaining them is seed-independent.
-            # The fine PDP grid gives the explain steps enough work (about
-            # half a second) to time steadily.
+            # The fine PDP grid gives the explain steps about a second of work.
             ["train", "--features", "$out/features", "--out", "$out/model",
              "--model", "gbt", "--params",
              _json({"max_depth": 3, "min_samples_leaf": 1, "n_stages": 40})],
