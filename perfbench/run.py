@@ -252,7 +252,7 @@ def check_and_measure(spec, plan, work, setup, timed, workroot) -> dict:
         for command, code, _ in record["steps"]:
             checks.check(code == 0, f"set-up {command} exited {code}")
     for it in timed["iterations"]:
-        for command, code, _ in it["steps"]:
+        for command, code, _ in it["steps"] + sum(it["passes"], []):
             checks.check(code == 0, f"{it['dir']}: {command} exited {code}")
 
     # Set-up is deterministic: every repeat builds the same corpus and outputs.
@@ -287,11 +287,11 @@ def check_and_measure(spec, plan, work, setup, timed, workroot) -> dict:
         test_qwk = json.loads(report.read_text())["test"]["qwk"]
     if spec["qwk_floor"] is not None:
         for it in iterations:
-            for path in sorted((work / it["dir"]).rglob("report.json")):
-                qwk = json.loads(path.read_text())["test"]["qwk"]
-                checks.check(qwk >= spec["qwk_floor"],
-                             f"{it['dir']}: test QWK {qwk:.3f} in {path.parent.name} "
-                             f"below {spec['qwk_floor']}")
+            path = work / it["dir"] / spec["test_qwk_report"]
+            qwk = json.loads(path.read_text())["test"]["qwk"] if path.exists() else None
+            checks.check(qwk is not None and qwk >= spec["qwk_floor"],
+                         f"{it['dir']}: test QWK {qwk} in {spec['test_qwk_report']} "
+                         f"below {spec['qwk_floor']}")
 
     # Runs of one source tree with one seed must produce the same outputs.
     state_path = workroot / "digests.json"
@@ -327,9 +327,11 @@ def check_and_measure(spec, plan, work, setup, timed, workroot) -> dict:
             "numpy": setup["numpy"], "seed": plan["seed"],
             "threads": plan["threads"], "traced": plan["trace"],
             "seconds": plan["seconds"], "iterations": len(iterations),
+            "passes": plan["passes"],
             "setup_repeats": len(setup["repeats"]),
         },
     }
+    result["step_shares"] = step_shares(iterations)
     if plan["trace"]:
         result["metrics"] = layer_metrics(setup, iterations, counts, test_qwk, plan)
     else:
@@ -345,12 +347,33 @@ def _step_seconds(steps, commands) -> float:
     return sum(seconds for command, _, seconds in steps if command in commands)
 
 
+def step_shares(iterations) -> dict:
+    """Median seconds of each subcommand kind per untraced iteration, and
+    its share of the median iteration wall time."""
+    plain = [it for it in iterations if not it["traced"]]
+    wall = statistics.median(it["wall_s"] for it in plain)
+    commands = sorted({c for it in plain for c, _, _ in it["steps"]})
+    out = {}
+    for command in commands:
+        seconds = statistics.median(_step_seconds(it["steps"], {command}) for it in plain)
+        out[command] = {"seconds": seconds, "share": seconds / wall}
+    return out
+
+
+def _pass_seconds(iterations, commands) -> list[float]:
+    """Seconds of `commands` in each pass (the chain and every extra pass)
+    that ran any of them."""
+    return [_step_seconds(steps, commands)
+            for it in iterations for steps in [it["steps"], *it["passes"]]
+            if any(command in commands for command, _, _ in steps)]
+
+
 def end_to_end(setup, iterations, timed, counts) -> dict:
     plain = [it for it in iterations if not it["traced"]]
     extract = statistics.median(
         next(s for c, _, s in it["steps"] if c == "extract") for it in plain)
-    train = [_step_seconds(it["steps"], {"train"}) for it in plain]
-    if not any(train):
+    train = _pass_seconds(plain, {"train"})
+    if not train:
         # Nothing is fitted in the timed steps: report set-up's training.
         train = [_step_seconds(r["steps"], {"train"}) for r in setup["repeats"]]
     values = {
@@ -359,7 +382,7 @@ def end_to_end(setup, iterations, timed, counts) -> dict:
         "extract_responses_per_s": counts["responses"] / extract,
         "train_s": statistics.median(train),
         "predict_explain_s": statistics.median(
-            _step_seconds(it["steps"], {"evaluate", "explain"}) for it in plain),
+            _pass_seconds(plain, {"evaluate", "explain"})),
         "peak_rss_mb": timed["peak_rss_mb"],
     }
     return {name: {"value": values[name], "unit": unit}
@@ -417,6 +440,9 @@ def print_result(result: dict) -> None:
           f"({result['failed']} of {result['attempted']} operations)")
     qwk = result["test_qwk"]
     print(f"{'test_qwk':36s} {qwk if qwk is not None else float('nan'):14.6f} kappa")
+    print("step shares of wall_s  " + "  ".join(
+        f"{command} {share['seconds']:.3f}s ({100 * share['share']:.1f}%)"
+        for command, share in result["step_shares"].items()))
     hist = result["counts"]["flag_histogram"]
     print(f"flags histogram {json.dumps(hist, sort_keys=True)}")
     for failure in result["failures"]:
@@ -449,6 +475,7 @@ def main(argv=None) -> int:
     with open(ROOT / ".perfbench_work" / "runs.jsonl", "a", encoding="utf-8") as fh:
         fh.write(json.dumps(dict(result["record"], workload=spec["name"],
                                  metrics=result["metrics"],
+                                 step_shares=result["step_shares"],
                                  failed=result["failed"])) + "\n")
     print_result(result)
     return 0

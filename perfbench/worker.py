@@ -105,9 +105,12 @@ def setup(work: Path, spec: dict) -> dict:
 
 
 def timed(work: Path, spec: dict) -> dict:
-    """Run the timed steps until `seconds` have passed. In a traced run the
-    iterations alternate untraced and traced, so both are measured under the
-    same conditions and their difference is the tracing overhead."""
+    """Run the timed steps until `seconds` have passed. After each chain the
+    steps named in `repeat` run `passes - 1` more times; `wall_s` is the
+    chain alone. In a traced run the iterations alternate untraced and
+    traced, so both are measured under the same conditions and their
+    difference is the tracing overhead. Traced iterations skip the extra
+    passes, so that their spans cover one chain."""
     base = work / "setup0"
     values = {"corpus": base / "corpus", "setup": base,
               "manifest": manifest_path(base / "corpus", spec["per_grade"]),
@@ -130,7 +133,12 @@ def timed(work: Path, spec: dict) -> dict:
         wall = time.perf_counter() - t0
         if uninstall:
             uninstall()
+        repeated = [t for t in spec["steps"] if t[0] in spec["repeat"]]
+        passes = [] if tracer else [
+            [(argv[0], *run_step(argv)) for argv in (fill(t, values) for t in repeated)]
+            for _ in range(spec["passes"] - 1)]
         iterations.append({"dir": out.name, "wall_s": wall, "steps": steps,
+                           "passes": passes,
                            "traced": tracer is not None,
                            "layers": summarize(tracer, wall) if tracer else None})
     peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss

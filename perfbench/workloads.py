@@ -5,11 +5,21 @@ filled per run: `corpus` (the synthetic corpus directory), `manifest`,
 `setup` (set-up outputs), `out` (this iteration's output directory), `seed`
 and `threads`. Every step also gets `--seed` and `--threads`.
 
+After each chain, the chain's steps whose command is in `repeat` run again,
+in order and into the same directories, until the iteration has made
+`passes` passes over them. A short step is then sampled several times per
+iteration, spread over the run, instead of once in a few seconds of it. On
+a shared 2-vCPU virtual machine the speed of a fixed loop swings by up to
+15 % from one few-second stretch to the next.
+
+Each workload's reason is recorded in BENCHMARK.json, and the measured share
+of each step in perfbench/README.md.
+
 Sizes are chosen so that one run, set-up included, stays well under a
 minute on 2 cores; the ROADMAP acceptance corpus (n=800) is too large for
-that. At n=200 held-out QWK varies from seed to seed (measured 0.55-0.89 at
-the default grading noise over thirty seeds), so the text workloads check a
-floor of 0.4, which a learner that lost its signal (QWK near 0) fails.
+that. At n=200 held-out QWK varies from seed to seed, so the text workloads
+check a floor of 0.4 on the model named by `test_qwk_report`, which a
+learner that lost its signal (QWK near 0) fails.
 """
 
 from __future__ import annotations
@@ -25,14 +35,21 @@ PDP_FEATURES = ("speaking_rate", "SilenceRate1", "SilenceRate2",
 
 def _extract(groups: str, out: str) -> list[str]:
     return ["extract", "--manifest", "$manifest", "--resources", "$corpus/resources",
-            "--groups", groups, "--max-terms", "20", "--out", out]
+            "--groups", groups, "--max-terms", "120", "--out", out]
+
+
+def _shap(model: str) -> list[str]:
+    """SHAP on every train row: the default `--max-samples` of 200 exceeds
+    the 140 train rows of an n=200 corpus."""
+    return ["explain", "--features", "$out/features", "--model", model,
+            "--out", "$out/shap", "--kind", "shap"]
 
 
 def _explain_all(model: str, n_grid: int = 20) -> list[list[str]]:
-    """SHAP on every train row (140 at n=200), PDP on the five features
-    that drive the synthetic grade, and gain importance."""
+    """SHAP, PDP on the five features that drive the synthetic grade, and
+    gain importance."""
     common = ["explain", "--features", "$out/features", "--model", model]
-    return [common + ["--out", "$out/shap", "--kind", "shap", "--max-samples", "140"],
+    return [_shap(model),
             *[common + ["--out", "$out/pdp", "--kind", "pdp", "--feature", name,
                         "--n-grid", str(n_grid)] for name in PDP_FEATURES],
             common + ["--out", "$out/importance", "--kind", "importance"]]
@@ -44,9 +61,6 @@ def _json(value) -> str:
 
 WORKLOADS = {
     "text-train": {
-        "why": "fitting dominates and there is no audio: grid-searched and "
-               "classification GBT on n=200 text responses; tree-engine gains "
-               "show here, not in extraction metrics",
         "synth": {"n": 200, "audio": False},
         "per_grade": None,
         "threads": 1,
@@ -54,26 +68,27 @@ WORKLOADS = {
         "setup_steps": [],
         # The grid varies the learning rate, not the depth, so the refit
         # model and the cost of explaining it do not depend on the seed.
+        # At 8 stages the two train steps are ~78 % of wall_s, and a chain
+        # still fits twice into a 20 s run.
         "steps": [
             _extract(TEXT_GROUPS, "$out/features"),
             ["train", "--features", "$out/features", "--out", "$out/reg",
              "--model", "gbt", "--folds", "3", "--grid",
-             _json({"max_depth": [4], "n_stages": [6], "learning_rate": [0.2, 0.3]})],
+             _json({"max_depth": [4], "n_stages": [8], "learning_rate": [0.2, 0.3]})],
             ["train", "--features", "$out/features", "--out", "$out/cls",
              "--model", "gbt", "--task", "classification",
-             "--params", _json({"n_stages": 6, "learning_rate": 0.3})],
+             "--params", _json({"n_stages": 8, "learning_rate": 0.3})],
             ["evaluate", "--features", "$out/features",
              "--model", "$out/reg/model.json", "--out", "$out/reg"],
             ["evaluate", "--features", "$out/features",
              "--model", "$out/cls/model.json", "--out", "$out/cls"],
-            *_explain_all("$out/reg/model.json"),
+            _shap("$out/reg/model.json"),
         ],
+        "repeat": ["evaluate", "explain"],
+        "passes": 5,
         "test_qwk_report": "reg/report.json",
     },
     "audio-extract": {
-        "why": "acoustic features dominate extraction: 24 responses with audio "
-               "at 2 threads, the only thread-pool workload, then a small GBT; "
-               "acoustic and memory gains show here",
         "synth": {"n": 50, "audio": True},
         "per_grade": 8,
         "threads": 2,
@@ -81,22 +96,23 @@ WORKLOADS = {
         "setup_steps": [],
         "steps": [
             _extract(ALL_GROUPS, "$out/features"),
-            # Residual trees on 16 rows grow to full depth whatever the seed,
-            # so the cost of training and explaining them is seed-independent.
+            # Boosted stumps: every tree has 3 nodes whatever the seed, so
+            # the cost of training and explaining them does not depend on it.
+            # Deeper residual trees on 15 rows stop splitting at a
+            # seed-dependent size (280-360 nodes at depth 3 over 5 seeds).
             # The fine PDP grid gives the explain steps about a second of work.
             ["train", "--features", "$out/features", "--out", "$out/model",
              "--model", "gbt", "--params",
-             _json({"max_depth": 3, "min_samples_leaf": 1, "n_stages": 40})],
+             _json({"max_depth": 1, "n_stages": 60})],
             ["evaluate", "--features", "$out/features",
              "--model", "$out/model/model.json", "--out", "$out/model"],
             *_explain_all("$out/model/model.json", n_grid=200),
         ],
+        "repeat": ["train", "evaluate", "explain"],
+        "passes": 4,
         "test_qwk_report": "model/report.json",
     },
     "score-explain": {
-        "why": "the tree layer reads, not writes: re-extract, evaluate and "
-               "explain a GBT pre-trained in set-up on n=200 text; TreeSHAP and "
-               "descent gains show here, fit gains only in set-up",
         "synth": {"n": 200, "audio": False},
         "per_grade": None,
         "threads": 1,
@@ -104,7 +120,8 @@ WORKLOADS = {
         "setup_steps": [
             _extract(TEXT_GROUPS, "$setup/features"),
             ["train", "--features", "$setup/features", "--out", "$setup/model",
-             "--model", "gbt", "--params", _json({"max_depth": 4, "n_stages": 30})],
+             "--model", "gbt", "--params",
+             _json({"max_depth": 4, "n_stages": 20, "learning_rate": 0.2})],
         ],
         "steps": [
             _extract(TEXT_GROUPS, "$out/features"),
@@ -112,6 +129,8 @@ WORKLOADS = {
              "--model", "$setup/model/model.json", "--out", "$out/report"],
             *_explain_all("$setup/model/model.json"),
         ],
+        "repeat": [],
+        "passes": 1,
         "test_qwk_report": "report/report.json",
         # The timed re-extract must reproduce set-up's features byte for byte.
         "same_as_setup": "features/features.csv",
@@ -136,4 +155,5 @@ def tiny(spec: dict) -> dict:
     if spec["per_grade"]:
         spec["per_grade"] = 6
     spec["qwk_floor"] = None     # 10 test rows are too few for a floor
+    spec["passes"] = min(spec["passes"], 2)
     return spec
