@@ -1,6 +1,6 @@
 """speechscore benchmark: times the CLI subcommand chain of one workload.
 
-    python3 perfbench/run.py --workload text-train --seed 7 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload text-train --seed 7 --seconds 45 --trace 0
 
 Run from the root of a source checkout. The run synthesizes its corpus from
 `--seed` in a set-up process, then repeats the workload's timed subcommands
@@ -133,8 +133,8 @@ def artifact_digests(directory: Path) -> dict[str, str]:
             for p in sorted(directory.rglob("*")) if p.name in DIGESTED}
 
 
-def output_counts(directory: Path, extra_models: list[Path]) -> dict:
-    """Counts read from one iteration's outputs (and set-up's model)."""
+def output_counts(directory: Path) -> dict:
+    """Counts read from one iteration's outputs."""
     counts = {"responses": 0, "rejected": 0, "vocabulary_terms": 0,
               "flags": 0, "flag_histogram": {}, "audio_seconds": 0.0,
               "nodes": 0, "cv_fits": 0, "model_bytes": 0}
@@ -160,7 +160,7 @@ def output_counts(directory: Path, extra_models: list[Path]) -> dict:
                 histogram[name] = histogram.get(name, 0) + 1
         counts["flag_histogram"] = dict(sorted(histogram.items()))
         counts["flags"] = sum(histogram.values())
-    for path in sorted(directory.rglob("model.json")) + extra_models:
+    for path in sorted(directory.rglob("model.json")):
         counts["model_bytes"] += path.stat().st_size
         payload = json.loads(path.read_text())
         counts["nodes"] += sum(len(t["feature"]) for t in payload.get("trees", []))
@@ -260,26 +260,18 @@ def check_and_measure(spec, plan, work, setup, timed, workroot) -> dict:
     for r, digest in enumerate(setup_digests[1:], start=1):
         checks.check(digest == setup_digests[0], f"set-up repeat {r} differs from repeat 0")
 
-    setup_dir = work / setup["repeats"][0]["dir"]
-    extra_models = sorted(setup_dir.glob("*/model.json"))
     iterations = timed["iterations"]
     first = work / iterations[0]["dir"]
     digests = artifact_digests(first)
-    counts = output_counts(first, extra_models)
+    counts = output_counts(first)
     for it in iterations[1:]:
         directory = work / it["dir"]
         other = artifact_digests(directory)
         for name in sorted(set(digests) | set(other)):
             checks.check(other.get(name) == digests.get(name),
                          f"{it['dir']}: {name} differs from {iterations[0]['dir']}")
-        checks.check(output_counts(directory, extra_models) == counts,
+        checks.check(output_counts(directory) == counts,
                      f"{it['dir']}: output counts differ")
-    if spec.get("same_as_setup"):
-        wanted = sha256(setup_dir / spec["same_as_setup"])
-        for it in iterations:
-            path = work / it["dir"] / spec["same_as_setup"]
-            checks.check(path.exists() and sha256(path) == wanted,
-                         f"{it['dir']}: {spec['same_as_setup']} differs from set-up")
 
     test_qwk = None
     report = first / spec["test_qwk_report"]
@@ -297,7 +289,10 @@ def check_and_measure(spec, plan, work, setup, timed, workroot) -> dict:
     state_path = workroot / "digests.json"
     state = load_state(state_path)
     source = source_digest()
-    key = ":".join([source[:16], spec["name"], str(plan["seed"]),
+    # The key names the package source, the benchmark's own files and the
+    # workload, so an edit to either starts a fresh record.
+    key = ":".join([source[:16], tree_digest(HERE)[:16], spec["name"],
+                    str(plan["seed"]),
                     hashlib.sha256(json.dumps(spec, sort_keys=True).encode()).hexdigest()[:16]])
     expected = {"digests": digests, "counts": counts, "setup": setup_digests[0]}
     if key in state:
@@ -372,15 +367,11 @@ def end_to_end(setup, iterations, timed, counts) -> dict:
     plain = [it for it in iterations if not it["traced"]]
     extract = statistics.median(
         next(s for c, _, s in it["steps"] if c == "extract") for it in plain)
-    train = _pass_seconds(plain, {"train"})
-    if not train:
-        # Nothing is fitted in the timed steps: report set-up's training.
-        train = [_step_seconds(r["steps"], {"train"}) for r in setup["repeats"]]
     values = {
         "setup_s": statistics.median(r["seconds"] for r in setup["repeats"]),
         "wall_s": statistics.median(it["wall_s"] for it in plain),
         "extract_responses_per_s": counts["responses"] / extract,
-        "train_s": statistics.median(train),
+        "train_s": statistics.median(_pass_seconds(plain, {"train"})),
         "predict_explain_s": statistics.median(
             _pass_seconds(plain, {"evaluate", "explain"})),
         "peak_rss_mb": timed["peak_rss_mb"],
@@ -458,7 +449,7 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
     parser.add_argument("--seed", type=int, default=7,
                         help="corpus seed (7 is the acceptance corpus; hold claims out on 13)")
-    parser.add_argument("--seconds", type=float, default=20.0,
+    parser.add_argument("--seconds", type=float, default=45.0,
                         help="how long the timed steps repeat")
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0,
                         help="1 reports per-layer metrics from a traced run")

@@ -83,7 +83,7 @@ def test_tracer_keeps_every_span_under_thread_contention():
 
 
 def test_corrupted_digest_raises_failed_ratio(tmp_path):
-    first = _tiny_run("score-explain", False, tmp_path)
+    first = _tiny_run("text-train", False, tmp_path)
     assert first["failed_ratio"] == 0.0
     state_path = tmp_path / "digests.json"
     state = json.loads(state_path.read_text())
@@ -92,7 +92,7 @@ def test_corrupted_digest_raises_failed_ratio(tmp_path):
     entry["digests"][name] = "0" * 64
     state_path.write_text(json.dumps(state))
 
-    second = _tiny_run("score-explain", False, tmp_path)
+    second = _tiny_run("text-train", False, tmp_path)
     assert second["failed"] >= 1
     assert second["failed_ratio"] > first["failed_ratio"]
     assert any(name in failure for failure in second["failures"])

@@ -20,6 +20,7 @@ import shutil
 import statistics
 import sys
 import time
+import wave
 from pathlib import Path
 from string import Template
 
@@ -58,43 +59,49 @@ def manifest_path(corpus: Path, per_grade: int | None) -> Path:
 
 
 def write_manifest(corpus: Path, per_grade: int | None) -> Path:
-    """The synthesizer's manifest, or the first `per_grade` responses of
-    each grade in manifest order."""
+    """The synthesizer's manifest, or, of each grade, the `per_grade`
+    responses whose audio durations lie closest to the grade's median, in
+    manifest order. With two extraction threads, peak memory is set by the
+    longest responses processed at once; leaving out each grade's longest
+    and shortest responses keeps it, and extraction time, from hinging on
+    the extremes a seed happens to draw (over six seeds the first eight
+    responses of each grade peaked at 886-1201 MB, these at 877-1061 MB)."""
     manifest = corpus / "manifest.txt"
     if not per_grade:
         return manifest
-    picked, taken = [], {}
-    for name in manifest.read_text(encoding="utf-8").split():
-        grade = json.loads((corpus / name).read_text(encoding="utf-8"))["grade"]
-        if taken.get(grade, 0) < per_grade:
-            taken[grade] = taken.get(grade, 0) + 1
-            picked.append(name)
+    names = manifest.read_text(encoding="utf-8").split()
+    by_grade: dict[str, list[tuple[float, str]]] = {}
+    for name in names:
+        payload = json.loads((corpus / name).read_text(encoding="utf-8"))
+        with wave.open(str((corpus / name).parent / payload["wav"]), "rb") as fh:
+            seconds = fh.getnframes() / fh.getframerate()
+        by_grade.setdefault(payload["grade"], []).append((seconds, name))
+    picked = set()
+    for items in by_grade.values():
+        middle = statistics.median(seconds for seconds, _ in items)
+        nearest = sorted(items, key=lambda item: (abs(item[0] - middle), item[1]))
+        picked.update(name for _, name in nearest[:per_grade])
     subset = manifest_path(corpus, per_grade)
-    subset.write_text("\n".join(picked) + "\n", encoding="utf-8")
+    subset.write_text("\n".join(n for n in names if n in picked) + "\n", encoding="utf-8")
     return subset
 
 
 def setup(work: Path, spec: dict) -> dict:
-    """Build the corpus (and set-up outputs) `repeats` times into setup<i>."""
+    """Build the corpus `repeats` times into setup<i>."""
     records = []
     for r in range(spec["repeats"]):
         base = work / f"setup{r}"
         shutil.rmtree(base, ignore_errors=True)
         tracer = spans.Tracer() if spec["trace"] else None
         uninstall = tracer.install() if tracer else None
-        steps, synth = [], spec["synth"]
-        start = time.perf_counter()
+        synth = spec["synth"]
         argv = ["synth", "--n", str(synth["n"]), "--grades", "3",
                 "--out", str(base / "corpus"), "--seed", str(spec["seed"])]
         if synth["audio"]:
             argv.append("--audio")
-        steps.append((argv[0], *run_step(argv, tracer)))
-        manifest = write_manifest(base / "corpus", spec["per_grade"])
-        values = {"corpus": base / "corpus", "manifest": manifest,
-                  "setup": base, "seed": spec["seed"], "threads": spec["threads"]}
-        for template in spec["setup_steps"]:
-            argv = fill(template, values)
-            steps.append((argv[0], *run_step(argv, tracer)))
+        start = time.perf_counter()
+        steps = [(argv[0], *run_step(argv, tracer))]
+        write_manifest(base / "corpus", spec["per_grade"])
         seconds = time.perf_counter() - start
         if uninstall:
             uninstall()
@@ -105,20 +112,22 @@ def setup(work: Path, spec: dict) -> dict:
 
 
 def timed(work: Path, spec: dict) -> dict:
-    """Run the timed steps until `seconds` have passed. After each chain the
+    """Repeat the timed steps for the whole number of iterations whose total
+    time comes closest to `seconds`: another iteration starts only while the
+    time left exceeds half the mean iteration so far. After each chain the
     steps named in `repeat` run `passes - 1` more times; `wall_s` is the
     chain alone. In a traced run the iterations alternate untraced and
     traced, so both are measured under the same conditions and their
     difference is the tracing overhead. Traced iterations skip the extra
     passes, so that their spans cover one chain."""
-    base = work / "setup0"
-    values = {"corpus": base / "corpus", "setup": base,
-              "manifest": manifest_path(base / "corpus", spec["per_grade"]),
+    corpus = work / "setup0" / "corpus"
+    values = {"corpus": corpus, "manifest": manifest_path(corpus, spec["per_grade"]),
               "seed": spec["seed"], "threads": spec["threads"]}
     iterations = []
     start = time.perf_counter()
     minimum = 2 if spec["trace"] else 1
-    while len(iterations) < minimum or time.perf_counter() - start < spec["seconds"]:
+    while len(iterations) < minimum or (
+            time.perf_counter() - start) * (1 + 0.5 / len(iterations)) < spec["seconds"]:
         i = len(iterations)
         out = work / f"iter{i}"
         shutil.rmtree(out, ignore_errors=True)

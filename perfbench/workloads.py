@@ -1,9 +1,9 @@
-"""The benchmark's workloads: what set-up builds and which CLI steps are timed.
+"""The benchmark's workloads: the corpus set-up builds and the timed CLI steps.
 
 Every step is a `speechscore` subcommand line. `$name` placeholders are
 filled per run: `corpus` (the synthetic corpus directory), `manifest`,
-`setup` (set-up outputs), `out` (this iteration's output directory), `seed`
-and `threads`. Every step also gets `--seed` and `--threads`.
+`out` (this iteration's output directory), `seed` and `threads`. Every step
+also gets `--seed` and `--threads`.
 
 After each chain, the chain's steps whose command is in `repeat` run again,
 in order and into the same directories, until the iteration has made
@@ -15,11 +15,11 @@ a shared 2-vCPU virtual machine the speed of a fixed loop swings by up to
 Each workload's reason is recorded in BENCHMARK.json, and the measured share
 of each step in perfbench/README.md.
 
-Sizes are chosen so that one run, set-up included, stays well under a
-minute on 2 cores; the ROADMAP acceptance corpus (n=800) is too large for
-that. At n=200 held-out QWK varies from seed to seed, so the text workloads
-check a floor of 0.4 on the model named by `test_qwk_report`, which a
-learner that lost its signal (QWK near 0) fails.
+Sizes are chosen so that one run, set-up included, stays near a minute on
+2 cores; the ROADMAP acceptance corpus (n=800) is too large for that. At
+n=200 held-out QWK varies from seed to seed, so text-train checks a floor of
+0.4 on the model named by `test_qwk_report`, which a learner that lost its
+signal (QWK near 0) fails.
 """
 
 from __future__ import annotations
@@ -65,11 +65,10 @@ WORKLOADS = {
         "per_grade": None,
         "threads": 1,
         "qwk_floor": 0.4,
-        "setup_steps": [],
         # The grid varies the learning rate, not the depth, so the refit
         # model and the cost of explaining it do not depend on the seed.
-        # At 8 stages the two train steps are ~78 % of wall_s, and a chain
-        # still fits twice into a 20 s run.
+        # At 8 stages the two train steps are ~78 % of wall_s, and a run
+        # holds three chains.
         "steps": [
             _extract(TEXT_GROUPS, "$out/features"),
             ["train", "--features", "$out/features", "--out", "$out/reg",
@@ -93,7 +92,6 @@ WORKLOADS = {
         "per_grade": 8,
         "threads": 2,
         "qwk_floor": None,
-        "setup_steps": [],
         "steps": [
             _extract(ALL_GROUPS, "$out/features"),
             # Boosted stumps: every tree has 3 nodes whatever the seed, so
@@ -108,32 +106,11 @@ WORKLOADS = {
              "--model", "$out/model/model.json", "--out", "$out/model"],
             *_explain_all("$out/model/model.json", n_grid=200),
         ],
+        # Three passes keep an iteration near 15 s, so that a 45 s run
+        # always holds three of them.
         "repeat": ["train", "evaluate", "explain"],
-        "passes": 4,
+        "passes": 3,
         "test_qwk_report": "model/report.json",
-    },
-    "score-explain": {
-        "synth": {"n": 200, "audio": False},
-        "per_grade": None,
-        "threads": 1,
-        "qwk_floor": 0.4,
-        "setup_steps": [
-            _extract(TEXT_GROUPS, "$setup/features"),
-            ["train", "--features", "$setup/features", "--out", "$setup/model",
-             "--model", "gbt", "--params",
-             _json({"max_depth": 4, "n_stages": 20, "learning_rate": 0.2})],
-        ],
-        "steps": [
-            _extract(TEXT_GROUPS, "$out/features"),
-            ["evaluate", "--features", "$out/features",
-             "--model", "$setup/model/model.json", "--out", "$out/report"],
-            *_explain_all("$setup/model/model.json"),
-        ],
-        "repeat": [],
-        "passes": 1,
-        "test_qwk_report": "report/report.json",
-        # The timed re-extract must reproduce set-up's features byte for byte.
-        "same_as_setup": "features/features.csv",
     },
 }
 
