@@ -19,6 +19,7 @@ from .content import TfidfVocabulary, fit_vocabulary, vectorize
 from .corpus import AlignedResponse, FeatureMatrix, LexicalResources
 from .fluency import FLUENCY_FEATURES, fluency_features
 from .grammar import GRAMMAR_FEATURES, grammar_features
+from .parallel import run_tasks
 from .prosody import PROSODY_FEATURES, NoNuclei, prosody_features
 
 GROUP_ORDER = ("CF", "FF", "SPF", "GVF", "AF")
@@ -126,12 +127,7 @@ def extract_matrix(responses: list[AlignedResponse], resources: LexicalResources
     def run(response):
         return _extract_one(response, resources, vocabulary, config, audio_lookup)
 
-    if threads > 1 and len(responses) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, responses))
-    else:
-        results = [run(r) for r in responses]
+    results = run_tasks(run, responses, threads)
 
     values = np.zeros((len(responses), len(columns)), dtype=np.float64)
     flags: dict[str, list[str]] = {}

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .metrics import mse, qwk, round_to_grade
+from .parallel import run_tasks
 from .trees import Tree, TreeParams, fit_tree
 
 _EPS = 1e-12
@@ -172,19 +173,11 @@ def fit_forest(X, y, weights=None, n_trees: int = 100,
                             n_classes=n_classes, rng=rng_split)
         return fit_tree(X, y, w, tree_params, task=task, n_classes=n_classes, rng=rng)
 
-    trees = _run_tasks(one_tree, seeds, threads)
+    trees = run_tasks(one_tree, seeds, threads)
     return TreeEnsembleModel(
         kind="forest", task=task, trees=trees, base_score=0.0, learning_rate=1.0,
         feature_names=feature_names or [f"f{i}" for i in range(X.shape[1])],
         n_classes=n_classes if task == "classification" else None)
-
-
-def _run_tasks(fn, items, threads):
-    if threads <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, items))
 
 
 def fit_gbt(X, y, weights=None, n_stages: int = 100, learning_rate: float = 0.1,
@@ -261,7 +254,7 @@ def fit_gbt(X, y, weights=None, n_stages: int = 100, learning_rate: float = 0.1,
 
 def _newton_relabel(tree: Tree, X, grad, weights, n_classes):
     """Replace leaf values by the multiclass Newton step on the log-loss."""
-    leaf_of = _leaf_indices(tree, X)
+    leaf_of = tree.apply(X)
     factor = (n_classes - 1) / n_classes
     for leaf in np.unique(leaf_of):
         rows = leaf_of == leaf
@@ -269,23 +262,6 @@ def _newton_relabel(tree: Tree, X, grad, weights, n_classes):
         w = weights[rows]
         denom = (w * np.abs(g) * (1.0 - np.abs(g))).sum()
         tree.value[leaf] = factor * (w * g).sum() / max(denom, _EPS)
-
-
-def _leaf_indices(tree: Tree, X) -> np.ndarray:
-    X = np.atleast_2d(X)
-    out = np.zeros(X.shape[0], dtype=np.int64)
-    stack = [(0, np.arange(X.shape[0]))]
-    while stack:
-        node, rows = stack.pop()
-        if rows.size == 0:
-            continue
-        if tree.is_leaf(node):
-            out[rows] = node
-            continue
-        goes_left = X[rows, tree.feature[node]] <= tree.threshold[node]
-        stack.append((int(tree.left[node]), rows[goes_left]))
-        stack.append((int(tree.right[node]), rows[~goes_left]))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -524,7 +500,7 @@ def grid_search(model_kind: str, spec: GridSearchSpec, X, y,
                 "fold_qwk": fold_qwk, "fold_mse": fold_mse,
                 "flagged": flagged}
 
-    table = _run_tasks(evaluate, spec.points(), threads)
+    table = run_tasks(evaluate, spec.points(), threads)
     best_idx = 0
     for i, row in enumerate(table[1:], start=1):
         cur = table[best_idx]

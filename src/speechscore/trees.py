@@ -8,6 +8,15 @@ candidates are midpoints of consecutive distinct sorted feature values,
 scored by weighted variance reduction (regression) or weighted Gini decrease
 (classification), with ties broken by lowest feature index then lowest
 threshold.
+
+All candidate columns of a node are scored in one pass of array operations
+(a column-wise stable argsort, then cumulative sums down each column); each
+column's sums accumulate in the same order a one-column scan would use, so
+the chosen splits and their gains do not depend on how many columns are
+scored together. The two per-column totals that are squared (the last
+target value and the total weighted target) are squared as Python floats,
+which is libm ``pow``; NumPy squares arrays as ``x * x``, which differs in
+the last bit for some inputs and would shift gains by one ulp.
 """
 
 from __future__ import annotations
@@ -44,25 +53,27 @@ class Tree:
     def is_leaf(self, node: int) -> bool:
         return self.feature[node] == _LEAF
 
-    def predict(self, X: np.ndarray) -> np.ndarray:
-        """Batch prediction via mask-based descent."""
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        """Leaf node id reached by each row (level-synchronous descent)."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        if self.value.ndim == 1:
-            out = np.empty(X.shape[0], dtype=np.float64)
-        else:
-            out = np.empty((X.shape[0], self.value.shape[1]), dtype=np.float64)
-        stack = [(0, np.arange(X.shape[0]))]
-        while stack:
-            node, rows = stack.pop()
-            if rows.size == 0:
-                continue
-            if self.is_leaf(node):
-                out[rows] = self.value[node]
-                continue
-            goes_left = X[rows, self.feature[node]] <= self.threshold[node]
-            stack.append((int(self.left[node]), rows[goes_left]))
-            stack.append((int(self.right[node]), rows[~goes_left]))
-        return out
+        if self.feature[0] == _LEAF:
+            return np.zeros(X.shape[0], dtype=np.int64)
+        # Every row starts at the root, so the first level needs no gather.
+        # That keeps stumps (boosted depth-1 trees, predicted once per PDP
+        # grid point) cheap.
+        goes_left = X[:, self.feature[0]] <= self.threshold[0]
+        node = np.where(goes_left, self.left[0], self.right[0])
+        rows = np.flatnonzero(self.feature[node] != _LEAF)
+        while rows.size:
+            at = node[rows]
+            goes_left = X[rows, self.feature[at]] <= self.threshold[at]
+            node[rows] = np.where(goes_left, self.left[at], self.right[at])
+            rows = rows[self.feature[node[rows]] != _LEAF]
+        return node
+
+    def predict(self, X: np.ndarray) -> np.ndarray:
+        """Leaf value per row: (n,) for regression, (n, n_classes) otherwise."""
+        return self.value[self.apply(X)]
 
     def leaf_mean(self) -> np.ndarray | float:
         """Cover-weighted mean of leaf values (the tree's expected output)."""
@@ -141,50 +152,62 @@ def _impurity_times_weight(y, w, n_classes):
     return float(total - (scores ** 2).sum() / total)
 
 
-def _best_split_of_feature(x, y, w, min_leaf, n_classes):
-    """Return (gain*weight, threshold) for the best split on one feature."""
-    order = np.argsort(x, kind="stable")
-    xs, ys, ws = x[order], y[order], w[order]
-    n = xs.size
-    boundary = xs[:-1] < xs[1:]
+def _squares(v: np.ndarray) -> np.ndarray:
+    """Square each entry as a Python float: libm pow, not NumPy's x * x."""
+    return np.asarray([t ** 2 for t in v.tolist()], dtype=np.float64)
+
+
+def _best_split(X, y, w, min_leaf, n_classes):
+    """Return (gain*weight, column, threshold) of the best split over the
+    columns of X, or None; ties go to the lowest column, then the lowest
+    threshold."""
+    n, p = X.shape
+    order = np.argsort(X, axis=0, kind="stable")
+    xs = np.take_along_axis(X, order, axis=0)
+    ys, ws = y[order], w[order]
     counts = np.arange(1, n)
-    feasible = boundary & (counts >= min_leaf) & (n - counts >= min_leaf)
+    feasible = ((xs[:-1] < xs[1:])
+                & ((counts >= min_leaf) & (n - counts >= min_leaf))[:, None])
     if not feasible.any():
         return None
 
-    cw = np.cumsum(ws)[:-1]
+    cw = np.cumsum(ws, axis=0)[:-1]
     total_w = cw[-1] + ws[-1]
     if n_classes is None:
-        cwy = np.cumsum(ws * ys)[:-1]
-        cwy2 = np.cumsum(ws * ys * ys)[:-1]
+        cwy = np.cumsum(ws * ys, axis=0)[:-1]
+        cwy2 = np.cumsum(ws * ys * ys, axis=0)[:-1]
         total_wy = cwy[-1] + ws[-1] * ys[-1]
-        total_wy2 = cwy2[-1] + ws[-1] * ys[-1] ** 2
+        total_wy2 = cwy2[-1] + ws[-1] * _squares(ys[-1])
         with np.errstate(divide="ignore", invalid="ignore"):
             sse_left = cwy2 - cwy ** 2 / cw
             rw = total_w - cw
             sse_right = (total_wy2 - cwy2) - (total_wy - cwy) ** 2 / rw
-        parent = total_wy2 - total_wy ** 2 / total_w
+        parent = total_wy2 - _squares(total_wy) / total_w
         scores = parent - sse_left - sse_right
-        noise_floor = 1e-12 * max(total_wy2, 1.0)
+        noise_floor = 1e-12 * np.maximum(total_wy2, 1.0)
     else:
-        onehot = np.zeros((n, n_classes), dtype=np.float64)
-        onehot[np.arange(n), ys.astype(np.int64)] = ws
+        onehot = np.zeros((n, p, n_classes), dtype=np.float64)
+        onehot[np.arange(n)[:, None], np.arange(p), ys.astype(np.int64)] = ws
         ck = np.cumsum(onehot, axis=0)[:-1]
         tk = ck[-1] + onehot[-1]
         with np.errstate(divide="ignore", invalid="ignore"):
             rw = total_w - cw
-            gini_left = cw - (ck ** 2).sum(axis=1) / cw
-            gini_right = rw - ((tk - ck) ** 2).sum(axis=1) / rw
-        parent = total_w - (tk ** 2).sum() / total_w
+            gini_left = cw - (ck ** 2).sum(axis=2) / cw
+            gini_right = rw - ((tk - ck) ** 2).sum(axis=2) / rw
+        parent = total_w - (tk ** 2).sum(axis=1) / total_w
         scores = parent - gini_left - gini_right
-        noise_floor = 1e-12 * max(total_w, 1.0)
+        noise_floor = 1e-12 * np.maximum(total_w, 1.0)
 
     scores = np.where(feasible, scores, -np.inf)
-    best = int(np.argmax(scores))           # first max = lowest threshold
-    if not np.isfinite(scores[best]) or scores[best] <= noise_floor:
+    rows = np.argmax(scores, axis=0)        # first max = lowest threshold
+    best = scores[rows, np.arange(p)]
+    usable = np.isfinite(best) & (best > noise_floor)
+    col = int(np.argmax(np.where(usable, best, -np.inf)))   # lowest column
+    if not usable[col]:
         return None
-    threshold = (xs[best] + xs[best + 1]) / 2.0
-    return float(scores[best]), threshold
+    row = rows[col]
+    threshold = (xs[row, col] + xs[row + 1, col]) / 2.0
+    return float(best[col]), col, threshold
 
 
 def fit_tree(X: np.ndarray, y: np.ndarray, weights: np.ndarray | None = None,
@@ -226,19 +249,17 @@ def fit_tree(X: np.ndarray, y: np.ndarray, weights: np.ndarray | None = None,
 
         if mtry is not None and mtry < n_features:
             candidates = np.sort(rng.choice(n_features, size=mtry, replace=False))
+            X_node = X[np.ix_(idx, candidates)]
         else:
-            candidates = range(n_features)
+            candidates = np.arange(n_features)
+            X_node = X[idx]
 
-        best = None     # (score, feature, threshold)
-        for f in candidates:
-            found = _best_split_of_feature(X[idx, f], yv, wv,
-                                           params.min_samples_leaf, n_classes)
-            if found is not None and (best is None or found[0] > best[0]):
-                best = (found[0], int(f), found[1])
+        best = _best_split(X_node, yv, wv, params.min_samples_leaf, n_classes)
         if best is None:
             return builder.add(cover, value)
 
-        score, f, threshold = best
+        score, col, threshold = best
+        f = int(candidates[col])
         node = builder.add(cover, value, feature=f, threshold=threshold,
                            gain=score / cover)
         goes_left = X[idx, f] <= threshold
