@@ -7,6 +7,15 @@ picks the lag with the highest normalized correlation inside the
 the voicing threshold or whose RMS sits under the silence floor. This is an
 approximation of point-process pulse extraction, sufficient for the
 instability measures computed here.
+
+All frame-level work runs in one framing pass that walks the signal in blocks
+of `_BLOCK_FRAMES` frames, taken as strided views of the samples. Each block
+yields small per-frame vectors (RMS, peak, best lag and its correlation, ten
+sub-band energies, spectral mass and centroid numerator), and the features
+reduce over those vectors, so peak memory is O(block) rather than
+O(duration). Every frame goes through the same arithmetic as it would in one
+whole-signal array, with the autocorrelation FFT at the power of two
+>= 2*frame, so the features do not depend on the block size.
 """
 
 from __future__ import annotations
@@ -16,6 +25,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 ACOUSTIC_FEATURES = (
     "mean_pitch",
@@ -34,6 +44,14 @@ ACOUSTIC_FEATURES = (
     "ddaShimmer",
     "total_duration",
 )
+
+# Frames per block of the framing pass: a block's pitch spectra (nfft 2048
+# at 16 kHz) take about 4 MB.
+_BLOCK_FRAMES = 256
+# Samples per chunk of the zero-crossing count.
+_ZCR_CHUNK = 1 << 16
+_VOICING_THRESHOLD = 0.5
+_SILENCE_FLOOR = 1e-4
 
 
 @dataclass
@@ -96,60 +114,128 @@ def write_wav(path: str | Path, audio: AudioBuffer) -> None:
         fh.writeframes(scaled.tobytes())
 
 
-def _frames(samples: np.ndarray, frame_len: int, hop: int) -> np.ndarray:
-    n = (samples.size - frame_len) // hop + 1
-    idx = np.arange(frame_len)[None, :] + hop * np.arange(n)[:, None]
-    return samples[idx]
+def _frame_lengths(sample_rate: int, frame: float, hop: float) -> tuple[int, int]:
+    return int(round(frame * sample_rate)), max(1, int(round(hop * sample_rate)))
 
 
-def pitch_track(audio: AudioBuffer, fmin: float = 75.0, fmax: float = 500.0,
-                frame: float = 0.040, hop: float = 0.010,
-                voicing_threshold: float = 0.5,
-                silence_floor: float = 1e-4) -> PeriodTrack:
-    """Fundamental periods and peak amplitudes of the voiced frames."""
+def _pitch_lags(audio: AudioBuffer, frame_len: int, fmin: float,
+                fmax: float) -> np.ndarray:
+    """Candidate lags in samples; raises if no frame or no band fits."""
     sr = audio.sample_rate
-    frame_len = int(round(frame * sr))
-    hop_len = max(1, int(round(hop * sr)))
     if audio.samples.size < frame_len:
         raise ValueError("audio shorter than one analysis frame")
     lag_min = max(1, int(np.ceil(sr / fmax)))
     lag_max = min(frame_len - 1, int(np.floor(sr / fmin)))
     if lag_max <= lag_min:
         raise ValueError("frame too short for the requested pitch band")
+    return np.arange(lag_min, lag_max + 1)
 
-    frames = _frames(audio.samples, frame_len, hop_len)
-    rms = np.sqrt((frames ** 2).mean(axis=1))
-    peak = np.abs(frames).max(axis=1)
 
-    centered = frames - frames.mean(axis=1, keepdims=True)
-    nfft = 1 << int(np.ceil(np.log2(2 * frame_len)))
+@dataclass
+class _FrameStats:
+    """Per-frame vectors from the framing pass; unrequested parts stay None."""
+
+    rms: np.ndarray
+    peak: np.ndarray | None = None          # pitch part
+    best: np.ndarray | None = None          # index into the lags
+    best_corr: np.ndarray | None = None
+    bands: np.ndarray | None = None         # spectral part: (frames, 10)
+    mass: np.ndarray | None = None
+    centroid_num: np.ndarray | None = None
+
+
+def _best_lags(block: np.ndarray, lags: np.ndarray,
+               nfft: int) -> tuple[np.ndarray, np.ndarray]:
+    """Lag index of the highest normalized autocorrelation, and its value."""
+    frame_len = block.shape[1]
+    centered = block - block.mean(axis=1, keepdims=True)
     spectrum = np.fft.rfft(centered, n=nfft, axis=1)
-    acorr = np.fft.irfft(spectrum * np.conj(spectrum), n=nfft, axis=1)[:, :frame_len]
-
+    acorr = np.fft.irfft(spectrum * np.conj(spectrum), n=nfft, axis=1)
     energy = np.cumsum(centered ** 2, axis=1)
-    total = energy[:, -1:]
-    lags = np.arange(lag_min, lag_max + 1)
     # prefix energy of x[0 : N-lag] and suffix energy of x[lag : N]
     e_pre = energy[:, frame_len - lags - 1]
-    e_suf = total - np.where(lags[None, :] > 0, energy[:, lags - 1], 0.0)
+    e_suf = energy[:, -1:] - energy[:, lags - 1]
     denom = np.sqrt(np.maximum(e_pre * e_suf, 1e-300))
-    corr = acorr[:, lag_min:lag_max + 1] / denom
-
+    corr = acorr[:, lags[0]:lags[-1] + 1] / denom
     best = np.argmax(corr, axis=1)
-    rows = np.arange(frames.shape[0])
-    voiced = (corr[rows, best] >= voicing_threshold) & (rms >= silence_floor)
-    periods = (lags[best[voiced]]) / sr
-    return PeriodTrack(periods=periods, amplitudes=peak[voiced])
+    return best, corr[np.arange(block.shape[0]), best]
+
+
+def _frame_pass(audio: AudioBuffer, frame_len: int, hop_len: int,
+                lags: np.ndarray | None = None,
+                spectral: bool = False) -> _FrameStats:
+    """One block-wise pass over the frames of `audio`.
+
+    Always computes the frame RMS; with `lags`, the pitch part (peak and best
+    lag); with `spectral`, the sub-band energies and spectral mass/centroid.
+    """
+    frames = sliding_window_view(audio.samples, frame_len)[::hop_len]
+    n = frames.shape[0]
+    stats = _FrameStats(rms=np.empty(n))
+    if lags is not None:
+        stats.peak = np.empty(n)
+        stats.best = np.empty(n, dtype=np.intp)
+        stats.best_corr = np.empty(n)
+        nfft = 1 << int(np.ceil(np.log2(2 * frame_len)))
+    sub = frame_len // 10
+    if spectral:
+        if sub >= 1:
+            stats.bands = np.empty((n, 10))
+        stats.mass = np.empty(n)
+        stats.centroid_num = np.empty(n)
+        freqs = np.fft.rfftfreq(frame_len, d=1.0 / audio.sample_rate)
+
+    for start in range(0, n, _BLOCK_FRAMES):
+        # The last block ends at the last frame and overlaps the one before,
+        # so every block of a long signal is full size. NumPy evaluates
+        # `s * conj(s)` as `conj(s) * s` in place once the temporary
+        # reaches 256 KiB (temporary elision), and the two round
+        # differently: a short block would not round like a whole-signal
+        # array does.
+        start = max(0, min(start, n - _BLOCK_FRAMES))
+        block = frames[start:start + _BLOCK_FRAMES]
+        rows = slice(start, start + block.shape[0])
+        squares = block ** 2
+        stats.rms[rows] = np.sqrt(squares.mean(axis=1))
+        if lags is not None:
+            stats.peak[rows] = np.abs(block).max(axis=1)
+            stats.best[rows], stats.best_corr[rows] = _best_lags(block, lags, nfft)
+        if spectral:
+            if sub >= 1:
+                trimmed = squares[:, :10 * sub].reshape(block.shape[0], 10, sub)
+                stats.bands[rows] = trimmed.sum(axis=2)
+            spectrum = np.abs(np.fft.rfft(block, axis=1))
+            stats.mass[rows] = spectrum.sum(axis=1)
+            stats.centroid_num[rows] = (spectrum * freqs).sum(axis=1)
+    return stats
+
+
+def _period_track(stats: _FrameStats, lags: np.ndarray, sample_rate: int,
+                  voicing_threshold: float, silence_floor: float) -> PeriodTrack:
+    voiced = (stats.best_corr >= voicing_threshold) & (stats.rms >= silence_floor)
+    periods = lags[stats.best[voiced]] / sample_rate
+    return PeriodTrack(periods=periods, amplitudes=stats.peak[voiced])
+
+
+def pitch_track(audio: AudioBuffer, fmin: float = 75.0, fmax: float = 500.0,
+                frame: float = 0.040, hop: float = 0.010,
+                voicing_threshold: float = _VOICING_THRESHOLD,
+                silence_floor: float = _SILENCE_FLOOR) -> PeriodTrack:
+    """Fundamental periods and peak amplitudes of the voiced frames."""
+    frame_len, hop_len = _frame_lengths(audio.sample_rate, frame, hop)
+    lags = _pitch_lags(audio, frame_len, fmin, fmax)
+    stats = _frame_pass(audio, frame_len, hop_len, lags=lags)
+    return _period_track(stats, lags, audio.sample_rate, voicing_threshold,
+                         silence_floor)
 
 
 def _neighborhood_instability(values: np.ndarray, window: int) -> float:
     """Mean |v_i - mean(window around i)| / mean(v), the Praat ppq/apq form."""
-    n = values.size
     half = window // 2
-    if n < window:
+    if values.size < window:
         return 0.0
-    diffs = [abs(values[i] - values[i - half:i + half + 1].mean())
-             for i in range(half, n - half)]
+    local = sliding_window_view(values, window).mean(axis=1)
+    diffs = np.abs(values[half:values.size - half] - local)
     return float(np.mean(diffs) / values.mean())
 
 
@@ -159,46 +245,34 @@ def _local_instability(values: np.ndarray) -> float:
     return float(np.abs(np.diff(values)).mean() / values.mean())
 
 
-def acoustic_features(audio: AudioBuffer, track: PeriodTrack,
-                      frame: float = 0.040, hop: float = 0.010,
-                      flags: set[str] | None = None) -> dict[str, float]:
-    """The 15 acoustic features keyed by their printed names.
+def _zero_crossing_rate(x: np.ndarray) -> float:
+    if x.size < 2:
+        return 0.0
+    flips = 0
+    for start in range(0, x.size - 1, _ZCR_CHUNK):
+        chunk = x[start:start + _ZCR_CHUNK + 1]
+        flips += int(np.count_nonzero((chunk[:-1] * chunk[1:]) < 0))
+    return flips / (x.size - 1)
 
-    Pitch statistics run over 1/period of the voiced frames; jitter and
-    shimmer follow the standard cycle-to-cycle definitions with ddp = 3*rap
-    and dda = 3*apq3 as exact identities.
-    """
-    sr = audio.sample_rate
-    frame_len = int(round(frame * sr))
-    hop_len = max(1, int(round(hop * sr)))
+
+def _features(audio: AudioBuffer, stats: _FrameStats | None, track: PeriodTrack,
+              flags: set[str] | None) -> dict[str, float]:
     features = dict.fromkeys(ACOUSTIC_FEATURES, 0.0)
     features["total_duration"] = audio.duration
+    features["zero_crossing_rate"] = _zero_crossing_rate(audio.samples)
 
-    x = audio.samples
-    sign_flip = (x[:-1] * x[1:]) < 0
-    features["zero_crossing_rate"] = float(sign_flip.sum() / (x.size - 1)) if x.size > 1 else 0.0
-
-    if x.size >= frame_len:
-        frames = _frames(x, frame_len, hop_len)
-        rms = np.sqrt((frames ** 2).mean(axis=1))
-        features["stdev_energy"] = float(rms.std())
-
-        sub = frame_len // 10
-        if sub >= 1:
-            trimmed = frames[:, :10 * sub].reshape(frames.shape[0], 10, sub)
-            bins = (trimmed ** 2).sum(axis=(0, 2))
+    if stats is not None:
+        features["stdev_energy"] = float(stats.rms.std())
+        if stats.bands is not None:
+            bins = stats.bands.sum(axis=0)
             total = bins.sum()
             if total > 0:
                 p = bins / total
                 p = p[p > 0]
                 features["energy_entropy"] = float(-(p * np.log2(p)).sum())
-
-        spectrum = np.abs(np.fft.rfft(frames, axis=1))
-        freqs = np.fft.rfftfreq(frame_len, d=1.0 / sr)
-        mass = spectrum.sum(axis=1)
-        nonzero = mass > 0
+        nonzero = stats.mass > 0
         if nonzero.any():
-            centroids = (spectrum[nonzero] * freqs).sum(axis=1) / mass[nonzero]
+            centroids = stats.centroid_num[nonzero] / stats.mass[nonzero]
             features["spectral_centroid"] = float(centroids.mean())
 
     periods = track.periods
@@ -235,8 +309,29 @@ def acoustic_features(audio: AudioBuffer, track: PeriodTrack,
     return features
 
 
+def acoustic_features(audio: AudioBuffer, track: PeriodTrack,
+                      frame: float = 0.040, hop: float = 0.010,
+                      flags: set[str] | None = None) -> dict[str, float]:
+    """The 15 acoustic features keyed by their printed names.
+
+    Pitch statistics run over 1/period of the voiced frames; jitter and
+    shimmer follow the standard cycle-to-cycle definitions with ddp = 3*rap
+    and dda = 3*apq3 as exact identities.
+    """
+    frame_len, hop_len = _frame_lengths(audio.sample_rate, frame, hop)
+    stats = None
+    if audio.samples.size >= frame_len:
+        stats = _frame_pass(audio, frame_len, hop_len, spectral=True)
+    return _features(audio, stats, track, flags)
+
+
 def extract_acoustic(audio: AudioBuffer, fmin: float = 75.0, fmax: float = 500.0,
                      frame: float = 0.040, hop: float = 0.010,
                      flags: set[str] | None = None) -> dict[str, float]:
-    track = pitch_track(audio, fmin=fmin, fmax=fmax, frame=frame, hop=hop)
-    return acoustic_features(audio, track, frame=frame, hop=hop, flags=flags)
+    """`acoustic_features(audio, pitch_track(audio))` in one framing pass."""
+    frame_len, hop_len = _frame_lengths(audio.sample_rate, frame, hop)
+    lags = _pitch_lags(audio, frame_len, fmin, fmax)
+    stats = _frame_pass(audio, frame_len, hop_len, lags=lags, spectral=True)
+    track = _period_track(stats, lags, audio.sample_rate, _VOICING_THRESHOLD,
+                          _SILENCE_FLOOR)
+    return _features(audio, stats, track, flags)

@@ -12,9 +12,11 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
+from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -415,9 +417,9 @@ class SplitAssignment:
                    seed=int(payload["seed"]))
 
 
-def _largest_remainder(n: int, ratios: Sequence[float]) -> list[int]:
+def _largest_remainder(n: int, ratios: Sequence[float | Fraction]) -> list[int]:
     exact = [r * n for r in ratios]
-    counts = [int(np.floor(e)) for e in exact]
+    counts = [math.floor(e) for e in exact]
     short = n - sum(counts)
     remainders = sorted(range(len(ratios)), key=lambda i: (-(exact[i] - counts[i]), i))
     for i in remainders[:short]:
@@ -425,10 +427,57 @@ def _largest_remainder(n: int, ratios: Sequence[float]) -> list[int]:
     return counts
 
 
+def _stratified_counts(sizes: Sequence[int],
+                       ratios: Sequence[float]) -> list[list[int]]:
+    """Bucket counts per grade, each within one of the grade's share of its
+    bucket.
+
+    Largest remainder per grade fixes the bucket totals. A grade whose count
+    in some bucket is a whole response or more off ``size * total / sum(sizes)`` is
+    re-rounded to those shares, and single responses then move between
+    buckets, along grades whose counts stay at the floor or ceiling of their
+    share, until every bucket holds its total again. Such a rounding always
+    exists because the shares sum to whole numbers by grade and by bucket.
+    """
+    rows = [_largest_remainder(size, ratios) for size in sizes]
+    totals = [sum(col) for col in zip(*rows)]
+    shares = [Fraction(t, sum(sizes)) for t in totals]
+    lows = [[math.floor(size * s) for s in shares] for size in sizes]
+    highs = [[math.ceil(size * s) for s in shares] for size in sizes]
+    for g, size in enumerate(sizes):
+        if any(not lo <= c <= hi for c, lo, hi in zip(rows[g], lows[g], highs[g])):
+            rows[g] = _largest_remainder(size, shares)
+
+    buckets = range(len(totals))
+    while True:
+        held = [sum(col) for col in zip(*rows)]
+        over = [b for b in buckets if held[b] > totals[b]]
+        if not over:
+            return rows
+        # Breadth-first over buckets: step a -> b moves one response of some
+        # grade from bucket a to bucket b.
+        step: dict[int, tuple[int, int] | None] = dict.fromkeys(over)
+        queue = list(over)
+        for a in queue:
+            for g, row in enumerate(rows):
+                for b in buckets:
+                    if (b not in step and row[a] > lows[g][a]
+                            and row[b] < highs[g][b]):
+                        step[b] = (a, g)
+                        queue.append(b)
+        b = next(b for b in queue if held[b] < totals[b])
+        while step[b] is not None:
+            a, g = step[b]
+            rows[g][a] -= 1
+            rows[g][b] += 1
+            b = a
+
+
 def stratified_split(responses: Iterable[AlignedResponse],
                      ratios: tuple[float, float, float] = (0.70, 0.10, 0.20),
                      seed: int = 0) -> SplitAssignment:
-    """Largest-remainder allocation per grade, then seeded shuffling.
+    """Largest-remainder allocation per grade, kept within one response of
+    each grade's share of every split, then seeded shuffling.
 
     Deterministic for a fixed seed and independent of input ordering. Every
     grade must appear on at least 3 responses so each split can be fed.
@@ -445,15 +494,18 @@ def stratified_split(responses: Iterable[AlignedResponse],
     if not by_grade:
         raise CorpusError("empty corpus")
 
+    ordinals = sorted(by_grade)
+    for ordinal in ordinals:
+        if len(by_grade[ordinal]) < 3:
+            raise CorpusError(f"grade {labels[ordinal]} has only "
+                              f"{len(by_grade[ordinal])} response(s); need >= 3")
+    allocation = _stratified_counts([len(by_grade[o]) for o in ordinals], ratios)
+
     rng = np.random.default_rng(seed)
     buckets: tuple[set[str], ...] = (set(), set(), set())
-    for ordinal in sorted(by_grade):
+    for ordinal, counts in zip(ordinals, allocation):
         ids = sorted(by_grade[ordinal])
-        if len(ids) < 3:
-            raise CorpusError(
-                f"grade {labels[ordinal]} has only {len(ids)} response(s); need >= 3")
         rng.shuffle(ids)
-        counts = _largest_remainder(len(ids), ratios)
         pos = 0
         for bucket, count in zip(buckets, counts):
             bucket.update(ids[pos:pos + count])

@@ -89,9 +89,14 @@ def syllabify(response: AlignedResponse,
     a syllable never spans a pause. Consonant-only stretches anchor no
     syllable and contribute to the interval features only.
     """
-    phonemes = _timeline(response)
+    return _syllables(_timeline(response), response.response_id,
+                      include_secondary)
+
+
+def _syllables(phonemes: list[AlignedPhoneme], response_id: str,
+               include_secondary: bool) -> list[Syllable]:
     if not any(p.klass is PhonemeClass.VOWEL for p in phonemes):
-        raise NoNuclei(response.response_id)
+        raise NoNuclei(response_id)
 
     stressed_levels = {Stress.PRIMARY}
     if include_secondary:
@@ -161,6 +166,15 @@ def interval_sequence(response: AlignedResponse,
     or consecutive phonemes are separated in time (pause between words).
     """
     phonemes = _timeline(response)
+    try:
+        syllables = _syllables(phonemes, response.response_id, include_secondary)
+    except NoNuclei:
+        syllables = []
+    return _intervals(phonemes, syllables)
+
+
+def _intervals(phonemes: list[AlignedPhoneme], syllables: list[Syllable],
+               ) -> tuple[IntervalSequence, float]:
     vocalic: list[float] = []
     consonantal: list[float] = []
     run_class: PhonemeClass | None = None
@@ -183,11 +197,7 @@ def interval_sequence(response: AlignedResponse,
         prev_end = ph.end
     close_run()
 
-    try:
-        syllables = syllabify(response, include_secondary)
-        syllabic = [(s.end - s.start) * 1000.0 for s in syllables]
-    except NoNuclei:
-        syllabic = []
+    syllabic = [(s.end - s.start) * 1000.0 for s in syllables]
     total_phonation_ms = sum(ph.duration for ph in phonemes) * 1000.0
     return IntervalSequence(vocalic, consonantal, syllabic), total_phonation_ms
 
@@ -243,8 +253,9 @@ def prosody_features(response: AlignedResponse,
                      include_secondary: bool = False,
                      flags: set[str] | None = None) -> dict[str, float]:
     """All 19 stress- and interval-based features for one response."""
-    syllables = syllabify(response, include_secondary)
+    phonemes = _timeline(response)
+    syllables = _syllables(phonemes, response.response_id, include_secondary)
     features = stress_features(syllables, flags)
-    intervals, total_ms = interval_sequence(response, include_secondary)
+    intervals, total_ms = _intervals(phonemes, syllables)
     features.update(interval_features(intervals, total_ms, flags))
     return features

@@ -1,12 +1,19 @@
+import tracemalloc
 import wave
 
 import numpy as np
 import pytest
+from conftest import make_response, make_word
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from pytest import approx
 
-from speechscore.acoustic import (ACOUSTIC_FEATURES, AudioBuffer, PeriodTrack,
-                                  acoustic_features, pitch_track, read_wav,
-                                  write_wav)
+from speechscore.acoustic import (_BLOCK_FRAMES, ACOUSTIC_FEATURES, AudioBuffer,
+                                  PeriodTrack, _frame_lengths, _frame_pass,
+                                  _neighborhood_instability, _pitch_lags,
+                                  acoustic_features, extract_acoustic,
+                                  pitch_track, read_wav, write_wav)
+from speechscore.features import ExtractorConfig, extract_matrix
 
 
 def sine(freq, seconds=1.0, sr=16000, amp=0.5):
@@ -150,3 +157,249 @@ def test_jitter_monotone_in_perturbation():
         values.append(f["rapJitter"])
     assert values == sorted(values), values
     assert values[-1] > values[0]
+
+
+# --- Reference: the whole-signal implementation the block pass replaced ---
+
+def _reference_frames(samples, frame_len, hop):
+    n = (samples.size - frame_len) // hop + 1
+    idx = np.arange(frame_len)[None, :] + hop * np.arange(n)[:, None]
+    return samples[idx]
+
+
+def _reference_frame_pitch(audio, fmin=75.0, fmax=500.0, frame=0.040,
+                           hop=0.010):
+    """Per frame: RMS, peak, best lag, its correlation; plus the lags."""
+    sr = audio.sample_rate
+    frame_len = int(round(frame * sr))
+    hop_len = max(1, int(round(hop * sr)))
+    if audio.samples.size < frame_len:
+        raise ValueError("audio shorter than one analysis frame")
+    lag_min = max(1, int(np.ceil(sr / fmax)))
+    lag_max = min(frame_len - 1, int(np.floor(sr / fmin)))
+    if lag_max <= lag_min:
+        raise ValueError("frame too short for the requested pitch band")
+
+    frames = _reference_frames(audio.samples, frame_len, hop_len)
+    rms = np.sqrt((frames ** 2).mean(axis=1))
+    peak = np.abs(frames).max(axis=1)
+
+    centered = frames - frames.mean(axis=1, keepdims=True)
+    nfft = 1 << int(np.ceil(np.log2(2 * frame_len)))
+    spectrum = np.fft.rfft(centered, n=nfft, axis=1)
+    acorr = np.fft.irfft(spectrum * np.conj(spectrum), n=nfft, axis=1)[:, :frame_len]
+
+    energy = np.cumsum(centered ** 2, axis=1)
+    total = energy[:, -1:]
+    lags = np.arange(lag_min, lag_max + 1)
+    e_pre = energy[:, frame_len - lags - 1]
+    e_suf = total - np.where(lags[None, :] > 0, energy[:, lags - 1], 0.0)
+    denom = np.sqrt(np.maximum(e_pre * e_suf, 1e-300))
+    corr = acorr[:, lag_min:lag_max + 1] / denom
+
+    best = np.argmax(corr, axis=1)
+    rows = np.arange(frames.shape[0])
+    return rms, peak, best, corr[rows, best], lags
+
+
+def _reference_pitch_track(audio, frame=0.040, hop=0.010,
+                           voicing_threshold=0.5, silence_floor=1e-4):
+    rms, peak, best, best_corr, lags = _reference_frame_pitch(
+        audio, frame=frame, hop=hop)
+    voiced = (best_corr >= voicing_threshold) & (rms >= silence_floor)
+    periods = (lags[best[voiced]]) / audio.sample_rate
+    return PeriodTrack(periods=periods, amplitudes=peak[voiced])
+
+
+def _reference_neighborhood_instability(values, window):
+    n = values.size
+    half = window // 2
+    if n < window:
+        return 0.0
+    diffs = [abs(values[i] - values[i - half:i + half + 1].mean())
+             for i in range(half, n - half)]
+    return float(np.mean(diffs) / values.mean())
+
+
+def _reference_acoustic_features(audio, track, frame=0.040, hop=0.010,
+                                 flags=None):
+    sr = audio.sample_rate
+    frame_len = int(round(frame * sr))
+    hop_len = max(1, int(round(hop * sr)))
+    features = dict.fromkeys(ACOUSTIC_FEATURES, 0.0)
+    features["total_duration"] = audio.duration
+
+    x = audio.samples
+    sign_flip = (x[:-1] * x[1:]) < 0
+    features["zero_crossing_rate"] = float(sign_flip.sum() / (x.size - 1)) if x.size > 1 else 0.0
+
+    if x.size >= frame_len:
+        frames = _reference_frames(x, frame_len, hop_len)
+        rms = np.sqrt((frames ** 2).mean(axis=1))
+        features["stdev_energy"] = float(rms.std())
+
+        sub = frame_len // 10
+        if sub >= 1:
+            trimmed = frames[:, :10 * sub].reshape(frames.shape[0], 10, sub)
+            bins = (trimmed ** 2).sum(axis=(0, 2))
+            total = bins.sum()
+            if total > 0:
+                p = bins / total
+                p = p[p > 0]
+                features["energy_entropy"] = float(-(p * np.log2(p)).sum())
+
+        spectrum = np.abs(np.fft.rfft(frames, axis=1))
+        freqs = np.fft.rfftfreq(frame_len, d=1.0 / sr)
+        mass = spectrum.sum(axis=1)
+        nonzero = mass > 0
+        if nonzero.any():
+            centroids = (spectrum[nonzero] * freqs).sum(axis=1) / mass[nonzero]
+            features["spectral_centroid"] = float(centroids.mean())
+
+    periods = track.periods
+    amps = track.amplitudes
+    if periods.size == 0:
+        if flags is not None:
+            flags.add("acoustic_no_voiced_frames")
+        return features
+
+    pitch = 1.0 / periods
+    features["mean_pitch"] = float(pitch.mean())
+    features["stdev_pitch"] = float(pitch.std())
+    features["range_pitch"] = float(pitch.max() - pitch.min())
+
+    if periods.size >= 3:
+        rap = _reference_neighborhood_instability(periods, 3)
+        features["rapJitter"] = rap
+        features["ddpJitter"] = 3.0 * rap
+    elif flags is not None:
+        flags.add("acoustic_too_few_periods")
+    if periods.size >= 5:
+        features["ppq5Jitter"] = _reference_neighborhood_instability(periods, 5)
+    elif flags is not None:
+        flags.add("acoustic_too_few_periods_ppq5")
+
+    if amps.size >= 2 and amps.mean() > 0:
+        features["localShimmer"] = float(np.abs(np.diff(amps)).mean() / amps.mean())
+        if amps.size >= 3:
+            apq3 = _reference_neighborhood_instability(amps, 3)
+            features["apq3Shimmer"] = apq3
+            features["ddaShimmer"] = 3.0 * apq3
+        if amps.size >= 5:
+            features["aqpq5Shimmer"] = _reference_neighborhood_instability(amps, 5)
+    return features
+
+
+def _hex(features):
+    return {name: float(value).hex() for name, value in features.items()}
+
+
+@st.composite
+def _block_cases(draw):
+    """Signals whose frame counts sit at and around the block boundaries."""
+    sr = draw(st.sampled_from([8000, 16000, 22050]))
+    frame, hop = draw(st.sampled_from([(0.040, 0.010), (0.030, 0.007),
+                                       (0.050, 0.013)]))
+    frame_len = int(round(frame * sr))
+    hop_len = max(1, int(round(hop * sr)))
+    n_frames = draw(st.sampled_from([1, _BLOCK_FRAMES - 1, _BLOCK_FRAMES,
+                                     _BLOCK_FRAMES + 1, 2 * _BLOCK_FRAMES + 1]))
+    size = frame_len + (n_frames - 1) * hop_len + draw(st.integers(0, hop_len - 1))
+    kind = draw(st.sampled_from(["noise", "tone", "silence", "mixed"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    t = np.arange(size) / sr
+    f0 = draw(st.floats(90.0, 400.0))
+    tone = 0.4 * np.sin(2 * np.pi * f0 * t + 0.2 * np.sin(2 * np.pi * 3 * t))
+    if kind == "noise":
+        x = 0.3 * rng.standard_normal(size)
+    elif kind == "tone":
+        x = tone
+    elif kind == "silence":
+        x = np.zeros(size)
+    else:   # voiced stretches, near-silence and noise bursts
+        segment = (t * 4).astype(int) % 3
+        x = np.where(segment == 0, tone,
+                     np.where(segment == 1, 1e-5 * rng.standard_normal(size),
+                              0.05 * rng.standard_normal(size)))
+    return AudioBuffer(np.clip(x, -1.0, 1.0), sr), frame, hop
+
+
+class TestBlockPass:
+    @given(_block_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_whole_signal_reference(self, case):
+        audio, frame, hop = case
+        # The per-frame correlations pin the arithmetic (FFT length and
+        # order of operations), not only the voicing decisions they feed.
+        frame_len, hop_len = _frame_lengths(audio.sample_rate, frame, hop)
+        lags = _pitch_lags(audio, frame_len, 75.0, 500.0)
+        stats = _frame_pass(audio, frame_len, hop_len, lags=lags)
+        *per_frame, ref_lags = _reference_frame_pitch(audio, frame=frame, hop=hop)
+        assert np.array_equal(lags, ref_lags)
+        for got, want in zip((stats.rms, stats.peak, stats.best, stats.best_corr),
+                             per_frame):
+            assert got.tobytes() == want.tobytes()
+
+        expected = _reference_pitch_track(audio, frame=frame, hop=hop)
+        track = pitch_track(audio, frame=frame, hop=hop)
+        assert np.array_equal(track.periods, expected.periods)
+        assert np.array_equal(track.amplitudes, expected.amplitudes)
+
+        expected_flags, flags, extract_flags = set(), set(), set()
+        reference = _reference_acoustic_features(audio, expected, frame=frame,
+                                                 hop=hop, flags=expected_flags)
+        features = acoustic_features(audio, track, frame=frame, hop=hop, flags=flags)
+        extracted = extract_acoustic(audio, frame=frame, hop=hop, flags=extract_flags)
+        assert _hex(features) == _hex(reference)
+        assert _hex(extracted) == _hex(reference)
+        assert flags == extract_flags == expected_flags
+
+    def test_short_audio_features_without_frames(self):
+        audio = AudioBuffer(np.array([0.5, -0.5, 0.25]), 16000)
+        empty = PeriodTrack(np.zeros(0), np.zeros(0))
+        assert (_hex(acoustic_features(audio, empty))
+                == _hex(_reference_acoustic_features(audio, empty)))
+        with pytest.raises(ValueError, match="shorter than one analysis frame"):
+            extract_acoustic(audio)
+
+    def test_instability_matches_loop(self):
+        rng = np.random.default_rng(3)
+        for n in (3, 4, 5, 6, 50, 1001):
+            values = 0.01 * (1 + 0.05 * rng.standard_normal(n))
+            for window in (3, 5):
+                assert (float(_neighborhood_instability(values, window)).hex()
+                        == _reference_neighborhood_instability(values, window).hex())
+
+
+def test_extract_memory_bounded_in_duration():
+    """Peak allocation of extract_acoustic does not grow with duration."""
+    def peak_mb(seconds):
+        sr = 16000
+        t = np.arange(int(seconds * sr)) / sr
+        audio = AudioBuffer(0.4 * np.sin(2 * np.pi * 130 * t)
+                            * ((t * 2).astype(int) % 2), sr)
+        tracemalloc.start()
+        try:
+            extract_acoustic(audio)
+            return tracemalloc.get_traced_memory()[1] / 2 ** 20
+        finally:
+            tracemalloc.stop()
+
+    short, long = peak_mb(20.0), peak_mb(200.0)
+    # The 200 s input alone is 24 MB and was allocated before tracing.
+    assert long < 32.0, (short, long)
+    assert long < 1.5 * short, (short, long)
+
+
+def test_af_extraction_thread_determinism(resources):
+    responses, audio = [], {}
+    for i in range(4):
+        responses.append(make_response(
+            [make_word("cat", 0.1, 0.5, [("k", "c", 0), ("ae", "v", 1)])],
+            response_id=f"r{i}"))
+        audio[f"r{i}"] = perturbed_tone(0.01 * i, seconds=1.5 + 0.5 * i, seed=i)
+    config = ExtractorConfig(groups=("AF",))
+    runs = [extract_matrix(responses, resources, config, audio_lookup=audio,
+                           threads=threads) for threads in (1, 2)]
+    assert runs[0].values.tobytes() == runs[1].values.tobytes()
+    assert runs[0].flags == runs[1].flags

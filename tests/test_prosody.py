@@ -173,3 +173,18 @@ def test_prosody_features_full():
     f = prosody_features(r)
     assert len(f) == 19
     assert f["StressedSyllPercent"] == approx(100.0 * 2 / 3)
+
+
+@pytest.mark.parametrize("include_secondary", [False, True])
+def test_prosody_features_compose_public_steps(include_secondary):
+    r = make_response([
+        make_word("cat", 0.0, 0.3, [("K", "c", 0), ("AE", "v", 2), ("T", "c", 0)]),
+        make_word("about", 0.5, 0.9,
+                  [("AH", "v", 0), ("B", "c", 0), ("AW", "v", 1), ("T", "c", 0)]),
+        make_word("it", 0.9, 1.1, [("IH", "v", 2), ("T", "c", 0)])])
+    flags, expected_flags = set(), set()
+    expected = stress_features(syllabify(r, include_secondary), expected_flags)
+    expected.update(interval_features(*interval_sequence(r, include_secondary),
+                                      expected_flags))
+    assert prosody_features(r, include_secondary, flags) == expected
+    assert flags == expected_flags
