@@ -69,6 +69,10 @@ class PdpCurve:
     flags: list[str] | None = None
 
 
+# Float64 elements (8 MiB) of the stacked background a PDP predicts at once.
+_PDP_STACK_ELEMENTS = 1 << 20
+
+
 def _predict_fn(model):
     if hasattr(model, "predict_value"):
         return model.predict_value
@@ -84,6 +88,15 @@ def pdp(model, background: FeatureMatrix | np.ndarray, feature: str | int,
     The grid spans n_grid equally spaced points between the feature's 1st
     and 99th empirical percentiles; each point is the mean prediction over
     the background rows with that feature overridden.
+
+    Regression tree ensembles predict a chunk of grid points in one call, on
+    the background stacked once per point, so each tree is applied once per
+    chunk instead of once per point. A chunk holds at most
+    ``_PDP_STACK_ELEMENTS`` float64 values (8 MiB) and at least one point.
+    Their prediction is a per-row sum of tree outputs, so a row's bits do
+    not depend on the batch. Every other model predicts one point per call:
+    matrix products (``X @ coef``, ``proba @ arange(k)``) round a row
+    differently with the batch shape, which would change the curve's bits.
     """
     if isinstance(background, FeatureMatrix):
         X = background.values
@@ -105,11 +118,20 @@ def pdp(model, background: FeatureMatrix | np.ndarray, feature: str | int,
         grid = np.linspace(lo, hi, n_grid)
 
     predict = _predict_fn(model)
+    n = X.shape[0]
+    chunk = 1
+    if isinstance(model, TreeEnsembleModel) and model.task == "regression":
+        chunk = max(1, _PDP_STACK_ELEMENTS // X.size)
+    chunk = min(chunk, grid.size)
     curve = np.empty(grid.size, dtype=np.float64)
-    work = X.copy()
-    for i, value in enumerate(grid):
-        work[:, col] = value
-        curve[i] = float(np.mean(predict(work)))
+    work = np.tile(X, (chunk, 1))
+    for start in range(0, grid.size, chunk):
+        points = grid[start:start + chunk]
+        stacked = work[:points.size * n]
+        stacked[:, col] = np.repeat(points, n)
+        preds = np.asarray(predict(stacked)).reshape(points.size, -1)
+        for j, row in enumerate(preds):
+            curve[start + j] = float(np.mean(row))
     return PdpCurve(feature=name, grid=grid, mean_prediction=curve,
                     n_background=X.shape[0], flags=flags)
 

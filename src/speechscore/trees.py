@@ -59,8 +59,8 @@ class Tree:
         if self.feature[0] == _LEAF:
             return np.zeros(X.shape[0], dtype=np.int64)
         # Every row starts at the root, so the first level needs no gather.
-        # That keeps stumps (boosted depth-1 trees, predicted once per PDP
-        # grid point) cheap.
+        # That keeps stumps (boosted depth-1 trees) cheap on large batches
+        # such as the stacked grid points of a PDP.
         goes_left = X[:, self.feature[0]] <= self.threshold[0]
         node = np.where(goes_left, self.left[0], self.right[0])
         rows = np.flatnonzero(self.feature[node] != _LEAF)

@@ -1,12 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from pytest import approx
 
+from speechscore import explain
 from speechscore.corpus import FeatureMatrix
 from speechscore.explain import (DegenerateCover, brute_force_shap,
                                  gain_importance, pdp, shap_base_value,
                                  shap_summary, tree_shap)
-from speechscore.learners import TreeEnsembleModel, fit_gbt, fit_single_tree
+from speechscore.learners import (TreeEnsembleModel, fit_forest, fit_gbt,
+                                  fit_linear, fit_logistic, fit_single_tree)
 from speechscore.trees import Tree, TreeParams
 
 
@@ -141,6 +145,126 @@ class TestPdp:
         assert curve.grid[-1] < 1e5    # the outlier is clipped away
 
 
+def per_point_pdp(model, X, col, n_grid):
+    """The per-point PDP loop that `pdp` replaced: one predict per grid point."""
+    lo, hi = np.percentile(X[:, col], [1, 99])
+    grid = np.asarray([lo]) if lo == hi else np.linspace(lo, hi, n_grid)
+    predict = model.predict_value if hasattr(model, "predict_value") else model.predict
+    curve = np.empty(grid.size, dtype=np.float64)
+    work = X.copy()
+    for i, value in enumerate(grid):
+        work[:, col] = value
+        curve[i] = float(np.mean(predict(work)))
+    return grid, curve
+
+
+class SineProjection:
+    """A model with nothing but predict_value."""
+
+    def __init__(self, weights):
+        self.weights = weights
+
+    def predict_value(self, X):
+        return np.sin(X @ self.weights)
+
+
+STACKED_KINDS = ("single_tree", "forest", "gbt_regressor")
+PER_POINT_KINDS = ("forest_classifier", "gbt_classifier_8", "linear",
+                   "logistic_8", "plain")
+CONSTANT_COL = 7
+
+
+@pytest.fixture(scope="module")
+def pdp_models():
+    rng = np.random.default_rng(17)
+    X = rng.uniform(-2, 2, size=(120, 8))
+    y = X[:, 0] - X[:, 1] * X[:, 2] + 0.3 * rng.normal(size=120)
+    y8 = np.digitize(y, np.quantile(y, np.linspace(0, 1, 9)[1:-1])).astype(float)
+    y3 = np.digitize(y, np.quantile(y, [1 / 3, 2 / 3])).astype(float)
+    shallow = TreeParams(max_depth=2)
+    models = {
+        "single_tree": fit_single_tree(X, y, params=TreeParams(max_depth=4)),
+        "forest": fit_forest(X, y, n_trees=6, params=shallow, seed=1),
+        "gbt_regressor": fit_gbt(X, y, n_stages=12, params=shallow),
+        "forest_classifier": fit_forest(X, y3, n_trees=6, params=shallow,
+                                        task="classification", seed=2),
+        # At 8 classes a stacked `proba @ arange(8)` rounds some rows
+        # differently, so these two catch classifiers stacked by mistake.
+        "gbt_classifier_8": fit_gbt(X, y8, n_stages=4,
+                                    params=TreeParams(max_depth=3),
+                                    task="classification"),
+        "logistic_8": fit_logistic(X, y8),
+        "linear": fit_linear(X, y),
+        "plain": SineProjection(rng.normal(size=8)),
+    }
+    assert models["gbt_classifier_8"].n_classes == 8
+    background = rng.uniform(-2, 2, size=(15, 8))
+    background[:, CONSTANT_COL] = 0.25
+    return models, background
+
+
+class TestStackedPdp:
+    """`pdp` returns the per-point loop's curves bit for bit."""
+
+    @pytest.mark.parametrize("points_per_chunk", [None, 3, 0])
+    @pytest.mark.parametrize("rows", [1, 15])
+    @pytest.mark.parametrize("kind", STACKED_KINDS + PER_POINT_KINDS)
+    def test_matches_per_point_loop(self, pdp_models, monkeypatch, kind, rows,
+                                    points_per_chunk):
+        models, background = pdp_models
+        X = background[:rows]
+        if points_per_chunk is not None:
+            # Chunks of 3 grid points, the last holding 2 (20 and 200
+            # points); a budget below one point still takes one per chunk.
+            monkeypatch.setattr(explain, "_PDP_STACK_ELEMENTS",
+                                points_per_chunk * X.size)
+        for col, n_grid in ((0, 20), (1, 200), (2, 200), (CONSTANT_COL, 20),
+                            (1, 2), (2, 1)):
+            curve = pdp(models[kind], X, col, n_grid=n_grid)
+            grid, expected = per_point_pdp(models[kind], X, col, n_grid)
+            assert curve.grid.tobytes() == grid.tobytes()
+            assert curve.mean_prediction.tobytes() == expected.tobytes(), (kind, col)
+        assert pdp(models[kind], X, CONSTANT_COL).grid.size == 1
+
+    @pytest.mark.parametrize("kind", STACKED_KINDS + PER_POINT_KINDS)
+    def test_only_regression_tree_ensembles_are_stacked(self, pdp_models,
+                                                        monkeypatch, kind):
+        models, background = pdp_models
+        model = models[kind]
+        name = "predict_value" if hasattr(model, "predict_value") else "predict"
+        original = getattr(model, name)
+        batch_rows = []
+
+        def counting(X):
+            batch_rows.append(X.shape[0])
+            return original(X)
+
+        monkeypatch.setattr(model, name, counting)
+        monkeypatch.setattr(explain, "_PDP_STACK_ELEMENTS", 3 * background.size)
+        pdp(model, background, 0, n_grid=20)
+        if kind in STACKED_KINDS:
+            assert batch_rows == [45] * 6 + [30]
+        else:
+            assert batch_rows == [15] * 20
+
+
+def test_pdp_memory_bounded_by_stack_budget():
+    """Stacking 200 grid points of a 300 x 200 background would take 96 MB."""
+    rng = np.random.default_rng(23)
+    X = rng.normal(size=(300, 200))
+    model = fit_gbt(X, X[:, 0] + X[:, 1], n_stages=10,
+                    params=TreeParams(max_depth=2))
+    tracemalloc.start()
+    try:
+        curve = pdp(model, X, 0, n_grid=200)
+        peak_mb = tracemalloc.get_traced_memory()[1] / 2 ** 20
+    finally:
+        tracemalloc.stop()
+    assert curve.mean_prediction.size == 200
+    # One 8 MiB stack of rows (9.2 MB measured in all), reused across chunks.
+    assert peak_mb < 12.0, peak_mb
+
+
 class TestTreeShap:
     def test_single_split_two_player(self):
         a, b = -2.0, 4.0
@@ -239,6 +363,33 @@ class TestBruteForce:
             phi, _ = tree_shap(model, x)
             worst = max(worst, float(np.max(np.abs(phi - brute_force_shap(model, x)))))
         assert worst < 1e-9
+
+    def test_fitted_forest_oracle_equivalence(self):
+        rng = np.random.default_rng(31)
+        X = rng.uniform(-1, 1, size=(120, 6))
+        y = X[:, 0] - X[:, 1] * X[:, 2] + 0.1 * rng.normal(size=120)
+        model = fit_forest(X, y, n_trees=6, params=TreeParams(max_depth=4), seed=3)
+        assert model.tree_scale() == 1 / 6
+        preds = model.predict(X)
+        for i in range(0, 120, 12):
+            phi, base = tree_shap(model, X[i])
+            assert np.max(np.abs(phi - brute_force_shap(model, X[i]))) < 1e-9
+            assert base + phi.sum() == approx(preds[i], abs=1e-9)
+
+    def test_gbt_classifier_every_class_oracle_equivalence(self):
+        rng = np.random.default_rng(37)
+        X = rng.uniform(-1, 1, size=(150, 5))
+        y = np.digitize(X[:, 0] + X[:, 3] * X[:, 4], [-0.4, 0.4]).astype(float)
+        model = fit_gbt(X, y, n_stages=5, learning_rate=0.3,
+                        params=TreeParams(max_depth=3), task="classification")
+        assert model.n_classes == 3
+        margins = model.decision_scores(X)
+        for k in range(3):
+            for i in range(0, 150, 15):
+                phi, base = tree_shap(model, X[i], class_index=k)
+                oracle = brute_force_shap(model, X[i], class_index=k)
+                assert np.max(np.abs(phi - oracle)) < 1e-9
+                assert base + phi.sum() == approx(margins[i, k], abs=1e-9)
 
 
 class TestDummyAxiom:
