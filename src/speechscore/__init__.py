@@ -9,8 +9,8 @@ dependence and exact SHAP values.
 
 from .corpus import (AlignedPhoneme, AlignedResponse, AlignedWord, Corpus,
                      FeatureMatrix, Grade, LexicalResources, SplitAssignment,
-                     Standardizer, apply_standardizer, default_resources,
-                     fit_standardizer, load_corpus, stratified_split)
+                     Standardizer, default_resources, fit_standardizer,
+                     load_corpus, stratified_split)
 from .explain import (brute_force_shap, gain_importance, pdp, shap_summary,
                       tree_shap)
 from .features import ExtractorConfig, extract_matrix

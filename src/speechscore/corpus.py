@@ -643,7 +643,3 @@ def fit_standardizer(matrix: FeatureMatrix) -> Standardizer:
     zero = [matrix.columns[i] for i in range(len(matrix.columns)) if std[i] == 0]
     return Standardizer(columns=list(matrix.columns), mean=mean, std=std,
                         zero_variance=zero)
-
-
-def apply_standardizer(standardizer: Standardizer, matrix: FeatureMatrix) -> FeatureMatrix:
-    return standardizer.transform(matrix)

@@ -7,6 +7,13 @@ fraction from node covers, "one" fraction from the sample's own path) and
 the permutation weights of every subset size; unwinding the path at a leaf
 yields each feature's exact Shapley contribution under the cover-conditional
 expectation. A subset-enumeration oracle over the same valuation verifies it.
+
+Every row of a matrix is explained in one walk per tree. Node visits, path
+features, unwind positions and zero fractions are the same for every row;
+only the one fractions and the path weights differ, and they are (n,)
+arrays. A row's SHAP values do not depend on the batch it is explained in:
+each row gets the same float operations as it would alone, and adds its
+leaves' contributions in its own hot-child-first leaf order.
 """
 
 from __future__ import annotations
@@ -140,73 +147,120 @@ def pdp(model, background: FeatureMatrix | np.ndarray, feature: str | int,
 # Path-dependent TreeSHAP
 
 
-def _shap_tree(tree: Tree, x: np.ndarray, phi: np.ndarray) -> None:
-    """Add one tree's exact Shapley contributions for sample x into phi."""
+def _shap_tree(tree: Tree, X: np.ndarray, phi: np.ndarray) -> None:
+    """Add one tree's exact Shapley contributions for every row of X into phi.
+
+    The tree is walked once, left child first, for all rows. A path is a
+    list of features, a list of zero fractions, a list of one fractions
+    (each an (n,) array) and the weights W, an (entries, n) array. Each
+    element of W gets exactly the scalar operations of a one-row recursion,
+    in its order; where that recursion branches on ``o != 0``, both branches
+    are computed and ``np.where`` keeps one, so the other may divide by 0.
+    """
+    if tree.is_leaf(0):
+        return
+    n = X.shape[0]
+    n_leaves = {}
+
+    def count(node):
+        if tree.is_leaf(node):
+            n_leaves[node] = 1
+        elif tree.cover[node] <= 0:
+            raise DegenerateCover(f"internal node {node} has cover {tree.cover[node]}")
+        else:
+            n_leaves[node] = count(int(tree.left[node])) + count(int(tree.right[node]))
+        return n_leaves[node]
+
+    count(0)
+    leaves = []     # (path features, contributions (d, n), rank (n,)), left first
 
     def extend(path, pz, po, pi):
-        length = len(path)
-        path.append([pi, pz, po, 1.0 if length == 0 else 0.0])
-        for i in range(length - 1, -1, -1):
-            path[i + 1][3] += po * path[i][3] * (i + 1) / (length + 1)
-            path[i][3] = pz * path[i][3] * (length - i) / (length + 1)
+        feats, zs, O, W = path
+        length = len(feats)
+        if length == 0:
+            return [pi], [pz], [po], np.ones((1, n))
+        steps = np.arange(1.0, length + 1.0)[:, None]
+        weights = np.empty((length + 1, n))
+        weights[:length] = pz * W * steps[::-1] / (length + 1)
+        weights[length] = 0.0
+        weights[1:] += po * W * steps / (length + 1)
+        return feats + [pi], zs + [pz], O + [po], weights
 
     def unwind(path, k):
-        depth = len(path) - 1
-        o_k, z_k = path[k][2], path[k][1]
-        carry = path[depth][3]
+        feats, zs, O, W = path
+        depth = len(feats) - 1
+        o_k, z_k = O[k], zs[k]
+        one = o_k != 0
+        carry = W[depth]
+        weights = np.empty((depth, n))
         for i in range(depth - 1, -1, -1):
-            if o_k != 0:
-                kept = path[i][3]
-                path[i][3] = carry * (depth + 1) / ((i + 1) * o_k)
-                carry = kept - path[i][3] * z_k * (depth - i) / (depth + 1)
-            else:
-                path[i][3] = path[i][3] * (depth + 1) / (z_k * (depth - i))
-        for i in range(k, depth):
-            path[i][0], path[i][1], path[i][2] = path[i + 1][0], path[i + 1][1], path[i + 1][2]
-        path.pop()
+            part = carry * (depth + 1) / ((i + 1) * o_k)
+            weights[i] = np.where(one, part, W[i] * (depth + 1) / (z_k * (depth - i)))
+            if i:
+                carry = W[i] - part * z_k * (depth - i) / (depth + 1)
+        return feats[:k] + feats[k + 1:], zs[:k] + zs[k + 1:], O[:k] + O[k + 1:], weights
 
-    def unwound_sum(path, k):
-        depth = len(path) - 1
-        o_k, z_k = path[k][2], path[k][1]
-        carry = path[depth][3]
+    def unwound_sums(path):
+        """Each non-root entry's unwound weight sum times (o - z), per row."""
+        _, zs, O, W = path
+        depth = len(zs) - 1
+        o_k, z_k = np.array(O[1:]), np.array(zs[1:])[:, None]
+        one = o_k != 0
+        carry = W[depth]
         total = 0.0
         for i in range(depth - 1, -1, -1):
-            if o_k != 0:
-                part = carry * (depth + 1) / ((i + 1) * o_k)
-                total += part
-                carry = path[i][3] - part * z_k * (depth - i) / (depth + 1)
-            else:
-                total += path[i][3] * (depth + 1) / (z_k * (depth - i))
-        return total
+            part = carry * (depth + 1) / ((i + 1) * o_k)
+            total = total + np.where(one, part, W[i] * (depth + 1) / (z_k * (depth - i)))
+            if i:
+                carry = W[i] - part * z_k * (depth - i) / (depth + 1)
+        return total * (o_k - z_k)
 
-    def recurse(node, path, pz, po, pi):
-        path = [row[:] for row in path]
-        extend(path, pz, po, pi)
+    def recurse(node, path, pz, po, pi, rank):
+        path = extend(path, pz, po, pi)
         if tree.is_leaf(node):
-            leaf = float(tree.value[node])
-            for i in range(1, len(path)):
-                weight = unwound_sum(path, i)
-                d, z, o, _ = path[i]
-                phi[d] += weight * (o - z) * leaf
+            contrib = unwound_sums(path) * float(tree.value[node])
+            if pz == 0:
+                # Only a leaf can have zero cover (`count` checked the
+                # internal nodes). A row that does not take this branch gets
+                # nothing from it; its arithmetic here was 0/0.
+                contrib = np.where(po != 0, contrib, -0.0)
+            leaves.append((path[0][1:], contrib, rank))
             return
         f = int(tree.feature[node])
         left, right = int(tree.left[node]), int(tree.right[node])
         cover = tree.cover[node]
-        if cover <= 0:
-            raise DegenerateCover(f"internal node {node} has cover {cover}")
-        hot, cold = (left, right) if x[f] <= tree.threshold[node] else (right, left)
-        hot_frac = tree.cover[hot] / cover
-        cold_frac = tree.cover[cold] / cover
+        goes_left = X[:, f] <= tree.threshold[node]
 
         iz = io = 1.0
-        k = next((i for i in range(len(path)) if path[i][0] == f), None)
-        if k is not None:
-            iz, io = path[k][1], path[k][2]
-            unwind(path, k)
-        recurse(hot, path, iz * hot_frac, io, f)
-        recurse(cold, path, iz * cold_frac, 0.0, f)
+        if f in path[0]:
+            k = path[0].index(f)
+            iz, io = path[1][k], path[2][k]
+            path = unwind(path, k)
+        for child, sibling, hot in ((left, right, goes_left), (right, left, ~goes_left)):
+            child_pz = iz * (tree.cover[child] / cover)
+            recurse(child, path, child_pz, np.where(hot, io, 0.0), f,
+                    rank + np.where(hot, 0, n_leaves[sibling]))
 
-    recurse(0, [], 1.0, 1.0, -1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        recurse(0, ([], [], [], None), 1.0, 1.0, -1, np.zeros(n, dtype=np.int64))
+
+    # Each row adds its leaves in its own hot-child-first order and a leaf's
+    # features in path order, as a per-row recursion would: float addition
+    # is not associative. A short path is padded with -0.0, which leaves
+    # every float unchanged, and a row meets each column once per step.
+    width = max(len(feats) for feats, _, _ in leaves)
+    features = np.zeros((len(leaves), width), dtype=np.int64)
+    contribs = np.full((len(leaves), width, n), -0.0)
+    leaf_at = np.empty((len(leaves), n), dtype=np.int64)
+    rows = np.arange(n)
+    for j, (feats, contrib, rank) in enumerate(leaves):
+        features[j, :len(feats)] = feats
+        contribs[j, :len(feats)] = contrib
+        leaf_at[rank, rows] = j
+    for at in leaf_at:
+        cols, values = features[at], contribs[at, :, rows]
+        for i in range(width):
+            phi[rows, cols[:, i]] += values[:, i]
 
 
 def _scalar_trees(model: TreeEnsembleModel, class_index: int | None):
@@ -232,13 +286,19 @@ def tree_shap(model: TreeEnsembleModel, sample,
               class_index: int | None = None) -> tuple[np.ndarray, float]:
     """Exact path-dependent SHAP values and base value for one sample."""
     x = np.asarray(sample, dtype=np.float64).ravel()
-    trees, scale, base = _scalar_trees(model, class_index)
-    phi = np.zeros(len(model.feature_names), dtype=np.float64)
+    phi = _shap_values(model, x[None, :], class_index)[0]
+    return phi, shap_base_value(model, class_index)
+
+
+def _shap_values(model: TreeEnsembleModel, X: np.ndarray,
+                 class_index: int | None) -> np.ndarray:
+    """SHAP values of every row of X, one vectorized pass per tree."""
+    trees, scale, _ = _scalar_trees(model, class_index)
+    phi = np.zeros((X.shape[0], len(model.feature_names)), dtype=np.float64)
     for tree in trees:
-        _shap_tree(tree, x, phi)
+        _shap_tree(tree, X, phi)
     phi *= scale
-    expected = base + scale * float(sum(t.leaf_mean() for t in trees))
-    return phi, expected
+    return phi
 
 
 def _descend_expectation(tree: Tree, x: np.ndarray, mask: int) -> float:
@@ -307,10 +367,8 @@ def shap_summary(model: TreeEnsembleModel, matrix: FeatureMatrix | np.ndarray,
         X = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
     if X.shape[0] == 0:
         raise ValueError("empty matrix")
-    phi = np.empty((X.shape[0], X.shape[1]), dtype=np.float64)
+    phi = _shap_values(model, X, class_index)
     base = shap_base_value(model, class_index)
-    for i in range(X.shape[0]):
-        phi[i], _ = tree_shap(model, X[i], class_index)
     mean_abs = np.abs(phi).mean(axis=0)
     order = sorted(range(X.shape[1]),
                    key=lambda j: (-mean_abs[j], model.feature_names[j]))

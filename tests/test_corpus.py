@@ -6,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from speechscore.corpus import (CorpusError, FeatureMatrix, Grade,
-                                apply_standardizer, fit_standardizer,
-                                load_corpus, stratified_split)
+                                fit_standardizer, load_corpus,
+                                stratified_split)
 
 from conftest import make_response, make_word
 
@@ -153,7 +153,7 @@ class TestStandardizer:
     def test_hand_zscore(self):
         matrix = _matrix([[2.0], [4.0], [6.0]])
         std = fit_standardizer(matrix)
-        out = apply_standardizer(std, matrix)
+        out = std.transform(matrix)
         expected = [-1.224744871391589, 0.0, 1.224744871391589]
         assert np.allclose(out.values[:, 0], expected, atol=1e-12)
 

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from pytest import approx
 
 from speechscore import explain
@@ -327,6 +329,19 @@ class TestTreeShap:
         margin = model.decision_scores(X[:1])[0, 1]
         assert base + phi.sum() == approx(margin, abs=1e-6)
 
+    def test_zero_cover_child_gives_zero_not_nan(self):
+        # No sample weight reaches the left leaf; x takes the right one.
+        model = wrap([manual_tree(0, 0.5, 1.0, 2.0, cover=(2.0, 0.0, 2.0))], ["x0"])
+        x = np.array([1.0])
+        phi, base = tree_shap(model, x)
+        assert phi.tolist() == [0.0] == brute_force_shap(model, x).tolist()
+        assert base == 2.0
+        # A row that does take the zero-cover leaf gets its whole difference.
+        X = np.array([[1.0], [0.0], [0.5], [0.7]])
+        phi = shap_summary(model, X).phi[:, 0]
+        assert phi.tolist() == [0.0, -1.0, -1.0, 0.0]
+        assert phi.tobytes() == per_row_shap(model, X).tobytes()
+
 
 class TestBruteForce:
     def test_single_feature_efficiency(self):
@@ -446,3 +461,184 @@ class TestShapSummary:
         preds = model.predict(X)
         recon = summary.base_value + summary.phi.sum(axis=1)
         assert np.max(np.abs(recon - preds)) < 1e-6
+
+
+def per_row_shap_tree(tree, x, phi):
+    """The one-row path recursion `explain._shap_tree` replaced."""
+
+    def extend(path, pz, po, pi):
+        length = len(path)
+        path.append([pi, pz, po, 1.0 if length == 0 else 0.0])
+        for i in range(length - 1, -1, -1):
+            path[i + 1][3] += po * path[i][3] * (i + 1) / (length + 1)
+            path[i][3] = pz * path[i][3] * (length - i) / (length + 1)
+
+    def unwind(path, k):
+        depth = len(path) - 1
+        o_k, z_k = path[k][2], path[k][1]
+        carry = path[depth][3]
+        for i in range(depth - 1, -1, -1):
+            if o_k != 0:
+                kept = path[i][3]
+                path[i][3] = carry * (depth + 1) / ((i + 1) * o_k)
+                carry = kept - path[i][3] * z_k * (depth - i) / (depth + 1)
+            else:
+                path[i][3] = path[i][3] * (depth + 1) / (z_k * (depth - i))
+        for i in range(k, depth):
+            path[i][0], path[i][1], path[i][2] = path[i + 1][0], path[i + 1][1], path[i + 1][2]
+        path.pop()
+
+    def unwound_sum(path, k):
+        depth = len(path) - 1
+        o_k, z_k = path[k][2], path[k][1]
+        carry = path[depth][3]
+        total = 0.0
+        for i in range(depth - 1, -1, -1):
+            if o_k != 0:
+                part = carry * (depth + 1) / ((i + 1) * o_k)
+                total += part
+                carry = path[i][3] - part * z_k * (depth - i) / (depth + 1)
+            else:
+                total += path[i][3] * (depth + 1) / (z_k * (depth - i))
+        return total
+
+    def recurse(node, path, pz, po, pi):
+        if pz == 0 and po == 0:
+            return      # a branch neither the cover nor the row reaches
+        path = [row[:] for row in path]
+        extend(path, pz, po, pi)
+        if tree.is_leaf(node):
+            leaf = float(tree.value[node])
+            for i in range(1, len(path)):
+                weight = unwound_sum(path, i)
+                d, z, o, _ = path[i]
+                phi[d] += weight * (o - z) * leaf
+            return
+        f = int(tree.feature[node])
+        left, right = int(tree.left[node]), int(tree.right[node])
+        cover = tree.cover[node]
+        if cover <= 0:
+            raise DegenerateCover(f"internal node {node} has cover {cover}")
+        hot, cold = (left, right) if x[f] <= tree.threshold[node] else (right, left)
+        hot_frac = tree.cover[hot] / cover
+        cold_frac = tree.cover[cold] / cover
+
+        iz = io = 1.0
+        k = next((i for i in range(len(path)) if path[i][0] == f), None)
+        if k is not None:
+            iz, io = path[k][1], path[k][2]
+            unwind(path, k)
+        recurse(hot, path, iz * hot_frac, io, f)
+        recurse(cold, path, iz * cold_frac, 0.0, f)
+
+    recurse(0, [], 1.0, 1.0, -1)
+
+
+def per_row_shap(model, X, class_index=None):
+    """SHAP matrix from the one-row recursion, one row and tree at a time."""
+    trees, scale, _ = explain._scalar_trees(model, class_index)
+    phi = np.zeros((X.shape[0], len(model.feature_names)))
+    for r, x in enumerate(X):
+        row = np.zeros(len(model.feature_names))
+        for tree in trees:
+            per_row_shap_tree(tree, x, row)
+        row *= scale
+        phi[r] = row
+    return phi
+
+
+def repeats_a_feature(tree):
+    """Whether some root-to-leaf path splits twice on one feature."""
+    def walk(node, seen):
+        if tree.is_leaf(node):
+            return False
+        f = int(tree.feature[node])
+        return f in seen or any(walk(int(child), seen | {f})
+                                for child in (tree.left[node], tree.right[node]))
+    return walk(0, frozenset())
+
+
+def matrix_on_thresholds(rng, tree, n_rows, n_features, share):
+    """Uniform rows with about `share` of the entries set to a split threshold."""
+    X = rng.uniform(-1.2, 1.2, size=(n_rows, n_features))
+    for f in range(n_features):
+        cuts = tree.threshold[tree.feature == f]
+        hit = rng.random(n_rows) < share
+        if cuts.size and hit.any():
+            X[hit, f] = rng.choice(cuts, size=int(hit.sum()))
+    return X
+
+
+@pytest.fixture(scope="module")
+def fitted_shap_models():
+    rng = np.random.default_rng(41)
+    X = rng.uniform(-1, 1, size=(150, 6))
+    y = X[:, 0] - X[:, 1] * X[:, 2] + 0.5 * np.sin(3 * X[:, 3]) + 0.1 * rng.normal(size=150)
+    y3 = np.digitize(y, np.quantile(y, [1 / 3, 2 / 3])).astype(float)
+    deep = TreeParams(max_depth=6)
+    models = {
+        "single_tree": fit_single_tree(X, y, params=deep),
+        "forest": fit_forest(X, y, n_trees=5, params=TreeParams(max_depth=4), seed=3),
+        "gbt_regressor": fit_gbt(X, y, n_stages=10, learning_rate=0.2,
+                                 params=TreeParams(max_depth=4)),
+        "gbt_classifier": fit_gbt(X, y3, n_stages=4, learning_rate=0.3,
+                                  params=TreeParams(max_depth=3),
+                                  task="classification"),
+    }
+    assert models["forest"].tree_scale() == 1 / 5
+    assert models["gbt_classifier"].n_classes == 3
+    return models, X
+
+
+class TestVectorizedShap:
+    """`shap_summary` and `tree_shap` match the one-row recursion bit for bit."""
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), n_features=st.integers(1, 4),
+           max_depth=st.integers(1, 6), n_rows=st.sampled_from([1, 2, 150]),
+           share=st.sampled_from([0.0, 0.3, 1.0]))
+    @settings(max_examples=40, deadline=None)
+    def test_random_trees(self, seed, n_features, max_depth, n_rows, share):
+        rng = np.random.default_rng(seed)
+        tree = random_tree(rng, n_features, max_depth=max_depth)
+        model = wrap([tree], [f"f{i}" for i in range(n_features)])
+        X = matrix_on_thresholds(rng, tree, n_rows, n_features, share)
+        expected = per_row_shap(model, X)
+        assert shap_summary(model, X).phi.tobytes() == expected.tobytes()
+        assert tree_shap(model, X[-1])[0].tobytes() == expected[-1].tobytes()
+
+    def test_repeated_features_unwind(self):
+        rng = np.random.default_rng(5)
+        trees = [random_tree(rng, 2, max_depth=6) for _ in range(6)]
+        trees = [t for t in trees if repeats_a_feature(t)]
+        assert len(trees) >= 4
+        model = wrap(trees, ["a", "b"], kind="forest")
+        for t in trees:
+            X = matrix_on_thresholds(rng, t, 150, 2, 0.3)
+            assert (shap_summary(model, X).phi.tobytes()
+                    == per_row_shap(model, X).tobytes())
+
+    @pytest.mark.parametrize("rows", [1, 2, 150])
+    @pytest.mark.parametrize("kind", ["single_tree", "forest", "gbt_regressor"])
+    def test_fitted_regressors(self, fitted_shap_models, kind, rows):
+        models, X = fitted_shap_models
+        X = X[:rows]
+        expected = per_row_shap(models[kind], X)
+        assert shap_summary(models[kind], X).phi.tobytes() == expected.tobytes()
+        assert tree_shap(models[kind], X[0])[0].tobytes() == expected[0].tobytes()
+
+    @pytest.mark.parametrize("class_index", [0, 1, 2])
+    def test_fitted_classifier_every_class(self, fitted_shap_models, class_index):
+        models, X = fitted_shap_models
+        model = models["gbt_classifier"]
+        expected = per_row_shap(model, X, class_index)
+        summary = shap_summary(model, X, class_index=class_index)
+        assert summary.phi.tobytes() == expected.tobytes()
+        phi, _ = tree_shap(model, X[7], class_index=class_index)
+        assert phi.tobytes() == expected[7].tobytes()
+
+    def test_row_bits_do_not_depend_on_the_batch(self, fitted_shap_models):
+        models, X = fitted_shap_models
+        whole = shap_summary(models["gbt_regressor"], X).phi
+        parts = np.vstack([shap_summary(models["gbt_regressor"], X[i:i + 7]).phi
+                           for i in range(0, X.shape[0], 7)])
+        assert whole.tobytes() == parts.tobytes()
