@@ -26,7 +26,8 @@ def main():
     ap.add_argument("--n", type=int, default=800)
     ap.add_argument("--grades", type=int, default=3)
     ap.add_argument("--seed", type=int, default=7)
-    ap.add_argument("--threads", type=int, default=1)
+    ap.add_argument("--threads", type=int, default=1,
+                    help="feature-extraction threads")
     ap.add_argument("--audio", action="store_true",
                     help="include the acoustic feature group (slower)")
     args = ap.parse_args()
@@ -45,11 +46,11 @@ def main():
           f"({len(set(dataset.matrix.groups))} groups)")
 
     best, cv = tune_gbt(dataset, grid={"max_depth": [3, 4], "n_stages": [100]},
-                        seed=args.seed, threads=args.threads)
+                        seed=args.seed)
     print("grid search ->", best)
 
     benchmark = run_benchmark(dataset, seed=args.seed,
-                              params={"gbt": best}, threads=args.threads)
+                              params={"gbt": best})
     (out / "benchmark.json").write_text(json.dumps(benchmark, indent=1,
                                                    sort_keys=True))
     for row in benchmark["rows"]:
@@ -60,7 +61,7 @@ def main():
               f"test qwk={benchmark['human_human']['test']['qwk']:.3f}")
 
     for mode, fn in (("add", ablation_additive), ("drop", ablation_leave_one_out)):
-        report = fn(dataset, seed=args.seed, params=best, threads=args.threads)
+        report = fn(dataset, seed=args.seed, params=best)
         (out / f"ablation_{mode}.json").write_text(
             json.dumps(report.to_json(), indent=1, sort_keys=True))
         for row in report.rows:

@@ -1,10 +1,11 @@
 """Command-line pipeline: extract | train | evaluate | explain | ablate |
 synth | report.
 
-Every command is deterministic given its inputs, ``--seed`` and ``--threads``
-(thread count never changes results). Failures print a machine-readable JSON
-error to stderr and exit nonzero. A ``--config`` file of ``key = value``
-lines supplies defaults for any long option of the chosen subcommand.
+Every command is deterministic given its inputs and ``--seed``;
+``--threads`` sets the feature-extraction threads and never changes results.
+Failures print a machine-readable JSON error to stderr and exit nonzero. A
+``--config`` file of ``key = value`` lines supplies defaults for any long
+option of the chosen subcommand.
 """
 
 from __future__ import annotations
@@ -118,10 +119,9 @@ def cmd_train(args) -> int:
         best, cv_table = grid_search(
             kind, GridSearchSpec(grid=grid, folds=args.folds, seed=args.seed),
             X, y, task=task, n_classes=dataset.n_classes, weights=weights,
-            feature_names=columns, threads=args.threads)
+            feature_names=columns)
         params = dict(best, **params)
-    model = harness._train(dataset, args.model, task, params, seed=args.seed,
-                           threads=args.threads)
+    model = harness._train(dataset, args.model, task, params, seed=args.seed)
     save_model(model, out / "model.json", extra={
         "model_key": args.model, "formulation": task,
         "params": params, "seed": args.seed,
@@ -221,11 +221,10 @@ def cmd_ablate(args) -> int:
     if args.mode == "add":
         order = _groups(args.order) if args.order else None
         report = harness.ablation_additive(dataset, order=order, seed=args.seed,
-                                           params=params, threads=args.threads)
+                                           params=params)
     elif args.mode == "drop":
         report = harness.ablation_leave_one_out(dataset, seed=args.seed,
-                                                params=params,
-                                                threads=args.threads)
+                                                params=params)
     else:
         raise ValueError(f"unknown ablation mode {args.mode!r}")
     _write_json(out / f"ablation_{args.mode}.json", report.to_json())
@@ -272,8 +271,7 @@ def cmd_report(args) -> int:
     models = tuple(m.strip() for m in args.models.split(",") if m.strip())
     formulations = tuple(f.strip() for f in args.formulations.split(",") if f.strip())
     report = harness.run_benchmark(dataset, models=models,
-                                   formulations=formulations, seed=args.seed,
-                                   threads=args.threads)
+                                   formulations=formulations, seed=args.seed)
     _write_json(out / "benchmark.json", report)
     with open(out / "benchmark.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -307,7 +305,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--seed", type=int, default=0, help="master seed")
         p.add_argument("--threads", type=int, default=1,
-                       help="worker threads (never changes results)")
+                       help="feature-extraction worker threads (never changes "
+                            "results; training is serial)")
         p.add_argument("--config", default=None,
                        help="key = value file supplying option defaults")
 

