@@ -6,6 +6,11 @@ annotations (POS, stopword flags, syllable counts), optional syntactic spans,
 an optional audio reference, and an optional grade. This module also owns
 stratified splitting, feature-matrix plumbing and train-fitted
 standardization.
+
+The timeline records (`AlignedPhoneme`, `AlignedWord`, `TokenAnnotation`)
+are frozen, slotted dataclasses: a corpus holds hundreds of thousands of
+them, so they carry no per-instance ``__dict__``, and their fields cannot be
+reassigned once ``__post_init__`` has validated them.
 """
 
 from __future__ import annotations
@@ -52,8 +57,12 @@ class Stress(Enum):
 # ARPAbet-style digit convention used by the alignment file schema.
 STRESS_FROM_DIGIT = {0: Stress.NONE, 1: Stress.PRIMARY, 2: Stress.SECONDARY}
 
+# The parser looks classes up here and leaves misses to PhonemeClass(value),
+# whose error message becomes the reject reason.
+_PHONEME_CLASSES = {member.value: member for member in PhonemeClass}
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class AlignedPhoneme:
     label: str
     klass: PhonemeClass
@@ -72,7 +81,7 @@ class AlignedPhoneme:
         return self.end - self.start
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AlignedWord:
     text: str
     start: float
@@ -93,7 +102,7 @@ class AlignedWord:
         return self.end - self.start
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TokenAnnotation:
     token: str
     pos: str = "OTHER"
@@ -270,34 +279,41 @@ class Corpus:
 
 def parse_response(payload: dict, base_dir: Path | None = None) -> AlignedResponse:
     """Build an AlignedResponse from one alignment-file JSON payload."""
+    if not isinstance(payload, dict):
+        raise CorpusError("alignment file does not hold a JSON object")
+    vowel = PhonemeClass.VOWEL
+    unstressed = Stress.NONE
     words = []
     for w in payload.get("words", []):
+        if not isinstance(w, dict):
+            raise CorpusError(f"word {len(words)} is not a JSON object")
         phonemes = []
         for p in w.get("phonemes", []):
-            klass = PhonemeClass(p["class"])
-            stress = Stress.NONE
-            if klass is PhonemeClass.VOWEL:
+            try:
+                klass = _PHONEME_CLASSES[p["class"]]
+            except (KeyError, TypeError):
+                klass = PhonemeClass(p["class"])
+            stress = unstressed
+            if klass is vowel:
                 stress = STRESS_FROM_DIGIT[int(p.get("stress", 0))]
             phonemes.append(AlignedPhoneme(
-                label=p["label"], klass=klass,
-                start=float(p["start"]), end=float(p["end"]), stress=stress))
-        words.append(AlignedWord(
-            text=str(w["text"]).lower(), start=float(w["start"]),
-            end=float(w["end"]), phonemes=tuple(phonemes)))
+                p["label"], klass, float(p["start"]), float(p["end"]), stress))
+        words.append(AlignedWord(str(w["text"]).lower(), float(w["start"]),
+                                 float(w["end"]), tuple(phonemes)))
 
     tokens = []
     for t in payload.get("tokens", []):
+        text = str(t["token"])
         tokens.append(TokenAnnotation(
-            token=str(t["token"]).lower(),
-            pos=t.get("pos", "OTHER"),
-            is_stopword=bool(t.get("stopword", False)),
-            syllable_count=int(t.get("syllables", _heuristic_syllables(t["token"]))),
-        ))
+            text.lower(), t.get("pos", "OTHER"), bool(t.get("stopword", False)),
+            int(t["syllables"] if "syllables" in t else _heuristic_syllables(text))))
     if not tokens:
         tokens = [_token_from_word(w) for w in words]
 
     syntax = None
     if "syntax" in payload and payload["syntax"] is not None:
+        if not isinstance(payload["syntax"], dict):
+            raise CorpusError("syntax is not a JSON object")
         fields = {name: [tuple(r) for r in payload["syntax"].get(name, [])]
                   for name in _SPAN_FIELDS}
         syntax = SyntaxSpans(**fields, provenance="annotated")
@@ -374,7 +390,8 @@ def load_corpus(path: str | Path) -> Corpus:
         try:
             payload = json.loads(fp.read_text(encoding="utf-8"))
             response = parse_response(payload, base_dir=fp.parent)
-        except (CorpusError, KeyError, ValueError, TypeError) as exc:
+        except (CorpusError, KeyError, ValueError, TypeError, OverflowError,
+                RecursionError) as exc:
             rejected.append((str(fp), str(exc)))
             continue
         if response.response_id in seen:
@@ -577,11 +594,16 @@ class FeatureMatrix:
             reader = csv.reader(fh)
             groups = next(reader)[1:]
             columns = next(reader)[1:]
-            ids, rows = [], []
-            for record in reader:
-                ids.append(record[0])
-                rows.append([float(v) for v in record[1:]])
-        values = np.asarray(rows, dtype=np.float64) if rows else np.zeros((0, len(columns)))
+            ids = [record[0] for record in reader]
+        if ids and columns:
+            # One parse of the numeric block; numpy converts each cell with
+            # the same correctly rounded routine as float().
+            values = np.loadtxt(path, dtype=np.float64, delimiter=",",
+                                quotechar='"', comments=None, skiprows=2,
+                                usecols=range(1, len(columns) + 1), ndmin=2,
+                                encoding="utf-8")
+        else:
+            values = np.zeros((len(ids), len(columns)))
         return cls(response_ids=ids, columns=columns, groups=groups, values=values)
 
 

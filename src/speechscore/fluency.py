@@ -50,9 +50,12 @@ def _spoken_words(response: AlignedResponse):
 
 
 def silence_profile(response: AlignedResponse) -> SilenceProfile:
-    words = _spoken_words(response)
+    return _silence_profile(response.response_id, _spoken_words(response))
+
+
+def _silence_profile(response_id: str, words) -> SilenceProfile:
     if not words:
-        raise EmptyResponse(response.response_id)
+        raise EmptyResponse(response_id)
     gaps = []
     for prev, nxt in zip(words, words[1:]):
         duration = nxt.start - prev.end
@@ -78,9 +81,9 @@ def fluency_features(response: AlignedResponse,
                      resources: LexicalResources,
                      flags: set[str] | None = None) -> dict[str, float]:
     """The ten breakdown/speed-fluency features keyed by their printed names."""
-    profile = silence_profile(response)
-    fillers = resources.filled_pauses
     spoken = _spoken_words(response)
+    profile = _silence_profile(response.response_id, spoken)
+    fillers = resources.filled_pauses
     n_fillers = sum(1 for w in spoken if w.text in fillers)
     n_words = len(spoken) - n_fillers
 

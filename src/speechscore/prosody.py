@@ -48,7 +48,7 @@ class NoNuclei(ValueError):
     """Raised when a response has no vowel phonemes to anchor syllables."""
 
 
-@dataclass
+@dataclass(slots=True)
 class Syllable:
     onset: tuple[AlignedPhoneme, ...]
     nucleus: AlignedPhoneme
@@ -59,24 +59,25 @@ class Syllable:
 
 
 def _timeline(response: AlignedResponse) -> list[AlignedPhoneme]:
-    """Non-silence, positive-duration phonemes of all words in time order."""
-    out = []
-    for word in response.words:
-        for ph in word.phonemes:
-            if ph.klass is PhonemeClass.SILENCE or ph.duration <= 0:
-                continue
-            out.append(ph)
-    return out
+    """Non-silence, positive-duration phonemes of all words in time order.
+
+    A NaN duration is kept: only a duration that compares <= 0 is dropped.
+    """
+    silence = PhonemeClass.SILENCE
+    return [ph for word in response.words for ph in word.phonemes
+            if ph.klass is not silence and not ph.end - ph.start <= 0]
 
 
 def _stretches(phonemes: list[AlignedPhoneme]) -> list[list[AlignedPhoneme]]:
     """Maximal runs of time-contiguous phonemes; a pause breaks the run."""
     out: list[list[AlignedPhoneme]] = []
+    run: list[AlignedPhoneme] = []
     prev_end: float | None = None
     for ph in phonemes:
         if prev_end is None or abs(ph.start - prev_end) > _GAP_EPS:
-            out.append([])
-        out[-1].append(ph)
+            run = []
+            out.append(run)
+        run.append(ph)
         prev_end = ph.end
     return out
 
@@ -95,29 +96,32 @@ def syllabify(response: AlignedResponse,
 
 def _syllables(phonemes: list[AlignedPhoneme], response_id: str,
                include_secondary: bool) -> list[Syllable]:
-    if not any(p.klass is PhonemeClass.VOWEL for p in phonemes):
-        raise NoNuclei(response_id)
-
-    stressed_levels = {Stress.PRIMARY}
-    if include_secondary:
-        stressed_levels.add(Stress.SECONDARY)
+    vowel = PhonemeClass.VOWEL
+    # A tuple: membership tests identity without the Python-level Enum hash.
+    stressed_levels = ((Stress.PRIMARY, Stress.SECONDARY) if include_secondary
+                       else (Stress.PRIMARY,))
 
     syllables = []
     for stretch in _stretches(phonemes):
-        nuclei = [i for i, p in enumerate(stretch) if p.klass is PhonemeClass.VOWEL]
+        nuclei = [i for i, p in enumerate(stretch) if p.klass is vowel]
+        if not nuclei:
+            continue
+        # Every consonant before a nucleus is its onset; only the stretch's
+        # last nucleus takes a coda, the consonants that end the stretch.
+        last = nuclei[-1]
         onset_start = 0
-        for k, nucleus_idx in enumerate(nuclei):
-            coda_end = nucleus_idx + 1 if k + 1 < len(nuclei) else len(stretch)
-            onset = tuple(stretch[onset_start:nucleus_idx])
-            nucleus = stretch[nucleus_idx]
-            coda = tuple(stretch[nucleus_idx + 1:coda_end])
-            first = onset[0] if onset else nucleus
-            last = coda[-1] if coda else nucleus
+        for i in nuclei:
+            nucleus = stretch[i]
+            onset = tuple(stretch[onset_start:i])
+            coda = tuple(stretch[i + 1:]) if i == last else ()
             syllables.append(Syllable(
-                onset=onset, nucleus=nucleus, coda=coda,
-                start=first.start, end=last.end,
-                stressed=nucleus.stress in stressed_levels))
-            onset_start = nucleus_idx + 1
+                onset, nucleus, coda,
+                onset[0].start if onset else nucleus.start,
+                coda[-1].end if coda else nucleus.end,
+                nucleus.stress in stressed_levels))
+            onset_start = i + 1
+    if not syllables:
+        raise NoNuclei(response_id)
     return syllables
 
 
@@ -175,30 +179,36 @@ def interval_sequence(response: AlignedResponse,
 
 def _intervals(phonemes: list[AlignedPhoneme], syllables: list[Syllable],
                ) -> tuple[IntervalSequence, float]:
+    vowel, consonant = PhonemeClass.VOWEL, PhonemeClass.CONSONANT
     vocalic: list[float] = []
     consonantal: list[float] = []
+    durations: list[float] = []
     run_class: PhonemeClass | None = None
     run_ms = 0.0
     prev_end: float | None = None
-
-    def close_run():
-        if run_class is PhonemeClass.VOWEL and run_ms > 0:
+    for ph in phonemes:
+        klass, start, end = ph.klass, ph.start, ph.end
+        if (klass is not run_class or prev_end is None
+                or not abs(start - prev_end) <= _GAP_EPS):
+            if run_ms > 0:
+                if run_class is vowel:
+                    vocalic.append(run_ms)
+                elif run_class is consonant:
+                    consonantal.append(run_ms)
+            run_class = klass
+            run_ms = 0.0
+        duration = end - start
+        run_ms += duration * 1000.0
+        durations.append(duration)
+        prev_end = end
+    if run_ms > 0:
+        if run_class is vowel:
             vocalic.append(run_ms)
-        elif run_class is PhonemeClass.CONSONANT and run_ms > 0:
+        elif run_class is consonant:
             consonantal.append(run_ms)
 
-    for ph in phonemes:
-        contiguous = prev_end is not None and abs(ph.start - prev_end) <= _GAP_EPS
-        if ph.klass is not run_class or not contiguous:
-            close_run()
-            run_class = ph.klass
-            run_ms = 0.0
-        run_ms += ph.duration * 1000.0
-        prev_end = ph.end
-    close_run()
-
     syllabic = [(s.end - s.start) * 1000.0 for s in syllables]
-    total_phonation_ms = sum(ph.duration for ph in phonemes) * 1000.0
+    total_phonation_ms = sum(durations) * 1000.0
     return IntervalSequence(vocalic, consonantal, syllabic), total_phonation_ms
 
 

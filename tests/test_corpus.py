@@ -1,13 +1,17 @@
+import dataclasses
 import json
+import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from speechscore.corpus import (CorpusError, FeatureMatrix, Grade,
-                                fit_standardizer, load_corpus,
-                                stratified_split)
+from speechscore.corpus import (AlignedPhoneme, AlignedWord, CorpusError,
+                                FeatureMatrix, Grade, PhonemeClass, Stress,
+                                TokenAnnotation, fit_standardizer,
+                                load_corpus, stratified_split)
 
 from conftest import make_response, make_word
 
@@ -28,6 +32,15 @@ def _alignment_payload(rid, grade="A2", word_start=0.0):
         "tokens": [{"token": "the", "pos": "DET", "stopword": True},
                    {"token": "cat", "pos": "NOUN"}],
     }
+
+
+def _message(operation):
+    """The error message of a failing operation, as this Python words it."""
+    try:
+        operation()
+    except (TypeError, ValueError) as exc:
+        return str(exc)
+    raise AssertionError("operation did not fail")
 
 
 def _write_corpus(tmp_path, payloads):
@@ -84,6 +97,92 @@ class TestLoadCorpus:
         _write_corpus(tmp_path, [_alignment_payload("r0")])
         corpus = load_corpus(tmp_path)
         assert len(corpus.responses) == 1
+
+    def test_top_level_array_rejected(self, tmp_path):
+        manifest = _write_corpus(tmp_path, [[_alignment_payload("r0")],
+                                            _alignment_payload("r1")])
+        corpus = load_corpus(manifest)
+        assert [r.response_id for r in corpus.responses] == ["r1"]
+        assert len(corpus.rejected) == 1
+        assert corpus.rejected[0][0].endswith("resp0.json")
+        assert "JSON object" in corpus.rejected[0][1]
+
+    def test_word_given_as_string_rejected(self, tmp_path):
+        bad = _alignment_payload("bad")
+        bad["words"][1] = "cat"
+        corpus = load_corpus(_write_corpus(tmp_path, [bad, _alignment_payload("ok")]))
+        assert [r.response_id for r in corpus.responses] == ["ok"]
+        assert corpus.rejected == [(str(tmp_path / "resp0.json"),
+                                    "word 1 is not a JSON object")]
+
+    @pytest.mark.parametrize("syllables", [None, 3])
+    def test_numeric_token_stringified(self, tmp_path, syllables):
+        payload = _alignment_payload("r0")
+        payload["tokens"][1]["token"] = 5
+        if syllables is not None:
+            payload["tokens"][1]["syllables"] = syllables
+        corpus = load_corpus(_write_corpus(tmp_path, [payload]))
+        assert corpus.rejected == []
+        token = corpus.responses[0].tokens[1]
+        # "5" has no vowel letter and no letter at all: zero syllables
+        assert (token.token, token.syllable_count) == ("5", syllables or 0)
+
+    def test_infinite_count_rejected(self, tmp_path):
+        bad = _alignment_payload("bad")
+        bad["words"][0]["phonemes"][1]["stress"] = float("inf")
+        corpus = load_corpus(_write_corpus(tmp_path, [bad]))
+        assert corpus.responses == []
+        assert [reason for _, reason in corpus.rejected] == [
+            "cannot convert float infinity to integer"]
+
+    def test_deeply_nested_file_rejected(self, tmp_path):
+        manifest = _write_corpus(tmp_path, [_alignment_payload("ok")])
+        (tmp_path / "deep.json").write_text("[" * 100_000 + "]" * 100_000)
+        manifest.write_text("deep.json\nresp0.json\n")
+        corpus = load_corpus(manifest)
+        assert [r.response_id for r in corpus.responses] == ["ok"]
+        assert "maximum recursion depth" in corpus.rejected[0][1]
+
+    def test_existing_reject_reasons_unchanged(self, tmp_path):
+        payloads = [_alignment_payload(f"r{i}") for i in range(4)]
+        payloads[0]["words"][0]["phonemes"][0]["class"] = "glide"
+        payloads[1]["words"][0]["phonemes"][0] = "DH"
+        del payloads[2]["tokens"][0]["token"]
+        payloads[3]["tokens"][0]["syllables"] = None
+        corpus = load_corpus(_write_corpus(tmp_path, payloads))
+        assert [reason for _, reason in corpus.rejected] == [
+            "'glide' is not a valid PhonemeClass",
+            _message(lambda: payloads[1]["words"][0]["phonemes"][0]["class"]),
+            "'token'",
+            _message(lambda: int(None))]
+
+
+class TestRecords:
+    RECORDS = [
+        AlignedPhoneme("AH", PhonemeClass.VOWEL, 0.0, 0.1, Stress.PRIMARY),
+        AlignedWord("cat", 0.0, 0.3),
+        TokenAnnotation("cat", "NOUN", False, 1),
+    ]
+
+    @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+    def test_slotted(self, record):
+        assert not hasattr(record, "__dict__")
+
+    @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
+    def test_frozen(self, record):
+        name = dataclasses.fields(record)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, name, "x")
+
+    def test_post_init_checks_kept(self):
+        with pytest.raises(CorpusError, match="ends before it starts"):
+            AlignedPhoneme("AH", PhonemeClass.VOWEL, 0.2, 0.1)
+        with pytest.raises(CorpusError, match="carries stress"):
+            AlignedPhoneme("T", PhonemeClass.CONSONANT, 0.0, 0.1, Stress.PRIMARY)
+        with pytest.raises(CorpusError, match="non-positive duration"):
+            AlignedWord("cat", 0.3, 0.3)
+        with pytest.raises(CorpusError, match="unknown POS tag"):
+            TokenAnnotation("cat", "NOPE")
 
 
 def _graded_corpus(counts):
@@ -197,6 +296,32 @@ def test_csv_round_trip(tmp_path):
     assert back.columns == matrix.columns
     assert back.groups == matrix.groups
     assert np.array_equal(back.values, matrix.values)
+
+
+_CSV_FLOATS = (st.floats(allow_nan=False, allow_subnormal=True)
+               | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                                  math.inf, -math.inf, math.nan, 1e308, -1e308]))
+
+
+@given(st.integers(0, 4).flatmap(
+    lambda p: st.lists(st.lists(_CSV_FLOATS, min_size=p, max_size=p),
+                       min_size=0, max_size=5).map(lambda rows: (p, rows))))
+@settings(max_examples=200, deadline=None)
+def test_csv_round_trip_is_bit_exact(tmp_path_factory, case):
+    p, rows = case
+    values = np.asarray(rows, dtype=np.float64).reshape(len(rows), p)
+    matrix = FeatureMatrix(response_ids=[f"r,{i}" for i in range(len(rows))],
+                           columns=[f"c{j}" for j in range(p)],
+                           groups=["FF"] * p, values=values)
+    path = tmp_path_factory.mktemp("csv") / "m.csv"
+    matrix.to_csv(path)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = FeatureMatrix.from_csv(path)
+    assert back.response_ids == matrix.response_ids
+    assert back.columns == matrix.columns and back.groups == matrix.groups
+    assert back.values.shape == (len(rows), p)
+    assert back.values.tobytes() == values.tobytes()
 
 
 def test_grade_ordinals():

@@ -2,7 +2,6 @@ import json
 
 import numpy as np
 import pytest
-from pytest import approx
 
 from speechscore.corpus import default_resources, load_corpus
 from speechscore.features import ExtractorConfig, GROUP_ORDER, extract_matrix
@@ -82,17 +81,26 @@ class TestSynthCorpus:
         assert np.abs(buf.samples).max() <= 1.0
 
     def test_written_corpus_round_trips(self, tmp_path):
-        responses, _ = synth_corpus(SynthSpec(n=50, grade_levels=2, seed=3))
+        responses, _ = synth_corpus(SynthSpec(n=50, grade_levels=2, seed=3,
+                                              second_rater_disagreement=0.2))
         manifest = write_corpus(responses, tmp_path)
         corpus = load_corpus(manifest)
         assert len(corpus.responses) == 50
         assert corpus.rejected == []
         original = {r.response_id: r for r in responses}
+        assert sorted(original) == [r.response_id for r in corpus.responses]
         for r in corpus.responses:
             o = original[r.response_id]
-            assert r.grade.label == o.grade.label
+            assert (r.prompt_id, r.transcript, r.grade, r.grade2, r.syntax) == \
+                (o.prompt_id, o.transcript, o.grade, o.grade2, o.syntax)
             assert len(r.words) == len(o.words)
-            assert r.words[3].start == approx(o.words[3].start)
+            for w, ow in zip(r.words, o.words):
+                assert (w.text, w.start, w.end) == (ow.text, ow.start, ow.end)
+                assert len(w.phonemes) == len(ow.phonemes)
+                for p, op in zip(w.phonemes, ow.phonemes):
+                    assert (p.label, p.klass, p.stress, p.start, p.end) == \
+                        (op.label, op.klass, op.stress, op.start, op.end)
+            assert r.tokens == o.tokens
 
 
 class TestPreparePrompt:

@@ -1,7 +1,11 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from pytest import approx
 
-from speechscore.prosody import (IntervalSequence, NoNuclei, interval_features,
+from speechscore.corpus import AlignedPhoneme, AlignedWord, PhonemeClass, Stress
+from speechscore.prosody import (_GAP_EPS, IntervalSequence, NoNuclei,
+                                 Syllable, interval_features,
                                  interval_sequence, normalized_pvi,
                                  prosody_features, raw_pvi, stress_features,
                                  syllabify)
@@ -188,3 +192,157 @@ def test_prosody_features_compose_public_steps(include_secondary):
                                       expected_flags))
     assert prosody_features(r, include_secondary, flags) == expected
     assert flags == expected_flags
+
+
+# Oracle: the per-phoneme timeline, stretch, syllable and interval passes as
+# they were before they were fused and unrolled. The package must reproduce
+# their floats bit for bit.
+
+def _oracle_timeline(response):
+    out = []
+    for word in response.words:
+        for ph in word.phonemes:
+            if ph.klass is PhonemeClass.SILENCE or ph.duration <= 0:
+                continue
+            out.append(ph)
+    return out
+
+
+def _oracle_stretches(phonemes):
+    out = []
+    prev_end = None
+    for ph in phonemes:
+        if prev_end is None or abs(ph.start - prev_end) > _GAP_EPS:
+            out.append([])
+        out[-1].append(ph)
+        prev_end = ph.end
+    return out
+
+
+def _oracle_syllables(phonemes, response_id, include_secondary):
+    if not any(p.klass is PhonemeClass.VOWEL for p in phonemes):
+        raise NoNuclei(response_id)
+
+    stressed_levels = {Stress.PRIMARY}
+    if include_secondary:
+        stressed_levels.add(Stress.SECONDARY)
+
+    syllables = []
+    for stretch in _oracle_stretches(phonemes):
+        nuclei = [i for i, p in enumerate(stretch) if p.klass is PhonemeClass.VOWEL]
+        onset_start = 0
+        for k, nucleus_idx in enumerate(nuclei):
+            coda_end = nucleus_idx + 1 if k + 1 < len(nuclei) else len(stretch)
+            onset = tuple(stretch[onset_start:nucleus_idx])
+            nucleus = stretch[nucleus_idx]
+            coda = tuple(stretch[nucleus_idx + 1:coda_end])
+            first = onset[0] if onset else nucleus
+            last = coda[-1] if coda else nucleus
+            syllables.append(Syllable(
+                onset=onset, nucleus=nucleus, coda=coda,
+                start=first.start, end=last.end,
+                stressed=nucleus.stress in stressed_levels))
+            onset_start = nucleus_idx + 1
+    return syllables
+
+
+def _oracle_intervals(phonemes, syllables):
+    vocalic = []
+    consonantal = []
+    run_class = None
+    run_ms = 0.0
+    prev_end = None
+
+    def close_run():
+        if run_class is PhonemeClass.VOWEL and run_ms > 0:
+            vocalic.append(run_ms)
+        elif run_class is PhonemeClass.CONSONANT and run_ms > 0:
+            consonantal.append(run_ms)
+
+    for ph in phonemes:
+        contiguous = prev_end is not None and abs(ph.start - prev_end) <= _GAP_EPS
+        if ph.klass is not run_class or not contiguous:
+            close_run()
+            run_class = ph.klass
+            run_ms = 0.0
+        run_ms += ph.duration * 1000.0
+        prev_end = ph.end
+    close_run()
+
+    syllabic = [(s.end - s.start) * 1000.0 for s in syllables]
+    total_phonation_ms = sum(ph.duration for ph in phonemes) * 1000.0
+    return IntervalSequence(vocalic, consonantal, syllabic), total_phonation_ms
+
+
+def _oracle_prosody_features(response, include_secondary, flags):
+    phonemes = _oracle_timeline(response)
+    syllables = _oracle_syllables(phonemes, response.response_id, include_secondary)
+    features = stress_features(syllables, flags)
+    intervals, total_ms = _oracle_intervals(phonemes, syllables)
+    features.update(interval_features(intervals, total_ms, flags))
+    return features
+
+
+_KLASS = {"v": PhonemeClass.VOWEL, "c": PhonemeClass.CONSONANT,
+          "s": PhonemeClass.SILENCE}
+_STRESS = (Stress.NONE, Stress.PRIMARY, Stress.SECONDARY)
+# Pauses: none, one inside the contiguity tolerance, one just past it, and
+# ordinary pauses between words.
+_GAPS = st.sampled_from([0.0, 0.0, 0.5 * _GAP_EPS, 3 * _GAP_EPS]) | st.floats(0.0, 0.6)
+_DURATIONS = st.sampled_from([0.0, 0.01, 0.1]) | st.floats(1e-4, 0.3)
+_PHONE = st.tuples(st.sampled_from("vvccs"), st.integers(0, 2), _DURATIONS)
+_WORD = st.tuples(_GAPS, st.lists(_PHONE, max_size=6), st.floats(0.01, 0.3))
+
+
+def _timeline_response(words):
+    """Words laid end to end after their gaps; each word spans its
+    phonemes, stretched by ``pad`` when they leave it no duration."""
+    built = []
+    t = 0.0
+    for i, (gap, phones, pad) in enumerate(words):
+        start = t = t + gap
+        phonemes = []
+        for klass, stress, duration in phones:
+            klass = _KLASS[klass]
+            stress = _STRESS[stress] if klass is PhonemeClass.VOWEL else Stress.NONE
+            phonemes.append(AlignedPhoneme(f"p{len(phonemes)}", klass, t,
+                                           t + duration, stress))
+            t += duration
+        if t <= start:
+            t = start + pad
+        built.append(AlignedWord(f"w{i}", start, t, tuple(phonemes)))
+    return make_response(built)
+
+
+@given(st.lists(_WORD, min_size=1, max_size=12), st.booleans())
+@settings(max_examples=400, deadline=None)
+def test_fused_passes_match_oracle_bit_for_bit(words, include_secondary):
+    r = _timeline_response(words)
+    phonemes = _oracle_timeline(r)
+    seq, total = interval_sequence(r, include_secondary)
+    try:
+        syllables = _oracle_syllables(phonemes, r.response_id, include_secondary)
+    except NoNuclei:
+        with pytest.raises(NoNuclei):
+            syllabify(r, include_secondary)
+        with pytest.raises(NoNuclei):
+            prosody_features(r, include_secondary)
+        expected_seq, expected_total = _oracle_intervals(phonemes, [])
+    else:
+        assert syllabify(r, include_secondary) == syllables
+        flags, expected_flags = set(), set()
+        got = prosody_features(r, include_secondary, flags)
+        expected = _oracle_prosody_features(r, include_secondary, expected_flags)
+        assert {k: v.hex() for k, v in got.items()} == \
+            {k: v.hex() for k, v in expected.items()}
+        assert flags == expected_flags
+        expected_seq, expected_total = _oracle_intervals(phonemes, syllables)
+    for name in ("vocalic", "consonantal", "syllabic"):
+        assert [v.hex() for v in getattr(seq, name)] == \
+            [v.hex() for v in getattr(expected_seq, name)]
+    assert total.hex() == expected_total.hex()
+
+
+def test_syllables_are_slotted():
+    (syllable,) = syllabify(make_response([make_word("a", 0.0, 0.1, [("AH", "v", 1)])]))
+    assert not hasattr(syllable, "__dict__")
