@@ -1,7 +1,9 @@
 #!/usr/bin/env python3
 """Full synthetic experiment: generate a corpus, benchmark every model in
 both formulations, run both ablations, and emit explanation artifacts for
-the boosted regressor.
+the boosted regressor. The dataset holds one matrix of raw features, so the
+PDP grids and SHAP colours are in feature units (words per second, pause
+counts).
 
 Usage:
     python scripts/run_synthetic_experiment.py --out runs/demo --n 800 --seed 7

@@ -99,7 +99,7 @@ def cmd_extract(args) -> int:
         target = out if len(by_prompt) == 1 else out / prompt_id
         harness.save_prompt_dataset(dataset, target)
         print(f"{prompt_id}: {len(responses)} responses, "
-              f"{len(dataset.raw_matrix.columns)} features -> {target}")
+              f"{len(dataset.matrix.columns)} features -> {target}")
     return 0
 
 
@@ -113,11 +113,11 @@ def cmd_train(args) -> int:
     cv_table = None
     if args.grid:
         grid = json.loads(args.grid)
+        # Imported here: a tracer that patches learners.grid_search must see it.
         from .learners import GridSearchSpec, grid_search
-        kind = args.model if args.model != "linear" else (
-            "linear" if task == "regression" else "logistic")
         best, cv_table = grid_search(
-            kind, GridSearchSpec(grid=grid, folds=args.folds, seed=args.seed),
+            harness.estimator_kind(args.model, task),
+            GridSearchSpec(grid=grid, folds=args.folds, seed=args.seed),
             X, y, task=task, n_classes=dataset.n_classes, weights=weights,
             feature_names=columns)
         params = dict(best, **params)
@@ -125,8 +125,7 @@ def cmd_train(args) -> int:
     save_model(model, out / "model.json", extra={
         "model_key": args.model, "formulation": task,
         "params": params, "seed": args.seed,
-        "n_grade_levels": dataset.n_classes,
-        "standardizer": dataset.standardizer.to_json()})
+        "n_grade_levels": dataset.n_classes})
     if cv_table is not None:
         _write_json(out / "cv_table.json", cv_table)
         with open(out / "cv_table.csv", "w", newline="", encoding="utf-8") as fh:

@@ -33,22 +33,29 @@ class TfidfVocabulary:
         return [f"tfidf:{t}" for t in self.terms]
 
     def save(self, path: str | Path) -> None:
+        """A header line ``n_documents<TAB>N``, then one
+        ``term<TAB>df<TAB>idf`` line per term."""
         with open(path, "w", encoding="utf-8") as fh:
+            fh.write(f"n_documents\t{self.n_documents}\n")
             for term in self.terms:
                 fh.write(f"{term}\t{self.document_frequency[term]}\t{self.idf[term]!r}\n")
 
     @classmethod
-    def load(cls, path: str | Path, n_documents: int | None = None) -> "TfidfVocabulary":
+    def load(cls, path: str | Path) -> "TfidfVocabulary":
+        header, *lines = Path(path).read_text(encoding="utf-8").splitlines()
+        key, count = header.split("\t")
+        if key != "n_documents":
+            raise ValueError(f"{path}: first line must be 'n_documents<TAB>N'")
         terms, df, idf = [], {}, {}
-        for line in Path(path).read_text(encoding="utf-8").splitlines():
+        for line in lines:
             if not line.strip():
                 continue
             term, d, i = line.split("\t")
             terms.append(term)
             df[term] = int(d)
             idf[term] = float(i)
-        return cls(terms=terms, document_frequency=df,
-                   n_documents=n_documents or max(df.values(), default=0), idf=idf)
+        return cls(terms=terms, document_frequency=df, n_documents=int(count),
+                   idf=idf)
 
 
 def fit_vocabulary(train_transcripts: Iterable[str], min_df: int = 2,

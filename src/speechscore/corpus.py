@@ -4,8 +4,9 @@ A corpus is a collection of responses, each carrying a word/phoneme timeline
 produced upstream by an ASR + forced-alignment toolchain, plus token-level
 annotations (POS, stopword flags, syllable counts), optional syntactic spans,
 an optional audio reference, and an optional grade. This module also owns
-stratified splitting, feature-matrix plumbing and train-fitted
-standardization.
+stratified splitting, feature-matrix plumbing and the z-scoring that the
+linear learners apply inside their fits. Feature matrices hold raw feature
+values in their own units, and tree models are fit on them as they are.
 
 The timeline records (`AlignedPhoneme`, `AlignedWord`, `TokenAnnotation`)
 are frozen, slotted dataclasses: a corpus holds hundreds of thousands of
@@ -532,7 +533,7 @@ def stratified_split(responses: Iterable[AlignedResponse],
 
 
 # ---------------------------------------------------------------------------
-# Feature matrices and standardization
+# Feature matrices and the linear learners' standardization
 
 
 @dataclass
@@ -609,59 +610,27 @@ class FeatureMatrix:
 
 @dataclass
 class Standardizer:
-    """Per-feature z-scoring fitted on the train split only.
+    """Per-feature z-scoring with the mean and population standard deviation
+    of the rows it was fitted on; zero-variance columns pass through
+    unchanged. Only the linear learners use it, inside their fits."""
 
-    Uses the population standard deviation; zero-variance columns pass
-    through unchanged and are recorded in ``zero_variance``.
-    """
-
-    columns: list[str]
     mean: np.ndarray
     std: np.ndarray
-    zero_variance: list[str]
 
-    def _check(self, matrix: FeatureMatrix) -> None:
-        if list(matrix.columns) != list(self.columns):
-            raise ValueError("column names do not match the fitted standardizer")
-
-    def transform(self, matrix: FeatureMatrix) -> FeatureMatrix:
-        self._check(matrix)
+    def transform(self, X) -> np.ndarray:
         safe = np.where(self.std > 0, self.std, 1.0)
-        values = np.where(self.std > 0, (matrix.values - self.mean) / safe,
-                          matrix.values)
-        return FeatureMatrix(response_ids=list(matrix.response_ids),
-                             columns=list(matrix.columns),
-                             groups=list(matrix.groups),
-                             values=values, flags=dict(matrix.flags))
-
-    def inverse_transform(self, matrix: FeatureMatrix) -> FeatureMatrix:
-        self._check(matrix)
-        values = np.where(self.std > 0, matrix.values * self.std + self.mean,
-                          matrix.values)
-        return FeatureMatrix(response_ids=list(matrix.response_ids),
-                             columns=list(matrix.columns),
-                             groups=list(matrix.groups),
-                             values=values, flags=dict(matrix.flags))
+        return np.where(self.std > 0, (X - self.mean) / safe, X)
 
     def to_json(self) -> dict:
-        return {"columns": list(self.columns),
-                "mean": [float(v) for v in self.mean],
-                "std": [float(v) for v in self.std],
-                "zero_variance": list(self.zero_variance)}
+        return {"mean": self.mean.tolist(), "std": self.std.tolist()}
 
     @classmethod
     def from_json(cls, payload: dict) -> "Standardizer":
-        return cls(columns=list(payload["columns"]),
-                   mean=np.asarray(payload["mean"], dtype=np.float64),
-                   std=np.asarray(payload["std"], dtype=np.float64),
-                   zero_variance=list(payload["zero_variance"]))
+        return cls(mean=np.asarray(payload["mean"], dtype=np.float64),
+                   std=np.asarray(payload["std"], dtype=np.float64))
 
 
-def fit_standardizer(matrix: FeatureMatrix) -> Standardizer:
-    if len(matrix.response_ids) == 0:
+def fit_standardizer(X: np.ndarray) -> Standardizer:
+    if X.shape[0] == 0:
         raise ValueError("cannot fit a standardizer on an empty matrix")
-    mean = matrix.values.mean(axis=0)
-    std = matrix.values.std(axis=0)
-    zero = [matrix.columns[i] for i in range(len(matrix.columns)) if std[i] == 0]
-    return Standardizer(columns=list(matrix.columns), mean=mean, std=std,
-                        zero_variance=zero)
+    return Standardizer(mean=X.mean(axis=0), std=X.std(axis=0))

@@ -17,8 +17,8 @@ import numpy as np
 
 from .content import TfidfVocabulary
 from .corpus import (AlignedResponse, FeatureMatrix, SplitAssignment,
-                     Standardizer, LexicalResources, fit_standardizer,
-                     stratified_split)
+                     LexicalResources, stratified_split)
+from .corpus import fit_standardizer  # noqa: F401 -- perfbench/spans.py traces it here
 from .features import ExtractorConfig, extract_matrix, fit_content_vocabulary
 from .learners import (GridSearchSpec, class_weights, grid_search,
                        length_only_baseline, make_estimator)
@@ -44,9 +44,7 @@ class PromptDataset:
     """Everything needed to train and explain models for one prompt."""
 
     prompt_id: str
-    matrix: FeatureMatrix            # standardized, all responses
-    raw_matrix: FeatureMatrix
-    standardizer: Standardizer
+    matrix: FeatureMatrix            # raw feature values, all responses
     vocabulary: TfidfVocabulary | None
     split: SplitAssignment
     y: dict[str, int]                # response_id -> ordinal grade
@@ -73,7 +71,7 @@ def prepare_prompt(responses: list[AlignedResponse],
                    seed: int = 0,
                    ratios: tuple[float, float, float] = (0.70, 0.10, 0.20),
                    audio_lookup=None, threads: int = 1) -> PromptDataset:
-    """Split, fit the train-side vocabulary, extract and standardize."""
+    """Split, fit the train-side vocabulary and extract raw features."""
     config = config or ExtractorConfig()
     prompts = {r.prompt_id for r in responses}
     if len(prompts) != 1:
@@ -84,10 +82,8 @@ def prepare_prompt(responses: list[AlignedResponse],
     vocabulary = None
     if "CF" in config.groups:
         vocabulary = fit_content_vocabulary(responses, split.train, config)
-    raw = extract_matrix(responses, resources, config, vocabulary,
-                         audio_lookup=audio_lookup, threads=threads)
-    standardizer = fit_standardizer(raw.restrict(split.train))
-    matrix = standardizer.transform(raw)
+    matrix = extract_matrix(responses, resources, config, vocabulary,
+                            audio_lookup=audio_lookup, threads=threads)
 
     y = {r.response_id: r.grade.ordinal for r in responses}
     y2 = {r.response_id: r.grade2.ordinal for r in responses
@@ -96,18 +92,22 @@ def prepare_prompt(responses: list[AlignedResponse],
     lengths = {r.response_id: float(sum(1 for t in r.tokens if t.pos != "PUNCT"))
                for r in responses}
     return PromptDataset(prompt_id=responses[0].prompt_id, matrix=matrix,
-                         raw_matrix=raw, standardizer=standardizer,
                          vocabulary=vocabulary, split=split, y=y, y2=y2,
                          n_classes=n_classes, lengths=lengths)
+
+
+def estimator_kind(model_key: str, formulation: str) -> str:
+    """The learner behind a model key: "linear" classifies as "logistic"."""
+    if model_key == "linear" and formulation == "classification":
+        return "logistic"
+    return model_key
 
 
 def _train(dataset: PromptDataset, model_key: str, formulation: str,
            params: dict | None, seed: int, groups=None):
     X, y, ids, columns = dataset.design("train", groups)
     task = formulation
-    kind = model_key
-    if model_key == "linear":
-        kind = "linear" if formulation == "regression" else "logistic"
+    kind = estimator_kind(model_key, formulation)
     weights = class_weights(y) if task == "classification" else None
     if model_key == "length_baseline":
         lengths = np.asarray([dataset.lengths[r] for r in ids])
@@ -268,11 +268,11 @@ def save_prompt_dataset(dataset: PromptDataset, out_dir: str | Path) -> None:
     """Write raw features, labels, splits, vocabulary and extraction flags."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    dataset.raw_matrix.to_csv(out_dir / "features.csv")
+    dataset.matrix.to_csv(out_dir / "features.csv")
     with open(out_dir / "labels.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["response_id", "ordinal", "length", "ordinal2"])
-        for rid in dataset.raw_matrix.response_ids:
+        for rid in dataset.matrix.response_ids:
             writer.writerow([rid, dataset.y[rid], repr(dataset.lengths[rid]),
                              dataset.y2.get(rid, "")])
     payload = dataset.split.to_json()
@@ -283,17 +283,17 @@ def save_prompt_dataset(dataset: PromptDataset, out_dir: str | Path) -> None:
     if dataset.vocabulary is not None:
         dataset.vocabulary.save(out_dir / "vocabulary.tsv")
     (out_dir / "flags.json").write_text(
-        json.dumps(dataset.raw_matrix.flags, sort_keys=True), encoding="utf-8")
+        json.dumps(dataset.matrix.flags, sort_keys=True), encoding="utf-8")
 
 
 def load_prompt_dataset(directory: str | Path) -> PromptDataset:
-    """Rebuild a PromptDataset from an extract-stage directory; the
-    standardizer is refit on the stored train split (deterministic)."""
+    """Rebuild a PromptDataset from an extract-stage directory: the raw
+    features of features.csv, exactly as `prepare_prompt` extracted them."""
     directory = Path(directory)
-    raw = FeatureMatrix.from_csv(directory / "features.csv")
+    matrix = FeatureMatrix.from_csv(directory / "features.csv")
     flags_path = directory / "flags.json"
     if flags_path.exists():
-        raw.flags = json.loads(flags_path.read_text(encoding="utf-8"))
+        matrix.flags = json.loads(flags_path.read_text(encoding="utf-8"))
     payload = json.loads((directory / "splits.json").read_text(encoding="utf-8"))
     split = SplitAssignment.from_json(payload)
     y, y2, lengths = {}, {}, {}
@@ -309,9 +309,6 @@ def load_prompt_dataset(directory: str | Path) -> PromptDataset:
     vocab_path = directory / "vocabulary.tsv"
     if vocab_path.exists():
         vocabulary = TfidfVocabulary.load(vocab_path)
-    standardizer = fit_standardizer(raw.restrict(split.train))
-    return PromptDataset(prompt_id=payload["prompt_id"],
-                         matrix=standardizer.transform(raw), raw_matrix=raw,
-                         standardizer=standardizer, vocabulary=vocabulary,
-                         split=split, y=y, y2=y2,
+    return PromptDataset(prompt_id=payload["prompt_id"], matrix=matrix,
+                         vocabulary=vocabulary, split=split, y=y, y2=y2,
                          n_classes=int(payload["n_classes"]), lengths=lengths)

@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .corpus import Standardizer, fit_standardizer
 from .metrics import mse, qwk, round_to_grade
 from .trees import Presorted, Tree, TreeParams, fit_tree
 
@@ -268,7 +269,8 @@ def _newton_relabel(tree: Tree, X, grad, weights, n_classes):
 
 
 # ---------------------------------------------------------------------------
-# Linear baselines
+# Linear baselines: the only models that standardize their inputs, with
+# the mean and std of their training rows
 
 
 @dataclass
@@ -276,10 +278,11 @@ class LinearModel:
     coef: np.ndarray
     intercept: float
     feature_names: list[str]
+    scaler: Standardizer
     task: str = "regression"
 
     def predict(self, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        X = self.scaler.transform(np.atleast_2d(np.asarray(X, dtype=np.float64)))
         return X @ self.coef + self.intercept
 
     predict_value = predict
@@ -287,13 +290,15 @@ class LinearModel:
     def to_json(self) -> dict:
         return {"family": "linear", "coef": self.coef.tolist(),
                 "intercept": self.intercept,
-                "feature_names": list(self.feature_names)}
+                "feature_names": list(self.feature_names),
+                **self.scaler.to_json()}
 
     @classmethod
     def from_json(cls, payload: dict) -> "LinearModel":
         return cls(coef=np.asarray(payload["coef"], dtype=np.float64),
                    intercept=float(payload["intercept"]),
-                   feature_names=list(payload["feature_names"]))
+                   feature_names=list(payload["feature_names"]),
+                   scaler=Standardizer.from_json(payload))
 
 
 @dataclass
@@ -301,11 +306,12 @@ class LogisticModel:
     coef: np.ndarray          # (K, p)
     intercept: np.ndarray     # (K,)
     feature_names: list[str]
+    scaler: Standardizer
     n_classes: int = 2
     task: str = "classification"
 
     def predict_proba(self, X) -> np.ndarray:
-        X = np.atleast_2d(np.asarray(X, dtype=np.float64))
+        X = self.scaler.transform(np.atleast_2d(np.asarray(X, dtype=np.float64)))
         logits = X @ self.coef.T + self.intercept
         logits -= logits.max(axis=1, keepdims=True)
         expd = np.exp(logits)
@@ -322,25 +328,29 @@ class LogisticModel:
         return {"family": "logistic", "coef": self.coef.tolist(),
                 "intercept": self.intercept.tolist(),
                 "feature_names": list(self.feature_names),
-                "n_classes": self.n_classes}
+                "n_classes": self.n_classes, **self.scaler.to_json()}
 
     @classmethod
     def from_json(cls, payload: dict) -> "LogisticModel":
         return cls(coef=np.asarray(payload["coef"], dtype=np.float64),
                    intercept=np.asarray(payload["intercept"], dtype=np.float64),
                    feature_names=list(payload["feature_names"]),
+                   scaler=Standardizer.from_json(payload),
                    n_classes=int(payload["n_classes"]))
 
 
 def fit_linear(X, y, damping: float = 1e-8,
                feature_names: list[str] | None = None) -> LinearModel:
-    """Ridge-damped least squares (handles collinear designs)."""
+    """Ridge-damped least squares (handles collinear designs) on the
+    z-scores of X."""
     X, y, _ = _as_arrays(X, y, None)
-    Xb = np.hstack([X, np.ones((X.shape[0], 1))])
+    scaler = fit_standardizer(X)
+    Xb = np.hstack([scaler.transform(X), np.ones((X.shape[0], 1))])
     gram = Xb.T @ Xb + damping * np.eye(Xb.shape[1])
     beta = np.linalg.solve(gram, Xb.T @ y)
     return LinearModel(coef=beta[:-1], intercept=float(beta[-1]),
-                       feature_names=feature_names or [f"f{i}" for i in range(X.shape[1])])
+                       feature_names=feature_names or [f"f{i}" for i in range(X.shape[1])],
+                       scaler=scaler)
 
 
 def fit_logistic(X, y, weights=None, max_iter: int = 10000, tol: float = 1e-6,
@@ -348,16 +358,18 @@ def fit_logistic(X, y, weights=None, max_iter: int = 10000, tol: float = 1e-6,
                  feature_names: list[str] | None = None) -> LogisticModel:
     """Multinomial logistic regression by full-batch gradient descent.
 
-    Runs until the gradient norm of the weight-normalized log-loss falls
-    below ``tol`` or ``max_iter`` iterations; the step size comes from the
-    softmax Hessian trace bound, so descent is monotone.
+    Fits on the z-scores of X. Runs until the gradient norm of the
+    weight-normalized log-loss falls below ``tol`` or ``max_iter``
+    iterations; the step size comes from the softmax Hessian trace bound, so
+    descent is monotone.
     """
     X, y, weights = _as_arrays(X, y, weights)
+    scaler = fit_standardizer(X)
     if n_classes is None:
         n_classes = int(y.max()) + 1
     K = n_classes
     labels = y.astype(np.int64)
-    Xb = np.hstack([X, np.ones((X.shape[0], 1))])
+    Xb = np.hstack([scaler.transform(X), np.ones((X.shape[0], 1))])
     wn = weights / weights.sum()
     onehot = np.zeros((y.size, K), dtype=np.float64)
     onehot[np.arange(y.size), labels] = 1.0
@@ -376,7 +388,7 @@ def fit_logistic(X, y, weights=None, max_iter: int = 10000, tol: float = 1e-6,
         beta -= step * grad
     return LogisticModel(coef=beta[:, :-1], intercept=beta[:, -1],
                          feature_names=feature_names or [f"f{i}" for i in range(X.shape[1])],
-                         n_classes=K)
+                         scaler=scaler, n_classes=K)
 
 
 # ---------------------------------------------------------------------------

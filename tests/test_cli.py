@@ -1,9 +1,13 @@
+import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from speechscore import cli
 from speechscore.cli import build_parser, main
+from speechscore.corpus import FeatureMatrix, SplitAssignment
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +87,48 @@ def test_train_evaluate_explain_ablate_report(pipeline_dirs):
     assert len(bench["rows"]) == 2
     assert (run / "synth-1" / "gbt" / "regression" / "report.json").exists()
     assert (run / "benchmark.csv").exists()
+
+
+def test_explanations_in_raw_feature_units(pipeline_dirs, tmp_path,
+                                           monkeypatch):
+    feats = pipeline_dirs / "features"
+    run = tmp_path / "run"
+    assert main(["train", "--features", str(feats), "--out", str(run),
+                 "--model", "gbt", "--seed", "5",
+                 "--params", json.dumps({"n_stages": 10, "max_depth": 3})]) == 0
+    payload = json.loads((run / "model.json").read_text())
+    assert "standardizer" not in payload
+    matrix = FeatureMatrix.from_csv(feats / "features.csv")
+    split = SplitAssignment.from_json(
+        json.loads((feats / "splits.json").read_text()))
+    train = matrix.restrict(split.train)
+
+    # Every threshold is the midpoint of two raw train values.
+    for tree in payload["trees"]:
+        for f, t in zip(tree["feature"], tree["threshold"]):
+            if f >= 0:
+                xs = train.values[:, f]
+                assert t in (xs[:, None] + xs[None, :]) / 2.0
+
+    real, summaries = cli.shap_summary, []
+
+    def spy(model, rows):
+        summaries.append(real(model, rows))
+        return summaries[-1]
+    monkeypatch.setattr(cli, "shap_summary", spy)
+    assert main(["explain", "--features", str(feats),
+                 "--model", str(run / "model.json"), "--out", str(run),
+                 "--kind", "shap", "--seed", "5"]) == 0
+    assert np.array_equal(summaries[0].feature_values, train.values)
+
+    assert main(["explain", "--features", str(feats),
+                 "--model", str(run / "model.json"), "--out", str(run),
+                 "--kind", "pdp", "--feature", "speaking_rate",
+                 "--seed", "5"]) == 0
+    with open(run / "pdp_speaking_rate.csv", newline="") as fh:
+        grid = [float(row["grid"]) for row in csv.DictReader(fh)]
+    column = train.column("speaking_rate")
+    assert column.min() <= min(grid) < max(grid) <= column.max()
 
 
 def test_error_is_machine_readable(tmp_path, capsys):

@@ -92,10 +92,18 @@ class TestVectorize:
 
 
 def test_serialization_round_trip(tmp_path):
-    vocab = fit_vocabulary(["a b c", "b c", "c"], min_df=1)
+    # No term occurs in every document, so the document count cannot be
+    # recovered from the largest document frequency.
+    vocab = fit_vocabulary(["a b", "b c", "c d", "d"], min_df=1)
+    assert vocab.n_documents == 4
+    assert max(vocab.document_frequency.values()) == 2
     path = tmp_path / "vocab.tsv"
     vocab.save(path)
-    back = TfidfVocabulary.load(path, n_documents=vocab.n_documents)
-    assert back.terms == vocab.terms
-    assert back.document_frequency == vocab.document_frequency
-    assert back.idf == vocab.idf
+    assert TfidfVocabulary.load(path) == vocab
+
+
+def test_load_requires_document_count_header(tmp_path):
+    path = tmp_path / "vocab.tsv"
+    path.write_text("a\t1\t1.5\n", encoding="utf-8")
+    with pytest.raises(ValueError):
+        TfidfVocabulary.load(path)

@@ -5,7 +5,8 @@ import pytest
 
 from speechscore.corpus import default_resources, load_corpus
 from speechscore.features import ExtractorConfig, GROUP_ORDER, extract_matrix
-from speechscore.harness import (ablation_additive, ablation_leave_one_out,
+from speechscore.harness import (_train, ablation_additive,
+                                 ablation_leave_one_out, estimator_kind,
                                  human_agreement, load_prompt_dataset,
                                  prepare_prompt, run_benchmark,
                                  save_prompt_dataset)
@@ -116,11 +117,18 @@ class TestPreparePrompt:
         assert boundaries == order     # contiguous group blocks
 
     def test_standardized_train_stats(self, small_dataset):
-        train = small_dataset.matrix.restrict(small_dataset.split.train)
-        means = train.values.mean(axis=0)
-        stds = train.values.std(axis=0)
-        assert np.all(np.abs(means) < 1e-9)
-        assert np.all((np.abs(stds - 1) < 1e-9) | (stds == 0))
+        # The matrix holds raw features; a linear model z-scores the train
+        # rows itself, with their own mean and std.
+        X, _, _, _ = small_dataset.design("train")
+        assert np.all(X[:, small_dataset.matrix.columns.index("speaking_rate")] > 0)
+        for formulation in ("regression", "classification"):
+            model = _train(small_dataset, "linear", formulation, None, seed=5)
+            assert np.array_equal(model.scaler.mean, X.mean(axis=0))
+            assert np.array_equal(model.scaler.std, X.std(axis=0))
+            Z = model.scaler.transform(X)
+            assert np.all(np.abs(Z.mean(axis=0)) < 1e-9)
+            stds = Z.std(axis=0)
+            assert np.all((np.abs(stds - 1) < 1e-9) | (stds == 0))
 
     def test_vocabulary_from_train_only(self, small_dataset):
         vocab = small_dataset.vocabulary
@@ -132,11 +140,13 @@ class TestPreparePrompt:
         back = load_prompt_dataset(tmp_path)
         assert back.prompt_id == small_dataset.prompt_id
         assert back.matrix.columns == small_dataset.matrix.columns
-        assert np.array_equal(back.raw_matrix.values,
-                              small_dataset.raw_matrix.values)
+        assert back.matrix.groups == small_dataset.matrix.groups
+        assert back.matrix.response_ids == small_dataset.matrix.response_ids
         assert np.array_equal(back.matrix.values, small_dataset.matrix.values)
         assert back.y == small_dataset.y
         assert back.y2 == small_dataset.y2
+        assert back.vocabulary == small_dataset.vocabulary
+        assert back.vocabulary.n_documents == len(back.split.train)
 
 
 class TestBenchmark:
@@ -205,3 +215,10 @@ class TestAblations:
         report = ablation_additive(small_dataset, order=("FF", "CF", "SPF", "GVF"),
                                    seed=5, params=FAST_PARAMS["gbt"])
         assert len({round(row["qwk"], 6) for row in report.rows}) >= 2
+
+
+def test_estimator_kind():
+    assert estimator_kind("linear", "regression") == "linear"
+    assert estimator_kind("linear", "classification") == "logistic"
+    for key in ("decision_tree", "random_forest", "gbt"):
+        assert estimator_kind(key, "classification") == key

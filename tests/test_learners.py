@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 from pytest import approx
 
+from speechscore import learners
+from speechscore.corpus import Standardizer
 from speechscore.learners import (GridSearchSpec, class_weights, fit_forest,
                                   fit_gbt, fit_linear, fit_logistic,
                                   fit_single_tree, grid_search,
                                   length_only_baseline, load_model,
-                                  model_from_json, save_model)
+                                  make_estimator, model_from_json, save_model)
 from speechscore.metrics import qwk, round_to_grade
 from speechscore.trees import TreeParams, fit_tree
 
@@ -98,10 +100,13 @@ class TestGbt:
 
 class TestLinearModels:
     def test_exact_line(self):
+        # The coefficients act on z-scores: slope 2 per unit is 2 * std per
+        # standard deviation, and the intercept is the mean response.
         X = np.arange(12, dtype=float).reshape(-1, 1)
         model = fit_linear(X, 2.0 * X[:, 0])
-        assert model.coef[0] == approx(2.0, abs=1e-6)
-        assert model.intercept == approx(0.0, abs=1e-5)
+        assert model.coef[0] == approx(2.0 * X[:, 0].std(), abs=1e-6)
+        assert model.intercept == approx(11.0, abs=1e-5)
+        assert model.predict(X) == approx(2.0 * X[:, 0], abs=1e-5)
 
     def test_collinear_columns_survive(self):
         X = np.column_stack([np.arange(10.0), np.arange(10.0)])
@@ -128,6 +133,79 @@ class TestLinearModels:
         model = fit_logistic(X, y)
         assert (model.predict(X) == y).mean() > 0.95
         assert np.allclose(model.predict_proba(X).sum(axis=1), 1.0)
+
+
+def _feature_like_data(n=120, seed=3):
+    """Columns in their own units: counts, rates, a small-scale ratio, a
+    large-scale duration and a constant; grades driven by two of them."""
+    rng = np.random.default_rng(seed)
+    X = np.column_stack([
+        rng.integers(0, 12, n).astype(float),
+        rng.uniform(0.8, 3.6, n),
+        rng.uniform(0.0, 0.02, n),
+        rng.normal(40.0, 9.0, n),
+        np.full(n, 7.0),
+    ])
+    latent = X[:, 1] - 0.15 * X[:, 0] + 0.3 * rng.normal(size=n)
+    return X, np.digitize(latent, np.quantile(latent, [1 / 3, 2 / 3])).astype(float)
+
+
+def _zscore(X, rows):
+    """The z-scores of X with the mean and population std of X[rows]."""
+    mean, std = X[rows].mean(axis=0), X[rows].std(axis=0)
+    return np.where(std > 0, (X - mean) / np.where(std > 0, std, 1.0), X)
+
+
+class TestRawFeatures:
+    """Trees fit on raw features; only the linear models standardize."""
+
+    @pytest.mark.parametrize("task", ["regression", "classification"])
+    @pytest.mark.parametrize("kind, params", [
+        ("decision_tree", {"max_depth": 5, "min_samples_leaf": 3}),
+        ("random_forest", {"n_trees": 12, "max_depth": 6, "min_samples_leaf": 2}),
+        ("gbt", {"n_stages": 12, "learning_rate": 0.3, "max_depth": 3}),
+    ])
+    def test_trees_do_not_change_under_zscoring(self, kind, params, task):
+        X, y = _feature_like_data()
+        Z = _zscore(X, np.arange(y.size))
+        weights = class_weights(y) if task == "classification" else None
+        fit = make_estimator(kind, params, task, n_classes=3, seed=4)
+        raw, z = fit(X, y, weights), fit(Z, y, weights)
+        assert len(raw.trees) == len(z.trees)
+        for a, b in zip(raw.trees, z.trees):
+            for name in ("feature", "left", "right", "cover", "gain", "value"):
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
+        assert np.array_equal(raw.predict(X), z.predict(Z))
+
+    @pytest.mark.parametrize("kind", ["linear", "logistic"])
+    def test_linear_models_match_zscore_first_oracle(self, kind, monkeypatch,
+                                                     tmp_path):
+        X, y = _feature_like_data()
+        train = np.arange(90)
+        task = "regression" if kind == "linear" else "classification"
+        weights = class_weights(y[train]) if kind == "logistic" else None
+        fit = make_estimator(kind, {}, task, n_classes=3, seed=0)
+        model = fit(X[train], y[train], weights)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        payload = json.loads(path.read_text())
+        assert payload["mean"] == X[train].mean(axis=0).tolist()
+        assert payload["std"] == X[train].std(axis=0).tolist()
+        back = load_model(path)
+        assert np.array_equal(back.scaler.mean, model.scaler.mean)
+        assert np.array_equal(back.scaler.std, model.scaler.std)
+        assert np.array_equal(back.predict_value(X), model.predict_value(X))
+
+        # Oracle: z-score with the train statistics first, then fit with the
+        # learner's own standardization made the identity.
+        Z = _zscore(X, train)
+        identity = Standardizer(mean=np.zeros(X.shape[1]), std=np.ones(X.shape[1]))
+        monkeypatch.setattr(learners, "fit_standardizer", lambda rows: identity)
+        oracle = fit(Z[train], y[train], weights)
+        assert np.array_equal(model.coef, oracle.coef)
+        assert np.array_equal(model.intercept, oracle.intercept)
+        assert np.array_equal(model.predict_value(X), oracle.predict_value(Z))
+        assert np.array_equal(model.predict(X), oracle.predict(Z))
 
 
 class TestClassWeights:
