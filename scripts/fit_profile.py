@@ -5,7 +5,7 @@ For each corpus size, a child process builds the text feature matrix of
 the synthetic corpus at the given seed, as the benchmark does (`synth`, then
 `extract` of CF, FF, SPF and GVF at `--max-terms 120`). Then, for each
 learner kind and formulation, another child loads the train split, fits
-the learner with the harness's default parameters `--repeats` times and
+the learner with its row of `learners.DEFAULT_PARAMS` `--repeats` times and
 reports the fastest fit in seconds, the minor page faults (`ru_minflt`) per
 fit and peak RSS (`ru_maxrss`): once after loading and once after fitting.
 Each step runs in its own process so that one peak does not hide the next.
@@ -42,20 +42,19 @@ def _build(n: int, seed: int, features: Path) -> None:
 
 
 def _child(features: str, model: str, task: str, repeats: int, seed: int) -> None:
-    from speechscore.harness import DEFAULT_PARAMS, load_prompt_dataset
-    from speechscore.learners import class_weights, make_estimator
+    from speechscore.harness import load_prompt_dataset
+    from speechscore.learners import class_weights, fit_model
 
     dataset = load_prompt_dataset(features)
     X, y, _, columns = dataset.design("train")
     weights = class_weights(y) if task == "classification" else None
-    fit = make_estimator(model, DEFAULT_PARAMS[model], task, dataset.n_classes,
-                         seed=seed, feature_names=columns)
     usage = resource.getrusage(resource.RUSAGE_SELF)
     input_rss, faults = usage.ru_maxrss / 1024.0, usage.ru_minflt
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        fit(X, y, weights)
+        fit_model(model, {}, X, y, weights, task=task,
+                  n_classes=dataset.n_classes, seed=seed, feature_names=columns)
         best = min(best, time.perf_counter() - start)
     usage = resource.getrusage(resource.RUSAGE_SELF)
     print(f"{X.shape[0]:>6} {X.shape[1]:>4} {model:>14} {task:>14} {best:8.3f} "

@@ -18,7 +18,7 @@ from speechscore.corpus import default_resources
 from speechscore.explain import gain_importance, pdp, shap_summary
 from speechscore.features import ExtractorConfig
 from speechscore.harness import (ablation_additive, ablation_leave_one_out,
-                                 prepare_prompt, run_benchmark, tune_gbt, _train)
+                                 prepare_prompt, run_benchmark, tune, _train)
 from speechscore.synth import SynthSpec, synth_corpus
 
 
@@ -47,8 +47,8 @@ def main():
     print(f"extracted {dataset.matrix.values.shape} matrix "
           f"({len(set(dataset.matrix.groups))} groups)")
 
-    best, cv = tune_gbt(dataset, grid={"max_depth": [3, 4], "n_stages": [100]},
-                        seed=args.seed)
+    best, cv = tune(dataset, {"max_depth": [3, 4], "n_stages": [100]},
+                    seed=args.seed)
     print("grid search ->", best)
 
     benchmark = run_benchmark(dataset, seed=args.seed,

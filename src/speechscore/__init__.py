@@ -16,10 +16,11 @@ from .explain import (brute_force_shap, gain_importance, pdp, shap_summary,
 from .features import ExtractorConfig, extract_matrix
 from .harness import (PromptDataset, ablation_additive, ablation_leave_one_out,
                       prepare_prompt, run_benchmark)
-from .learners import (GridSearchSpec, LinearModel, LogisticModel,
-                       TreeEnsembleModel, class_weights, fit_forest, fit_gbt,
-                       fit_linear, fit_logistic, fit_single_tree, grid_search,
-                       length_only_baseline, load_model, save_model)
+from .learners import (DEFAULT_PARAMS, GridSearchSpec, LinearModel,
+                       LogisticModel, TreeEnsembleModel, class_weights,
+                       fit_forest, fit_gbt, fit_linear, fit_logistic,
+                       fit_model, fit_single_tree, grid_search, load_model,
+                       save_model)
 from .metrics import confusion_matrix, mse, pearson, qwk, round_to_grade
 from .synth import SynthSpec, synth_corpus, write_corpus
 from .trees import Tree, TreeParams, fit_tree

@@ -20,7 +20,7 @@ from . import harness, svg
 from .corpus import LexicalResources, load_corpus
 from .explain import gain_importance, pdp, shap_summary
 from .features import GROUP_ORDER, ExtractorConfig
-from .learners import class_weights, load_model, make_estimator, save_model
+from .learners import load_model, save_model
 from .synth import SCORE_FUNCTIONS, SynthSpec, synth_corpus, write_corpus
 
 
@@ -67,6 +67,13 @@ def _write_json(path: Path, payload) -> None:
                     encoding="utf-8")
 
 
+def _write_csv(path: Path, header, rows) -> None:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -106,21 +113,15 @@ def cmd_extract(args) -> int:
 def cmd_train(args) -> int:
     dataset = harness.load_prompt_dataset(args.features)
     out = _out_dir(args)
-    X, y, _, columns = dataset.design("train")
     task = args.task
-    weights = class_weights(y) if task == "classification" else None
     params = json.loads(args.params) if args.params else {}
     cv_table = None
     if args.grid:
-        grid = json.loads(args.grid)
-        # Imported here: a tracer that patches learners.grid_search must see it.
-        from .learners import GridSearchSpec, grid_search
-        best, cv_table = grid_search(
-            harness.estimator_kind(args.model, task),
-            GridSearchSpec(grid=grid, folds=args.folds, seed=args.seed),
-            X, y, task=task, n_classes=dataset.n_classes, weights=weights,
-            feature_names=columns)
-        params = dict(best, **params)
+        # --params enter the grid as singleton axes, so the CV scores the
+        # model that the refit below fits.
+        grid = dict(json.loads(args.grid), **{k: [v] for k, v in params.items()})
+        params, cv_table = harness.tune(dataset, grid, args.model, task,
+                                        folds=args.folds, seed=args.seed)
     model = harness._train(dataset, args.model, task, params, seed=args.seed)
     save_model(model, out / "model.json", extra={
         "model_key": args.model, "formulation": task,
@@ -128,13 +129,11 @@ def cmd_train(args) -> int:
         "n_grade_levels": dataset.n_classes})
     if cv_table is not None:
         _write_json(out / "cv_table.json", cv_table)
-        with open(out / "cv_table.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["params", "mean_qwk", "mean_mse", "flagged"])
-            for row in cv_table:
-                writer.writerow([json.dumps(row["params"], sort_keys=True),
-                                 repr(row["mean_qwk"]), repr(row["mean_mse"]),
-                                 row["flagged"]])
+        _write_csv(out / "cv_table.csv",
+                   ["params", "mean_qwk", "mean_mse", "flagged"],
+                   ([json.dumps(row["params"], sort_keys=True),
+                     repr(row["mean_qwk"]), repr(row["mean_mse"]),
+                     row["flagged"]] for row in cv_table))
     print(f"trained {args.model} ({task}) -> {out / 'model.json'}")
     return 0
 
@@ -166,11 +165,8 @@ def cmd_explain(args) -> int:
     kind = args.kind
     if kind == "importance":
         ranking = gain_importance(model)
-        with open(out / "importance.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["feature", "importance"])
-            for name, value in ranking.entries:
-                writer.writerow([name, repr(value)])
+        _write_csv(out / "importance.csv", ["feature", "importance"],
+                   ([name, repr(value)] for name, value in ranking.entries))
         top = ranking.entries[:25]
         svg.bar_chart([n for n, _ in top], [v for _, v in top],
                       "feature importance (gain)", out / "importance.svg")
@@ -178,12 +174,10 @@ def cmd_explain(args) -> int:
         if not args.feature:
             raise ValueError("explain pdp requires --feature")
         curve = pdp(model, matrix, args.feature, n_grid=args.n_grid)
-        with open(out / f"pdp_{_slug(args.feature)}.csv", "w", newline="",
-                  encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["grid", "mean_prediction"])
-            for g, v in zip(curve.grid, curve.mean_prediction):
-                writer.writerow([repr(float(g)), repr(float(v))])
+        _write_csv(out / f"pdp_{_slug(args.feature)}.csv",
+                   ["grid", "mean_prediction"],
+                   ([repr(float(g)), repr(float(v))]
+                    for g, v in zip(curve.grid, curve.mean_prediction)))
         svg.line_chart(curve.grid, curve.mean_prediction,
                        f"partial dependence: {args.feature}",
                        out / f"pdp_{_slug(args.feature)}.svg",
@@ -191,16 +185,10 @@ def cmd_explain(args) -> int:
     elif kind == "shap":
         rows = matrix.values[:args.max_samples]
         summary = shap_summary(model, rows)
-        with open(out / "shap_values.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(summary.columns)
-            for row in summary.phi:
-                writer.writerow([repr(float(v)) for v in row])
-        with open(out / "shap_ranking.csv", "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["feature", "mean_abs_phi"])
-            for name, value in summary.ranking:
-                writer.writerow([name, repr(value)])
+        _write_csv(out / "shap_values.csv", summary.columns,
+                   ([repr(float(v)) for v in row] for row in summary.phi))
+        _write_csv(out / "shap_ranking.csv", ["feature", "mean_abs_phi"],
+                   ([name, repr(value)] for name, value in summary.ranking))
         svg.beeswarm(summary.ranking, summary.phi, summary.feature_values,
                      summary.columns, "SHAP summary", out / "shap_summary.svg")
     else:
@@ -227,14 +215,11 @@ def cmd_ablate(args) -> int:
     else:
         raise ValueError(f"unknown ablation mode {args.mode!r}")
     _write_json(out / f"ablation_{args.mode}.json", report.to_json())
-    with open(out / f"ablation_{args.mode}.csv", "w", newline="",
-              encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["configuration", "qwk", "r", "mse", "pct_change"])
-        for row in report.rows:
-            writer.writerow([row["configuration"], repr(row["qwk"]),
-                             repr(row["r"]), repr(row["mse"]),
-                             repr(row["pct_change"])])
+    _write_csv(out / f"ablation_{args.mode}.csv",
+               ["configuration", "qwk", "r", "mse", "pct_change"],
+               ([row["configuration"], repr(row["qwk"]), repr(row["r"]),
+                 repr(row["mse"]), repr(row["pct_change"])]
+                for row in report.rows))
     svg.bar_chart([r["configuration"] for r in report.rows],
                   [r["qwk"] for r in report.rows],
                   f"ablation ({args.mode}): test QWK",
@@ -272,23 +257,18 @@ def cmd_report(args) -> int:
     report = harness.run_benchmark(dataset, models=models,
                                    formulations=formulations, seed=args.seed)
     _write_json(out / "benchmark.json", report)
-    with open(out / "benchmark.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["prompt", "model", "formulation", "split",
-                         "qwk", "r", "mse"])
-        for row in report["rows"]:
-            for split_name in ("valid", "test"):
-                cell = row[split_name]
-                writer.writerow([row["prompt"], row["model"],
-                                 row["formulation"], split_name,
-                                 repr(cell["qwk"]), repr(cell["pearson_r"]),
-                                 repr(cell["mse"])])
-            target = out / row["prompt"] / row["model"] / row["formulation"]
-            target.mkdir(parents=True, exist_ok=True)
-            _write_json(target / "report.json", row)
+    _write_csv(out / "benchmark.csv",
+               ["prompt", "model", "formulation", "split", "qwk", "r", "mse"],
+               ([row["prompt"], row["model"], row["formulation"], split_name,
+                 repr(row[split_name]["qwk"]), repr(row[split_name]["pearson_r"]),
+                 repr(row[split_name]["mse"])]
+                for row in report["rows"] for split_name in ("valid", "test")))
     if "human_human" in report:
         _write_json(out / "human_human.json", report["human_human"])
     for row in report["rows"]:
+        target = out / row["prompt"] / row["model"] / row["formulation"]
+        target.mkdir(parents=True, exist_ok=True)
+        _write_json(target / "report.json", row)
         print(f"{row['model']:>16s} {row['formulation']:<14s} "
               f"test qwk={row['test']['qwk']:.4f} r={row['test']['pearson_r']:.4f} "
               f"mse={row['test']['mse']:.4f}")
@@ -347,7 +327,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help='JSON hyperparameter grid, e.g. {"max_depth": [3, 6]}')
     p.add_argument("--folds", type=int, default=5, help="cross-validation folds")
     p.add_argument("--params", default=None,
-                   help="JSON parameter overrides applied after grid search")
+                   help="JSON model parameters, fixed during grid search "
+                        "and the refit")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("evaluate", help="score a trained model on the splits",

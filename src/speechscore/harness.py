@@ -3,7 +3,10 @@ both task formulations, plus the two ablation protocols.
 
 Every configuration retrains from scratch on the train split and reports
 QWK, Pearson r and MSE on the validation and test splits. A human-human
-agreement row appears whenever the corpus carries a second rater.
+agreement row appears whenever the corpus carries a second rater. Models
+come from ``learners.fit_model`` with the ``learners.DEFAULT_PARAMS`` row
+of their key, in training, in every cross-validation fold of ``tune`` and
+in the ablations.
 """
 
 from __future__ import annotations
@@ -15,28 +18,16 @@ from pathlib import Path
 
 import numpy as np
 
+from . import learners
 from .content import TfidfVocabulary
 from .corpus import (AlignedResponse, FeatureMatrix, SplitAssignment,
                      LexicalResources, stratified_split)
 from .corpus import fit_standardizer  # noqa: F401 -- perfbench/spans.py traces it here
 from .features import ExtractorConfig, extract_matrix, fit_content_vocabulary
-from .learners import (GridSearchSpec, class_weights, grid_search,
-                       length_only_baseline, make_estimator)
+from .learners import GridSearchSpec, class_weights
 from .metrics import confusion_matrix, metric_report, round_to_grade
 
-MODEL_KEYS = ("linear", "decision_tree", "random_forest", "gbt", "length_baseline")
-
-DEFAULT_PARAMS = {
-    "decision_tree": {"max_depth": 6, "min_samples_leaf": 5},
-    "random_forest": {"n_trees": 80, "max_depth": 8, "min_samples_leaf": 2},
-    "gbt": {"n_stages": 100, "learning_rate": 0.1, "max_depth": 3,
-            "min_samples_leaf": 5},
-    "linear": {},
-    "logistic": {},
-}
-
-DEFAULT_GRID = {"max_depth": [3, 4, 6], "n_stages": [100, 300],
-                "learning_rate": [0.05, 0.1], "min_samples_leaf": [1, 5, 20]}
+MODEL_KEYS = tuple(learners.DEFAULT_PARAMS)
 
 
 @dataclass
@@ -96,36 +87,42 @@ def prepare_prompt(responses: list[AlignedResponse],
                          n_classes=n_classes, lengths=lengths)
 
 
-def estimator_kind(model_key: str, formulation: str) -> str:
-    """The learner behind a model key: "linear" classifies as "logistic"."""
-    if model_key == "linear" and formulation == "classification":
-        return "logistic"
-    return model_key
+def _inputs(dataset: PromptDataset, model_key: str, split_name: str,
+            groups=None):
+    """A split's model inputs: the design matrix, or the word-count column
+    W alone for the length baseline. Returns (X, y, column names)."""
+    X, y, ids, columns = dataset.design(split_name, groups)
+    if model_key == "length_baseline":
+        X = np.asarray([dataset.lengths[r] for r in ids]).reshape(-1, 1)
+        columns = ["W"]
+    return X, y, columns
 
 
 def _train(dataset: PromptDataset, model_key: str, formulation: str,
            params: dict | None, seed: int, groups=None):
-    X, y, ids, columns = dataset.design("train", groups)
-    task = formulation
-    kind = estimator_kind(model_key, formulation)
-    weights = class_weights(y) if task == "classification" else None
-    if model_key == "length_baseline":
-        lengths = np.asarray([dataset.lengths[r] for r in ids])
-        return length_only_baseline(lengths, y, task=task,
-                                    n_classes=dataset.n_classes, seed=seed,
-                                    weights=weights)
-    merged = dict(DEFAULT_PARAMS.get(kind, {}))
-    merged.update(params or {})
-    fitter = make_estimator(kind, merged, task, dataset.n_classes, seed=seed,
-                            feature_names=columns)
-    return fitter(X, y, weights)
+    X, y, columns = _inputs(dataset, model_key, "train", groups)
+    weights = class_weights(y) if formulation == "classification" else None
+    # Through the module, so that a fit_model replaced there sees the refit.
+    return learners.fit_model(model_key, params, X, y, weights,
+                              task=formulation, n_classes=dataset.n_classes,
+                              seed=seed, feature_names=columns)
+
+
+def tune(dataset: PromptDataset, grid: dict, model_key: str = "gbt",
+         formulation: str = "regression", folds: int = 5, seed: int = 0):
+    """Grid-search one model key on the train split; returns
+    (best_params, cv_table)."""
+    X, y, _ = _inputs(dataset, model_key, "train")
+    weights = class_weights(y) if formulation == "classification" else None
+    spec = GridSearchSpec(grid=grid, folds=folds, seed=seed)
+    # Called through the module: perfbench/spans.py traces it there.
+    return learners.grid_search(model_key, spec, X, y, task=formulation,
+                                n_classes=dataset.n_classes, weights=weights)
 
 
 def _evaluate(dataset: PromptDataset, model, split_name: str,
               formulation: str, model_key: str, groups=None) -> dict:
-    X, y, ids, _ = dataset.design(split_name, groups)
-    if model_key == "length_baseline":
-        X = np.asarray([dataset.lengths[r] for r in ids]).reshape(-1, 1)
+    X, y, _ = _inputs(dataset, model_key, split_name, groups)
     raw = model.predict(X)
     report = metric_report(y.astype(np.int64), raw, dataset.n_classes,
                            already_ordinal=(formulation == "classification"))
@@ -246,18 +243,6 @@ def ablation_leave_one_out(dataset: PromptDataset, seed: int = 0,
                             "qwk": cell["qwk"], "r": cell["pearson_r"],
                             "mse": cell["mse"], "pct_change": pct})
     return report
-
-
-def tune_gbt(dataset: PromptDataset, grid: dict | None = None, seed: int = 0,
-             formulation: str = "regression"):
-    """Grid-search the boosted model on the train split; returns
-    (best_params, cv_table)."""
-    X, y, _, columns = dataset.design("train")
-    weights = class_weights(y) if formulation == "classification" else None
-    spec = GridSearchSpec(grid=grid or DEFAULT_GRID, folds=5, seed=seed)
-    return grid_search("gbt", spec, X, y, task=formulation,
-                       n_classes=dataset.n_classes, weights=weights,
-                       feature_names=columns)
 
 
 # ---------------------------------------------------------------------------

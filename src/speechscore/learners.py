@@ -5,8 +5,9 @@ derived seed per tree. Training runs serially: its many small NumPy calls
 hold the interpreter lock, so threads made it slower. Gradient
 boosting fits squared-loss residuals for regression and one tree per class
 per stage on softmax gradients for classification (leaf values replaced by
-the standard multiclass Newton step). Hyperparameters come from exhaustive
-grid search with 5-fold cross-validation selecting on mean validation QWK.
+the standard multiclass Newton step). ``fit_model`` builds every model of
+the pipeline from its row of ``DEFAULT_PARAMS``, so the exhaustive grid
+search, which selects on mean validation QWK, scores what a refit fits.
 """
 
 from __future__ import annotations
@@ -392,7 +393,59 @@ def fit_logistic(X, y, weights=None, max_iter: int = 10000, tol: float = 1e-6,
 
 
 # ---------------------------------------------------------------------------
-# Class weights, grid search, length baseline
+# The model table, class weights and grid search
+
+
+# One row per model key, in report order. A row names every parameter its
+# model accepts; fit_model rejects any other name.
+DEFAULT_PARAMS = {
+    "linear": {},
+    "decision_tree": {"max_depth": 6, "min_samples_leaf": 5,
+                      "min_samples_split": 2, "mtry": None},
+    "random_forest": {"n_trees": 80, "max_depth": 8, "min_samples_leaf": 2,
+                      "min_samples_split": 2, "mtry": None},
+    "gbt": {"n_stages": 100, "learning_rate": 0.1, "max_depth": 3,
+            "min_samples_leaf": 5, "min_samples_split": 2, "mtry": None},
+    # A forest over the single word-count column W.
+    "length_baseline": {"n_trees": 100, "max_depth": 6, "min_samples_leaf": 1,
+                        "min_samples_split": 2, "mtry": None},
+}
+
+
+def fit_model(kind: str, params: dict | None, X, y, weights=None,
+              task: str = "regression", n_classes: int | None = None,
+              seed: int = 0, feature_names: list[str] | None = None):
+    """Fit the model of a ``DEFAULT_PARAMS`` key: its row, overridden by
+    ``params``. ``linear`` classifies by multinomial logistic regression;
+    ``length_baseline`` is a forest on the columns given (W in the harness)."""
+    if kind not in DEFAULT_PARAMS:
+        raise ValueError(f"unknown model kind {kind!r}")
+    params = params or {}
+    unknown = set(params) - set(DEFAULT_PARAMS[kind])
+    if unknown:
+        raise ValueError(f"unknown parameter(s) for {kind}: {sorted(unknown)}")
+    if kind == "linear":
+        if task == "classification":
+            return fit_logistic(X, y, weights, n_classes=n_classes,
+                                feature_names=feature_names)
+        return fit_linear(X, y, feature_names=feature_names)
+    p = dict(DEFAULT_PARAMS[kind], **params)
+    tree_params = TreeParams(max_depth=int(p["max_depth"]),
+                             min_samples_leaf=int(p["min_samples_leaf"]),
+                             min_samples_split=int(p["min_samples_split"]),
+                             mtry=p["mtry"])
+    if kind == "decision_tree":
+        return fit_single_tree(X, y, weights, tree_params, task=task,
+                               n_classes=n_classes, feature_names=feature_names,
+                               seed=seed)
+    if kind == "gbt":
+        return fit_gbt(X, y, weights, n_stages=int(p["n_stages"]),
+                       learning_rate=float(p["learning_rate"]),
+                       params=tree_params, task=task, n_classes=n_classes,
+                       seed=seed, feature_names=feature_names)
+    return fit_forest(X, y, weights, n_trees=int(p["n_trees"]), mtry=p["mtry"],
+                      bootstrap=True, seed=seed, params=tree_params, task=task,
+                      n_classes=n_classes, feature_names=feature_names)
 
 
 def class_weights(y) -> np.ndarray:
@@ -410,7 +463,6 @@ class GridSearchSpec:
     grid: dict[str, list]
     folds: int = 5
     seed: int = 0
-    selection_metric: str = "qwk"
 
     def __post_init__(self):
         if not self.grid or any(len(v) == 0 for v in self.grid.values()):
@@ -441,48 +493,13 @@ def _cv_folds(y, folds, seed, stratified):
     return assignment
 
 
-def make_estimator(model_kind: str, params: dict, task: str,
-                   n_classes: int | None, seed: int,
-                   feature_names: list[str] | None = None):
-    """Train one model of the named family with the given parameters."""
-    def fit(X, y, weights=None):
-        tree_params = TreeParams(
-            max_depth=int(params.get("max_depth", 6)),
-            min_samples_leaf=int(params.get("min_samples_leaf", 1)),
-            min_samples_split=int(params.get("min_samples_split", 2)),
-            mtry=params.get("mtry"))
-        if model_kind == "decision_tree":
-            return fit_single_tree(X, y, weights, tree_params, task=task,
-                                   n_classes=n_classes, feature_names=feature_names,
-                                   seed=seed)
-        if model_kind == "random_forest":
-            return fit_forest(X, y, weights,
-                              n_trees=int(params.get("n_trees", 100)),
-                              mtry=params.get("mtry"), bootstrap=True, seed=seed,
-                              params=tree_params, task=task, n_classes=n_classes,
-                              feature_names=feature_names)
-        if model_kind == "gbt":
-            return fit_gbt(X, y, weights,
-                           n_stages=int(params.get("n_stages", 100)),
-                           learning_rate=float(params.get("learning_rate", 0.1)),
-                           params=tree_params, task=task, n_classes=n_classes,
-                           seed=seed, feature_names=feature_names)
-        if model_kind == "linear":
-            return fit_linear(X, y, feature_names=feature_names)
-        if model_kind == "logistic":
-            return fit_logistic(X, y, weights, n_classes=n_classes,
-                                feature_names=feature_names)
-        raise ValueError(f"unknown model kind {model_kind!r}")
-    return fit
-
-
 def grid_search(model_kind: str, spec: GridSearchSpec, X, y,
                 task: str = "regression", n_classes: int | None = None,
-                weights=None, feature_names: list[str] | None = None
-                ) -> tuple[dict, list[dict]]:
+                weights=None) -> tuple[dict, list[dict]]:
     """Exhaustive search; best point = highest mean validation QWK, ties
-    broken by lower mean MSE then first-in-grid order. Returns the winning
-    parameters and the full CV table."""
+    broken by lower mean MSE then first-in-grid order. Every fold fits
+    through `fit_model`, as a refit does. Returns the winning parameters and
+    the full CV table."""
     X = np.asarray(X, dtype=np.float64)
     y_arr = np.asarray(y, dtype=np.float64)
     if n_classes is None:
@@ -498,9 +515,9 @@ def grid_search(model_kind: str, spec: GridSearchSpec, X, y,
                 flagged = True
                 continue
             w_tr = weights if weights is None else np.asarray(weights)[~hold]
-            fitter = make_estimator(model_kind, point, task, n_classes,
-                                    seed=spec.seed + fold)
-            model = fitter(X[~hold], y_arr[~hold], w_tr)
+            model = fit_model(model_kind, point, X[~hold], y_arr[~hold], w_tr,
+                              task=task, n_classes=n_classes,
+                              seed=spec.seed + fold)
             pred = model.predict(X[hold])
             truth = y_arr[hold].astype(np.int64)
             if set(np.unique(truth)) != set(range(n_classes)):
@@ -522,16 +539,6 @@ def grid_search(model_kind: str, spec: GridSearchSpec, X, y,
         if (row["mean_qwk"], -row["mean_mse"]) > (cur["mean_qwk"], -cur["mean_mse"]):
             best_idx = i
     return dict(table[best_idx]["params"]), table
-
-
-def length_only_baseline(lengths, y, task: str = "regression",
-                         n_classes: int | None = None, seed: int = 0,
-                         weights=None, n_trees: int = 100) -> TreeEnsembleModel:
-    """Random forest over the single word-count feature W."""
-    X = np.asarray(lengths, dtype=np.float64).reshape(-1, 1)
-    return fit_forest(X, y, weights, n_trees=n_trees, mtry=1, bootstrap=True,
-                      seed=seed, params=TreeParams(max_depth=6), task=task,
-                      n_classes=n_classes, feature_names=["W"])
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from speechscore.corpus import FeatureMatrix, default_resources
 from speechscore.explain import brute_force_shap, pdp, shap_summary, tree_shap
 from speechscore.features import ExtractorConfig
 from speechscore.harness import (ablation_additive, ablation_leave_one_out,
-                                 prepare_prompt, run_benchmark, tune_gbt,
+                                 prepare_prompt, run_benchmark, tune,
                                  _evaluate, _train)
 from speechscore.learners import (TreeEnsembleModel, fit_forest, fit_gbt,
                                   fit_single_tree, load_model, save_model)
@@ -244,8 +244,8 @@ def e2e():
                   score_function="rate_ttr_pause"), resources)
     config = ExtractorConfig(groups=("CF", "FF", "SPF", "GVF"), max_terms=120)
     dataset = prepare_prompt(responses, resources, config, seed=7)
-    best, cv_table = tune_gbt(dataset, grid={"max_depth": [3, 4],
-                                             "n_stages": [100]}, seed=7)
+    best, cv_table = tune(dataset, {"max_depth": [3, 4], "n_stages": [100]},
+                          seed=7)
     model = _train(dataset, "gbt", "regression", best, seed=7)
     test_eval = _evaluate(dataset, model, "test", "regression", "gbt")
     return {"dataset": dataset, "best": best, "cv_table": cv_table,

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from speechscore import cli
+from speechscore import cli, learners
 from speechscore.cli import build_parser, main
 from speechscore.corpus import FeatureMatrix, SplitAssignment
 
@@ -87,6 +87,65 @@ def test_train_evaluate_explain_ablate_report(pipeline_dirs):
     assert len(bench["rows"]) == 2
     assert (run / "synth-1" / "gbt" / "regression" / "report.json").exists()
     assert (run / "benchmark.csv").exists()
+
+
+@pytest.mark.parametrize("grid, params", [
+    ({"max_depth": [4], "n_stages": [5]}, {}),
+    ({"max_depth": [3, 4], "n_stages": [5]}, {"max_depth": 2,
+                                              "min_samples_leaf": 3}),
+])
+def test_grid_search_scores_the_refit_model(pipeline_dirs, tmp_path,
+                                            monkeypatch, grid, params):
+    # Neither grid names min_samples_leaf, so CV folds and the refit must
+    # take it from the same place; --params stay fixed in both.
+    fits, learner_calls = [], []
+    real_fit_model, real_fit_gbt = learners.fit_model, learners.fit_gbt
+
+    def record_fit(kind, point, *args, **kwargs):
+        fits.append(dict(learners.DEFAULT_PARAMS[kind], **(point or {})))
+        return real_fit_model(kind, point, *args, **kwargs)
+
+    def record_gbt(X, y, weights=None, **kwargs):
+        learner_calls.append({k: kwargs[k] for k in
+                              ("n_stages", "learning_rate", "params", "task")})
+        return real_fit_gbt(X, y, weights, **kwargs)
+    monkeypatch.setattr(learners, "fit_model", record_fit)
+    monkeypatch.setattr(learners, "fit_gbt", record_gbt)
+    run = tmp_path / "run"
+    argv = ["train", "--features", str(pipeline_dirs / "features"),
+            "--out", str(run), "--model", "gbt", "--seed", "5",
+            "--folds", "3", "--grid", json.dumps(grid)]
+    if params:
+        argv += ["--params", json.dumps(params)]
+    assert main(argv) == 0
+    assert len(fits) == len(learner_calls) == 3 + 1      # folds + refit
+    *cv_fits, refit = fits
+    *cv_calls, refit_call = learner_calls
+    assert all(fit == refit for fit in cv_fits)
+    assert all(call == refit_call for call in cv_calls)
+    leaf = params.get("min_samples_leaf",
+                      learners.DEFAULT_PARAMS["gbt"]["min_samples_leaf"])
+    assert refit_call["params"].min_samples_leaf == leaf
+    cv_table = json.loads((run / "cv_table.json").read_text())
+    assert len(cv_table) == 1
+    assert json.loads((run / "model.json").read_text())["params"] == \
+        cv_table[0]["params"]
+
+
+@pytest.mark.parametrize("model, task, option, value, key", [
+    ("linear", "classification", "--grid", {"max_iter": [200, 400]}, "max_iter"),
+    ("gbt", "regression", "--params", {"n_trees": 5}, "n_trees"),
+])
+def test_unknown_model_parameter_rejected(pipeline_dirs, tmp_path, capsys,
+                                          model, task, option, value, key):
+    code = main(["train", "--features", str(pipeline_dirs / "features"),
+                 "--out", str(tmp_path / "run"), "--model", model,
+                 "--task", task, option, json.dumps(value)])
+    assert code == 1
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "ValueError"
+    assert key in payload["message"]
+    assert not (tmp_path / "run" / "model.json").exists()
 
 
 def test_explanations_in_raw_feature_units(pipeline_dirs, tmp_path,

@@ -6,10 +6,11 @@ import pytest
 from speechscore.corpus import default_resources, load_corpus
 from speechscore.features import ExtractorConfig, GROUP_ORDER, extract_matrix
 from speechscore.harness import (_train, ablation_additive,
-                                 ablation_leave_one_out, estimator_kind,
-                                 human_agreement, load_prompt_dataset,
-                                 prepare_prompt, run_benchmark,
-                                 save_prompt_dataset)
+                                 ablation_leave_one_out, human_agreement,
+                                 load_prompt_dataset, prepare_prompt,
+                                 run_benchmark, save_prompt_dataset)
+from speechscore.learners import (LogisticModel, class_weights, fit_logistic,
+                                  fit_model)
 from speechscore.metrics import pearson
 from speechscore.synth import SynthSpec, synth_corpus, write_corpus
 
@@ -217,8 +218,13 @@ class TestAblations:
         assert len({round(row["qwk"], 6) for row in report.rows}) >= 2
 
 
-def test_estimator_kind():
-    assert estimator_kind("linear", "regression") == "linear"
-    assert estimator_kind("linear", "classification") == "logistic"
-    for key in ("decision_tree", "random_forest", "gbt"):
-        assert estimator_kind(key, "classification") == key
+def test_linear_key_classifies_with_logistic(small_dataset):
+    X, y, _, columns = small_dataset.design("train")
+    weights = class_weights(y)
+    model = fit_model("linear", {}, X, y, weights, task="classification",
+                      n_classes=small_dataset.n_classes, feature_names=columns)
+    direct = fit_logistic(X, y, weights, n_classes=small_dataset.n_classes,
+                          feature_names=columns)
+    assert isinstance(model, LogisticModel)
+    assert np.array_equal(model.coef, direct.coef)
+    assert np.array_equal(model.intercept, direct.intercept)

@@ -7,10 +7,9 @@ from pytest import approx
 from speechscore import learners
 from speechscore.corpus import Standardizer
 from speechscore.learners import (GridSearchSpec, class_weights, fit_forest,
-                                  fit_gbt, fit_linear, fit_logistic,
-                                  fit_single_tree, grid_search,
-                                  length_only_baseline, load_model,
-                                  make_estimator, model_from_json, save_model)
+                                  fit_gbt, fit_linear, fit_logistic, fit_model,
+                                  fit_single_tree, grid_search, load_model,
+                                  model_from_json, save_model)
 from speechscore.metrics import qwk, round_to_grade
 from speechscore.trees import TreeParams, fit_tree
 
@@ -169,8 +168,11 @@ class TestRawFeatures:
         X, y = _feature_like_data()
         Z = _zscore(X, np.arange(y.size))
         weights = class_weights(y) if task == "classification" else None
-        fit = make_estimator(kind, params, task, n_classes=3, seed=4)
-        raw, z = fit(X, y, weights), fit(Z, y, weights)
+
+        def fit(rows):
+            return fit_model(kind, params, rows, y, weights, task=task,
+                             n_classes=3, seed=4)
+        raw, z = fit(X), fit(Z)
         assert len(raw.trees) == len(z.trees)
         for a, b in zip(raw.trees, z.trees):
             for name in ("feature", "left", "right", "cover", "gain", "value"):
@@ -184,7 +186,11 @@ class TestRawFeatures:
         train = np.arange(90)
         task = "regression" if kind == "linear" else "classification"
         weights = class_weights(y[train]) if kind == "logistic" else None
-        fit = make_estimator(kind, {}, task, n_classes=3, seed=0)
+
+        def fit(rows, labels, w):
+            # The "linear" key classifies with the logistic model.
+            return fit_model("linear", {}, rows, labels, w, task=task,
+                             n_classes=3, seed=0)
         model = fit(X[train], y[train], weights)
         path = tmp_path / "model.json"
         save_model(model, path)
@@ -267,11 +273,16 @@ class TestGridSearch:
             GridSearchSpec(grid={})
 
 
+def length_baseline(lengths, y, seed):
+    return fit_model("length_baseline", {}, lengths.reshape(-1, 1), y,
+                     seed=seed, feature_names=["W"])
+
+
 class TestLengthBaseline:
     def test_constant_length(self):
         lengths = np.full(60, 100.0)
         y = np.array([0.0, 1.0, 2.0] * 20)
-        model = length_only_baseline(lengths, y, seed=0)
+        model = length_baseline(lengths, y, seed=0)
         pred = model.predict(lengths.reshape(-1, 1))
         assert np.all(pred == pred[0])          # constant input, constant output
         assert pred[0] == approx(y.mean(), abs=0.1)   # mean over bootstraps
@@ -280,7 +291,7 @@ class TestLengthBaseline:
         rng = np.random.default_rng(8)
         lengths = rng.integers(60, 200, 400).astype(float)
         y = rng.integers(0, 3, 400).astype(float)
-        model = length_only_baseline(lengths[:300], y[:300], seed=1)
+        model = length_baseline(lengths[:300], y[:300], seed=1)
         pred = round_to_grade(model.predict(lengths[300:].reshape(-1, 1)), 3)
         assert abs(qwk(y[300:].astype(int), pred, 3)) < 0.1
 
@@ -288,7 +299,7 @@ class TestLengthBaseline:
         rng = np.random.default_rng(9)
         lengths = rng.integers(60, 200, 400).astype(float)
         y = np.digitize(lengths, [105, 150]).astype(float)
-        model = length_only_baseline(lengths[:300], y[:300], seed=1)
+        model = length_baseline(lengths[:300], y[:300], seed=1)
         pred = round_to_grade(model.predict(lengths[300:].reshape(-1, 1)), 3)
         assert qwk(y[300:].astype(int), pred, 3) > 0.5
 

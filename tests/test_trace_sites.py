@@ -41,3 +41,27 @@ def test_method_sites_resolve(spans):
         member = cls.__dict__.get(attr)
         assert member is not None, f"{module_name}.{cls_name}.{attr}"
         assert isinstance(member, classmethod) == is_classmethod, attr
+
+
+def test_traced_grid_search_records_its_span(spans, tmp_path):
+    # A call site that binds grid_search before the tracer installs would
+    # leave learners.grid_search_s reading 0 with the run still passing.
+    from speechscore.cli import main
+
+    corpus, feats = tmp_path / "corpus", tmp_path / "features"
+    assert main(["synth", "--n", "60", "--seed", "3", "--out", str(corpus)]) == 0
+    assert main(["extract", "--manifest", str(corpus / "manifest.txt"),
+                 "--resources", str(corpus / "resources"), "--out", str(feats),
+                 "--groups", "FF,SPF", "--seed", "3"]) == 0
+    tracer = spans.Tracer()
+    uninstall = tracer.install()
+    try:
+        assert main(["train", "--features", str(feats),
+                     "--out", str(tmp_path / "run"), "--seed", "3",
+                     "--folds", "2", "--grid",
+                     '{"max_depth": [2], "n_stages": [3]}']) == 0
+    finally:
+        uninstall()
+    names = [span.name for span in tracer.spans]
+    assert names.count("learners.grid_search") == 1
+    assert names.count("learners.fit_gbt") == 2 + 1      # folds + refit
