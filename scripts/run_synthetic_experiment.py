@@ -41,8 +41,8 @@ def main():
                      audio=args.audio, second_rater_disagreement=0.15)
     responses, audio = synth_corpus(spec, resources)
     groups = ("CF", "FF", "SPF", "GVF") + (("AF",) if args.audio else ())
-    config = ExtractorConfig(groups=groups, max_terms=150)
-    dataset = prepare_prompt(responses, resources, config, seed=args.seed,
+    config = ExtractorConfig(groups=groups, max_terms=150, seed=args.seed)
+    dataset = prepare_prompt(responses, resources, config,
                              audio_lookup=audio, threads=args.threads)
     print(f"extracted {dataset.matrix.values.shape} matrix "
           f"({len(set(dataset.matrix.groups))} groups)")

@@ -13,11 +13,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import shutil
 import sys
 from pathlib import Path
 
 from . import harness, svg
-from .corpus import LexicalResources, load_corpus
+from .corpus import (RESOURCE_FILES, RESOURCES_DIR, LexicalResources,
+                     load_corpus)
 from .explain import gain_importance, pdp, shap_summary
 from .features import GROUP_ORDER, ExtractorConfig
 from .learners import load_model, save_model
@@ -101,8 +103,7 @@ def cmd_extract(args) -> int:
     ratios = tuple(r / sum(ratios) for r in ratios)
     for prompt_id, responses in sorted(by_prompt.items()):
         dataset = harness.prepare_prompt(responses, resources, config,
-                                         seed=args.seed, ratios=ratios,
-                                         threads=args.threads)
+                                         ratios=ratios, threads=args.threads)
         target = out if len(by_prompt) == 1 else out / prompt_id
         harness.save_prompt_dataset(dataset, target)
         print(f"{prompt_id}: {len(responses)} responses, "
@@ -145,15 +146,11 @@ def cmd_evaluate(args) -> int:
     formulation = payload.get("formulation", "regression")
     model_key = payload.get("model_key", "gbt")
     report = {"prompt": dataset.prompt_id, "model": model_key,
-              "formulation": formulation, "n_classes": dataset.n_classes}
-    for split_name in ("valid", "test"):
-        report[split_name] = harness._evaluate(dataset, model, split_name,
-                                               formulation, model_key)
-    hh = {s: harness.human_agreement(dataset, s) for s in ("valid", "test")}
-    if any(v is not None for v in hh.values()):
-        report["human_human"] = hh
+              "formulation": formulation, "n_classes": dataset.n_classes,
+              **harness.evaluation_entries(dataset, model, formulation,
+                                           model_key)}
     _write_json(out / "report.json", report)
-    print(json.dumps({s: round(report[s]["qwk"], 4) for s in ("valid", "test")}))
+    print(json.dumps({s: round(report[s]["qwk"], 4) for s in harness.SPLITS}))
     return 0
 
 
@@ -239,12 +236,10 @@ def cmd_synth(args) -> int:
     responses, audio = synth_corpus(spec)
     out = _out_dir(args)
     manifest = write_corpus(responses, out, audio)
-    bundled = Path(__file__).parent / "resources"
     resdir = out / "resources"
     resdir.mkdir(exist_ok=True)
-    for name in ("frequency.tsv", "complexity.tsv", "stopwords.txt", "fillers.txt"):
-        (resdir / name).write_text((bundled / name).read_text(encoding="utf-8"),
-                                   encoding="utf-8")
+    for name in RESOURCE_FILES:
+        shutil.copyfile(RESOURCES_DIR / name, resdir / name)
     print(f"wrote {len(responses)} responses, manifest {manifest}")
     return 0
 
@@ -262,7 +257,7 @@ def cmd_report(args) -> int:
                ([row["prompt"], row["model"], row["formulation"], split_name,
                  repr(row[split_name]["qwk"]), repr(row[split_name]["pearson_r"]),
                  repr(row[split_name]["mse"])]
-                for row in report["rows"] for split_name in ("valid", "test")))
+                for row in report["rows"] for split_name in harness.SPLITS))
     if "human_human" in report:
         _write_json(out / "human_human.json", report["human_human"])
     for row in report["rows"]:

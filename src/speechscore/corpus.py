@@ -3,10 +3,13 @@
 A corpus is a collection of responses, each carrying a word/phoneme timeline
 produced upstream by an ASR + forced-alignment toolchain, plus token-level
 annotations (POS, stopword flags, syllable counts), optional syntactic spans,
-an optional audio reference, and an optional grade. This module also owns
-stratified splitting, feature-matrix plumbing and the z-scoring that the
-linear learners apply inside their fits. Feature matrices hold raw feature
-values in their own units, and tree models are fit on them as they are.
+an optional audio reference, and an optional grade. This module owns the
+alignment-file schema both ways (`parse_response` reads a payload,
+`response_to_json` writes one) and the bundled lexical resources
+(`RESOURCES_DIR`, `RESOURCE_FILES`). It also owns stratified splitting,
+feature-matrix plumbing and the z-scoring that the linear learners apply
+inside their fits. Feature matrices hold raw feature values in their own
+units, and tree models are fit on them as they are.
 
 The timeline records (`AlignedPhoneme`, `AlignedWord`, `TokenAnnotation`)
 are frozen, slotted dataclasses: a corpus holds hundreds of thousands of
@@ -194,6 +197,13 @@ class AlignedResponse:
         return self.words[-1].end - self.words[0].start
 
 
+# The bundled resource directory, and the four files LexicalResources.load
+# reads from any resource directory (`synth` copies them to its corpus).
+RESOURCES_DIR = Path(__file__).parent / "resources"
+RESOURCE_FILES = ("frequency.tsv", "complexity.tsv", "stopwords.txt",
+                  "fillers.txt")
+
+
 @dataclass
 class LexicalResources:
     """Word lists backing lexical features: frequency ranks, complexity
@@ -217,59 +227,45 @@ class LexicalResources:
 
     @classmethod
     def load(cls, directory: str | Path) -> "LexicalResources":
-        """Read the four documented resource files from ``directory``.
+        """Read the four ``RESOURCE_FILES`` from ``directory``.
 
         ``frequency.tsv`` holds ``word<TAB>rank`` lines, ``complexity.tsv``
         holds ``word<TAB>avg<TAB>mode``, ``stopwords.txt`` and
         ``fillers.txt`` one word per line. Missing files leave the
         corresponding field at its default.
         """
-        directory = Path(directory)
-        freq: dict[str, int] = {}
-        cavg: dict[str, float] = {}
-        cmode: dict[str, float] = {}
-        path = directory / "frequency.tsv"
-        if path.exists():
-            for line in path.read_text(encoding="utf-8").splitlines():
-                if not line.strip():
-                    continue
-                word, rank = line.split("\t")
-                freq[word] = int(rank)
-        path = directory / "complexity.tsv"
-        if path.exists():
-            for line in path.read_text(encoding="utf-8").splitlines():
-                if not line.strip():
-                    continue
-                word, avg, mode = line.split("\t")
-                cavg[word] = float(avg)
-                cmode[word] = float(mode)
-        stop = _read_wordlist(directory / "stopwords.txt")
-        fillers = _read_wordlist(directory / "fillers.txt")
-        kwargs = dict(frequency_rank=freq, complexity_avg=cavg,
-                      complexity_mode=cmode, stopwords=frozenset(stop))
+        frequency, complexity, stopwords, filler_list = (
+            _read_lines(Path(directory) / name) for name in RESOURCE_FILES)
+        ranks = [line.split("\t") for line in frequency]
+        rows = [line.split("\t") for line in complexity]
+        kwargs = dict(
+            frequency_rank={word: int(rank) for word, rank in ranks},
+            complexity_avg={word: float(avg) for word, avg, _ in rows},
+            complexity_mode={word: float(mode) for word, _, mode in rows},
+            stopwords=frozenset(w.strip() for w in stopwords))
+        fillers = [w.strip() for w in filler_list]
         if fillers:
             kwargs["filled_pauses"] = frozenset(fillers)
         return cls(**kwargs)
 
 
-def _read_wordlist(path: Path) -> list[str]:
+def _read_lines(path: Path) -> list[str]:
+    """The non-blank lines of a resource file; none when it is missing."""
     if not path.exists():
         return []
-    return [w.strip() for w in path.read_text(encoding="utf-8").splitlines() if w.strip()]
+    return [line for line in path.read_text(encoding="utf-8").splitlines()
+            if line.strip()]
 
 
 def default_resources() -> LexicalResources:
     """Resources bundled with the package (also used by the synthesizer)."""
-    return LexicalResources.load(Path(__file__).parent / "resources")
+    return LexicalResources.load(RESOURCES_DIR)
 
 
 @dataclass
 class Corpus:
     responses: list[AlignedResponse]
     rejected: list[tuple[str, str]] = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.responses)
 
     def by_prompt(self) -> dict[str, list[AlignedResponse]]:
         out: dict[str, list[AlignedResponse]] = {}
@@ -334,6 +330,38 @@ def parse_response(payload: dict, base_dir: Path | None = None) -> AlignedRespon
         words=words, tokens=tokens, syntax=syntax,
         transcript=str(payload.get("transcript", "")),
         audio_path=audio_path, grade=grade, grade2=grade2)
+
+
+_DIGIT_FROM_STRESS = {stress: digit for digit, stress in STRESS_FROM_DIGIT.items()}
+
+
+def response_to_json(response: AlignedResponse) -> dict:
+    """The alignment-file payload of one response; `parse_response` reads
+    it back."""
+    payload = {
+        "response_id": response.response_id,
+        "prompt_id": response.prompt_id,
+        "transcript": response.transcript,
+        "words": [{
+            "text": w.text, "start": w.start, "end": w.end,
+            "phonemes": [{
+                "label": p.label, "class": p.klass.value,
+                "stress": _DIGIT_FROM_STRESS[p.stress],
+                "start": p.start, "end": p.end} for p in w.phonemes],
+        } for w in response.words],
+        "tokens": [{"token": t.token, "pos": t.pos, "stopword": t.is_stopword,
+                    "syllables": t.syllable_count} for t in response.tokens],
+    }
+    if response.grade is not None:
+        payload["grade"] = response.grade.label
+    if response.grade2 is not None:
+        payload["grade2"] = response.grade2.label
+    if response.audio_path is not None:
+        payload["wav"] = str(response.audio_path)
+    if response.syntax is not None:
+        payload["syntax"] = {name: [list(r) for r in getattr(response.syntax, name)]
+                             for name in _SPAN_FIELDS}
+    return payload
 
 
 def _token_from_word(word: AlignedWord) -> TokenAnnotation:
@@ -416,12 +444,6 @@ class SplitAssignment:
     test: set[str]
     ratios: tuple[float, float, float] = (0.70, 0.10, 0.20)
     seed: int = 0
-
-    def split_of(self, response_id: str) -> str:
-        for name in ("train", "valid", "test"):
-            if response_id in getattr(self, name):
-                return name
-        raise KeyError(response_id)
 
     def to_json(self) -> dict:
         return {"train": sorted(self.train), "valid": sorted(self.valid),

@@ -80,21 +80,13 @@ class PdpCurve:
 _PDP_STACK_ELEMENTS = 1 << 20
 
 
-def _predict_fn(model):
-    if hasattr(model, "predict_value"):
-        return model.predict_value
-    if hasattr(model, "predict"):
-        return model.predict
-    return model
-
-
 def pdp(model, background: FeatureMatrix | np.ndarray, feature: str | int,
         n_grid: int = 20, feature_names: list[str] | None = None) -> PdpCurve:
     """Empirical partial dependence of one feature.
 
     The grid spans n_grid equally spaced points between the feature's 1st
-    and 99th empirical percentiles; each point is the mean prediction over
-    the background rows with that feature overridden.
+    and 99th empirical percentiles; each point is the mean of the model's
+    ``predict_value`` over the background rows with that feature overridden.
 
     Regression tree ensembles predict a chunk of grid points in one call, on
     the background stacked once per point, so each tree is applied once per
@@ -124,7 +116,6 @@ def pdp(model, background: FeatureMatrix | np.ndarray, feature: str | int,
     else:
         grid = np.linspace(lo, hi, n_grid)
 
-    predict = _predict_fn(model)
     n = X.shape[0]
     chunk = 1
     if isinstance(model, TreeEnsembleModel) and model.task == "regression":
@@ -136,7 +127,7 @@ def pdp(model, background: FeatureMatrix | np.ndarray, feature: str | int,
         points = grid[start:start + chunk]
         stacked = work[:points.size * n]
         stacked[:, col] = np.repeat(points, n)
-        preds = np.asarray(predict(stacked)).reshape(points.size, -1)
+        preds = np.asarray(model.predict_value(stacked)).reshape(points.size, -1)
         for j, row in enumerate(preds):
             curve[start + j] = float(np.mean(row))
     return PdpCurve(feature=name, grid=grid, mean_prediction=curve,

@@ -1,12 +1,13 @@
 """Experiment orchestration: per-prompt train/evaluate over every model and
 both task formulations, plus the two ablation protocols.
 
-Every configuration retrains from scratch on the train split and reports
-QWK, Pearson r and MSE on the validation and test splits. A human-human
-agreement row appears whenever the corpus carries a second rater. Models
-come from ``learners.fit_model`` with the ``learners.DEFAULT_PARAMS`` row
-of their key, in training, in every cross-validation fold of ``tune`` and
-in the ablations.
+Every configuration retrains from scratch on the train split.
+`evaluation_entries` reports QWK, Pearson r and MSE on the validation and
+test splits, plus a human-human agreement entry whenever the corpus carries
+a second rater, for `run_benchmark` and `evaluate` alike. Models come from
+``learners.fit_model`` with the ``learners.DEFAULT_PARAMS`` row of their
+key, in training, in every cross-validation fold of ``tune`` and in the
+ablation cells of `_ablation`.
 """
 
 from __future__ import annotations
@@ -25,9 +26,10 @@ from .corpus import (AlignedResponse, FeatureMatrix, SplitAssignment,
 from .corpus import fit_standardizer  # noqa: F401 -- perfbench/spans.py traces it here
 from .features import ExtractorConfig, extract_matrix, fit_content_vocabulary
 from .learners import GridSearchSpec, class_weights
-from .metrics import confusion_matrix, metric_report, round_to_grade
+from .metrics import confusion_matrix, metric_report, to_grades
 
 MODEL_KEYS = tuple(learners.DEFAULT_PARAMS)
+SPLITS = ("valid", "test")
 
 
 @dataclass
@@ -59,16 +61,18 @@ class PromptDataset:
 def prepare_prompt(responses: list[AlignedResponse],
                    resources: LexicalResources,
                    config: ExtractorConfig | None = None,
-                   seed: int = 0,
                    ratios: tuple[float, float, float] = (0.70, 0.10, 0.20),
                    audio_lookup=None, threads: int = 1) -> PromptDataset:
-    """Split, fit the train-side vocabulary and extract raw features."""
+    """Split, fit the train-side vocabulary and extract raw features.
+
+    ``config.seed`` seeds both the split and the ndwerz/ndwesz sampling, as
+    ``extract --seed`` does."""
     config = config or ExtractorConfig()
     prompts = {r.prompt_id for r in responses}
     if len(prompts) != 1:
         raise ValueError(f"expected one prompt, got {sorted(prompts)}")
     responses = sorted(responses, key=lambda r: r.response_id)
-    split = stratified_split(responses, ratios=ratios, seed=seed)
+    split = stratified_split(responses, ratios=ratios, seed=config.seed)
 
     vocabulary = None
     if "CF" in config.groups:
@@ -123,14 +127,13 @@ def tune(dataset: PromptDataset, grid: dict, model_key: str = "gbt",
 def _evaluate(dataset: PromptDataset, model, split_name: str,
               formulation: str, model_key: str, groups=None) -> dict:
     X, y, _ = _inputs(dataset, model_key, split_name, groups)
-    raw = model.predict(X)
-    report = metric_report(y.astype(np.int64), raw, dataset.n_classes,
-                           already_ordinal=(formulation == "classification"))
-    grades = raw.astype(np.int64) if formulation == "classification" \
-        else round_to_grade(raw, dataset.n_classes)
-    out = report.to_json()
-    out["confusion"] = confusion_matrix(y.astype(np.int64), grades,
-                                        dataset.n_classes).tolist()
+    raw, human = model.predict(X), y.astype(np.int64)
+    ordinal = formulation == "classification"
+    out = metric_report(human, raw, dataset.n_classes,
+                        already_ordinal=ordinal).to_json()
+    out["confusion"] = confusion_matrix(
+        human, to_grades(raw, dataset.n_classes, ordinal),
+        dataset.n_classes).tolist()
     return out
 
 
@@ -146,6 +149,18 @@ def human_agreement(dataset: PromptDataset, split_name: str) -> dict | None:
     return metric_report(h1, h2, dataset.n_classes, already_ordinal=True).to_json()
 
 
+def evaluation_entries(dataset: PromptDataset, model, formulation: str,
+                       model_key: str) -> dict:
+    """A model's ``valid`` and ``test`` entries, plus the ``human_human``
+    entry when the corpus carries a second rater."""
+    entries = {s: _evaluate(dataset, model, s, formulation, model_key)
+               for s in SPLITS}
+    hh = {s: human_agreement(dataset, s) for s in SPLITS}
+    if any(v is not None for v in hh.values()):
+        entries["human_human"] = hh
+    return entries
+
+
 def run_benchmark(dataset: PromptDataset,
                   models: tuple[str, ...] = MODEL_KEYS,
                   formulations: tuple[str, ...] = ("regression", "classification"),
@@ -154,22 +169,18 @@ def run_benchmark(dataset: PromptDataset,
     unknown = set(models) - set(MODEL_KEYS)
     if unknown:
         raise ValueError(f"unknown model key(s): {sorted(unknown)}")
-    rows = []
+    report = {"prompt": dataset.prompt_id, "n_classes": dataset.n_classes,
+              "rows": []}
     for formulation in formulations:
         for model_key in models:
             model = _train(dataset, model_key, formulation,
                            (params or {}).get(model_key), seed)
-            row = {"prompt": dataset.prompt_id, "model": model_key,
-                   "formulation": formulation}
-            for split_name in ("valid", "test"):
-                row[split_name] = _evaluate(dataset, model, split_name,
-                                            formulation, model_key)
-            rows.append(row)
-    report = {"prompt": dataset.prompt_id, "n_classes": dataset.n_classes,
-              "rows": rows}
-    hh = {s: human_agreement(dataset, s) for s in ("valid", "test")}
-    if any(v is not None for v in hh.values()):
-        report["human_human"] = hh
+            entries = evaluation_entries(dataset, model, formulation, model_key)
+            if "human_human" in entries:
+                report["human_human"] = entries.pop("human_human")
+            report["rows"].append({"prompt": dataset.prompt_id,
+                                   "model": model_key,
+                                   "formulation": formulation, **entries})
     return report
 
 
@@ -186,63 +197,47 @@ class AblationReport:
         return {"mode": self.mode, "rows": self.rows}
 
 
-def _groups_present(dataset: PromptDataset) -> list[str]:
-    seen = []
-    for g in dataset.matrix.groups:
-        if g not in seen:
-            seen.append(g)
-    return seen
-
-
-def _ablation_cell(dataset: PromptDataset, groups, seed, params) -> dict:
-    model = _train(dataset, "gbt", "regression", params, seed, groups=groups)
-    return _evaluate(dataset, model, "test", "regression", "gbt", groups=groups)
+def _ablation(dataset: PromptDataset, mode: str, cells, full: int, seed,
+              params) -> AblationReport:
+    """Fit the boosted regressor from scratch on each (configuration,
+    groups) cell and score it on the test split; ``pct_change`` is the QWK
+    change relative to the full cell, ``cells[full]``, which reads 0."""
+    report = AblationReport(mode=mode)
+    for configuration, groups in cells:
+        model = _train(dataset, "gbt", "regression", params, seed, groups=groups)
+        cell = _evaluate(dataset, model, "test", "regression", "gbt",
+                         groups=groups)
+        report.rows.append({"configuration": configuration,
+                            "groups": list(groups), "qwk": cell["qwk"],
+                            "r": cell["pearson_r"], "mse": cell["mse"]})
+    full_qwk = report.rows[full]["qwk"]
+    for row in report.rows:
+        row["pct_change"] = (100.0 * (row["qwk"] - full_qwk) / full_qwk
+                             if full_qwk != 0 else 0.0)
+    report.rows[full]["pct_change"] = 0.0
+    return report
 
 
 def ablation_additive(dataset: PromptDataset, order: tuple[str, ...] | None = None,
                       seed: int = 0, params: dict | None = None) -> AblationReport:
-    """Add feature groups one by one (content first by default), retraining
-    the boosted regressor from scratch at every stage."""
-    present = _groups_present(dataset)
+    """Add feature groups one by one (content first by default); the last
+    stage is the full cell."""
+    present = list(dict.fromkeys(dataset.matrix.groups))
     order = tuple(order) if order else tuple(present)
     missing = set(order) - set(present)
     if missing:
         raise ValueError(f"feature group(s) not extracted: {sorted(missing)}")
-    report = AblationReport(mode="additive")
-    stages = []
-    for group in order:
-        stages.append(group)
-        cell = _ablation_cell(dataset, tuple(stages), seed, params)
-        report.rows.append({"configuration": "+".join(stages),
-                            "groups": list(stages),
-                            "qwk": cell["qwk"], "r": cell["pearson_r"],
-                            "mse": cell["mse"]})
-    full_qwk = report.rows[-1]["qwk"]
-    for row in report.rows:
-        row["pct_change"] = (100.0 * (row["qwk"] - full_qwk) / full_qwk
-                             if full_qwk != 0 else 0.0)
-    report.rows[-1]["pct_change"] = 0.0
-    return report
+    cells = [("+".join(order[:k]), order[:k]) for k in range(1, len(order) + 1)]
+    return _ablation(dataset, "additive", cells, -1, seed, params)
 
 
 def ablation_leave_one_out(dataset: PromptDataset, seed: int = 0,
                            params: dict | None = None) -> AblationReport:
     """Drop one feature group at a time, keeping the others intact."""
-    present = _groups_present(dataset)
-    report = AblationReport(mode="leave_one_out")
-    full = _ablation_cell(dataset, tuple(present), seed, params)
-    report.rows.append({"configuration": "full", "groups": list(present),
-                        "qwk": full["qwk"], "r": full["pearson_r"],
-                        "mse": full["mse"], "pct_change": 0.0})
-    for group in present:
-        kept = tuple(g for g in present if g != group)
-        cell = _ablation_cell(dataset, kept, seed, params)
-        pct = (100.0 * (cell["qwk"] - full["qwk"]) / full["qwk"]
-               if full["qwk"] != 0 else 0.0)
-        report.rows.append({"configuration": f"~{group}", "groups": list(kept),
-                            "qwk": cell["qwk"], "r": cell["pearson_r"],
-                            "mse": cell["mse"], "pct_change": pct})
-    return report
+    present = list(dict.fromkeys(dataset.matrix.groups))
+    cells = [("full", present)] + [
+        (f"~{group}", [g for g in present if g != group]) for group in present]
+    return _ablation(dataset, "leave_one_out", cells, 0, seed, params)
 
 
 # ---------------------------------------------------------------------------

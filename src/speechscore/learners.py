@@ -13,13 +13,14 @@ search, which selects on mean validation QWK, scores what a refit fits.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .corpus import Standardizer, fit_standardizer
-from .metrics import mse, qwk, round_to_grade
+from .metrics import mse, qwk, to_grades
 from .trees import Presorted, Tree, TreeParams, fit_tree
 
 _EPS = 1e-12
@@ -417,7 +418,9 @@ def fit_model(kind: str, params: dict | None, X, y, weights=None,
               seed: int = 0, feature_names: list[str] | None = None):
     """Fit the model of a ``DEFAULT_PARAMS`` key: its row, overridden by
     ``params``. ``linear`` classifies by multinomial logistic regression;
-    ``length_baseline`` is a forest on the columns given (W in the harness)."""
+    ``length_baseline`` is a forest on the columns given (W in the harness).
+    A parameter name outside the row, or an ``mtry`` that is neither null
+    nor an integer in [1, columns of X], is a ``ValueError``."""
     if kind not in DEFAULT_PARAMS:
         raise ValueError(f"unknown model kind {kind!r}")
     params = params or {}
@@ -430,10 +433,16 @@ def fit_model(kind: str, params: dict | None, X, y, weights=None,
                                 feature_names=feature_names)
         return fit_linear(X, y, feature_names=feature_names)
     p = dict(DEFAULT_PARAMS[kind], **params)
+    mtry, n_columns = p["mtry"], np.shape(X)[1]
+    if mtry is not None and (isinstance(mtry, bool)
+                             or not isinstance(mtry, numbers.Integral)
+                             or not 1 <= mtry <= n_columns):
+        raise ValueError(f"mtry for {kind} must be null or an integer in "
+                         f"[1, {n_columns}], got {mtry!r}")
     tree_params = TreeParams(max_depth=int(p["max_depth"]),
                              min_samples_leaf=int(p["min_samples_leaf"]),
                              min_samples_split=int(p["min_samples_split"]),
-                             mtry=p["mtry"])
+                             mtry=mtry)
     if kind == "decision_tree":
         return fit_single_tree(X, y, weights, tree_params, task=task,
                                n_classes=n_classes, feature_names=feature_names,
@@ -443,7 +452,7 @@ def fit_model(kind: str, params: dict | None, X, y, weights=None,
                        learning_rate=float(p["learning_rate"]),
                        params=tree_params, task=task, n_classes=n_classes,
                        seed=seed, feature_names=feature_names)
-    return fit_forest(X, y, weights, n_trees=int(p["n_trees"]), mtry=p["mtry"],
+    return fit_forest(X, y, weights, n_trees=int(p["n_trees"]), mtry=mtry,
                       bootstrap=True, seed=seed, params=tree_params, task=task,
                       n_classes=n_classes, feature_names=feature_names)
 
@@ -522,8 +531,7 @@ def grid_search(model_kind: str, spec: GridSearchSpec, X, y,
             truth = y_arr[hold].astype(np.int64)
             if set(np.unique(truth)) != set(range(n_classes)):
                 flagged = True
-            grades = pred.astype(np.int64) if task == "classification" \
-                else round_to_grade(pred, n_classes)
+            grades = to_grades(pred, n_classes, task == "classification")
             fold_qwk.append(qwk(truth, grades, n_classes))
             fold_mse.append(mse(truth, pred))
         return {"params": point,

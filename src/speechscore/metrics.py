@@ -108,13 +108,21 @@ def round_to_grade(raw, n_classes: int):
     return clipped
 
 
+def to_grades(predicted_raw, n_classes: int,
+              already_ordinal: bool = False) -> np.ndarray:
+    """Grades of predictions: class labels as they are, regression values
+    by `round_to_grade`. Reports and cross-validation folds grade here."""
+    raw = np.asarray(predicted_raw, dtype=np.float64)
+    return raw.astype(np.int64) if already_ordinal else round_to_grade(raw, n_classes)
+
+
 def metric_report(human, predicted_raw, n_classes: int,
                   already_ordinal: bool = False) -> MetricReport:
     """QWK on rounded grades plus Pearson r and MSE on the raw predictions."""
     flags: list[str] = []
     human = np.asarray(human, dtype=np.int64)
     raw = np.asarray(predicted_raw, dtype=np.float64)
-    grades = raw.astype(np.int64) if already_ordinal else round_to_grade(raw, n_classes)
+    grades = to_grades(raw, n_classes, already_ordinal)
     return MetricReport(
         qwk=qwk(human, grades, n_classes, flags),
         pearson_r=pearson(human, raw, flags),

@@ -7,6 +7,8 @@ function of latents measured back from the built timeline with the real
 extractors, so chosen feature families carry the grading signal by
 construction. Punctuation appears both as PUNCT tokens and as tiny
 silent pseudo-words so the token layer stays parallel to the timeline.
+Word pools come from ``synth_vocab.tsv`` in ``corpus.RESOURCES_DIR``, and
+`write_corpus` writes each response with ``corpus.response_to_json``.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ from typing import Callable
 import numpy as np
 
 from .acoustic import AudioBuffer, write_wav
-from .corpus import (AlignedPhoneme, AlignedResponse, AlignedWord, Grade,
-                     GRADE_LABELS, LexicalResources, PhonemeClass, Stress,
-                     SyntaxSpans, TokenAnnotation, default_resources)
+from .corpus import (RESOURCES_DIR, AlignedPhoneme, AlignedResponse,
+                     AlignedWord, Grade, GRADE_LABELS, LexicalResources,
+                     PhonemeClass, Stress, TokenAnnotation, default_resources,
+                     response_to_json)
 from .fluency import fluency_features
 
 _VOWEL_PHONES = ("AA", "AE", "AH", "AO", "EH", "ER", "EY", "IH", "IY", "OW", "UW")
@@ -120,10 +123,9 @@ def _phonemes_for(word: str, rng: np.random.Generator) -> list[tuple[str, Phonem
 
 def _load_vocab() -> dict[str, list[str]]:
     """Per-POS word pools, most frequent first."""
-    resources_dir = Path(__file__).parent / "resources"
     resources = default_resources()
     pools: dict[str, list[str]] = {}
-    for line in (resources_dir / "synth_vocab.tsv").read_text(encoding="utf-8").splitlines():
+    for line in (RESOURCES_DIR / "synth_vocab.tsv").read_text(encoding="utf-8").splitlines():
         word, pos = line.split("\t")
         pools.setdefault(pos, []).append(word)
     for pos, words in pools.items():
@@ -323,41 +325,10 @@ def synth_corpus(spec: SynthSpec,
     return responses, audio
 
 
-def response_to_json(response: AlignedResponse) -> dict:
-    """Serialize one response in the documented alignment-file schema."""
-    stress_digit = {Stress.NONE: 0, Stress.PRIMARY: 1, Stress.SECONDARY: 2}
-    payload = {
-        "response_id": response.response_id,
-        "prompt_id": response.prompt_id,
-        "transcript": response.transcript,
-        "words": [{
-            "text": w.text, "start": w.start, "end": w.end,
-            "phonemes": [{
-                "label": p.label, "class": p.klass.value,
-                "stress": stress_digit[p.stress],
-                "start": p.start, "end": p.end} for p in w.phonemes],
-        } for w in response.words],
-        "tokens": [{"token": t.token, "pos": t.pos, "stopword": t.is_stopword,
-                    "syllables": t.syllable_count} for t in response.tokens],
-    }
-    if response.grade is not None:
-        payload["grade"] = response.grade.label
-    if response.grade2 is not None:
-        payload["grade2"] = response.grade2.label
-    if response.audio_path is not None:
-        payload["wav"] = str(response.audio_path)
-    if response.syntax is not None:
-        payload["syntax"] = {name: [list(r) for r in getattr(response.syntax, name)]
-                             for name in ("sentences", "t_units", "clauses",
-                                          "dependent_clauses", "complex_t_units",
-                                          "coordinate_phrases", "complex_nominals",
-                                          "verb_phrases")}
-    return payload
-
-
 def write_corpus(responses: list[AlignedResponse], out_dir: str | Path,
                  audio: dict[str, AudioBuffer] | None = None) -> Path:
-    """Write alignment JSON files (plus WAVs) and return the manifest path."""
+    """Write alignment JSON files (``corpus.response_to_json``) plus WAVs
+    and return the manifest path."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     names = []

@@ -242,8 +242,9 @@ def e2e():
     responses, _ = synth_corpus(
         SynthSpec(n=800, grade_levels=3, seed=7,
                   score_function="rate_ttr_pause"), resources)
-    config = ExtractorConfig(groups=("CF", "FF", "SPF", "GVF"), max_terms=120)
-    dataset = prepare_prompt(responses, resources, config, seed=7)
+    config = ExtractorConfig(groups=("CF", "FF", "SPF", "GVF"), max_terms=120,
+                             seed=7)
+    dataset = prepare_prompt(responses, resources, config)
     best, cv_table = tune(dataset, {"max_depth": [3, 4], "n_stages": [100]},
                           seed=7)
     model = _train(dataset, "gbt", "regression", best, seed=7)

@@ -148,6 +148,40 @@ def test_unknown_model_parameter_rejected(pipeline_dirs, tmp_path, capsys,
     assert not (tmp_path / "run" / "model.json").exists()
 
 
+@pytest.mark.parametrize("mtry, code", [(0, 1), (-1, 1), (5, 1),
+                                         (None, 0), (1, 0)])
+def test_mtry_must_be_null_or_within_the_columns(pipeline_dirs, tmp_path,
+                                                 capsys, mtry, code):
+    # length_baseline fits on its one column, W.
+    assert main(["train", "--features", str(pipeline_dirs / "features"),
+                 "--out", str(tmp_path / "run"), "--model", "length_baseline",
+                 "--params", json.dumps({"mtry": mtry, "n_trees": 3})]) == code
+    assert (tmp_path / "run" / "model.json").exists() == (code == 0)
+    if code:
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "ValueError"
+        assert "mtry" in payload["message"]
+
+
+@pytest.mark.parametrize("model, task", [("gbt", "regression"),
+                                         ("linear", "classification")])
+def test_evaluate_report_matches_benchmark_row(pipeline_dirs, tmp_path,
+                                               model, task):
+    feats, run = pipeline_dirs / "features", tmp_path / "run"
+    assert main(["train", "--features", str(feats), "--out", str(run),
+                 "--model", model, "--task", task, "--seed", "5"]) == 0
+    assert main(["evaluate", "--features", str(feats),
+                 "--model", str(run / "model.json"), "--out", str(run)]) == 0
+    assert main(["report", "--features", str(feats), "--out", str(tmp_path),
+                 "--models", model, "--formulations", task, "--seed", "5"]) == 0
+    report = json.loads((run / "report.json").read_text())
+    bench = json.loads((tmp_path / "benchmark.json").read_text())
+    [row] = bench["rows"]
+    for key in ("valid", "test"):
+        assert report[key] == row[key], key
+    assert report["human_human"] == bench["human_human"]
+
+
 def test_explanations_in_raw_feature_units(pipeline_dirs, tmp_path,
                                            monkeypatch):
     feats = pipeline_dirs / "features"

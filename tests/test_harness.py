@@ -1,9 +1,12 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from speechscore.corpus import default_resources, load_corpus
+from speechscore.cli import main as cli_main
+from speechscore.corpus import (Stress, SyntaxSpans, default_resources,
+                                load_corpus)
 from speechscore.features import ExtractorConfig, GROUP_ORDER, extract_matrix
 from speechscore.harness import (_train, ablation_additive,
                                  ablation_leave_one_out, human_agreement,
@@ -26,7 +29,7 @@ def small_dataset():
     responses, _ = synth_corpus(
         SynthSpec(n=120, grade_levels=3, seed=5, second_rater_disagreement=0.2),
         resources)
-    return prepare_prompt(responses, resources, SMALL_CONFIG, seed=5)
+    return prepare_prompt(responses, resources, replace(SMALL_CONFIG, seed=5))
 
 
 class TestSynthCorpus:
@@ -85,16 +88,28 @@ class TestSynthCorpus:
     def test_written_corpus_round_trips(self, tmp_path):
         responses, _ = synth_corpus(SynthSpec(n=50, grade_levels=2, seed=3,
                                               second_rater_disagreement=0.2))
+        # One response also carries syntax spans and a wav path.
+        n = len(responses[0].tokens)
+        responses[0].syntax = SyntaxSpans(
+            sentences=[(0, n)], t_units=[(0, n)], clauses=[(0, 3), (3, n)],
+            dependent_clauses=[(3, n)], complex_t_units=[(0, n)],
+            complex_nominals=[(1, 3)], verb_phrases=[(2, 4)])
+        responses[0].audio_path = tmp_path / "audio" / "first.wav"
         manifest = write_corpus(responses, tmp_path)
         corpus = load_corpus(manifest)
         assert len(corpus.responses) == 50
         assert corpus.rejected == []
+        assert any(p.stress is Stress.SECONDARY for r in corpus.responses
+                   for w in r.words for p in w.phonemes)
         original = {r.response_id: r for r in responses}
         assert sorted(original) == [r.response_id for r in corpus.responses]
+        assert corpus.responses[0].syntax is not None
         for r in corpus.responses:
             o = original[r.response_id]
-            assert (r.prompt_id, r.transcript, r.grade, r.grade2, r.syntax) == \
-                (o.prompt_id, o.transcript, o.grade, o.grade2, o.syntax)
+            assert (r.prompt_id, r.transcript, r.grade, r.grade2, r.syntax,
+                    r.audio_path) == \
+                (o.prompt_id, o.transcript, o.grade, o.grade2, o.syntax,
+                 o.audio_path)
             assert len(r.words) == len(o.words)
             for w, ow in zip(r.words, o.words):
                 assert (w.text, w.start, w.end) == (ow.text, ow.start, ow.end)
@@ -106,6 +121,27 @@ class TestSynthCorpus:
 
 
 class TestPreparePrompt:
+    def test_one_seed_matches_the_cli(self, tmp_path):
+        """The library flow extracts what `synth` + `extract --seed 7` do."""
+        corpus, feats = tmp_path / "corpus", tmp_path / "cli"
+        assert cli_main(["synth", "--n", "60", "--seed", "7",
+                         "--out", str(corpus)]) == 0
+        assert cli_main(["extract", "--manifest", str(corpus / "manifest.txt"),
+                         "--resources", str(corpus / "resources"),
+                         "--out", str(feats), "--groups", "CF,FF,SPF,GVF",
+                         "--max-terms", "120", "--seed", "7"]) == 0
+        resources = default_resources()
+        responses, _ = synth_corpus(SynthSpec(n=60, seed=7), resources)
+        config = ExtractorConfig(groups=("CF", "FF", "SPF", "GVF"),
+                                 max_terms=120, seed=7)
+        save_prompt_dataset(prepare_prompt(responses, resources, config),
+                            tmp_path / "library")
+        written = sorted(p.name for p in (tmp_path / "library").iterdir())
+        assert "features.csv" in written
+        for name in written:
+            assert (tmp_path / "library" / name).read_bytes() == \
+                (feats / name).read_bytes(), name
+
     def test_group_partition(self, small_dataset):
         matrix = small_dataset.matrix
         assert set(matrix.groups) == {"CF", "FF", "SPF", "GVF"}
@@ -178,7 +214,8 @@ class TestBenchmark:
     def test_human_agreement_none_without_rater2(self):
         resources = default_resources()
         responses, _ = synth_corpus(SynthSpec(n=60, grade_levels=3, seed=8))
-        dataset = prepare_prompt(responses, resources, SMALL_CONFIG, seed=8)
+        dataset = prepare_prompt(responses, resources,
+                                 replace(SMALL_CONFIG, seed=8))
         assert human_agreement(dataset, "test") is None
 
 
