@@ -210,23 +210,20 @@ def _frame_pass(audio: AudioBuffer, frame_len: int, hop_len: int,
     return stats
 
 
-def _period_track(stats: _FrameStats, lags: np.ndarray, sample_rate: int,
-                  voicing_threshold: float, silence_floor: float) -> PeriodTrack:
-    voiced = (stats.best_corr >= voicing_threshold) & (stats.rms >= silence_floor)
+def _period_track(stats: _FrameStats, lags: np.ndarray,
+                  sample_rate: int) -> PeriodTrack:
+    voiced = (stats.best_corr >= _VOICING_THRESHOLD) & (stats.rms >= _SILENCE_FLOOR)
     periods = lags[stats.best[voiced]] / sample_rate
     return PeriodTrack(periods=periods, amplitudes=stats.peak[voiced])
 
 
 def pitch_track(audio: AudioBuffer, fmin: float = 75.0, fmax: float = 500.0,
-                frame: float = 0.040, hop: float = 0.010,
-                voicing_threshold: float = _VOICING_THRESHOLD,
-                silence_floor: float = _SILENCE_FLOOR) -> PeriodTrack:
+                frame: float = 0.040, hop: float = 0.010) -> PeriodTrack:
     """Fundamental periods and peak amplitudes of the voiced frames."""
     frame_len, hop_len = _frame_lengths(audio.sample_rate, frame, hop)
     lags = _pitch_lags(audio, frame_len, fmin, fmax)
     stats = _frame_pass(audio, frame_len, hop_len, lags=lags)
-    return _period_track(stats, lags, audio.sample_rate, voicing_threshold,
-                         silence_floor)
+    return _period_track(stats, lags, audio.sample_rate)
 
 
 def _neighborhood_instability(values: np.ndarray, window: int) -> float:
@@ -332,6 +329,5 @@ def extract_acoustic(audio: AudioBuffer, fmin: float = 75.0, fmax: float = 500.0
     frame_len, hop_len = _frame_lengths(audio.sample_rate, frame, hop)
     lags = _pitch_lags(audio, frame_len, fmin, fmax)
     stats = _frame_pass(audio, frame_len, hop_len, lags=lags, spectral=True)
-    track = _period_track(stats, lags, audio.sample_rate, _VOICING_THRESHOLD,
-                          _SILENCE_FLOOR)
+    track = _period_track(stats, lags, audio.sample_rate)
     return _features(audio, stats, track, flags)

@@ -158,7 +158,8 @@ def cmd_explain(args) -> int:
     dataset = harness.load_prompt_dataset(args.features)
     model, payload = load_model(args.model, with_payload=True)
     out = _out_dir(args)
-    matrix = dataset.matrix.restrict(dataset.split.train)
+    X, _, columns = harness._inputs(dataset, payload.get("model_key", "gbt"),
+                                    "train", model=model)
     kind = args.kind
     if kind == "importance":
         ranking = gain_importance(model)
@@ -170,7 +171,8 @@ def cmd_explain(args) -> int:
     elif kind == "pdp":
         if not args.feature:
             raise ValueError("explain pdp requires --feature")
-        curve = pdp(model, matrix, args.feature, n_grid=args.n_grid)
+        curve = pdp(model, X, args.feature, n_grid=args.n_grid,
+                    feature_names=columns)
         _write_csv(out / f"pdp_{_slug(args.feature)}.csv",
                    ["grid", "mean_prediction"],
                    ([repr(float(g)), repr(float(v))]
@@ -180,8 +182,7 @@ def cmd_explain(args) -> int:
                        out / f"pdp_{_slug(args.feature)}.svg",
                        x_label=args.feature, y_label="mean prediction")
     elif kind == "shap":
-        rows = matrix.values[:args.max_samples]
-        summary = shap_summary(model, rows)
+        summary = shap_summary(model, X[:args.max_samples])
         _write_csv(out / "shap_values.csv", summary.columns,
                    ([repr(float(v)) for v in row] for row in summary.phi))
         _write_csv(out / "shap_ranking.csv", ["feature", "mean_abs_phi"],

@@ -138,7 +138,6 @@ class SyntaxSpans:
     coordinate_phrases: list[tuple[int, int]] = field(default_factory=list)
     complex_nominals: list[tuple[int, int]] = field(default_factory=list)
     verb_phrases: list[tuple[int, int]] = field(default_factory=list)
-    provenance: str = "annotated"
 
     def validate(self, n_tokens: int) -> None:
         for name in _SPAN_FIELDS:
@@ -313,7 +312,7 @@ def parse_response(payload: dict, base_dir: Path | None = None) -> AlignedRespon
             raise CorpusError("syntax is not a JSON object")
         fields = {name: [tuple(r) for r in payload["syntax"].get(name, [])]
                   for name in _SPAN_FIELDS}
-        syntax = SyntaxSpans(**fields, provenance="annotated")
+        syntax = SyntaxSpans(**fields)
 
     audio_path = None
     if payload.get("wav"):

@@ -6,7 +6,8 @@ subsets of already-seen features that would route a sample here ("zero"
 fraction from node covers, "one" fraction from the sample's own path) and
 the permutation weights of every subset size; unwinding the path at a leaf
 yields each feature's exact Shapley contribution under the cover-conditional
-expectation. A subset-enumeration oracle over the same valuation verifies it.
+expectation. The tests verify it against a subset-enumeration oracle over the
+same valuation. Importance and SHAP refuse linear and logistic models.
 
 Every row of a matrix is explained in one walk per tree. Node visits, path
 features, unwind positions and zero fractions are the same for every row;
@@ -18,7 +19,6 @@ leaves' contributions in its own hot-child-first leaf order.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,31 +36,34 @@ class DegenerateCover(ValueError):
 # Gain-based importance
 
 
+def _require_trees(model) -> None:
+    if not isinstance(model, TreeEnsembleModel):
+        raise ValueError("importance and SHAP explain tree ensembles only, "
+                         f"not a {type(model).__name__}")
+
+
 @dataclass
 class ImportanceRanking:
     entries: list[tuple[str, float]]     # descending importance, sums to 1
-    method: str = "gain"
     flags: list[str] | None = None
 
 
-def gain_importance(model: TreeEnsembleModel, method: str = "gain") -> ImportanceRanking:
+def gain_importance(model: TreeEnsembleModel) -> ImportanceRanking:
     """Cover-weighted impurity gain per feature, normalized to sum 1."""
-    if method not in ("gain", "split_count"):
-        raise ValueError(f"unknown importance method {method!r}")
+    _require_trees(model)
     totals = np.zeros(len(model.feature_names), dtype=np.float64)
     for tree in model.trees:
         internal = tree.feature >= 0
         for f, cover, gain in zip(tree.feature[internal], tree.cover[internal],
                                   tree.gain[internal]):
-            totals[f] += cover * gain if method == "gain" else 1.0
+            totals[f] += cover * gain
     grand = totals.sum()
     if grand == 0:
-        return ImportanceRanking(entries=[], method=method,
-                                 flags=["importance_no_splits"])
+        return ImportanceRanking(entries=[], flags=["importance_no_splits"])
     totals /= grand
     order = sorted(range(totals.size), key=lambda i: (-totals[i], model.feature_names[i]))
     return ImportanceRanking(entries=[(model.feature_names[i], float(totals[i]))
-                                      for i in order], method=method)
+                                      for i in order])
 
 
 # ---------------------------------------------------------------------------
@@ -256,6 +259,7 @@ def _shap_tree(tree: Tree, X: np.ndarray, phi: np.ndarray) -> None:
 
 def _scalar_trees(model: TreeEnsembleModel, class_index: int | None):
     """The scalar-output trees, their common scale, and the base offset."""
+    _require_trees(model)
     if model.kind == "gbt_classifier":
         if class_index is None:
             raise ValueError("class_index is required to explain a classifier margin")
@@ -290,48 +294,6 @@ def _shap_values(model: TreeEnsembleModel, X: np.ndarray,
         _shap_tree(tree, X, phi)
     phi *= scale
     return phi
-
-
-def _descend_expectation(tree: Tree, x: np.ndarray, mask: int) -> float:
-    """Cover-conditional expectation with only the masked features known."""
-    def walk(node: int) -> float:
-        if tree.is_leaf(node):
-            return float(tree.value[node])
-        f = int(tree.feature[node])
-        if mask >> f & 1:
-            child = tree.left[node] if x[f] <= tree.threshold[node] else tree.right[node]
-            return walk(int(child))
-        cover = tree.cover[node]
-        if cover <= 0:
-            raise DegenerateCover(f"internal node {node} has cover {cover}")
-        return (tree.cover[tree.left[node]] * walk(int(tree.left[node]))
-                + tree.cover[tree.right[node]] * walk(int(tree.right[node]))) / cover
-    return walk(0)
-
-
-def brute_force_shap(model: TreeEnsembleModel, sample,
-                     class_index: int | None = None) -> np.ndarray:
-    """Subset-enumeration Shapley oracle; refuses more than 12 features."""
-    x = np.asarray(sample, dtype=np.float64).ravel()
-    p = len(model.feature_names)
-    if p > 12:
-        raise ValueError(f"{p} features exceed the 2^p enumeration limit (12)")
-    trees, scale, _ = _scalar_trees(model, class_index)
-
-    values = np.zeros(1 << p, dtype=np.float64)
-    for mask in range(1 << p):
-        values[mask] = sum(_descend_expectation(t, x, mask) for t in trees)
-
-    fact = [math.factorial(k) for k in range(p + 1)]
-    phi = np.zeros(p, dtype=np.float64)
-    for mask in range(1 << p):
-        size = bin(mask).count("1")
-        weight = fact[size] * fact[p - size - 1] / fact[p]
-        for i in range(p):
-            if mask >> i & 1:
-                continue
-            phi[i] += weight * (values[mask | (1 << i)] - values[mask])
-    return phi * scale
 
 
 # ---------------------------------------------------------------------------

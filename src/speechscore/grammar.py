@@ -4,8 +4,8 @@ ratios, POS counts and lexicon-based text complexity.
 Sophistication is rank-based: a word whose frequency rank exceeds the
 configured threshold (default 2000), or that is absent from the frequency
 list entirely, counts as sophisticated. Unit counts come from annotated
-syntax spans when present; otherwise a POS-driven heuristic supplies them
-with ``provenance="heuristic"``.
+syntax spans when present; otherwise a POS-driven heuristic supplies them.
+Nothing records which source a response's counts came from.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from .corpus import AlignedResponse, LexicalResources, TokenAnnotation
 
 DEFAULT_RANK_THRESHOLD = 2000
 
-DEFAULT_SUBORDINATORS = frozenset(
+_SUBORDINATORS = frozenset(
     "because although since while if that which who whom whose when where "
     "after before unless until though whereas whether once".split())
 
@@ -52,20 +52,6 @@ _POS_TOTALS = {"total_adjectives": "ADJ", "total_adverbs": "ADV",
 
 
 @dataclass
-class LexicalProfile:
-    word_tokens: int
-    word_types: int
-    lexical_tokens: int
-    lexical_types: int
-    sophisticated_lexical_tokens: int
-    sophisticated_lexical_types: int
-    sophisticated_word_types: int
-    verb_tokens: int
-    verb_types: int
-    sophisticated_verb_types: int
-
-
-@dataclass
 class UnitCounts:
     W: int = 0
     S: int = 0
@@ -76,38 +62,10 @@ class UnitCounts:
     CT: int = 0
     CP: int = 0
     CN: int = 0
-    provenance: str = "heuristic"
 
 
 def _word_tokens(tokens: list[TokenAnnotation]) -> list[TokenAnnotation]:
     return [t for t in tokens if t.pos != "PUNCT"]
-
-
-def _is_sophisticated(word: str, resources: LexicalResources, threshold: int) -> bool:
-    rank = resources.frequency_rank.get(word)
-    return rank is None or rank > threshold
-
-
-def lexical_profile(tokens: list[TokenAnnotation], resources: LexicalResources,
-                    rank_threshold: int = DEFAULT_RANK_THRESHOLD) -> LexicalProfile:
-    words = _word_tokens(tokens)
-    texts = [t.token for t in words]
-    lexical = [t for t in words if t.pos in ("NOUN", "VERB", "ADJ", "ADV")]
-    verbs = [t for t in words if t.pos == "VERB"]
-    soph = lambda w: _is_sophisticated(w, resources, rank_threshold)
-    lexical_texts = [t.token for t in lexical]
-    verb_texts = [t.token for t in verbs]
-    return LexicalProfile(
-        word_tokens=len(texts),
-        word_types=len(set(texts)),
-        lexical_tokens=len(lexical_texts),
-        lexical_types=len(set(lexical_texts)),
-        sophisticated_lexical_tokens=sum(1 for w in lexical_texts if soph(w)),
-        sophisticated_lexical_types=sum(1 for w in set(lexical_texts) if soph(w)),
-        sophisticated_word_types=sum(1 for w in set(texts) if soph(w)),
-        verb_tokens=len(verb_texts),
-        verb_types=len(set(verb_texts)),
-        sophisticated_verb_types=sum(1 for w in set(verb_texts) if soph(w)))
 
 
 def lexical_features(tokens: list[TokenAnnotation], resources: LexicalResources,
@@ -125,34 +83,43 @@ def lexical_features(tokens: list[TokenAnnotation], resources: LexicalResources,
     words = _word_tokens(tokens)
     if not words:
         raise ValueError("no word tokens")
-    profile = lexical_profile(tokens, resources, rank_threshold)
     texts = [t.token for t in words]
-    features = dict.fromkeys(LEXICAL_FEATURES, 0.0)
+    lexical = [t.token for t in words if t.pos in ("NOUN", "VERB", "ADJ", "ADV")]
+    verbs = [t.token for t in words if t.pos == "VERB"]
+    word_types = set(texts)
+    ranks = resources.frequency_rank
 
+    def sophisticated(items) -> int:
+        """How many of the words are missing from the frequency list or
+        ranked past the threshold."""
+        return sum(1 for w in items
+                   if (rank := ranks.get(w)) is None or rank > rank_threshold)
+
+    features = dict.fromkeys(LEXICAL_FEATURES, 0.0)
     if ld_mode == "density":
-        features["ld"] = profile.lexical_tokens / profile.word_tokens
+        features["ld"] = len(lexical) / len(texts)
     else:
-        features["ld"] = profile.lexical_types / profile.word_tokens
-    if profile.lexical_tokens:
-        features["ls1"] = profile.sophisticated_lexical_tokens / profile.lexical_tokens
-    if profile.word_types:
-        features["ls2"] = profile.sophisticated_word_types / profile.word_types
-    if profile.verb_tokens:
-        features["vs1"] = profile.sophisticated_verb_types / profile.verb_tokens
-        features["vs2"] = profile.sophisticated_verb_types ** 2 / profile.verb_tokens
+        features["ld"] = len(set(lexical)) / len(texts)
+    if lexical:
+        features["ls1"] = sophisticated(lexical) / len(lexical)
+    features["ls2"] = sophisticated(word_types) / len(word_types)
+    if verbs:
+        sophisticated_verb_types = sophisticated(set(verbs))
+        features["vs1"] = sophisticated_verb_types / len(verbs)
+        features["vs2"] = sophisticated_verb_types ** 2 / len(verbs)
     elif flags is not None:
         flags.add("grammar_no_verbs")
 
-    features["ndw"] = float(profile.word_types)
-    features["ttr"] = profile.word_types / profile.word_tokens
+    features["ndw"] = float(len(word_types))
+    features["ttr"] = len(word_types) / len(texts)
 
     window = 50
     if len(texts) < window:
         if flags is not None:
             flags.add("grammar_short_response")
-        features["ndwz"] = float(profile.word_types)
-        features["ndwerz"] = float(profile.word_types)
-        features["ndwesz"] = float(profile.word_types)
+        features["ndwz"] = float(len(word_types))
+        features["ndwerz"] = float(len(word_types))
+        features["ndwesz"] = float(len(word_types))
         return features
 
     features["ndwz"] = float(len(set(texts[:window])))
@@ -270,9 +237,7 @@ def _verb_chains(tokens: list[TokenAnnotation], lo: int, hi: int) -> list[tuple[
     return chains
 
 
-def heuristic_syntax(tokens: list[TokenAnnotation],
-                     subordinators: frozenset[str] = DEFAULT_SUBORDINATORS,
-                     ) -> UnitCounts:
+def heuristic_syntax(tokens: list[TokenAnnotation]) -> UnitCounts:
     """POS-driven approximation of the syntactic unit counts.
 
     Sentences are punctuation-delimited (min 1 when any word exists);
@@ -287,7 +252,7 @@ def heuristic_syntax(tokens: list[TokenAnnotation],
     if not sentences:
         sentences = [(0, len(tokens))]
 
-    counts = UnitCounts(W=len(words), S=len(sentences), provenance="heuristic")
+    counts = UnitCounts(W=len(words), S=len(sentences))
     for lo, hi in sentences:
         chains = _verb_chains(tokens, lo, hi)
         counts.VP += len(chains)
@@ -299,7 +264,7 @@ def heuristic_syntax(tokens: list[TokenAnnotation],
         # it in the same sentence starts a new T-unit
         boundaries = [lo]
         for i in range(lo, hi):
-            if tokens[i].pos != "CONJ" or tokens[i].token in subordinators:
+            if tokens[i].pos != "CONJ" or tokens[i].token in _SUBORDINATORS:
                 continue
             before = any(c[0] < i for c in clause_chains)
             after = any(c[0] > i for c in clause_chains)
@@ -310,7 +275,7 @@ def heuristic_syntax(tokens: list[TokenAnnotation],
 
         dc_positions = []
         for i in range(lo, hi):
-            if tokens[i].token in subordinators and tokens[i].pos != "PUNCT":
+            if tokens[i].token in _SUBORDINATORS and tokens[i].pos != "PUNCT":
                 if any(c[0] > i for c in chains):
                     dc_positions.append(i)
         counts.DC += len(dc_positions)
@@ -341,8 +306,7 @@ def unit_counts_from_spans(response: AlignedResponse) -> UnitCounts:
         S=len(spans.sentences), VP=len(spans.verb_phrases),
         C=len(spans.clauses), T=len(spans.t_units),
         DC=len(spans.dependent_clauses), CT=len(spans.complex_t_units),
-        CP=len(spans.coordinate_phrases), CN=len(spans.complex_nominals),
-        provenance="annotated")
+        CP=len(spans.coordinate_phrases), CN=len(spans.complex_nominals))
 
 
 def grammar_features(response: AlignedResponse, resources: LexicalResources,

@@ -25,7 +25,7 @@ from .corpus import (AlignedResponse, FeatureMatrix, SplitAssignment,
                      LexicalResources, stratified_split)
 from .corpus import fit_standardizer  # noqa: F401 -- perfbench/spans.py traces it here
 from .features import ExtractorConfig, extract_matrix, fit_content_vocabulary
-from .learners import GridSearchSpec, class_weights
+from .learners import class_weights
 from .metrics import confusion_matrix, metric_report, to_grades
 
 MODEL_KEYS = tuple(learners.DEFAULT_PARAMS)
@@ -92,13 +92,20 @@ def prepare_prompt(responses: list[AlignedResponse],
 
 
 def _inputs(dataset: PromptDataset, model_key: str, split_name: str,
-            groups=None):
+            groups=None, model=None):
     """A split's model inputs: the design matrix, or the word-count column
-    W alone for the length baseline. Returns (X, y, column names)."""
+    W alone for the length baseline. Returns (X, y, column names). Inputs
+    for a trained ``model`` must have its feature names as their columns;
+    otherwise a ``ValueError`` names the first column that differs."""
     X, y, ids, columns = dataset.design(split_name, groups)
     if model_key == "length_baseline":
         X = np.asarray([dataset.lengths[r] for r in ids]).reshape(-1, 1)
         columns = ["W"]
+    if model is not None and list(model.feature_names) != columns:
+        pairs = zip(list(model.feature_names) + [None], columns + [None])
+        at, (want, got) = next((i, p) for i, p in enumerate(pairs) if p[0] != p[1])
+        raise ValueError(f"model does not match the features: column {at} is "
+                         f"{want!r} in the model but {got!r} in the features")
     return X, y, columns
 
 
@@ -118,15 +125,15 @@ def tune(dataset: PromptDataset, grid: dict, model_key: str = "gbt",
     (best_params, cv_table)."""
     X, y, _ = _inputs(dataset, model_key, "train")
     weights = class_weights(y) if formulation == "classification" else None
-    spec = GridSearchSpec(grid=grid, folds=folds, seed=seed)
     # Called through the module: perfbench/spans.py traces it there.
-    return learners.grid_search(model_key, spec, X, y, task=formulation,
-                                n_classes=dataset.n_classes, weights=weights)
+    return learners.grid_search(model_key, grid, X, y, folds=folds, seed=seed,
+                                task=formulation, n_classes=dataset.n_classes,
+                                weights=weights)
 
 
 def _evaluate(dataset: PromptDataset, model, split_name: str,
               formulation: str, model_key: str, groups=None) -> dict:
-    X, y, _ = _inputs(dataset, model_key, split_name, groups)
+    X, y, _ = _inputs(dataset, model_key, split_name, groups, model)
     raw, human = model.predict(X), y.astype(np.int64)
     ordinal = formulation == "classification"
     out = metric_report(human, raw, dataset.n_classes,

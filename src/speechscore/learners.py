@@ -1,20 +1,23 @@
 """Ensemble learners and model selection on top of the CART primitive.
 
-Forests use seeded bootstrap plus per-split feature subsampling with one
-derived seed per tree. Training runs serially: its many small NumPy calls
-hold the interpreter lock, so threads made it slower. Gradient
-boosting fits squared-loss residuals for regression and one tree per class
-per stage on softmax gradients for classification (leaf values replaced by
-the standard multiclass Newton step). ``fit_model`` builds every model of
-the pipeline from its row of ``DEFAULT_PARAMS``, so the exhaustive grid
-search, which selects on mean validation QWK, scores what a refit fits.
+Forests bootstrap every tree and subsample ``TreeParams.mtry`` features per
+split, with one derived seed per tree. Training runs serially: its many
+small NumPy calls hold the interpreter lock, so threads made it slower.
+Gradient boosting fits squared-loss residuals for regression and one tree
+per class per stage on softmax gradients for classification (leaf values
+replaced by the standard multiclass Newton step). The linear baselines use
+a fixed ridge damping, and the logistic descent a fixed tolerance and
+iteration cap. ``fit_model`` builds every model of the pipeline from its
+row of ``DEFAULT_PARAMS``, so ``grid_search``, exhaustive over the grid it
+is given and selecting on mean validation QWK, scores what a refit fits.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +27,18 @@ from .metrics import mse, qwk, to_grades
 from .trees import Presorted, Tree, TreeParams, fit_tree
 
 _EPS = 1e-12
+# Ridge damping of the linear and logistic fits; gradient-norm tolerance and
+# iteration cap of the logistic descent.
+_DAMPING = 1e-8
+_LOGISTIC_TOL = 1e-6
+_LOGISTIC_MAX_ITER = 10000
+
+
+def _softmax(scores: np.ndarray) -> np.ndarray:
+    """Row-wise softmax, shifted by each row's maximum."""
+    shifted = scores - scores.max(axis=1, keepdims=True)
+    expd = np.exp(shifted)
+    return expd / expd.sum(axis=1, keepdims=True)
 
 
 @dataclass
@@ -69,9 +84,7 @@ class TreeEnsembleModel:
             raise ValueError("probabilities are only defined for classifiers")
         scores = self.decision_scores(X)
         if self.kind == "gbt_classifier":
-            scores = scores - scores.max(axis=1, keepdims=True)
-            expd = np.exp(scores)
-            return expd / expd.sum(axis=1, keepdims=True)
+            return _softmax(scores)
         total = scores.sum(axis=1, keepdims=True)
         return scores / np.where(total > 0, total, 1.0)
 
@@ -139,41 +152,38 @@ def fit_single_tree(X, y, weights=None, params: TreeParams | None = None,
         n_classes=n_classes if task == "classification" else None)
 
 
-def fit_forest(X, y, weights=None, n_trees: int = 100,
-               mtry: int | None = None, bootstrap: bool = True, seed: int = 0,
+def fit_forest(X, y, weights=None, n_trees: int = 100, seed: int = 0,
                params: TreeParams | None = None, task: str = "regression",
                n_classes: int | None = None,
                feature_names: list[str] | None = None) -> TreeEnsembleModel:
-    """Random forest with one derived seed per tree."""
+    """Random forest of bootstrapped trees with one derived seed per tree.
+
+    Each split draws ``params.mtry`` candidate columns; ``None`` means the
+    square root of the column count for classification and a third of it
+    for regression, at least 1.
+    """
     X, y, weights = _as_arrays(X, y, weights)
     if n_trees < 1:
         raise ValueError("need at least one tree")
     params = params or TreeParams()
     if task == "classification" and n_classes is None:
         n_classes = int(y.max()) + 1
-    if mtry is None:
+    if params.mtry is None:
         p = X.shape[1]
-        mtry = max(1, int(np.sqrt(p)) if task == "classification" else max(1, p // 3))
-    tree_params = TreeParams(max_depth=params.max_depth,
-                             min_samples_leaf=params.min_samples_leaf,
-                             min_samples_split=params.min_samples_split,
-                             mtry=mtry)
+        mtry = int(np.sqrt(p)) if task == "classification" else p // 3
+        params = replace(params, mtry=max(1, mtry))
     seeds = np.random.SeedSequence(seed).spawn(n_trees)
     presorted = Presorted(X)
 
     def one_tree(seq):
         rng = np.random.default_rng(seq)
-        w = weights
-        if bootstrap:
-            counts = np.bincount(rng.integers(0, y.size, y.size), minlength=y.size)
-            w = weights * counts
-            keep = w > 0
-            rng_split = np.random.default_rng(seq.spawn(1)[0])
-            return fit_tree(X[keep], y[keep], w[keep], tree_params, task=task,
-                            n_classes=n_classes, rng=rng_split,
-                            presorted=presorted.rows(keep))
-        return fit_tree(X, y, w, tree_params, task=task, n_classes=n_classes,
-                        rng=rng, presorted=presorted)
+        counts = np.bincount(rng.integers(0, y.size, y.size), minlength=y.size)
+        w = weights * counts
+        keep = w > 0
+        return fit_tree(X[keep], y[keep], w[keep], params, task=task,
+                        n_classes=n_classes,
+                        rng=np.random.default_rng(seq.spawn(1)[0]),
+                        presorted=presorted.rows(keep))
 
     trees = [one_tree(seq) for seq in seeds]
     return TreeEnsembleModel(
@@ -241,9 +251,7 @@ def fit_gbt(X, y, weights=None, n_stages: int = 100, learning_rate: float = 0.1,
 
     losses.append(log_loss(logits))
     for _ in range(n_stages):
-        shifted = logits - logits.max(axis=1, keepdims=True)
-        expd = np.exp(shifted)
-        proba = expd / expd.sum(axis=1, keepdims=True)
+        proba = _softmax(logits)
         for k in range(K):
             grad = onehot[:, k] - proba[:, k]
             tree = fit_tree(X, grad, weights, params, task="regression",
@@ -314,10 +322,7 @@ class LogisticModel:
 
     def predict_proba(self, X) -> np.ndarray:
         X = self.scaler.transform(np.atleast_2d(np.asarray(X, dtype=np.float64)))
-        logits = X @ self.coef.T + self.intercept
-        logits -= logits.max(axis=1, keepdims=True)
-        expd = np.exp(logits)
-        return expd / expd.sum(axis=1, keepdims=True)
+        return _softmax(X @ self.coef.T + self.intercept)
 
     def predict(self, X) -> np.ndarray:
         return np.argmax(self.predict_proba(X), axis=1).astype(np.float64)
@@ -341,27 +346,25 @@ class LogisticModel:
                    n_classes=int(payload["n_classes"]))
 
 
-def fit_linear(X, y, damping: float = 1e-8,
-               feature_names: list[str] | None = None) -> LinearModel:
+def fit_linear(X, y, feature_names: list[str] | None = None) -> LinearModel:
     """Ridge-damped least squares (handles collinear designs) on the
     z-scores of X."""
     X, y, _ = _as_arrays(X, y, None)
     scaler = fit_standardizer(X)
     Xb = np.hstack([scaler.transform(X), np.ones((X.shape[0], 1))])
-    gram = Xb.T @ Xb + damping * np.eye(Xb.shape[1])
+    gram = Xb.T @ Xb + _DAMPING * np.eye(Xb.shape[1])
     beta = np.linalg.solve(gram, Xb.T @ y)
     return LinearModel(coef=beta[:-1], intercept=float(beta[-1]),
                        feature_names=feature_names or [f"f{i}" for i in range(X.shape[1])],
                        scaler=scaler)
 
 
-def fit_logistic(X, y, weights=None, max_iter: int = 10000, tol: float = 1e-6,
-                 damping: float = 1e-8, n_classes: int | None = None,
+def fit_logistic(X, y, weights=None, n_classes: int | None = None,
                  feature_names: list[str] | None = None) -> LogisticModel:
     """Multinomial logistic regression by full-batch gradient descent.
 
     Fits on the z-scores of X. Runs until the gradient norm of the
-    weight-normalized log-loss falls below ``tol`` or ``max_iter``
+    weight-normalized, ridge-damped log-loss falls below 1e-6 or for 10000
     iterations; the step size comes from the softmax Hessian trace bound, so
     descent is monotone.
     """
@@ -377,15 +380,12 @@ def fit_logistic(X, y, weights=None, max_iter: int = 10000, tol: float = 1e-6,
     onehot[np.arange(y.size), labels] = 1.0
 
     beta = np.zeros((K, Xb.shape[1]), dtype=np.float64)
-    lipschitz = 0.5 * float((wn[:, None] * Xb * Xb).sum()) + damping
+    lipschitz = 0.5 * float((wn[:, None] * Xb * Xb).sum()) + _DAMPING
     step = 1.0 / lipschitz
-    for _ in range(max_iter):
-        logits = Xb @ beta.T
-        logits -= logits.max(axis=1, keepdims=True)
-        expd = np.exp(logits)
-        proba = expd / expd.sum(axis=1, keepdims=True)
-        grad = (proba - onehot).T @ (wn[:, None] * Xb) + damping * beta
-        if np.sqrt((grad * grad).sum()) < tol:
+    for _ in range(_LOGISTIC_MAX_ITER):
+        proba = _softmax(Xb @ beta.T)
+        grad = (proba - onehot).T @ (wn[:, None] * Xb) + _DAMPING * beta
+        if np.sqrt((grad * grad).sum()) < _LOGISTIC_TOL:
             break
         beta -= step * grad
     return LogisticModel(coef=beta[:, :-1], intercept=beta[:, -1],
@@ -452,9 +452,9 @@ def fit_model(kind: str, params: dict | None, X, y, weights=None,
                        learning_rate=float(p["learning_rate"]),
                        params=tree_params, task=task, n_classes=n_classes,
                        seed=seed, feature_names=feature_names)
-    return fit_forest(X, y, weights, n_trees=int(p["n_trees"]), mtry=mtry,
-                      bootstrap=True, seed=seed, params=tree_params, task=task,
-                      n_classes=n_classes, feature_names=feature_names)
+    return fit_forest(X, y, weights, n_trees=int(p["n_trees"]), seed=seed,
+                      params=tree_params, task=task, n_classes=n_classes,
+                      feature_names=feature_names)
 
 
 def class_weights(y) -> np.ndarray:
@@ -465,26 +465,6 @@ def class_weights(y) -> np.ndarray:
     classes, counts = np.unique(y, return_counts=True)
     lookup = {c: y.size / (classes.size * n) for c, n in zip(classes, counts)}
     return np.asarray([lookup[v] for v in y], dtype=np.float64)
-
-
-@dataclass
-class GridSearchSpec:
-    grid: dict[str, list]
-    folds: int = 5
-    seed: int = 0
-
-    def __post_init__(self):
-        if not self.grid or any(len(v) == 0 for v in self.grid.values()):
-            raise ValueError("empty parameter grid")
-        if self.folds < 2:
-            raise ValueError("need at least 2 folds")
-
-    def points(self) -> list[dict]:
-        names = list(self.grid)
-        points = [{}]
-        for name in names:
-            points = [dict(p, **{name: v}) for p in points for v in self.grid[name]]
-        return points
 
 
 def _cv_folds(y, folds, seed, stratified):
@@ -502,31 +482,37 @@ def _cv_folds(y, folds, seed, stratified):
     return assignment
 
 
-def grid_search(model_kind: str, spec: GridSearchSpec, X, y,
-                task: str = "regression", n_classes: int | None = None,
+def grid_search(model_kind: str, grid: dict[str, list], X, y, folds: int = 5,
+                seed: int = 0, task: str = "regression",
+                n_classes: int | None = None,
                 weights=None) -> tuple[dict, list[dict]]:
-    """Exhaustive search; best point = highest mean validation QWK, ties
-    broken by lower mean MSE then first-in-grid order. Every fold fits
-    through `fit_model`, as a refit does. Returns the winning parameters and
-    the full CV table."""
+    """Exhaustive search over the product of the grid's axes, the first axis
+    varying slowest; best point = highest mean validation QWK, ties broken
+    by lower mean MSE then first-in-grid order. Fold k fits through
+    `fit_model`, as a refit does, with seed ``seed + k``. Returns the
+    winning parameters and the full CV table."""
+    if not grid or any(len(v) == 0 for v in grid.values()):
+        raise ValueError("empty parameter grid")
+    if folds < 2:
+        raise ValueError("need at least 2 folds")
     X = np.asarray(X, dtype=np.float64)
     y_arr = np.asarray(y, dtype=np.float64)
     if n_classes is None:
         n_classes = int(y_arr.max()) + 1
-    folds = _cv_folds(y_arr.astype(np.int64), spec.folds, spec.seed,
-                      stratified=(task == "classification"))
+    assignment = _cv_folds(y_arr.astype(np.int64), folds, seed,
+                           stratified=(task == "classification"))
 
     def evaluate(point):
         fold_qwk, fold_mse, flagged = [], [], False
-        for fold in range(spec.folds):
-            hold = folds == fold
+        for fold in range(folds):
+            hold = assignment == fold
             if hold.all() or (~hold).all():
                 flagged = True
                 continue
             w_tr = weights if weights is None else np.asarray(weights)[~hold]
             model = fit_model(model_kind, point, X[~hold], y_arr[~hold], w_tr,
                               task=task, n_classes=n_classes,
-                              seed=spec.seed + fold)
+                              seed=seed + fold)
             pred = model.predict(X[hold])
             truth = y_arr[hold].astype(np.int64)
             if set(np.unique(truth)) != set(range(n_classes)):
@@ -540,7 +526,8 @@ def grid_search(model_kind: str, spec: GridSearchSpec, X, y,
                 "fold_qwk": fold_qwk, "fold_mse": fold_mse,
                 "flagged": flagged}
 
-    table = [evaluate(point) for point in spec.points()]
+    table = [evaluate(dict(zip(grid, values)))
+             for values in itertools.product(*grid.values())]
     best_idx = 0
     for i, row in enumerate(table[1:], start=1):
         cur = table[best_idx]

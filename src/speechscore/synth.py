@@ -33,6 +33,8 @@ _CONS_MAP = {"b": "B", "c": "K", "d": "D", "f": "F", "g": "G", "h": "HH",
              "q": "K", "r": "R", "s": "S", "t": "T", "v": "V", "w": "W",
              "x": "K", "z": "Z"}
 
+_SAMPLE_RATE = 16000
+
 _TEMPLATES = (
     ("DET", "NOUN", "VERB", "ADV"),
     ("DET", "ADJ", "NOUN", "VERB", "DET", "NOUN"),
@@ -73,19 +75,13 @@ class SynthSpec:
     noise: float = 0.25
     audio: bool = False
     second_rater_disagreement: float | None = None
-    target_proportions: tuple[float, ...] | None = None
     prompt_id: str = "synth-1"
-    sample_rate: int = 16000
 
     def __post_init__(self):
         if self.n < 50:
             raise ValueError("need n >= 50 responses")
         if not 2 <= self.grade_levels <= len(GRADE_LABELS):
             raise ValueError("grade_levels must be between 2 and 5")
-        if self.target_proportions is None:
-            self.target_proportions = tuple([1.0 / self.grade_levels] * self.grade_levels)
-        if abs(sum(self.target_proportions) - 1.0) > 1e-9:
-            raise ValueError("target proportions must sum to 1")
 
 
 def _phonemes_for(word: str, rng: np.random.Generator) -> list[tuple[str, PhonemeClass, Stress]]:
@@ -222,8 +218,7 @@ def _build_response(index: int, spec: SynthSpec, pools, fillers,
 
     return AlignedResponse(
         response_id=f"{spec.prompt_id}-{index:05d}", prompt_id=spec.prompt_id,
-        words=words, tokens=tokens), {"u_rate": u_rate, "u_vocab": u_vocab,
-                                      "u_pause": u_pause}
+        words=words, tokens=tokens)
 
 
 def _measured_latents(response: AlignedResponse,
@@ -238,25 +233,25 @@ def _measured_latents(response: AlignedResponse,
     }
 
 
-def _synth_audio(response: AlignedResponse, rng: np.random.Generator,
-                 sample_rate: int) -> AudioBuffer:
+def _synth_audio(response: AlignedResponse,
+                 rng: np.random.Generator) -> AudioBuffer:
     """Tone skeleton of the response: vowels are sines at the speaker's f0,
     consonants quiet high tones, pauses silence."""
     f0 = 110.0 + 70.0 * rng.random()
     total = response.words[-1].end + 0.1
-    samples = np.zeros(int(total * sample_rate) + 1, dtype=np.float64)
+    samples = np.zeros(int(total * _SAMPLE_RATE) + 1, dtype=np.float64)
     for word in response.words:
         segments = word.phonemes or ()
         for ph in segments:
-            lo = int(ph.start * sample_rate)
-            hi = max(lo + 1, int(ph.end * sample_rate))
-            tt = np.arange(hi - lo) / sample_rate
+            lo = int(ph.start * _SAMPLE_RATE)
+            hi = max(lo + 1, int(ph.end * _SAMPLE_RATE))
+            tt = np.arange(hi - lo) / _SAMPLE_RATE
             if ph.klass is PhonemeClass.VOWEL:
                 amp = 0.4 if ph.stress is Stress.PRIMARY else 0.28
                 samples[lo:hi] += amp * np.sin(2 * np.pi * f0 * tt)
             elif ph.klass is PhonemeClass.CONSONANT:
                 samples[lo:hi] += 0.06 * np.sin(2 * np.pi * 2100.0 * tt)
-    return AudioBuffer(samples=np.clip(samples, -1, 1), sample_rate=sample_rate)
+    return AudioBuffer(samples=np.clip(samples, -1, 1), sample_rate=_SAMPLE_RATE)
 
 
 def synth_corpus(spec: SynthSpec,
@@ -273,9 +268,9 @@ def synth_corpus(spec: SynthSpec,
     root = np.random.SeedSequence(spec.seed)
     seqs = root.spawn(spec.n + 1)
     for i in range(spec.n):
-        response, _ = _build_response(i, spec, pools, fillers,
-                                      resources.stopwords,
-                                      np.random.default_rng(seqs[i]))
+        response = _build_response(i, spec, pools, fillers,
+                                   resources.stopwords,
+                                   np.random.default_rng(seqs[i]))
         responses.append(response)
         latent_rows.append(_measured_latents(response, resources))
 
@@ -302,7 +297,9 @@ def synth_corpus(spec: SynthSpec,
     if np.unique(score).size < spec.grade_levels:
         raise ValueError("grade levels exceed the distinct latent bands")
 
-    cuts = np.quantile(score, np.cumsum(spec.target_proportions)[:-1])
+    # Equal grade shares: the cuts sit at the k/K quantiles of the score.
+    K = spec.grade_levels
+    cuts = np.quantile(score, np.cumsum([1.0 / K] * K)[:-1])
     ordinals = np.searchsorted(cuts, score, side="right")
     labels = GRADE_LABELS[:spec.grade_levels]
     for response, ordinal in zip(responses, ordinals):
@@ -320,8 +317,7 @@ def synth_corpus(spec: SynthSpec,
     if spec.audio:
         for i, response in enumerate(responses):
             audio[response.response_id] = _synth_audio(
-                response, np.random.default_rng([spec.seed, 7919, i]),
-                spec.sample_rate)
+                response, np.random.default_rng([spec.seed, 7919, i]))
     return responses, audio
 
 

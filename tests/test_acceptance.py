@@ -11,7 +11,7 @@ import pytest
 from speechscore.acoustic import acoustic_features, pitch_track
 from speechscore.cli import main as cli_main
 from speechscore.corpus import FeatureMatrix, default_resources
-from speechscore.explain import brute_force_shap, pdp, shap_summary, tree_shap
+from speechscore.explain import pdp, shap_summary, tree_shap
 from speechscore.features import ExtractorConfig
 from speechscore.harness import (ablation_additive, ablation_leave_one_out,
                                  prepare_prompt, run_benchmark, tune,
@@ -24,6 +24,7 @@ from speechscore.synth import SynthSpec, synth_corpus
 from speechscore.trees import TreeParams
 
 from conftest import make_response, make_word, tok
+from shap_oracle import brute_force_shap
 from test_acoustic import perturbed_tone, sine
 from test_explain import random_tree, wrap
 

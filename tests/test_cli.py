@@ -224,6 +224,61 @@ def test_explanations_in_raw_feature_units(pipeline_dirs, tmp_path,
     assert column.min() <= min(grid) < max(grid) <= column.max()
 
 
+@pytest.fixture(scope="module")
+def narrow_features(pipeline_dirs):
+    """The pipeline corpus extracted again with a 20-term vocabulary."""
+    feats = pipeline_dirs / "features20"
+    corpus = pipeline_dirs / "corpus"
+    assert main(["extract", "--manifest", str(corpus / "manifest.txt"),
+                 "--resources", str(corpus / "resources"),
+                 "--out", str(feats), "--groups", "CF,FF,SPF,GVF",
+                 "--max-terms", "20", "--seed", "5"]) == 0
+    return feats
+
+
+@pytest.mark.parametrize("trained_on, applied_to", [("features20", "features"),
+                                                    ("features", "features20")])
+def test_model_must_match_the_features(pipeline_dirs, narrow_features, tmp_path,
+                                       capsys, trained_on, applied_to):
+    run = tmp_path / "run"
+    assert main(["train", "--features", str(pipeline_dirs / trained_on),
+                 "--out", str(run), "--seed", "5",
+                 "--params", json.dumps({"n_stages": 5})]) == 0
+    model_columns = json.loads((run / "model.json").read_text())["feature_names"]
+    columns = FeatureMatrix.from_csv(
+        pipeline_dirs / applied_to / "features.csv").columns
+    assert model_columns != columns
+    at = next(i for i, (a, b) in enumerate(zip(model_columns, columns)) if a != b)
+    for command in (["evaluate"], ["explain", "--kind", "pdp",
+                                   "--feature", "speaking_rate"]):
+        out = tmp_path / command[0]
+        assert main(command + ["--features", str(pipeline_dirs / applied_to),
+                               "--model", str(run / "model.json"),
+                               "--out", str(out)]) == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "ValueError"
+        assert f"column {at} is {model_columns[at]!r} in the model but " \
+               f"{columns[at]!r} in the features" in payload["message"]
+        assert not list(out.glob("*.csv")) + list(out.glob("*.json"))
+
+
+@pytest.mark.parametrize("task", ["regression", "classification"])
+def test_importance_and_shap_refuse_linear_models(pipeline_dirs, tmp_path,
+                                                  capsys, task):
+    feats, run = pipeline_dirs / "features", tmp_path / "run"
+    assert main(["train", "--features", str(feats), "--out", str(run),
+                 "--model", "linear", "--task", task, "--seed", "5"]) == 0
+    explain = ["explain", "--features", str(feats),
+               "--model", str(run / "model.json"), "--out", str(run)]
+    for kind in ("importance", "shap"):
+        assert main(explain + ["--kind", kind]) == 1
+        payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert payload["error"] == "ValueError"
+        assert "tree ensembles only" in payload["message"]
+    assert main(explain + ["--kind", "pdp", "--feature", "speaking_rate"]) == 0
+    assert (run / "pdp_speaking_rate.csv").exists()
+
+
 def test_error_is_machine_readable(tmp_path, capsys):
     code = main(["extract", "--manifest", str(tmp_path / "missing.txt"),
                  "--resources", str(tmp_path), "--out", str(tmp_path / "o")])

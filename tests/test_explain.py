@@ -8,12 +8,13 @@ from pytest import approx
 
 from speechscore import explain
 from speechscore.corpus import FeatureMatrix
-from speechscore.explain import (DegenerateCover, brute_force_shap,
-                                 gain_importance, pdp, shap_base_value,
-                                 shap_summary, tree_shap)
+from speechscore.explain import (DegenerateCover, gain_importance, pdp,
+                                 shap_base_value, shap_summary, tree_shap)
 from speechscore.learners import (TreeEnsembleModel, fit_forest, fit_gbt,
                                   fit_linear, fit_logistic, fit_single_tree)
 from speechscore.trees import Tree, TreeParams
+
+from shap_oracle import brute_force_shap
 
 
 def manual_tree(feature, threshold, left_value, right_value,
@@ -93,11 +94,6 @@ class TestGainImportance:
                         feature_names=["a", "b"])
         ranking = dict(gain_importance(model).entries)
         assert abs(ranking["a"] - ranking["b"]) < 0.1
-
-    def test_split_count_method(self):
-        model = wrap([manual_tree(1, 0.0, 0.0, 1.0)], ["x", "y"])
-        ranking = gain_importance(model, method="split_count")
-        assert ranking.entries[0] == ("y", 1.0)
 
 
 class TestPdp:

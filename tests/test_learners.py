@@ -6,12 +6,12 @@ from pytest import approx
 
 from speechscore import learners
 from speechscore.corpus import Standardizer
-from speechscore.learners import (GridSearchSpec, class_weights, fit_forest,
-                                  fit_gbt, fit_linear, fit_logistic, fit_model,
+from speechscore.learners import (class_weights, fit_forest, fit_gbt,
+                                  fit_linear, fit_logistic, fit_model,
                                   fit_single_tree, grid_search, load_model,
                                   model_from_json, save_model)
 from speechscore.metrics import qwk, round_to_grade
-from speechscore.trees import TreeParams, fit_tree
+from speechscore.trees import TreeParams
 
 
 def regression_data(n=200, seed=0, noise=0.3):
@@ -21,13 +21,15 @@ def regression_data(n=200, seed=0, noise=0.3):
 
 
 class TestForest:
-    def test_reduces_to_single_tree(self):
-        X, y = regression_data(80)
-        forest = fit_forest(X, y, n_trees=1, bootstrap=False, mtry=1,
-                            params=TreeParams(max_depth=4))
-        tree = fit_tree(X, y, params=TreeParams(max_depth=4, mtry=1),
-                        rng=np.random.default_rng(0))
-        assert np.array_equal(forest.predict(X), tree.predict(X))
+    def test_honours_params_mtry(self):
+        # Only column 0 carries signal: with every column a candidate at
+        # each split, every root splits on it.
+        rng = np.random.default_rng(0)
+        X = rng.normal(size=(120, 6))
+        y = 3.0 * X[:, 0] + 0.1 * rng.normal(size=120)
+        forest = fit_forest(X, y, n_trees=10, seed=0,
+                            params=TreeParams(max_depth=3, mtry=6))
+        assert [int(t.feature[0]) for t in forest.trees] == [0] * 10
 
     def test_refit_is_deterministic(self):
         X, y = regression_data(150, seed=2)
@@ -232,9 +234,8 @@ class TestGridSearch:
     def test_single_point(self):
         X, y_cont = regression_data(120, seed=5)
         y = round_to_grade(np.clip(y_cont, 0, 2), 3).astype(float)
-        spec = GridSearchSpec(grid={"max_depth": [3]}, seed=1)
-        best, table = grid_search("gbt", spec, X, y, task="regression",
-                                  n_classes=3)
+        best, table = grid_search("gbt", {"max_depth": [3]}, X, y, seed=1,
+                                  task="regression", n_classes=3)
         assert best == {"max_depth": 3}
         assert len(table) == 1
         assert len(table[0]["fold_qwk"]) == 5
@@ -243,34 +244,41 @@ class TestGridSearch:
         rng = np.random.default_rng(11)
         X = rng.uniform(-1, 1, size=(400, 2))
         target = (X[:, 0] * X[:, 1] > 0).astype(float) * 2
-        spec = GridSearchSpec(grid={"max_depth": [1, 6],
-                                    "n_stages": [40]}, seed=2)
-        best, table = grid_search("gbt", spec, X, target, task="regression",
+        best, table = grid_search("gbt", {"max_depth": [1, 6], "n_stages": [40]},
+                                  X, target, seed=2, task="regression",
                                   n_classes=3)
         assert best["max_depth"] == 6
 
     def test_deterministic(self):
         X, y_cont = regression_data(100, seed=6)
         y = round_to_grade(np.clip(y_cont, 0, 2), 3).astype(float)
-        spec = GridSearchSpec(grid={"max_depth": [2, 3]}, seed=4)
-        _, t1 = grid_search("gbt", spec, X, y, task="regression", n_classes=3)
-        _, t2 = grid_search("gbt", spec, X, y, task="regression", n_classes=3)
+        grid = {"max_depth": [2, 3]}
+        _, t1 = grid_search("gbt", grid, X, y, seed=4, task="regression",
+                            n_classes=3)
+        _, t2 = grid_search("gbt", grid, X, y, seed=4, task="regression",
+                            n_classes=3)
         assert json.dumps(t1, sort_keys=True) == json.dumps(t2, sort_keys=True)
 
     def test_missing_class_flagged_not_dropped(self):
         # class 2 appears once: most folds lack it entirely
         X = np.arange(30, dtype=float).reshape(-1, 1)
         y = np.array([0.0, 1.0] * 14 + [0.0, 2.0])
-        spec = GridSearchSpec(grid={"max_depth": [2]}, seed=0)
-        best, table = grid_search("decision_tree", spec, X, y,
-                                  task="classification", n_classes=3)
+        best, table = grid_search("decision_tree", {"max_depth": [2]}, X, y,
+                                  seed=0, task="classification", n_classes=3)
         assert len(table) == 1
         assert table[0]["flagged"]
         assert np.isfinite(table[0]["mean_qwk"])
 
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
-            GridSearchSpec(grid={})
+            grid_search("gbt", {}, np.zeros((10, 1)), np.zeros(10))
+        with pytest.raises(ValueError):
+            grid_search("gbt", {"max_depth": []}, np.zeros((10, 1)), np.zeros(10))
+
+    def test_one_fold_rejected(self):
+        with pytest.raises(ValueError, match="2 folds"):
+            grid_search("gbt", {"max_depth": [2]}, np.zeros((10, 1)),
+                        np.zeros(10), folds=1)
 
 
 def length_baseline(lengths, y, seed):
