@@ -19,7 +19,7 @@ from pathlib import Path
 
 from . import harness, svg
 from .corpus import (RESOURCE_FILES, RESOURCES_DIR, LexicalResources,
-                     load_corpus)
+                     load_corpus, write_float_csv)
 from .explain import gain_importance, pdp, shap_summary
 from .features import GROUP_ORDER, ExtractorConfig
 from .learners import load_model, save_model
@@ -182,9 +182,11 @@ def cmd_explain(args) -> int:
                        out / f"pdp_{_slug(args.feature)}.svg",
                        x_label=args.feature, y_label="mean prediction")
     elif kind == "shap":
+        if args.max_samples < 1:
+            raise ValueError(f"--max-samples must be at least 1, "
+                             f"got {args.max_samples}")
         summary = shap_summary(model, X[:args.max_samples])
-        _write_csv(out / "shap_values.csv", summary.columns,
-                   ([repr(float(v)) for v in row] for row in summary.phi))
+        write_float_csv(out / "shap_values.csv", [summary.columns], summary.phi)
         _write_csv(out / "shap_ranking.csv", ["feature", "mean_abs_phi"],
                    ([name, repr(value)] for name, value in summary.ranking))
         svg.beeswarm(summary.ranking, summary.phi, summary.feature_values,

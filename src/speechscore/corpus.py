@@ -19,15 +19,18 @@ reassigned once ``__post_init__`` has validated them.
 
 from __future__ import annotations
 
+import collections
 import csv
+import itertools
 import json
 import math
+import re
 import warnings
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -603,30 +606,96 @@ class FeatureMatrix:
 
     def to_csv(self, path: str | Path) -> None:
         """Two-row header: group tags, then feature names."""
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["id"] + list(self.groups))
-            writer.writerow(["response_id"] + list(self.columns))
-            for rid, row in zip(self.response_ids, self.values):
-                writer.writerow([rid] + [repr(float(v)) for v in row])
+        write_float_csv(path, [["id"] + self.groups,
+                               ["response_id"] + self.columns],
+                        self.values, ids=self.response_ids)
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "FeatureMatrix":
+        """Read `to_csv`'s layout in one pass over the file: `csv` parses the
+        header rows, `_row_values` takes each row's id, and one `np.loadtxt`
+        parses every row's numbers as the file yields them, with the same
+        correctly rounded routine as float()."""
         with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)
             groups = next(reader)[1:]
             columns = next(reader)[1:]
-            ids = [record[0] for record in reader]
-        if ids and columns:
-            # One parse of the numeric block; numpy converts each cell with
-            # the same correctly rounded routine as float().
-            values = np.loadtxt(path, dtype=np.float64, delimiter=",",
-                                quotechar='"', comments=None, skiprows=2,
-                                usecols=range(1, len(columns) + 1), ndmin=2,
-                                encoding="utf-8")
-        else:
-            values = np.zeros((len(ids), len(columns)))
+            ids = []
+            rows = _row_values(fh, ids, len(columns))
+            first = next(rows, None)
+            if first is None or not columns:
+                collections.deque(rows, maxlen=0)       # read the ids
+                values = np.zeros((len(ids), len(columns)))
+            else:
+                values = np.loadtxt(itertools.chain([first], rows),
+                                    dtype=np.float64, delimiter=",",
+                                    quotechar='"', comments=None,
+                                    usecols=range(len(columns)), ndmin=2)
         return cls(response_ids=ids, columns=columns, groups=groups, values=values)
+
+
+class _LineEcho:
+    """A csv.writer target: `writerow` returns the line it built."""
+
+    @staticmethod
+    def write(line: str) -> str:
+        return line
+
+
+def write_float_csv(path: str | Path, header_rows: Sequence[Sequence[str]],
+                    values: np.ndarray, ids: Sequence[str] | None = None) -> None:
+    """Write header rows, then one line per row of a float matrix, led by
+    the row's id when ``ids`` is given: the bytes csv.writer writes for the
+    cells as strings. Each value is its shortest round-trip ``repr``; `csv`
+    writes the header rows and quotes the ids, and the values skip it,
+    because a float's repr holds no comma, quote or line break."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        csv.writer(fh).writerows(header_rows)
+        # One row of Python floats at a time: the whole matrix as floats
+        # would hold ~32 bytes per cell at once.
+        rows = (row.tolist() for row in values)
+        if ids is None:
+            fh.writelines(",".join(map(repr, row)) + "\r\n" for row in rows)
+            return
+        line = csv.writer(_LineEcho()).writerow
+        for rid, row in zip(ids, rows):
+            # The id as csv writes it first of several cells ("<id>,"), or
+            # as a row's only cell.
+            lead = line([rid, ""] if row else [rid])[:-2]
+            fh.write(lead + ",".join(map(repr, row)) + "\r\n")
+
+
+# A row's id as csv.reader reads it: quoted, with "" for a quote inside and
+# a comma or the line's end after it, or bare up to the first comma or line
+# break. A line that ends inside a quoted id matches neither.
+_CSV_ID = re.compile(r'"((?:[^"]|"")*)"(?=[,\r\n]|\Z)|(?!")[^,\r\n]*')
+
+
+def _row_values(lines: Iterator[str], ids: list[str],
+                n_columns: int) -> Iterator[str]:
+    """Yield the text after each row's id, one row at a time, and append the
+    row's id to ``ids``.
+
+    ``lines`` comes from a file opened with ``newline=""``, so a line ends
+    where csv.reader ends a record: at ``\\r\\n``, ``\\r`` or ``\\n``,
+    never at the ``\\x85`` or ``\\u2028`` that `str.splitlines` splits at;
+    a quoted id may span lines. A blank line, a quoted id that is
+    unterminated or has text after it, or, when there are columns, a row
+    without values raises `ValueError`."""
+    for line in lines:
+        match = _CSV_ID.match(line)
+        while match is None:                # a quoted id holding a line break
+            more = next(lines, None)
+            if more is None:
+                raise ValueError(f"unterminated quoted id in CSV row {len(ids) + 1}")
+            line += more
+            match = _CSV_ID.match(line)
+        rest = line[match.end():].rstrip("\r\n")
+        if rest[:1] != "," and (n_columns or not match.end()):
+            raise ValueError(f"malformed CSV row {len(ids) + 1}: {line[:40]!r}")
+        quoted = match.group(1)
+        ids.append(match.group() if quoted is None else quoted.replace('""', '"'))
+        yield rest[1:]
 
 
 @dataclass

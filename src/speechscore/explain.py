@@ -108,6 +108,11 @@ def pdp(model, background: FeatureMatrix | np.ndarray, feature: str | int,
         names = feature_names or [f"f{i}" for i in range(X.shape[1])]
     if X.shape[0] == 0:
         raise ValueError("empty background matrix")
+    if n_grid < 1:
+        raise ValueError(f"PDP grid size must be at least 1, got {n_grid}")
+    if isinstance(feature, str) and feature not in names:
+        raise ValueError(f"feature {feature!r} is not one of the model's "
+                         f"{len(names)} columns")
     col = names.index(feature) if isinstance(feature, str) else int(feature)
     name = names[col]
 

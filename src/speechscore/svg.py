@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
+import numpy as np
+
 
 def _header(width, height, title):
     return [
@@ -94,27 +96,29 @@ def beeswarm(ranking, phi, feature_values, columns, title: str,
     """SHAP summary: one row per feature (rank order), phi on x, point color
     mapped from the feature value's within-column rank."""
     shown = [name for name, _ in ranking[:max_features]]
+    phi = np.asarray(phi, dtype=np.float64)
+    feature_values = np.asarray(feature_values, dtype=np.float64)
     row_h, left, width = 26, 230, 720
     height = 50 + row_h * max(len(shown), 1)
-    span = max(abs(float(v)) for row in phi for v in row) or 1.0
+    span = float(np.abs(phi).max()) or 1.0
     sx = lambda v: left + (width - left - 30) * (0.5 + 0.5 * v / span)
     parts = _header(width, height, title)
     zero_x = sx(0.0)
     parts.append(f'<line x1="{zero_x:.1f}" y1="28" x2="{zero_x:.1f}" '
                  f'y2="{height - 20}" stroke="#999" stroke-dasharray="3,3"/>')
     col_of = {name: i for i, name in enumerate(columns)}
-    n = len(phi)
+    jitters = [((i * 2654435761) % 97 / 97.0 - 0.5) * (row_h - 8)
+               for i in range(len(phi))]
     for r, name in enumerate(shown):
         j = col_of[name]
         y = 40 + r * row_h
         parts.append(f'<text x="{left - 6}" y="{y + 4}" text-anchor="end">{_esc(name[:34])}</text>')
-        col = [float(feature_values[i][j]) for i in range(n)]
+        col = feature_values[:, j].tolist()
         lo, hi = min(col), max(col)
         rng = (hi - lo) or 1.0
-        for i in range(n):
-            t = (col[i] - lo) / rng
-            jitter = ((i * 2654435761) % 97 / 97.0 - 0.5) * (row_h - 8)
-            parts.append(f'<circle cx="{sx(float(phi[i][j])):.1f}" cy="{y + jitter:.1f}" '
+        for value, contribution, jitter in zip(col, phi[:, j].tolist(), jitters):
+            t = (value - lo) / rng
+            parts.append(f'<circle cx="{sx(contribution):.1f}" cy="{y + jitter:.1f}" '
                          f'r="2" fill="{_gradient_color(t)}" fill-opacity="0.65"/>')
     parts.append(f'<text x="{(left + width) / 2:.0f}" y="{height - 6}" '
                  f'text-anchor="middle">contribution to prediction</text>')

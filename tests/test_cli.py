@@ -279,6 +279,28 @@ def test_importance_and_shap_refuse_linear_models(pipeline_dirs, tmp_path,
     assert (run / "pdp_speaking_rate.csv").exists()
 
 
+@pytest.mark.parametrize("argv, needles", [
+    (["--kind", "shap", "--max-samples", "0"], ["--max-samples", "got 0"]),
+    (["--kind", "shap", "--max-samples", "-130"], ["--max-samples", "got -130"]),
+    (["--kind", "pdp", "--feature", "speaking_rate", "--n-grid", "0"],
+     ["grid size", "got 0"]),
+    (["--kind", "pdp", "--feature", "nosuch"], ["'nosuch'", "{p} columns"]),
+])
+def test_explain_rejects_bad_arguments(pipeline_dirs, tmp_path, capsys, argv,
+                                       needles):
+    feats, run, out = pipeline_dirs / "features", tmp_path / "run", tmp_path / "out"
+    assert main(["train", "--features", str(feats), "--out", str(run),
+                 "--seed", "5", "--params", json.dumps({"n_stages": 5})]) == 0
+    p = len(json.loads((run / "model.json").read_text())["feature_names"])
+    assert main(["explain", "--features", str(feats), "--model",
+                 str(run / "model.json"), "--out", str(out)] + argv) == 1
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "ValueError"
+    for needle in needles:
+        assert needle.format(p=p) in payload["message"]
+    assert not list(out.iterdir())
+
+
 def test_error_is_machine_readable(tmp_path, capsys):
     code = main(["extract", "--manifest", str(tmp_path / "missing.txt"),
                  "--resources", str(tmp_path), "--out", str(tmp_path / "o")])

@@ -291,15 +291,58 @@ _CSV_FLOATS = (st.floats(allow_nan=False, allow_subnormal=True)
                | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
                                   math.inf, -math.inf, math.nan, 1e308, -1e308]))
 
+# Ids with every character csv must quote, the line breaks str.splitlines
+# splits at but csv does not, and a leading quote.
+_CSV_IDS = st.text(st.sampled_from([",", '"', "\r", "\n", "\x85", "\u2028", " ",
+                                    "r", "7", "\u00e9"])
+                   | st.characters(exclude_categories=("Cs",)), max_size=6)
+_CSV_IDS = _CSV_IDS | _CSV_IDS.map(lambda rid: '"' + rid)
+
+
+def _reference_from_csv(path):
+    """The two-pass reader kept as an oracle: csv.reader splits every field
+    of every row for its id, then np.loadtxt reads the file again."""
+    import csv
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        groups = next(reader)[1:]
+        columns = next(reader)[1:]
+        ids = [record[0] for record in reader]
+    if ids and columns:
+        values = np.loadtxt(path, dtype=np.float64, delimiter=",",
+                            quotechar='"', comments=None, skiprows=2,
+                            usecols=range(1, len(columns) + 1), ndmin=2,
+                            encoding="utf-8")
+    else:
+        values = np.zeros((len(ids), len(columns)))
+    return FeatureMatrix(response_ids=ids, columns=columns, groups=groups,
+                         values=values)
+
+
+def _read_both(path):
+    """Both readers' results, or the exception type each raised."""
+    outcomes = []
+    for read in (FeatureMatrix.from_csv, _reference_from_csv):
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                m = read(path)
+            outcomes.append((m.response_ids, m.columns, m.groups,
+                             m.values.shape, m.values.tobytes()))
+        except Exception as exc:
+            outcomes.append(type(exc))
+    return outcomes
+
 
 @given(st.integers(0, 4).flatmap(
-    lambda p: st.lists(st.lists(_CSV_FLOATS, min_size=p, max_size=p),
+    lambda p: st.lists(st.tuples(_CSV_IDS, st.lists(_CSV_FLOATS, min_size=p,
+                                                    max_size=p)),
                        min_size=0, max_size=5).map(lambda rows: (p, rows))))
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 def test_csv_round_trip_is_bit_exact(tmp_path_factory, case):
     p, rows = case
-    values = np.asarray(rows, dtype=np.float64).reshape(len(rows), p)
-    matrix = FeatureMatrix(response_ids=[f"r,{i}" for i in range(len(rows))],
+    values = np.asarray([v for _, v in rows], dtype=np.float64).reshape(len(rows), p)
+    matrix = FeatureMatrix(response_ids=[rid for rid, _ in rows],
                            columns=[f"c{j}" for j in range(p)],
                            groups=["FF"] * p, values=values)
     path = tmp_path_factory.mktemp("csv") / "m.csv"
@@ -311,6 +354,55 @@ def test_csv_round_trip_is_bit_exact(tmp_path_factory, case):
     assert back.columns == matrix.columns and back.groups == matrix.groups
     assert back.values.shape == (len(rows), p)
     assert back.values.tobytes() == values.tobytes()
+    new, oracle = _read_both(path)
+    assert new == oracle
+
+
+@pytest.mark.parametrize("text", [
+    "id,FF,GVF\nresponse_id,a,b\nr0,1.5,-2\nr1,0.1,3e2\n",       # LF only
+    "id,FF,GVF\r\nresponse_id,a,b\r\nr0,1.5,-2\r\nr1,0.1,3e2",  # no final break
+    "id,FF\rresponse_id,a\rr0,1.5\rr1,2\r",                       # CR only
+    'id,FF\r\nresponse_id,a\r\n"r,0",1.5\r\n"say ""hi""\n",2\r\n',
+    "id,FF\r\nresponse_id,a\r\nr\x85\u2028x,1.5\r\n",
+    "id,FF,FF\r\nresponse_id,a,b\r\nr0,1.5,\"2.5\"\r\n",           # quoted number
+    "id,FF\r\nresponse_id,a\r\nr0, 1.5 \r\n",                     # padded number
+    "id,FF\r\nresponse_id,a\r\nr0,1.5,9\r\n",                     # extra field
+    "id,FF,GVF\r\nresponse_id,a,b\r\n",                            # 0 rows
+    "id,FF,GVF\r\nresponse_id,a,b",                                # 0 rows, no break
+    "id\r\nresponse_id\r\nr0\r\n\"\"\r\n\"a\nb\"\r\n",                # 0 columns
+])
+def test_hand_written_csv_reads_as_the_oracle_does(tmp_path, text):
+    path = tmp_path / "m.csv"
+    path.write_bytes(text.encode("utf-8"))
+    new, oracle = _read_both(path)
+    assert not isinstance(new, type)
+    assert new == oracle
+
+
+_HEADER = "id,FF,FF\r\nresponse_id,a,b\r\n"
+
+
+@pytest.mark.parametrize("text", [
+    _HEADER + "r0,1.5,2\r\nr1,0.5\r\n",              # ragged: a field short
+    _HEADER + "r0,1.5,2\r\nr1\r\n",                  # id only
+    _HEADER + "r0,1.5,2\r\nr1,,2\r\n",               # empty field
+    _HEADER + "r0,1.5,2\r\n\r\nr1,1,2\r\n",          # blank line
+    _HEADER + "r0,1.5,2\r\nr1,1,x\r\n",              # not a number
+    "id\r\nresponse_id\r\nr0\r\n\r\nr1\r\n",          # blank line, 0 columns
+])
+def test_malformed_csv_raises_where_the_oracle_raises(tmp_path, text):
+    path = tmp_path / "m.csv"
+    path.write_bytes(text.encode("utf-8"))
+    new, oracle = _read_both(path)
+    assert isinstance(oracle, type) and isinstance(new, type)
+    assert new is ValueError
+
+
+def test_row_without_values_is_named(tmp_path):
+    path = tmp_path / "m.csv"
+    path.write_bytes((_HEADER + "r0,1.5,2\r\nr1\r\nr2,1,2\r\n").encode("utf-8"))
+    with pytest.raises(ValueError, match="malformed CSV row 2: 'r1"):
+        FeatureMatrix.from_csv(path)
 
 
 def test_grade_ordinals():

@@ -143,6 +143,21 @@ class TestPdp:
         assert curve.grid[-1] < 1e5    # the outlier is clipped away
 
 
+    @pytest.mark.parametrize("n_grid", [0, -3])
+    def test_grid_size_below_one_rejected(self, n_grid):
+        model = wrap([leaf_tree(0.0)], ["x0"])
+        bg = self._background(np.linspace(0, 1, 10).reshape(-1, 1), ["x0"])
+        with pytest.raises(ValueError, match=f"grid size .*got {n_grid}"):
+            pdp(model, bg, "x0", n_grid=n_grid)
+
+    def test_unknown_feature_rejected(self):
+        model = wrap([leaf_tree(0.0)], ["x0", "x1"])
+        bg = self._background(np.zeros((4, 2)), ["x0", "x1"])
+        with pytest.raises(ValueError, match="'nosuch' is not one of the "
+                                             "model's 2 columns"):
+            pdp(model, bg, "nosuch")
+
+
 def per_point_pdp(model, X, col, n_grid):
     """The per-point PDP loop that `pdp` replaced: one predict per grid point."""
     lo, hi = np.percentile(X[:, col], [1, 99])
