@@ -1,14 +1,17 @@
 #!/usr/bin/env python3
-"""Fit time, page faults and peak memory of each tree learner.
+"""Fit time, model digest, page faults and peak memory of each tree learner.
 
 For each corpus size, a child process builds the text feature matrix of
 the synthetic corpus at the given seed, as the benchmark does (`synth`, then
 `extract` of CF, FF, SPF and GVF at `--max-terms 120`). Then, for each
 learner kind and formulation, another child loads the train split, fits
 the learner with its row of `learners.DEFAULT_PARAMS` `--repeats` times and
-reports the fastest fit in seconds, the minor page faults (`ru_minflt`) per
-fit and peak RSS (`ru_maxrss`): once after loading and once after fitting.
-Each step runs in its own process so that one peak does not hide the next.
+reports the fastest fit in seconds, the first 12 hex digits of the SHA-256
+of the fitted model's JSON (the bytes `save_model` writes), the minor page
+faults (`ru_minflt`) per fit and peak RSS (`ru_maxrss`): once after loading
+and once after fitting. Each step runs in its own process so that one peak
+does not hide the next. Runs of two versions of the code at the same seed
+and sizes then compare speed and byte identity per learner and formulation.
 
 Usage:
     PYTHONPATH=src python scripts/fit_profile.py [--n 200 800] [--seed 7]
@@ -18,7 +21,9 @@ Usage:
 
 import argparse
 import contextlib
+import hashlib
 import io
+import json
 import resource
 import subprocess
 import sys
@@ -53,11 +58,14 @@ def _child(features: str, model: str, task: str, repeats: int, seed: int) -> Non
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        fit_model(model, {}, X, y, weights, task=task,
-                  n_classes=dataset.n_classes, seed=seed, feature_names=columns)
+        fitted = fit_model(model, {}, X, y, weights, task=task,
+                           n_classes=dataset.n_classes, seed=seed,
+                           feature_names=columns)
         best = min(best, time.perf_counter() - start)
     usage = resource.getrusage(resource.RUSAGE_SELF)
+    payload = json.dumps(fitted.to_json(), sort_keys=True).encode("utf-8")
     print(f"{X.shape[0]:>6} {X.shape[1]:>4} {model:>14} {task:>14} {best:8.3f} "
+          f"{hashlib.sha256(payload).hexdigest()[:12]:>12} "
           f"{(usage.ru_minflt - faults) / repeats:>12.0f} {input_rss:>13.1f} "
           f"{usage.ru_maxrss / 1024.0:>12.1f}", flush=True)
 
@@ -78,6 +86,8 @@ def main() -> None:
     ap.add_argument("--child", nargs=3, metavar=("FEATURES", "MODEL", "TASK"),
                     help=argparse.SUPPRESS)
     args = ap.parse_args()
+    if args.repeats < 1:
+        ap.error("--repeats must be at least 1")
     if args.build:
         _build(args.n[0], args.seed, Path(args.build))
         return
@@ -85,7 +95,8 @@ def main() -> None:
         _child(*args.child, args.repeats, args.seed)
         return
     print(f"{'rows':>6} {'cols':>4} {'model':>14} {'task':>14} {'fit_s':>8} "
-          f"{'minflt/fit':>12} {'input_rss_mb':>13} {'peak_rss_mb':>12}", flush=True)
+          f"{'model_sha256':>12} {'minflt/fit':>12} {'input_rss_mb':>13} "
+          f"{'peak_rss_mb':>12}", flush=True)
     with tempfile.TemporaryDirectory() as tmp:
         for n in args.n:
             features = Path(tmp) / f"features{n}"

@@ -201,7 +201,8 @@ def fit_gbt(X, y, weights=None, n_stages: int = 100, learning_rate: float = 0.1,
     For regression each stage fits the current residuals, so the weighted
     training MSE is non-increasing. ``init="zero"`` starts from a zero base
     score instead of the weighted mean. Every stage and class fits the same
-    X, so X is presorted once for all of them.
+    X, so X is presorted once for all of them, and each fit reports the leaf
+    of every training row, from which the stage updates the predictions.
     """
     X, y, weights = _as_arrays(X, y, weights)
     if n_stages < 1 or not (0.0 < learning_rate <= 1.0):
@@ -211,6 +212,7 @@ def fit_gbt(X, y, weights=None, n_stages: int = 100, learning_rate: float = 0.1,
     wsum = weights.sum()
     rng = np.random.default_rng(seed)
     presorted = Presorted(X)
+    leaves = np.empty(y.size, dtype=np.int64)
 
     if task == "regression":
         base = float((weights * y).sum() / wsum) if init == "mean" else 0.0
@@ -220,8 +222,8 @@ def fit_gbt(X, y, weights=None, n_stages: int = 100, learning_rate: float = 0.1,
         for _ in range(n_stages):
             residual = y - current
             tree = fit_tree(X, residual, weights, params, task="regression",
-                            rng=rng, presorted=presorted)
-            current = current + learning_rate * tree.predict(X)
+                            rng=rng, presorted=presorted, leaves=leaves)
+            current = current + learning_rate * tree.value[leaves]
             trees.append(tree)
             losses.append(float((weights * (y - current) ** 2).sum() / wsum))
         return TreeEnsembleModel(kind="gbt_regressor", task="regression",
@@ -255,9 +257,9 @@ def fit_gbt(X, y, weights=None, n_stages: int = 100, learning_rate: float = 0.1,
         for k in range(K):
             grad = onehot[:, k] - proba[:, k]
             tree = fit_tree(X, grad, weights, params, task="regression",
-                            rng=rng, presorted=presorted)
-            _newton_relabel(tree, X, grad, weights, K)
-            logits[:, k] += learning_rate * tree.predict(X)
+                            rng=rng, presorted=presorted, leaves=leaves)
+            _newton_relabel(tree, leaves, grad, weights, K)
+            logits[:, k] += learning_rate * tree.value[leaves]
             trees.append(tree)
         losses.append(log_loss(logits))
     return TreeEnsembleModel(kind="gbt_classifier", task="classification",
@@ -266,9 +268,9 @@ def fit_gbt(X, y, weights=None, n_stages: int = 100, learning_rate: float = 0.1,
                              n_classes=K, train_loss=losses)
 
 
-def _newton_relabel(tree: Tree, X, grad, weights, n_classes):
-    """Replace leaf values by the multiclass Newton step on the log-loss."""
-    leaf_of = tree.apply(X)
+def _newton_relabel(tree: Tree, leaf_of, grad, weights, n_classes):
+    """Replace leaf values by the multiclass Newton step on the log-loss;
+    ``leaf_of`` holds the leaf of each training row."""
     factor = (n_classes - 1) / n_classes
     for leaf in np.unique(leaf_of):
         rows = leaf_of == leaf

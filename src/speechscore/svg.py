@@ -7,6 +7,7 @@ plotting stack.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -83,7 +84,10 @@ def line_chart(x, y, title: str, path: str | Path | None = None,
 
 
 def _gradient_color(t: float) -> str:
-    """Blue (low) to red (high) two-color gradient, t in [0, 1]."""
+    """Blue (low) to red (high) two-color gradient, t in [0, 1]; grey for
+    a NaN t (a missing feature value)."""
+    if t != t:
+        return "rgb(150,150,150)"
     t = min(max(t, 0.0), 1.0)
     r = int(30 + t * (200 - 30))
     g = int(90 - t * 40)
@@ -94,7 +98,8 @@ def _gradient_color(t: float) -> str:
 def beeswarm(ranking, phi, feature_values, columns, title: str,
              path: str | Path | None = None, max_features: int = 15) -> str:
     """SHAP summary: one row per feature (rank order), phi on x, point color
-    mapped from the feature value's within-column rank."""
+    mapped from the feature value's position in its column's finite range.
+    A NaN value is grey; an infinite one takes its end of the scale."""
     shown = [name for name, _ in ranking[:max_features]]
     phi = np.asarray(phi, dtype=np.float64)
     feature_values = np.asarray(feature_values, dtype=np.float64)
@@ -114,7 +119,12 @@ def beeswarm(ranking, phi, feature_values, columns, title: str,
         y = 40 + r * row_h
         parts.append(f'<text x="{left - 6}" y="{y + 4}" text-anchor="end">{_esc(name[:34])}</text>')
         col = feature_values[:, j].tolist()
-        lo, hi = min(col), max(col)
+        finite = [v for v in col if math.isfinite(v)] or [0.0]
+        lo, hi = min(finite), max(finite)
+        if hi - lo == math.inf:
+            # A range past the largest float: halving is exact for normal
+            # floats and keeps it finite.
+            col, lo, hi = [v * 0.5 for v in col], lo * 0.5, hi * 0.5
         rng = (hi - lo) or 1.0
         for value, contribution, jitter in zip(col, phi[:, j].tolist(), jitters):
             t = (value - lo) / rng

@@ -37,12 +37,28 @@ floats, which is libm ``pow``; NumPy squares arrays as ``x * x``, which
 differs in the last bit for some inputs and would shift gains by one ulp.
 The targets' ``pow`` squares are taken once per tree.
 
+Unit weights. Every regression fit of the pipeline weighs each row 1.0, and
+the scorer checks that once per tree. Regression nodes then skip the weight
+gather, its cumulative sum and the weight-target products: the left counts
+are the vector ``lo+1 .. hi``, the right counts ``m`` minus it, the total
+weight is ``m`` and the last row's square adds unscaled. Each operand equals
+its weighted form bit for bit: integers are exact in float64, a cumulative
+sum of ones is that integer vector, ``1.0 * v == v``, and broadcasting one
+row of counts over the columns changes no value. The gain arithmetic is
+shared, so splits, gains and thresholds are identical. Such a node's cover
+is its row count and its value the plain mean. The Gini path keeps its
+weights.
+
 Trees are grown depth first from an explicit stack, left child first, so
 nodes are numbered in preorder and a fit leaves no reference cycle behind.
+A fit can record the leaf of each training row as it partitions them; the
+partition makes the ``x <= threshold`` test of `Tree.apply`, so boosting
+reads its training predictions from those leaves without a descent.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,18 +170,20 @@ class _Builder:
                     value=np.asarray(self.value, dtype=np.float64))
 
 
-def _node_value(y: np.ndarray, w: np.ndarray, n_classes: int | None):
-    total = w.sum()
+def _node_value(y: np.ndarray, w: np.ndarray | None, n_classes: int | None):
+    """A node's value; ``w`` None means unit weights."""
+    total = float(y.size) if w is None else w.sum()
     if n_classes is None:
-        return float((w * y).sum() / total)
+        return float((y if w is None else w * y).sum() / total)
     scores = np.zeros(n_classes, dtype=np.float64)
-    np.add.at(scores, y.astype(np.int64), w)
+    np.add.at(scores, y.astype(np.int64), 1.0 if w is None else w)
     return scores / total
 
 
 def _squares(v: np.ndarray) -> np.ndarray:
     """Square each entry as a Python float: libm pow, not NumPy's x * x."""
-    return np.asarray([t ** 2 for t in v.tolist()], dtype=np.float64)
+    return np.fromiter(map(pow, v.tolist(), itertools.repeat(2.0)),
+                       dtype=np.float64, count=v.size)
 
 
 class _Workspace:
@@ -221,8 +239,10 @@ class _SplitScorer:
         self._n = columns.shape[1]
         self._work = work
         self._y, self._w, self._n_classes = y, w, n_classes
+        self.unit = bool((w == 1.0).all())
         if n_classes is None:
             self._y_sq = _squares(y)
+            self._counts = np.arange(1, self._n + 1, dtype=np.float64)
         else:
             self._labels = y.astype(np.int64)
             self._onehot = work.onehot(n_classes)
@@ -253,25 +273,35 @@ class _SplitScorer:
         if not feasible.any():
             return None
 
-        ws = self._w.take(order, out=full[2], mode="clip")
-        cw = ws.cumsum(axis=1, out=full[3])
-        total_w = cw[:, -1].copy()
-        cw = cw[:, lo:hi]
         scores = part[7]
         if self._n_classes is None:
             ys = self._y.take(order, out=full[1], mode="clip")
-            wy = np.multiply(ws, ys, out=full[4])
-            cwy = wy.cumsum(axis=1, out=full[5])
-            cwy2 = np.multiply(wy, ys, out=wy).cumsum(axis=1, out=full[6])
+            if self.unit:
+                # The weighted operands below with every weight 1.0, exactly.
+                cw = self._counts[lo:hi]
+                total_w = float(m)
+                rw = m - cw
+                cwy = ys.cumsum(axis=1, out=full[5])
+                cwy2 = np.multiply(ys, ys, out=full[4]).cumsum(axis=1, out=full[6])
+                total_wy2 = cwy2[:, -2] + self._y_sq[order[:, -1]]
+            else:
+                ws = self._w.take(order, out=full[2], mode="clip")
+                cw = ws.cumsum(axis=1, out=full[3])
+                total_w = cw[:, -1].copy()
+                cw = cw[:, lo:hi]
+                wy = np.multiply(ws, ys, out=full[4])
+                cwy = wy.cumsum(axis=1, out=full[5])
+                cwy2 = np.multiply(wy, ys, out=wy).cumsum(axis=1, out=full[6])
+                total_wy2 = cwy2[:, -2] + ws[:, -1] * self._y_sq[order[:, -1]]
+                # ys is spent: its buffer takes the right-hand weights.
+                rw = np.subtract(total_w[:, None], cw, out=part[1])
             total_wy = cwy[:, -1].copy()
-            total_wy2 = cwy2[:, -2] + ws[:, -1] * self._y_sq[order[:, -1]]
             cwy, cwy2 = cwy[:, lo:hi], cwy2[:, lo:hi]
-            # ys, ws and wy are spent: their buffers take the right side.
-            rw, right, sse_right = part[1], part[2], part[4]
+            # Buffers 2 and 4 are spent (or unused): they take the right side.
+            right, sse_right = part[2], part[4]
             with np.errstate(divide="ignore", invalid="ignore"):
                 np.divide(np.square(cwy, out=scores), cw, out=scores)
                 np.subtract(cwy2, scores, out=scores)               # sse_left
-                np.subtract(total_w[:, None], cw, out=rw)
                 np.square(np.subtract(total_wy[:, None], cwy, out=right), out=right)
                 np.divide(right, rw, out=right)
                 np.subtract(np.subtract(total_wy2[:, None], cwy2, out=sse_right),
@@ -281,6 +311,10 @@ class _SplitScorer:
             np.subtract(scores, sse_right, out=scores)
             noise_floor = 1e-12 * np.maximum(total_wy2, 1.0)
         else:
+            ws = self._w.take(order, out=full[2], mode="clip")
+            cw = ws.cumsum(axis=1, out=full[3])
+            total_w = cw[:, -1].copy()
+            cw = cw[:, lo:hi]
             K = self._n_classes
             labels = self._labels.take(order, out=index, mode="clip")
             onehot = self._onehot[0, :q * m * K].reshape(q, m, K)
@@ -326,11 +360,14 @@ def fit_tree(X: np.ndarray, y: np.ndarray, weights: np.ndarray | None = None,
              params: TreeParams | None = None, task: str = "regression",
              n_classes: int | None = None,
              rng: np.random.Generator | None = None,
-             presorted: Presorted | None = None) -> Tree:
+             presorted: Presorted | None = None,
+             leaves: np.ndarray | None = None) -> Tree:
     """Grow a CART tree; classification when task="classification".
 
     ``presorted``, when given, must be ``Presorted(X)`` or ``rows(keep)``
-    of a presorted matrix whose ``X[keep]`` is X.
+    of a presorted matrix whose ``X[keep]`` is X. ``leaves``, when given,
+    is an integer array of one entry per row of X that receives the leaf
+    each row falls in: ``tree.apply(X)``.
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
@@ -365,9 +402,9 @@ def fit_tree(X: np.ndarray, y: np.ndarray, weights: np.ndarray | None = None,
     stack = [(np.arange(n_rows), order, 0, _LEAF, True)]
     while stack:
         idx, order, depth, parent, is_left = stack.pop()
-        yv, wv = y[idx], weights[idx]
-        cover = float(wv.sum())
-        value = _node_value(yv, wv, n_classes)
+        wv = None if scorer.unit else weights[idx]
+        cover = float(idx.size) if wv is None else float(wv.sum())
+        value = _node_value(y[idx], wv, n_classes)
         split = None
         if _splittable(params, idx.size, depth):
             if sample:
@@ -377,6 +414,8 @@ def fit_tree(X: np.ndarray, y: np.ndarray, weights: np.ndarray | None = None,
             split = scorer.best(order, candidates, params.min_samples_leaf)
         if split is None:
             node = builder.add(cover, value)
+            if leaves is not None:
+                leaves[idx] = node
         else:
             score, col, threshold = split
             f = int(candidates[col])

@@ -5,7 +5,9 @@ would not otherwise run them. Each runs in its own interpreter with
 ``PYTHONPATH=src`` and writes only under the test's temporary directory.
 """
 
+import hashlib
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -29,10 +31,38 @@ def _run(tmp_path, script, args):
     ("run_synthetic_experiment.py", ["--n", "50", "--out", "{tmp}/out"]),
     ("af_profile.py", ["--seconds", "1", "--repeats", "1"]),
     ("fit_profile.py", ["--n", "50", "--models", "gbt", "--tasks", "regression",
-                        "--repeats", "1"]),
+                        "classification", "--repeats", "1"]),
 ])
 def test_script_runs(tmp_path, script, args):
-    _run(tmp_path, script, args)
+    stdout = _run(tmp_path, script, args)
+    if script == "fit_profile.py":
+        _check_fit_digests(tmp_path, stdout)
+
+
+def _check_fit_digests(tmp_path, stdout):
+    """Each fit_profile row's digest is the SHA-256 prefix of the model file
+    that `save_model` writes for the same fit."""
+    from speechscore.harness import load_prompt_dataset
+    from speechscore.learners import class_weights, fit_model, save_model
+
+    header, *rows = stdout.splitlines()
+    assert header.split()[4:6] == ["fit_s", "model_sha256"]
+    script = runpy.run_path(str(ROOT / "scripts" / "fit_profile.py"))
+    features = tmp_path / "features"
+    script["_build"](50, 7, features)
+    dataset = load_prompt_dataset(features)
+    X, y, _, columns = dataset.design("train")
+    seen = set()
+    for row in rows:
+        _, _, model, task, _, digest = row.split()[:6]
+        weights = class_weights(y) if task == "classification" else None
+        fitted = fit_model(model, {}, X, y, weights, task=task,
+                           n_classes=dataset.n_classes, seed=7, feature_names=columns)
+        save_model(fitted, tmp_path / "model.json")
+        data = (tmp_path / "model.json").read_bytes()
+        assert digest == hashlib.sha256(data).hexdigest()[:12]
+        seen.add((model, task))
+    assert seen == {("gbt", "regression"), ("gbt", "classification")}
 
 
 def test_explain_profile_runs(tmp_path):

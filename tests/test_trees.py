@@ -199,6 +199,16 @@ def _bits(split):
 
 
 @st.composite
+def _weights(draw, n):
+    """Row weights; all ones in about a third of the cases, which the
+    scorer takes on its unit-weight path."""
+    if draw(st.integers(0, 2)) == 0:
+        return np.ones(n)
+    return np.array(draw(st.lists(st.sampled_from([1.0, 0.5, 2.0, 3.7, 0.013]),
+                                  min_size=n, max_size=n)))
+
+
+@st.composite
 def _split_cases(draw):
     n = draw(st.integers(2, 24))
     p = draw(st.integers(1, 5))
@@ -217,8 +227,7 @@ def _split_cases(draw):
     else:
         y_values = st.integers(0, n_classes - 1).map(float)
     y = np.array(draw(st.lists(y_values, min_size=n, max_size=n)))
-    w = np.array(draw(st.lists(st.sampled_from([1.0, 0.5, 2.0, 3.7, 0.013]),
-                               min_size=n, max_size=n)))
+    w = draw(_weights(n))
     min_leaf = draw(st.integers(0, 4))
     candidates = sorted(draw(st.sets(st.integers(0, p - 1), min_size=1)))
     return X, y, w, min_leaf, n_classes, candidates
@@ -327,8 +336,7 @@ def _tree_cases(draw):
         y_values = st.one_of(st.integers(-3, 3).map(float),
                              st.floats(-1e3, 1e3, allow_nan=False))
     y = np.array(draw(st.lists(y_values, min_size=n, max_size=n)))
-    w = np.array(draw(st.lists(st.sampled_from([1.0, 0.5, 2.0, 3.7, 0.013]),
-                               min_size=n, max_size=n)))
+    w = draw(_weights(n))
     params = TreeParams(max_depth=draw(st.integers(3, 6)),
                         min_samples_leaf=draw(st.integers(0, 4)),
                         min_samples_split=draw(st.integers(2, 5)),
@@ -344,11 +352,13 @@ class TestPresortedGrowth:
     @settings(max_examples=300, deadline=None)
     def test_matches_per_node_argsort(self, case):
         X, y, w, params, task, n_classes, seed = case
+        leaves = np.full(y.size, -1)
         fast = fit_tree(X, y, w, params, task=task, n_classes=n_classes,
-                        rng=np.random.default_rng(seed))
+                        rng=np.random.default_rng(seed), leaves=leaves)
         slow = _reference_fit_tree(X, y, w, params, task=task, n_classes=n_classes,
                                    rng=np.random.default_rng(seed))
         assert _tree_bits(fast) == _tree_bits(slow)
+        assert np.array_equal(leaves, fast.apply(X))
 
     def test_shared_presort_matches_fresh(self):
         rng = np.random.default_rng(11)
@@ -361,14 +371,24 @@ class TestPresortedGrowth:
             fresh = fit_tree(X, y, params=TreeParams(max_depth=4))
             assert _tree_bits(shared) == _tree_bits(fresh)
 
-    @pytest.mark.parametrize("task", ["regression", "classification"])
+    @pytest.mark.parametrize("task", ["regression", "classification",
+                                      "balanced_classification"])
     def test_gbt_matches_per_node_argsort(self, task, monkeypatch):
+        balanced = task == "balanced_classification"
+        task = task.removeprefix("balanced_")
         rng = np.random.default_rng(5)
         X = np.hstack([rng.integers(0, 4, size=(120, 3)).astype(float),
                        rng.normal(size=(120, 3))])
         signal = X[:, 0] + X[:, 3] - 0.5 * X[:, 1] * X[:, 4]
-        y = np.digitize(signal, np.quantile(signal, [0.33, 0.66])).astype(float)
+        if balanced:
+            # 40 rows per class: every class weight is exactly 1.0, so the
+            # gradient trees take the unit-weight path.
+            y = (np.argsort(np.argsort(signal, kind="stable")) // 40).astype(float)
+        else:
+            y = np.digitize(signal, np.quantile(signal, [0.33, 0.66])).astype(float)
         weights = class_weights(y) if task == "classification" else None
+        if balanced:
+            assert np.array_equal(weights, np.ones(120))
 
         def fit():
             model = fit_gbt(X, y, weights, n_stages=6, learning_rate=0.3,
@@ -377,7 +397,11 @@ class TestPresortedGrowth:
             return json.dumps(model.to_json())
 
         fast = fit()
-        monkeypatch.setattr(learners, "fit_tree",
-                            lambda *args, presorted=None, **kwargs:
-                            _reference_fit_tree(*args, **kwargs))
+
+        def reference(X, *args, presorted=None, leaves=None, **kwargs):
+            tree = _reference_fit_tree(X, *args, **kwargs)
+            leaves[:] = tree.apply(X)
+            return tree
+
+        monkeypatch.setattr(learners, "fit_tree", reference)
         assert fit() == fast
