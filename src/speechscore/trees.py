@@ -180,6 +180,16 @@ def _node_value(y: np.ndarray, w: np.ndarray | None, n_classes: int | None):
     return scores / total
 
 
+def _threshold(below: float, above: float) -> float:
+    """The midpoint of two sorted neighbours ``below < above``, or ``below``
+    where the midpoint rounds up to ``above`` (adjacent floats) or
+    overflows: ``x <= threshold`` must keep ``above`` out of the left side.
+    Python floats, so that an overflow gives inf without a warning."""
+    below, above = float(below), float(above)
+    mid = (below + above) / 2.0
+    return mid if below <= mid < above else below
+
+
 def _squares(v: np.ndarray) -> np.ndarray:
     """Square each entry as a Python float: libm pow, not NumPy's x * x."""
     return np.fromiter(map(pow, v.tolist(), itertools.repeat(2.0)),
@@ -347,8 +357,7 @@ class _SplitScorer:
         if not usable[col]:
             return None
         row = lo + rows[col]
-        threshold = (xs[col, row] + xs[col, row + 1]) / 2.0
-        return float(best[col]), col, threshold
+        return float(best[col]), col, _threshold(xs[col, row], xs[col, row + 1])
 
 
 def _splittable(params: TreeParams, n: int, depth: int) -> bool:

@@ -72,6 +72,19 @@ class TestFitTree:
             left = (X[:, 0] <= tree.threshold[0]).sum()
             assert 3 <= left <= 7
 
+    @pytest.mark.parametrize("below, above", [
+        (np.nextafter(1000.0, 0.0), 1000.0),   # the midpoint rounds up to 1000
+        (1e308, 1.5e308),                      # the midpoint sum overflows
+        (-1.5e308, -1e308)])
+    @pytest.mark.parametrize("w", [1.0, 0.5])
+    def test_threshold_separates_neighbouring_values(self, below, above, w):
+        X = np.array([[below]] * 7 + [[above]] * 7)
+        y = np.repeat([0.0, 1.0], 7)
+        tree = fit_tree(X, y, np.full(14, w), TreeParams(max_depth=3))
+        assert tree.threshold[0] == below
+        assert tree.cover[tree.left[0]] == tree.cover[tree.right[0]] == 7 * w
+        assert tree.value.tolist() == [0.5, 0.0, 1.0]
+
     def test_classification_gini(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([0, 0, 1, 1], dtype=float)
@@ -167,7 +180,11 @@ def _reference_split_of_feature(x, y, w, min_leaf, n_classes):
     best = int(np.argmax(scores))
     if not np.isfinite(scores[best]) or scores[best] <= noise_floor:
         return None
-    return float(scores[best]), (xs[best] + xs[best + 1]) / 2.0
+    below, above = float(xs[best]), float(xs[best + 1])
+    mid = (below + above) / 2.0
+    if not below <= mid < above:    # rounded up to, or overflowed past, above
+        mid = below
+    return float(scores[best]), mid
 
 
 def _reference_best_split(X, y, w, min_leaf, n_classes, candidates):
