@@ -67,10 +67,9 @@ def main() -> None:
     model, payload = piece("load_model",
                            lambda: load_model(args.model, with_payload=True))
     model_key = payload.get("model_key", "gbt")
-    formulation = payload.get("formulation", "regression")
     X, _, columns = harness._inputs(dataset, model_key, "train", model=model)
     piece("evaluation_entries", lambda: harness.evaluation_entries(
-        dataset, model, formulation, model_key))
+        dataset, model, model_key))
 
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
@@ -110,7 +109,7 @@ def main() -> None:
             out / "pdp.svg", x_label=feature, y_label="mean prediction"))
 
     print(f"{X.shape[0]} train rows x {X.shape[1]} columns, {model_key} "
-          f"{formulation}, fastest of {args.repeats} runs")
+          f"{model.task}, fastest of {args.repeats} runs")
     for name, best in timings:
         print(f"{name:<40} {best * 1e3:9.2f} ms")
 

@@ -75,14 +75,14 @@ def main():
     top = ranking.entries[:20]
     svg.bar_chart([n for n, _ in top], [v for _, v in top],
                   "feature importance (gain)", out / "importance.svg")
-    train_matrix = dataset.matrix.restrict(dataset.split.train)
+    X_train, _, _, columns = dataset.design("train")
     for feature, _ in top[:3]:
-        curve = pdp(model, train_matrix, feature)
+        curve = pdp(model, X_train, feature, feature_names=columns)
         svg.line_chart(curve.grid, curve.mean_prediction,
                        f"partial dependence: {feature}",
                        out / f"pdp_{feature.replace('/', '_').replace(':', '_')}.svg",
                        x_label=feature, y_label="mean prediction")
-    rows = train_matrix.values[:150]
+    rows = X_train[:150]
     summary = shap_summary(model, rows)
     svg.beeswarm(summary.ranking, summary.phi, summary.feature_values,
                  summary.columns, "SHAP summary", out / "shap_summary.svg")

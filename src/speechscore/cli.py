@@ -22,7 +22,7 @@ from .corpus import (RESOURCE_FILES, RESOURCES_DIR, LexicalResources,
                      load_corpus, write_float_csv)
 from .explain import gain_importance, pdp, shap_summary
 from .features import GROUP_ORDER, ExtractorConfig
-from .learners import load_model, save_model
+from .learners import TASKS, load_model, save_model
 from .synth import SCORE_FUNCTIONS, SynthSpec, synth_corpus, write_corpus
 
 
@@ -100,7 +100,6 @@ def cmd_extract(args) -> int:
         fmin=args.fmin, fmax=args.fmax, frame=args.frame, hop=args.hop,
         seed=args.seed)
     ratios = tuple(float(r) for r in args.ratios.split(":"))
-    ratios = tuple(r / sum(ratios) for r in ratios)
     for prompt_id, responses in sorted(by_prompt.items()):
         dataset = harness.prepare_prompt(responses, resources, config,
                                          ratios=ratios, threads=args.threads)
@@ -143,12 +142,10 @@ def cmd_evaluate(args) -> int:
     dataset = harness.load_prompt_dataset(args.features)
     model, payload = load_model(args.model, with_payload=True)
     out = _out_dir(args)
-    formulation = payload.get("formulation", "regression")
     model_key = payload.get("model_key", "gbt")
     report = {"prompt": dataset.prompt_id, "model": model_key,
-              "formulation": formulation, "n_classes": dataset.n_classes,
-              **harness.evaluation_entries(dataset, model, formulation,
-                                           model_key)}
+              "formulation": model.task, "n_classes": dataset.n_classes,
+              **harness.evaluation_entries(dataset, model, model_key)}
     _write_json(out / "report.json", report)
     print(json.dumps({s: round(report[s]["qwk"], 4) for s in harness.SPLITS}))
     return 0
@@ -320,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", default="gbt",
                    choices=harness.MODEL_KEYS, help="model family")
     p.add_argument("--task", default="regression",
-                   choices=("regression", "classification"), help="formulation")
+                   choices=TASKS, help="formulation")
     p.add_argument("--grid", default=None,
                    help='JSON hyperparameter grid, e.g. {"max_depth": [3, 6]}')
     p.add_argument("--folds", type=int, default=5, help="cross-validation folds")
@@ -372,10 +369,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--score-function", default="rate_ttr_pause",
                    choices=sorted(SCORE_FUNCTIONS), help="grade driver")
     p.add_argument("--noise", type=float, default=0.25,
-                   help="grading noise relative to unit signal spread")
+                   help="grading noise (>= 0) relative to unit signal spread")
     p.add_argument("--audio", action="store_true", help="also synthesize WAVs")
     p.add_argument("--second-rater", type=float, default=None,
-                   help="simulated second-rater disagreement probability")
+                   help="simulated second-rater disagreement probability "
+                        "in [0, 1]")
     p.add_argument("--prompt-id", default="synth-1", help="prompt identifier")
     p.set_defaults(func=cmd_synth)
 
@@ -386,7 +384,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--models", default=",".join(harness.MODEL_KEYS),
                    help="comma-separated model keys")
-    p.add_argument("--formulations", default="regression,classification",
+    p.add_argument("--formulations", default=",".join(TASKS),
                    help="comma-separated formulations")
     p.set_defaults(func=cmd_report)
 

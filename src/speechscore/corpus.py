@@ -521,11 +521,16 @@ def stratified_split(responses: Iterable[AlignedResponse],
     """Largest-remainder allocation per grade, kept within one response of
     each grade's share of every split, then seeded shuffling.
 
-    Deterministic for a fixed seed and independent of input ordering. Every
-    grade must appear on at least 3 responses so each split can be fed.
+    ``ratios`` are three finite positive train:valid:test weights, divided
+    by their sum. Deterministic for a fixed seed and independent of input
+    ordering. Every grade must appear on at least 3 responses so each split
+    can be fed.
     """
-    if abs(sum(ratios) - 1.0) > 1e-9:
-        raise ValueError("split ratios must sum to 1")
+    ratios = tuple(ratios)
+    if len(ratios) != 3 or not all(math.isfinite(r) and r > 0 for r in ratios):
+        raise ValueError("split ratios must be three finite positive numbers, "
+                         f"got {ratios}")
+    ratios = tuple(r / sum(ratios) for r in ratios)
     by_grade: dict[int, list[str]] = {}
     labels: dict[int, str] = {}
     for r in responses:
@@ -584,16 +589,6 @@ class FeatureMatrix:
 
     def column(self, name: str) -> np.ndarray:
         return self.values[:, self.columns.index(name)]
-
-    def restrict(self, ids: set[str] | Sequence[str]) -> "FeatureMatrix":
-        wanted = set(ids)
-        keep = [i for i, rid in enumerate(self.response_ids) if rid in wanted]
-        return FeatureMatrix(
-            response_ids=[self.response_ids[i] for i in keep],
-            columns=list(self.columns), groups=list(self.groups),
-            values=self.values[keep],
-            flags={rid: self.flags[rid] for rid in self.flags
-                   if rid in wanted})
 
     def select_groups(self, groups: Sequence[str]) -> "FeatureMatrix":
         wanted = set(groups)

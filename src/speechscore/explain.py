@@ -61,9 +61,13 @@ def gain_importance(model: TreeEnsembleModel) -> ImportanceRanking:
     if grand == 0:
         return ImportanceRanking(entries=[], flags=["importance_no_splits"])
     totals /= grand
-    order = sorted(range(totals.size), key=lambda i: (-totals[i], model.feature_names[i]))
-    return ImportanceRanking(entries=[(model.feature_names[i], float(totals[i]))
-                                      for i in order])
+    return ImportanceRanking(entries=_ranked(model.feature_names, totals))
+
+
+def _ranked(names: list[str], scores: np.ndarray) -> list[tuple[str, float]]:
+    """(name, score) pairs by descending score, ties by name."""
+    order = sorted(range(len(names)), key=lambda i: (-scores[i], names[i]))
+    return [(names[i], float(scores[i])) for i in order]
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +79,6 @@ class PdpCurve:
     feature: str
     grid: np.ndarray
     mean_prediction: np.ndarray
-    n_background: int
     flags: list[str] | None = None
 
 
@@ -138,8 +141,7 @@ def pdp(model, background: FeatureMatrix | np.ndarray, feature: str | int,
         preds = np.asarray(model.predict_value(stacked)).reshape(points.size, -1)
         for j, row in enumerate(preds):
             curve[start + j] = float(np.mean(row))
-    return PdpCurve(feature=name, grid=grid, mean_prediction=curve,
-                    n_background=X.shape[0], flags=flags)
+    return PdpCurve(feature=name, grid=grid, mean_prediction=curve, flags=flags)
 
 
 # ---------------------------------------------------------------------------
@@ -185,34 +187,28 @@ def _shap_tree(tree: Tree, X: np.ndarray, phi: np.ndarray) -> None:
         weights[1:] += po * W * steps / (length + 1)
         return feats + [pi], zs + [pz], O + [po], weights
 
+    def unwound(W, depth, o, z):
+        """The path weights W with the entry of one fraction o and zero
+        fraction z removed (UNWIND, Lundberg et al. 2020, Algorithm 2):
+        yields each row of the shorter path, last row first."""
+        one = o != 0
+        carry = W[depth]
+        for i in range(depth - 1, -1, -1):
+            part = carry * (depth + 1) / ((i + 1) * o)
+            yield np.where(one, part, W[i] * (depth + 1) / (z * (depth - i)))
+            if i:
+                carry = W[i] - part * z * (depth - i) / (depth + 1)
+
     def unwind(path, k):
         feats, zs, O, W = path
-        depth = len(feats) - 1
-        o_k, z_k = O[k], zs[k]
-        one = o_k != 0
-        carry = W[depth]
-        weights = np.empty((depth, n))
-        for i in range(depth - 1, -1, -1):
-            part = carry * (depth + 1) / ((i + 1) * o_k)
-            weights[i] = np.where(one, part, W[i] * (depth + 1) / (z_k * (depth - i)))
-            if i:
-                carry = W[i] - part * z_k * (depth - i) / (depth + 1)
+        weights = np.stack(list(unwound(W, len(feats) - 1, O[k], zs[k]))[::-1])
         return feats[:k] + feats[k + 1:], zs[:k] + zs[k + 1:], O[:k] + O[k + 1:], weights
 
     def unwound_sums(path):
         """Each non-root entry's unwound weight sum times (o - z), per row."""
         _, zs, O, W = path
-        depth = len(zs) - 1
-        o_k, z_k = np.array(O[1:]), np.array(zs[1:])[:, None]
-        one = o_k != 0
-        carry = W[depth]
-        total = 0.0
-        for i in range(depth - 1, -1, -1):
-            part = carry * (depth + 1) / ((i + 1) * o_k)
-            total = total + np.where(one, part, W[i] * (depth + 1) / (z_k * (depth - i)))
-            if i:
-                carry = W[i] - part * z_k * (depth - i) / (depth + 1)
-        return total * (o_k - z_k)
+        o, z = np.array(O[1:]), np.array(zs[1:])[:, None]
+        return sum(unwound(W, len(zs) - 1, o, z), 0.0) * (o - z)
 
     def recurse(node, path, pz, po, pi, rank):
         path = extend(path, pz, po, pi)
@@ -327,9 +323,6 @@ def shap_summary(model: TreeEnsembleModel, matrix: FeatureMatrix | np.ndarray,
         raise ValueError("empty matrix")
     phi = _shap_values(model, X, class_index)
     base = shap_base_value(model, class_index)
-    mean_abs = np.abs(phi).mean(axis=0)
-    order = sorted(range(X.shape[1]),
-                   key=lambda j: (-mean_abs[j], model.feature_names[j]))
-    ranking = [(model.feature_names[j], float(mean_abs[j])) for j in order]
+    ranking = _ranked(model.feature_names, np.abs(phi).mean(axis=0))
     return ShapExplanation(base_value=base, phi=phi, feature_values=X.copy(),
                            columns=list(model.feature_names), ranking=ranking)

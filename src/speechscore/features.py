@@ -9,7 +9,8 @@ responses or through an in-memory lookup.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from typing import Mapping
 
 import numpy as np
@@ -19,7 +20,6 @@ from .content import TfidfVocabulary, fit_vocabulary, vectorize
 from .corpus import AlignedResponse, FeatureMatrix, LexicalResources
 from .fluency import FLUENCY_FEATURES, fluency_features
 from .grammar import GRAMMAR_FEATURES, grammar_features
-from .parallel import run_tasks
 from .prosody import PROSODY_FEATURES, NoNuclei, prosody_features
 
 GROUP_ORDER = ("CF", "FF", "SPF", "GVF", "AF")
@@ -127,7 +127,11 @@ def extract_matrix(responses: list[AlignedResponse], resources: LexicalResources
     def run(response):
         return _extract_one(response, resources, vocabulary, config, audio_lookup)
 
-    results = run_tasks(run, responses, threads)
+    if threads > 1 and len(responses) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(run, responses))
+    else:
+        results = [run(response) for response in responses]
 
     values = np.zeros((len(responses), len(columns)), dtype=np.float64)
     flags: dict[str, list[str]] = {}

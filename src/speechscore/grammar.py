@@ -64,7 +64,8 @@ class UnitCounts:
     CN: int = 0
 
 
-def _word_tokens(tokens: list[TokenAnnotation]) -> list[TokenAnnotation]:
+def word_tokens(tokens: list[TokenAnnotation]) -> list[TokenAnnotation]:
+    """The words of a response: every token that is not PUNCT."""
     return [t for t in tokens if t.pos != "PUNCT"]
 
 
@@ -80,7 +81,7 @@ def lexical_features(tokens: list[TokenAnnotation], resources: LexicalResources,
     average the distinct-word count over 10 seeded 50-token samples
     (without replacement / contiguous windows respectively).
     """
-    words = _word_tokens(tokens)
+    words = word_tokens(tokens)
     if not words:
         raise ValueError("no word tokens")
     texts = [t.token for t in words]
@@ -177,7 +178,7 @@ def count_and_complexity_features(tokens: list[TokenAnnotation],
     variants (stopwords removed/kept x average/mode lexicon column);
     averages divide by the matched-token count.
     """
-    words = _word_tokens(tokens)
+    words = word_tokens(tokens)
     features = dict.fromkeys(COUNT_FEATURES, 0.0)
     for name, pos in _POS_TOTALS.items():
         features[name] = float(sum(1 for t in tokens if t.pos == pos))
@@ -245,7 +246,7 @@ def heuristic_syntax(tokens: list[TokenAnnotation]) -> UnitCounts:
     coordinating conjunctions to the sentence count; dependent clauses are
     subordinating markers followed by a verb chain in the same sentence.
     """
-    words = _word_tokens(tokens)
+    words = word_tokens(tokens)
     if not words:
         return UnitCounts()
     sentences = _sentence_ranges(tokens)
@@ -302,7 +303,7 @@ def heuristic_syntax(tokens: list[TokenAnnotation]) -> UnitCounts:
 def unit_counts_from_spans(response: AlignedResponse) -> UnitCounts:
     spans = response.syntax
     return UnitCounts(
-        W=len(_word_tokens(response.tokens)),
+        W=len(word_tokens(response.tokens)),
         S=len(spans.sentences), VP=len(spans.verb_phrases),
         C=len(spans.clauses), T=len(spans.t_units),
         DC=len(spans.dependent_clauses), CT=len(spans.complex_t_units),

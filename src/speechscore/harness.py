@@ -25,6 +25,7 @@ from .corpus import (AlignedResponse, FeatureMatrix, SplitAssignment,
                      LexicalResources, stratified_split)
 from .corpus import fit_standardizer  # noqa: F401 -- perfbench/spans.py traces it here
 from .features import ExtractorConfig, extract_matrix, fit_content_vocabulary
+from .grammar import word_tokens
 from .learners import class_weights
 from .metrics import confusion_matrix, metric_report, to_grades
 
@@ -84,8 +85,7 @@ def prepare_prompt(responses: list[AlignedResponse],
     y2 = {r.response_id: r.grade2.ordinal for r in responses
           if r.grade2 is not None}
     n_classes = max(y.values()) + 1
-    lengths = {r.response_id: float(sum(1 for t in r.tokens if t.pos != "PUNCT"))
-               for r in responses}
+    lengths = {r.response_id: float(len(word_tokens(r.tokens))) for r in responses}
     return PromptDataset(prompt_id=responses[0].prompt_id, matrix=matrix,
                          vocabulary=vocabulary, split=split, y=y, y2=y2,
                          n_classes=n_classes, lengths=lengths)
@@ -132,10 +132,10 @@ def tune(dataset: PromptDataset, grid: dict, model_key: str = "gbt",
 
 
 def _evaluate(dataset: PromptDataset, model, split_name: str,
-              formulation: str, model_key: str, groups=None) -> dict:
+              model_key: str, groups=None) -> dict:
     X, y, _ = _inputs(dataset, model_key, split_name, groups, model)
     raw, human = model.predict(X), y.astype(np.int64)
-    ordinal = formulation == "classification"
+    ordinal = model.task == "classification"
     out = metric_report(human, raw, dataset.n_classes,
                         already_ordinal=ordinal).to_json()
     out["confusion"] = confusion_matrix(
@@ -156,12 +156,10 @@ def human_agreement(dataset: PromptDataset, split_name: str) -> dict | None:
     return metric_report(h1, h2, dataset.n_classes, already_ordinal=True).to_json()
 
 
-def evaluation_entries(dataset: PromptDataset, model, formulation: str,
-                       model_key: str) -> dict:
+def evaluation_entries(dataset: PromptDataset, model, model_key: str) -> dict:
     """A model's ``valid`` and ``test`` entries, plus the ``human_human``
     entry when the corpus carries a second rater."""
-    entries = {s: _evaluate(dataset, model, s, formulation, model_key)
-               for s in SPLITS}
+    entries = {s: _evaluate(dataset, model, s, model_key) for s in SPLITS}
     hh = {s: human_agreement(dataset, s) for s in SPLITS}
     if any(v is not None for v in hh.values()):
         entries["human_human"] = hh
@@ -170,19 +168,21 @@ def evaluation_entries(dataset: PromptDataset, model, formulation: str,
 
 def run_benchmark(dataset: PromptDataset,
                   models: tuple[str, ...] = MODEL_KEYS,
-                  formulations: tuple[str, ...] = ("regression", "classification"),
+                  formulations: tuple[str, ...] = learners.TASKS,
                   seed: int = 0, params: dict | None = None) -> dict:
     """One report row per (model, formulation), trained from scratch."""
-    unknown = set(models) - set(MODEL_KEYS)
-    if unknown:
-        raise ValueError(f"unknown model key(s): {sorted(unknown)}")
+    for kind, names, known in (("model key", models, MODEL_KEYS),
+                               ("formulation", formulations, learners.TASKS)):
+        unknown = set(names) - set(known)
+        if unknown:
+            raise ValueError(f"unknown {kind}(s): {sorted(unknown)}")
     report = {"prompt": dataset.prompt_id, "n_classes": dataset.n_classes,
               "rows": []}
     for formulation in formulations:
         for model_key in models:
             model = _train(dataset, model_key, formulation,
                            (params or {}).get(model_key), seed)
-            entries = evaluation_entries(dataset, model, formulation, model_key)
+            entries = evaluation_entries(dataset, model, model_key)
             if "human_human" in entries:
                 report["human_human"] = entries.pop("human_human")
             report["rows"].append({"prompt": dataset.prompt_id,
@@ -212,8 +212,7 @@ def _ablation(dataset: PromptDataset, mode: str, cells, full: int, seed,
     report = AblationReport(mode=mode)
     for configuration, groups in cells:
         model = _train(dataset, "gbt", "regression", params, seed, groups=groups)
-        cell = _evaluate(dataset, model, "test", "regression", "gbt",
-                         groups=groups)
+        cell = _evaluate(dataset, model, "test", "gbt", groups=groups)
         report.rows.append({"configuration": configuration,
                             "groups": list(groups), "qwk": cell["qwk"],
                             "r": cell["pearson_r"], "mse": cell["mse"]})

@@ -26,6 +26,7 @@ from .corpus import Standardizer, fit_standardizer
 from .metrics import mse, qwk, to_grades
 from .trees import Presorted, Tree, TreeParams, fit_tree
 
+TASKS = ("regression", "classification")
 _EPS = 1e-12
 # Ridge damping of the linear and logistic fits; gradient-norm tolerance and
 # iteration cap of the logistic descent.
@@ -39,6 +40,11 @@ def _softmax(scores: np.ndarray) -> np.ndarray:
     shifted = scores - scores.max(axis=1, keepdims=True)
     expd = np.exp(shifted)
     return expd / expd.sum(axis=1, keepdims=True)
+
+
+def _expected_grade(proba: np.ndarray) -> np.ndarray:
+    """The probability-weighted expected ordinal, sum_k k * p_k, per row."""
+    return proba @ np.arange(proba.shape[1], dtype=np.float64)
 
 
 @dataclass
@@ -99,8 +105,7 @@ class TreeEnsembleModel:
         the probability-weighted expected ordinal for classifiers."""
         if self.task == "regression":
             return self.decision_scores(X)
-        proba = self.predict_proba(X)
-        return proba @ np.arange(proba.shape[1], dtype=np.float64)
+        return _expected_grade(self.predict_proba(X))
 
     def to_json(self) -> dict:
         base = self.base_score
@@ -330,8 +335,7 @@ class LogisticModel:
         return np.argmax(self.predict_proba(X), axis=1).astype(np.float64)
 
     def predict_value(self, X) -> np.ndarray:
-        proba = self.predict_proba(X)
-        return proba @ np.arange(proba.shape[1], dtype=np.float64)
+        return _expected_grade(self.predict_proba(X))
 
     def to_json(self) -> dict:
         return {"family": "logistic", "coef": self.coef.tolist(),
@@ -421,10 +425,13 @@ def fit_model(kind: str, params: dict | None, X, y, weights=None,
     """Fit the model of a ``DEFAULT_PARAMS`` key: its row, overridden by
     ``params``. ``linear`` classifies by multinomial logistic regression;
     ``length_baseline`` is a forest on the columns given (W in the harness).
-    A parameter name outside the row, or an ``mtry`` that is neither null
-    nor an integer in [1, columns of X], is a ``ValueError``."""
+    A parameter name outside the row, an ``mtry`` that is neither null nor
+    an integer in [1, columns of X], or a ``task`` outside ``TASKS`` is a
+    ``ValueError``."""
     if kind not in DEFAULT_PARAMS:
         raise ValueError(f"unknown model kind {kind!r}")
+    if task not in TASKS:
+        raise ValueError(f"unknown task {task!r}; choose from {list(TASKS)}")
     params = params or {}
     unknown = set(params) - set(DEFAULT_PARAMS[kind])
     if unknown:

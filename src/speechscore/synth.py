@@ -14,6 +14,7 @@ Word pools come from ``synth_vocab.tsv`` in ``corpus.RESOURCES_DIR``, and
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
@@ -26,6 +27,7 @@ from .corpus import (RESOURCES_DIR, AlignedPhoneme, AlignedResponse,
                      PhonemeClass, Stress, TokenAnnotation, default_resources,
                      response_to_json)
 from .fluency import fluency_features
+from .grammar import word_tokens
 
 _VOWEL_PHONES = ("AA", "AE", "AH", "AO", "EH", "ER", "EY", "IH", "IY", "OW", "UW")
 _CONS_MAP = {"b": "B", "c": "K", "d": "D", "f": "F", "g": "G", "h": "HH",
@@ -82,6 +84,12 @@ class SynthSpec:
             raise ValueError("need n >= 50 responses")
         if not 2 <= self.grade_levels <= len(GRADE_LABELS):
             raise ValueError("grade_levels must be between 2 and 5")
+        if not (math.isfinite(self.noise) and self.noise >= 0):
+            raise ValueError(f"noise must be finite and >= 0, got {self.noise}")
+        d = self.second_rater_disagreement
+        if d is not None and not 0 <= d <= 1:
+            raise ValueError("second_rater_disagreement must lie in [0, 1], "
+                             f"got {d}")
 
 
 def _phonemes_for(word: str, rng: np.random.Generator) -> list[tuple[str, PhonemeClass, Stress]]:
@@ -224,7 +232,7 @@ def _build_response(index: int, spec: SynthSpec, pools, fillers,
 def _measured_latents(response: AlignedResponse,
                       resources: LexicalResources) -> dict[str, float]:
     ff = fluency_features(response, resources)
-    texts = [tok.token for tok in response.tokens if tok.pos != "PUNCT"]
+    texts = [tok.token for tok in word_tokens(response.tokens)]
     return {
         "speaking_rate": ff["speaking_rate"],
         "silence_rate": ff["SilenceRate1"],

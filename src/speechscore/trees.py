@@ -59,7 +59,7 @@ reads its training predictions from those leaves without a descent.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -72,6 +72,13 @@ class TreeParams:
     min_samples_leaf: int = 1
     min_samples_split: int = 2
     mtry: int | None = None    # features considered per split; None = all
+
+
+# A tree's node arrays, in field order, and their dtypes: the one table
+# behind the model JSON (both ways) and the builder.
+NODE_DTYPES = {"feature": np.int64, "threshold": np.float64, "left": np.int64,
+               "right": np.int64, "cover": np.float64, "gain": np.float64,
+               "value": np.float64}
 
 
 @dataclass
@@ -123,51 +130,31 @@ class Tree:
         return (weights[:, None] * values).sum(axis=0) / weights.sum()
 
     def to_json(self) -> dict:
-        return {"feature": self.feature.tolist(),
-                "threshold": self.threshold.tolist(),
-                "left": self.left.tolist(), "right": self.right.tolist(),
-                "cover": self.cover.tolist(), "gain": self.gain.tolist(),
-                "value": self.value.tolist()}
+        return {name: getattr(self, name).tolist() for name in NODE_DTYPES}
 
     @classmethod
     def from_json(cls, payload: dict) -> "Tree":
-        return cls(feature=np.asarray(payload["feature"], dtype=np.int64),
-                   threshold=np.asarray(payload["threshold"], dtype=np.float64),
-                   left=np.asarray(payload["left"], dtype=np.int64),
-                   right=np.asarray(payload["right"], dtype=np.int64),
-                   cover=np.asarray(payload["cover"], dtype=np.float64),
-                   gain=np.asarray(payload["gain"], dtype=np.float64),
-                   value=np.asarray(payload["value"], dtype=np.float64))
+        return cls(**{name: np.asarray(payload[name], dtype=dtype)
+                      for name, dtype in NODE_DTYPES.items()})
 
 
-@dataclass
 class _Builder:
-    feature: list = field(default_factory=list)
-    threshold: list = field(default_factory=list)
-    left: list = field(default_factory=list)
-    right: list = field(default_factory=list)
-    cover: list = field(default_factory=list)
-    gain: list = field(default_factory=list)
-    value: list = field(default_factory=list)
+    """A growing tree: one list per `NODE_DTYPES` array."""
+
+    def __init__(self):
+        self.arrays = {name: [] for name in NODE_DTYPES}
 
     def add(self, cover, value, feature=_LEAF, threshold=0.0, gain=0.0) -> int:
-        self.feature.append(feature)
-        self.threshold.append(threshold)
-        self.left.append(_LEAF)
-        self.right.append(_LEAF)
-        self.cover.append(cover)
-        self.gain.append(gain)
-        self.value.append(value)
-        return len(self.feature) - 1
+        """Append a node with no children yet; returns its id."""
+        node = {"feature": feature, "threshold": threshold, "left": _LEAF,
+                "right": _LEAF, "cover": cover, "gain": gain, "value": value}
+        for name, values in self.arrays.items():
+            values.append(node[name])
+        return len(values) - 1
 
     def build(self) -> Tree:
-        return Tree(feature=np.asarray(self.feature, dtype=np.int64),
-                    threshold=np.asarray(self.threshold, dtype=np.float64),
-                    left=np.asarray(self.left, dtype=np.int64),
-                    right=np.asarray(self.right, dtype=np.int64),
-                    cover=np.asarray(self.cover, dtype=np.float64),
-                    gain=np.asarray(self.gain, dtype=np.float64),
-                    value=np.asarray(self.value, dtype=np.float64))
+        return Tree(**{name: np.asarray(values, dtype=NODE_DTYPES[name])
+                       for name, values in self.arrays.items()})
 
 
 def _node_value(y: np.ndarray, w: np.ndarray | None, n_classes: int | None):
@@ -431,7 +418,7 @@ def fit_tree(X: np.ndarray, y: np.ndarray, weights: np.ndarray | None = None,
             node = builder.add(cover, value, feature=f, threshold=threshold,
                                gain=score / cover)
         if parent != _LEAF:
-            (builder.left if is_left else builder.right)[parent] = node
+            builder.arrays["left" if is_left else "right"][parent] = node
         if split is None:
             continue
 

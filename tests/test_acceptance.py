@@ -249,7 +249,7 @@ def e2e():
     best, cv_table = tune(dataset, {"max_depth": [3, 4], "n_stages": [100]},
                           seed=7)
     model = _train(dataset, "gbt", "regression", best, seed=7)
-    test_eval = _evaluate(dataset, model, "test", "regression", "gbt")
+    test_eval = _evaluate(dataset, model, "test", "gbt")
     return {"dataset": dataset, "best": best, "cv_table": cv_table,
             "model": model, "test": test_eval}
 
@@ -260,13 +260,13 @@ def test_criterion_8_end_to_end(e2e):
     test_qwk = e2e["test"]["qwk"]
     assert test_qwk >= 0.7, f"held-out QWK {test_qwk:.3f} < 0.7"
 
-    train_matrix = dataset.matrix.restrict(dataset.split.train)
-    curve = pdp(model, train_matrix, "speaking_rate", n_grid=20)
+    X_train, _, _, columns = dataset.design("train")
+    curve = pdp(model, X_train, "speaking_rate", n_grid=20,
+                feature_names=columns)
     middle = curve.mean_prediction[2:18]     # middle 80 % of the grid
     assert np.all(np.diff(middle) >= -1e-9), middle
 
-    test_rows = dataset.matrix.restrict(dataset.split.test)
-    summary = shap_summary(model, test_rows.values)
+    summary = shap_summary(model, dataset.design("test")[0])
     top3 = [name for name, _ in summary.ranking[:3]]
     generating = {"speaking_rate", "SilenceRate1", "SilenceRate2",
                   "general_silence", "ttr"}

@@ -7,7 +7,8 @@ import pytest
 
 from speechscore import cli, learners
 from speechscore.cli import build_parser, main
-from speechscore.corpus import FeatureMatrix, SplitAssignment
+from speechscore.corpus import FeatureMatrix
+from speechscore.harness import load_prompt_dataset
 
 
 @pytest.fixture(scope="module")
@@ -191,16 +192,13 @@ def test_explanations_in_raw_feature_units(pipeline_dirs, tmp_path,
                  "--params", json.dumps({"n_stages": 10, "max_depth": 3})]) == 0
     payload = json.loads((run / "model.json").read_text())
     assert "standardizer" not in payload
-    matrix = FeatureMatrix.from_csv(feats / "features.csv")
-    split = SplitAssignment.from_json(
-        json.loads((feats / "splits.json").read_text()))
-    train = matrix.restrict(split.train)
+    train, _, _, columns = load_prompt_dataset(feats).design("train")
 
     # Every threshold is the midpoint of two raw train values.
     for tree in payload["trees"]:
         for f, t in zip(tree["feature"], tree["threshold"]):
             if f >= 0:
-                xs = train.values[:, f]
+                xs = train[:, f]
                 assert t in (xs[:, None] + xs[None, :]) / 2.0
 
     real, summaries = cli.shap_summary, []
@@ -212,7 +210,7 @@ def test_explanations_in_raw_feature_units(pipeline_dirs, tmp_path,
     assert main(["explain", "--features", str(feats),
                  "--model", str(run / "model.json"), "--out", str(run),
                  "--kind", "shap", "--seed", "5"]) == 0
-    assert np.array_equal(summaries[0].feature_values, train.values)
+    assert np.array_equal(summaries[0].feature_values, train)
 
     assert main(["explain", "--features", str(feats),
                  "--model", str(run / "model.json"), "--out", str(run),
@@ -220,7 +218,7 @@ def test_explanations_in_raw_feature_units(pipeline_dirs, tmp_path,
                  "--seed", "5"]) == 0
     with open(run / "pdp_speaking_rate.csv", newline="") as fh:
         grid = [float(row["grid"]) for row in csv.DictReader(fh)]
-    column = train.column("speaking_rate")
+    column = train[:, columns.index("speaking_rate")]
     assert column.min() <= min(grid) < max(grid) <= column.max()
 
 
@@ -308,6 +306,30 @@ def test_error_is_machine_readable(tmp_path, capsys):
     err = capsys.readouterr().err.strip().splitlines()[-1]
     payload = json.loads(err)
     assert payload["error"] == "FileNotFoundError"
+
+
+@pytest.mark.parametrize("ratios", ["1:-1:1", "nan:1:1", "0:0:0"])
+def test_bad_split_ratios_rejected(pipeline_dirs, tmp_path, capsys, ratios):
+    corpus = pipeline_dirs / "corpus"
+    assert main(["extract", "--manifest", str(corpus / "manifest.txt"),
+                 "--resources", str(corpus / "resources"),
+                 "--out", str(tmp_path / "x"), "--groups", "FF",
+                 "--ratios", ratios]) == 1
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "ValueError"
+    assert "three finite positive numbers" in payload["message"]
+    assert not (tmp_path / "x" / "splits.json").exists()
+
+
+def test_misspelled_formulation_rejected(pipeline_dirs, tmp_path, capsys):
+    out = tmp_path / "report"
+    assert main(["report", "--features", str(pipeline_dirs / "features"),
+                 "--out", str(out), "--models", "linear",
+                 "--formulations", "regresion"]) == 1
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "ValueError"
+    assert "regresion" in payload["message"]
+    assert not list(out.iterdir())
 
 
 def test_unknown_group_error(pipeline_dirs, capsys):

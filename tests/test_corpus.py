@@ -215,6 +215,22 @@ class TestStratifiedSplit:
         s2 = stratified_split(list(reversed(responses)), seed=11)
         assert s1.train == s2.train and s1.test == s2.test
 
+    @pytest.mark.parametrize("ratios", [
+        (1.0, -1.0, 1.0), (math.nan, 1.0, 1.0), (0.0, 0.0, 0.0),
+        (math.inf, 1.0, 1.0), (1.0, 0.0, 0.0), (-1.0, -1.0, -1.0),
+        (0.5, 0.5)])
+    def test_ratios_must_be_three_finite_positive_numbers(self, ratios):
+        responses = _graded_corpus({"A2": 10, "LB1": 10})
+        with pytest.raises(ValueError, match="three finite positive") as err:
+            stratified_split(responses, ratios=ratios)
+        assert repr(ratios) in str(err.value)
+
+    def test_ratios_are_divided_by_their_sum(self):
+        responses = _graded_corpus({"A2": 50, "LB1": 30, "HB1": 20})
+        weights = stratified_split(responses, ratios=(7, 1, 2), seed=3)
+        shares = stratified_split(responses, ratios=(0.7, 0.1, 0.2), seed=3)
+        assert weights == shares and weights.ratios == (0.7, 0.1, 0.2)
+
     def test_small_grade_rejected(self):
         responses = _graded_corpus({"A2": 10, "LB1": 1})
         with pytest.raises(CorpusError, match="LB1"):

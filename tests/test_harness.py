@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from speechscore import learners
 from speechscore.cli import main as cli_main
 from speechscore.corpus import (Stress, SyntaxSpans, default_resources,
                                 load_corpus)
@@ -62,6 +63,19 @@ class TestSynthCorpus:
     def test_too_small_rejected(self):
         with pytest.raises(ValueError):
             SynthSpec(n=10, grade_levels=3)
+
+    @pytest.mark.parametrize("field, value", [
+        ("noise", -2.0), ("noise", float("nan")), ("noise", float("inf")),
+        ("second_rater_disagreement", 3.0),
+        ("second_rater_disagreement", -0.1),
+        ("second_rater_disagreement", float("nan"))])
+    def test_out_of_range_spec_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            SynthSpec(n=60, **{field: value})
+
+    def test_spec_range_ends_accepted(self):
+        for disagreement in (None, 0.0, 1.0):
+            SynthSpec(n=60, noise=0.0, second_rater_disagreement=disagreement)
 
     def test_unsatisfiable_bands(self):
         with pytest.raises(ValueError, match="distinct latent bands"):
@@ -210,6 +224,16 @@ class TestBenchmark:
     def test_unknown_model_rejected(self, small_dataset):
         with pytest.raises(ValueError):
             run_benchmark(small_dataset, models=("nope",))
+
+    def test_unknown_formulation_rejected_before_any_fit(self, small_dataset,
+                                                         monkeypatch):
+        fits = []
+        monkeypatch.setattr(learners, "fit_model",
+                            lambda *args, **kwargs: fits.append(args))
+        with pytest.raises(ValueError, match="regresion"):
+            run_benchmark(small_dataset, models=("gbt",),
+                          formulations=("regression", "regresion"))
+        assert fits == []
 
     def test_human_agreement_none_without_rater2(self):
         resources = default_resources()

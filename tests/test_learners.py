@@ -230,6 +230,13 @@ class TestClassWeights:
         assert np.all(class_weights([2, 2, 2]) == 1.0)
 
 
+def test_fit_model_rejects_an_unknown_task():
+    X, y = regression_data(60, seed=4)
+    for kind in learners.DEFAULT_PARAMS:
+        with pytest.raises(ValueError, match="regresion"):
+            fit_model(kind, {}, X, np.round(y), task="regresion")
+
+
 class TestGridSearch:
     def test_single_point(self):
         X, y_cont = regression_data(120, seed=5)

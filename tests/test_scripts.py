@@ -65,6 +65,21 @@ def _check_fit_digests(tmp_path, stdout):
     assert seen == {("gbt", "regression"), ("gbt", "classification")}
 
 
+def test_artifact_digests_runs(tmp_path):
+    """One sorted ``sha256  path`` line per pipeline output."""
+    lines = _run(tmp_path, "artifact_digests.py", ["--n", "50", "--seed", "7"]).splitlines()
+    paths = [line.split("  ", 1)[1] for line in lines]
+    assert paths == sorted(paths) and len(set(paths)) == len(paths)
+    assert all(len(line.split("  ", 1)[0]) == 64 for line in lines)
+    for expected in ("corpus/manifest.txt", "features/features.csv",
+                     "gbt_regression/model.json", "gbt_regression/cv_table.json",
+                     "gbt_classification/report.json", "explain/importance.csv",
+                     "explain/pdp_speaking_rate.csv", "explain/shap_values.csv",
+                     "report/benchmark.json", "ablate/ablation_add.json",
+                     "ablate/ablation_drop.json"):
+        assert expected in paths, expected
+
+
 def test_explain_profile_runs(tmp_path):
     from speechscore.cli import main
 

@@ -96,12 +96,24 @@ class TestFitTree:
         assert np.argmax(proba, axis=1).tolist() == [0, 0, 1, 1]
 
     def test_json_round_trip(self):
+        """Every node array keeps its dtype, shape and bytes through the
+        model file's JSON, for 1-D (regression) and 2-D (class) values."""
+        dtypes = {"feature": np.int64, "threshold": np.float64,
+                  "left": np.int64, "right": np.int64, "cover": np.float64,
+                  "gain": np.float64, "value": np.float64}
         X = np.random.default_rng(1).normal(size=(50, 3))
-        y = X[:, 0] ** 2
-        tree = fit_tree(X, y, params=TreeParams(max_depth=4))
-        back = Tree.from_json(tree.to_json())
-        assert np.array_equal(back.predict(X), tree.predict(X))
-        assert np.array_equal(back.cover, tree.cover)
+        for task, y, value_ndim in (
+                ("regression", X[:, 0] ** 2, 1),
+                ("classification", (X[:, 0] > 0) + (X[:, 1] > 0.5), 2)):
+            tree = fit_tree(X, y, params=TreeParams(max_depth=4), task=task)
+            assert tree.n_nodes > 1 and tree.value.ndim == value_ndim
+            back = Tree.from_json(json.loads(json.dumps(tree.to_json())))
+            assert np.array_equal(back.predict(X), tree.predict(X))
+            for name, dtype in dtypes.items():
+                fitted, loaded = getattr(tree, name), getattr(back, name)
+                assert fitted.dtype == loaded.dtype == dtype, (task, name)
+                assert fitted.shape == loaded.shape, (task, name)
+                assert fitted.tobytes() == loaded.tobytes(), (task, name)
 
     def test_apply_matches_scalar_descent(self):
         rng = np.random.default_rng(2)
