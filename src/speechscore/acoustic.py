@@ -115,7 +115,13 @@ def write_wav(path: str | Path, audio: AudioBuffer) -> None:
 
 
 def _frame_lengths(sample_rate: int, frame: float, hop: float) -> tuple[int, int]:
-    return int(round(frame * sample_rate)), max(1, int(round(hop * sample_rate)))
+    """Frame and hop in samples; raises if either rounds to none."""
+    lengths = int(round(frame * sample_rate)), int(round(hop * sample_rate))
+    for name, seconds, samples in zip(("frame", "hop"), (frame, hop), lengths):
+        if samples < 1:
+            raise ValueError(f"{name} of {seconds!r} s is {samples} samples at "
+                             f"{sample_rate} Hz; need at least 1")
+    return lengths
 
 
 def _pitch_lags(audio: AudioBuffer, frame_len: int, fmin: float,

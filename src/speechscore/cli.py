@@ -3,9 +3,10 @@ synth | report.
 
 Every command is deterministic given its inputs and ``--seed``;
 ``--threads`` sets the feature-extraction threads and never changes results.
-Failures print a machine-readable JSON error to stderr and exit nonzero. A
-``--config`` file of ``key = value`` lines supplies defaults for any long
-option of the chosen subcommand.
+Failures print a machine-readable JSON error to stderr and exit 1; argparse
+rejects a malformed option with exit 2. A ``--config`` file of
+``key = value`` lines is read as the chosen subcommand's options, placed
+before the command line's own, so the command line wins.
 """
 
 from __future__ import annotations
@@ -15,53 +16,43 @@ import csv
 import json
 import shutil
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import harness, svg
-from .corpus import (RESOURCE_FILES, RESOURCES_DIR, LexicalResources,
-                     load_corpus, write_float_csv)
+from .corpus import (RESOURCE_FILES, RESOURCES_DIR, SPLIT_RATIOS,
+                     LexicalResources, load_corpus, write_float_csv)
 from .explain import gain_importance, pdp, shap_summary
-from .features import GROUP_ORDER, ExtractorConfig
-from .learners import TASKS, load_model, save_model
+from .features import ExtractorConfig
+from .grammar import LD_MODES
+from .learners import load_model, save_model
 from .synth import SCORE_FUNCTIONS, SynthSpec, synth_corpus, write_corpus
+from .trees import TASKS
 
 
-def _parse_config_file(path: str) -> dict:
-    values = {}
+def _config_tokens(path: str) -> list[str]:
+    """A config file's ``key = value`` lines as command-line tokens:
+    ``--key=value``, a bare ``--key`` for ``true`` and nothing for ``false``."""
+    tokens = []
     for raw in Path(path).read_text(encoding="utf-8").splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ValueError(f"config line without '=': {raw!r}")
-        key, text = (part.strip() for part in line.split("=", 1))
-        text = text.strip("\"'")
-        if text.lower() in ("true", "false"):
-            value = text.lower() == "true"
-        else:
-            try:
-                value = int(text)
-            except ValueError:
-                try:
-                    value = float(text)
-                except ValueError:
-                    value = text
-        values[key.replace("-", "_")] = value
-    return values
-
-
-def _apply_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> None:
-    """Config values fill in any option still at its parser default."""
-    if not getattr(args, "config", None):
-        return
-    subparser = parser.speechscore_subcommands[args.command]
-    for key, value in _parse_config_file(args.config).items():
-        if hasattr(args, key) and getattr(args, key) == subparser.get_default(key):
-            setattr(args, key, value)
+        key, value = (part.strip() for part in line.split("=", 1))
+        flag, value = "--" + key.replace("_", "-"), value.strip("\"'")
+        if value.lower() != "false":
+            tokens.append(flag if value.lower() == "true" else f"{flag}={value}")
+    return tokens
 
 
 def _groups(text: str) -> tuple[str, ...]:
     return tuple(g.strip().upper() for g in text.split(",") if g.strip())
+
+
+def _ratios(text: str) -> tuple[float, ...]:
+    return tuple(float(r) for r in text.split(":"))
 
 
 def _write_json(path: Path, payload) -> None:
@@ -83,6 +74,8 @@ def _out_dir(args) -> Path:
 
 
 def cmd_extract(args) -> int:
+    config = ExtractorConfig(**{f.name: getattr(args, f.name)
+                                for f in fields(ExtractorConfig)})
     resources = LexicalResources.load(args.resources)
     corpus = load_corpus(args.manifest)
     out = _out_dir(args)
@@ -92,17 +85,10 @@ def cmd_extract(args) -> int:
     if not corpus.responses:
         raise ValueError("no valid responses in the corpus")
     by_prompt = corpus.by_prompt()
-    config = ExtractorConfig(
-        groups=_groups(args.groups), min_df=args.min_df,
-        max_terms=args.max_terms, rank_threshold=args.rank_threshold,
-        ld_mode=args.ld_mode,
-        stress_includes_secondary=args.include_secondary_stress,
-        fmin=args.fmin, fmax=args.fmax, frame=args.frame, hop=args.hop,
-        seed=args.seed)
-    ratios = tuple(float(r) for r in args.ratios.split(":"))
     for prompt_id, responses in sorted(by_prompt.items()):
         dataset = harness.prepare_prompt(responses, resources, config,
-                                         ratios=ratios, threads=args.threads)
+                                         ratios=args.ratios,
+                                         threads=args.threads)
         target = out if len(by_prompt) == 1 else out / prompt_id
         harness.save_prompt_dataset(dataset, target)
         print(f"{prompt_id}: {len(responses)} responses, "
@@ -112,7 +98,6 @@ def cmd_extract(args) -> int:
 
 def cmd_train(args) -> int:
     dataset = harness.load_prompt_dataset(args.features)
-    out = _out_dir(args)
     task = args.task
     params = json.loads(args.params) if args.params else {}
     cv_table = None
@@ -123,6 +108,7 @@ def cmd_train(args) -> int:
         params, cv_table = harness.tune(dataset, grid, args.model, task,
                                         folds=args.folds, seed=args.seed)
     model = harness._train(dataset, args.model, task, params, seed=args.seed)
+    out = _out_dir(args)
     save_model(model, out / "model.json", extra={
         "model_key": args.model, "formulation": task,
         "params": params, "seed": args.seed,
@@ -276,42 +262,56 @@ def build_parser() -> argparse.ArgumentParser:
         description="Interpretable feature-based scoring of spoken responses")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, summary):
+        # Long options must be spelled out, so a misspelled config key is an
+        # error, not a prefix of some option.
+        p = sub.add_parser(name, help=summary, allow_abbrev=False,
+                           formatter_class=argparse.ArgumentDefaultsHelpFormatter)
         p.add_argument("--seed", type=int, default=0, help="master seed")
         p.add_argument("--threads", type=int, default=1,
-                       help="feature-extraction worker threads (never changes "
-                            "results; training is serial)")
+                       help="feature-extraction worker threads, >= 1 (never "
+                            "changes results; training is serial)")
         p.add_argument("--config", default=None,
-                       help="key = value file supplying option defaults")
+                       help="file of key = value lines, read as options "
+                            "placed before the command line's")
+        return p
 
-    p = sub.add_parser("extract", help="extract feature matrices from a corpus",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    common(p)
+    p = command("extract", "extract feature matrices from a corpus")
     p.add_argument("--manifest", required=True,
                    help="alignment manifest file or corpus directory")
     p.add_argument("--resources", required=True,
                    help="directory with frequency/complexity/stopword/filler lists")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--groups", default=",".join(GROUP_ORDER),
+    p.add_argument("--groups", type=_groups,
+                   default=",".join(ExtractorConfig.groups),
                    help="comma-separated feature groups")
-    p.add_argument("--ratios", default="0.7:0.1:0.2", help="train:valid:test")
-    p.add_argument("--min-df", type=int, default=2, help="tf-idf min document frequency")
-    p.add_argument("--max-terms", type=int, default=1000, help="tf-idf vocabulary cap")
-    p.add_argument("--rank-threshold", type=int, default=2000,
-                   help="frequency rank beyond which a word is sophisticated")
-    p.add_argument("--ld-mode", choices=("density", "diversity"), default="density",
+    p.add_argument("--ratios", type=_ratios,
+                   default=":".join(map(str, SPLIT_RATIOS)),
+                   help="train:valid:test")
+    p.add_argument("--min-df", type=int, default=ExtractorConfig.min_df,
+                   help="tf-idf min document frequency (>= 1)")
+    p.add_argument("--max-terms", type=int, default=ExtractorConfig.max_terms,
+                   help="tf-idf vocabulary cap (>= 1)")
+    p.add_argument("--rank-threshold", type=int,
+                   default=ExtractorConfig.rank_threshold,
+                   help="frequency rank beyond which a word is sophisticated "
+                        "(>= 1)")
+    p.add_argument("--ld-mode", choices=LD_MODES,
+                   default=ExtractorConfig.ld_mode,
                    help="lexical-diversity reading of the ld feature")
     p.add_argument("--include-secondary-stress", action="store_true",
                    help="count secondary stress as stressed")
-    p.add_argument("--fmin", type=float, default=75.0, help="pitch floor, Hz")
-    p.add_argument("--fmax", type=float, default=500.0, help="pitch ceiling, Hz")
-    p.add_argument("--frame", type=float, default=0.040, help="analysis frame, s")
-    p.add_argument("--hop", type=float, default=0.010, help="frame hop, s")
+    p.add_argument("--fmin", type=float, default=ExtractorConfig.fmin,
+                   help="pitch floor, Hz (0 < fmin < fmax)")
+    p.add_argument("--fmax", type=float, default=ExtractorConfig.fmax,
+                   help="pitch ceiling, Hz")
+    p.add_argument("--frame", type=float, default=ExtractorConfig.frame,
+                   help="analysis frame, s (> 0)")
+    p.add_argument("--hop", type=float, default=ExtractorConfig.hop,
+                   help="frame hop, s (> 0)")
     p.set_defaults(func=cmd_extract)
 
-    p = sub.add_parser("train", help="train one model on extracted features",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    common(p)
+    p = command("train", "train one model on extracted features")
     p.add_argument("--features", required=True, help="extract-stage directory")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--model", default="gbt",
@@ -326,17 +326,13 @@ def build_parser() -> argparse.ArgumentParser:
                         "and the refit")
     p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("evaluate", help="score a trained model on the splits",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    common(p)
+    p = command("evaluate", "score a trained model on the splits")
     p.add_argument("--features", required=True, help="extract-stage directory")
     p.add_argument("--model", required=True, help="model.json path")
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("explain", help="importance, PDP or SHAP artifacts",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    common(p)
+    p = command("explain", "importance, PDP or SHAP artifacts")
     p.add_argument("--features", required=True, help="extract-stage directory")
     p.add_argument("--model", required=True, help="model.json path")
     p.add_argument("--out", required=True, help="output directory")
@@ -348,9 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="train rows explained by SHAP")
     p.set_defaults(func=cmd_explain)
 
-    p = sub.add_parser("ablate", help="additive or leave-one-out group ablation",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    common(p)
+    p = command("ablate", "additive or leave-one-out group ablation")
     p.add_argument("--features", required=True, help="extract-stage directory")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--mode", required=True, choices=("add", "drop"),
@@ -360,9 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--params", default=None, help="JSON model parameters")
     p.set_defaults(func=cmd_ablate)
 
-    p = sub.add_parser("synth", help="generate a synthetic graded corpus",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    common(p)
+    p = command("synth", "generate a synthetic graded corpus")
     p.add_argument("--n", type=int, required=True, help="number of responses")
     p.add_argument("--grades", type=int, default=3, help="grade levels (2-5)")
     p.add_argument("--out", required=True, help="output directory")
@@ -377,9 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--prompt-id", default="synth-1", help="prompt identifier")
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("report", help="benchmark every model and formulation",
-                       formatter_class=argparse.ArgumentDefaultsHelpFormatter)
-    common(p)
+    p = command("report", "benchmark every model and formulation")
     p.add_argument("--features", required=True, help="extract-stage directory")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--models", default=",".join(harness.MODEL_KEYS),
@@ -394,9 +384,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     args = parser.parse_args(argv)
     try:
-        _apply_config(args, parser)
+        if args.config:
+            args = parser.parse_args(
+                argv[:1] + _config_tokens(args.config) + argv[1:])
+        if args.threads < 1:
+            raise ValueError(f"--threads must be at least 1, got {args.threads}")
         return args.func(args)
     except Exception as exc:    # contract: JSON error channel, nonzero exit
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}),

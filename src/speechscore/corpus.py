@@ -276,6 +276,16 @@ class Corpus:
         return out
 
 
+def check_prompt_id(prompt_id: str) -> str:
+    """Return ``prompt_id`` if it is one plain path component, as the output
+    directory it names must be: not empty, ``.`` or ``..``, and holding no
+    ``/``, ``\\`` or NUL."""
+    if prompt_id in ("", ".", "..") or any(c in prompt_id for c in "/\\\0"):
+        raise CorpusError(f"prompt_id {prompt_id!r} is not one plain path "
+                          "component")
+    return prompt_id
+
+
 def parse_response(payload: dict, base_dir: Path | None = None) -> AlignedResponse:
     """Build an AlignedResponse from one alignment-file JSON payload."""
     if not isinstance(payload, dict):
@@ -328,7 +338,7 @@ def parse_response(payload: dict, base_dir: Path | None = None) -> AlignedRespon
 
     return AlignedResponse(
         response_id=str(payload["response_id"]),
-        prompt_id=str(payload.get("prompt_id", "default")),
+        prompt_id=check_prompt_id(str(payload.get("prompt_id", "default"))),
         words=words, tokens=tokens, syntax=syntax,
         transcript=str(payload.get("transcript", "")),
         audio_path=audio_path, grade=grade, grade2=grade2)
@@ -438,13 +448,16 @@ def load_corpus(path: str | Path) -> Corpus:
 # ---------------------------------------------------------------------------
 # Splits
 
+# The default train:valid:test weights.
+SPLIT_RATIOS = (0.70, 0.10, 0.20)
+
 
 @dataclass
 class SplitAssignment:
     train: set[str]
     valid: set[str]
     test: set[str]
-    ratios: tuple[float, float, float] = (0.70, 0.10, 0.20)
+    ratios: tuple[float, float, float] = SPLIT_RATIOS
     seed: int = 0
 
     def to_json(self) -> dict:
@@ -516,7 +529,7 @@ def _stratified_counts(sizes: Sequence[int],
 
 
 def stratified_split(responses: Iterable[AlignedResponse],
-                     ratios: tuple[float, float, float] = (0.70, 0.10, 0.20),
+                     ratios: tuple[float, float, float] = SPLIT_RATIOS,
                      seed: int = 0) -> SplitAssignment:
     """Largest-remainder allocation per grade, kept within one response of
     each grade's share of every split, then seeded shuffling.

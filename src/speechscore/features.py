@@ -9,6 +9,8 @@ responses or through an in-memory lookup.
 
 from __future__ import annotations
 
+import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping
@@ -19,7 +21,8 @@ from .acoustic import ACOUSTIC_FEATURES, AudioBuffer, extract_acoustic, read_wav
 from .content import TfidfVocabulary, fit_vocabulary, vectorize
 from .corpus import AlignedResponse, FeatureMatrix, LexicalResources
 from .fluency import FLUENCY_FEATURES, fluency_features
-from .grammar import GRAMMAR_FEATURES, grammar_features
+from .grammar import (DEFAULT_RANK_THRESHOLD, GRAMMAR_FEATURES, LD_MODES,
+                      grammar_features)
 from .prosody import PROSODY_FEATURES, NoNuclei, prosody_features
 
 GROUP_ORDER = ("CF", "FF", "SPF", "GVF", "AF")
@@ -27,12 +30,15 @@ GROUP_ORDER = ("CF", "FF", "SPF", "GVF", "AF")
 
 @dataclass
 class ExtractorConfig:
+    """Extraction settings. A setting outside its range is a ``ValueError``
+    on construction that names the field."""
+
     groups: tuple[str, ...] = GROUP_ORDER
     min_df: int = 2
     max_terms: int = 1000
-    rank_threshold: int = 2000
+    rank_threshold: int = DEFAULT_RANK_THRESHOLD
     ld_mode: str = "density"
-    stress_includes_secondary: bool = False
+    include_secondary_stress: bool = False
     fmin: float = 75.0
     fmax: float = 500.0
     frame: float = 0.040
@@ -44,6 +50,22 @@ class ExtractorConfig:
         if unknown:
             raise ValueError(f"unknown feature group(s): {sorted(unknown)}")
         self.groups = tuple(g for g in GROUP_ORDER if g in self.groups)
+        for name in ("min_df", "max_terms", "rank_threshold"):
+            value = getattr(self, name)
+            if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+                    or value < 1):
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if self.ld_mode not in LD_MODES:
+            raise ValueError(f"ld_mode must be one of {list(LD_MODES)}, "
+                             f"got {self.ld_mode!r}")
+        if not (math.isfinite(self.fmin) and math.isfinite(self.fmax)
+                and 0 < self.fmin < self.fmax):
+            raise ValueError("fmin and fmax must be finite with 0 < fmin < fmax, "
+                             f"got fmin={self.fmin!r}, fmax={self.fmax!r}")
+        for name in ("frame", "hop"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
 def fit_content_vocabulary(responses: list[AlignedResponse], train_ids: set[str],
@@ -66,7 +88,7 @@ def _extract_one(response: AlignedResponse, resources: LexicalResources,
     if "SPF" in config.groups:
         try:
             values.update(prosody_features(
-                response, config.stress_includes_secondary, flags))
+                response, config.include_secondary_stress, flags))
         except NoNuclei:
             flags.add("spf_no_nuclei")
             values.update(dict.fromkeys(PROSODY_FEATURES, 0.0))

@@ -18,6 +18,9 @@ import numpy as np
 from .corpus import AlignedResponse, LexicalResources, TokenAnnotation
 
 DEFAULT_RANK_THRESHOLD = 2000
+# The readings of the ld feature. `lexical_features` reads any mode but
+# "density" as "diversity"; `features.ExtractorConfig` rejects other modes.
+LD_MODES = ("density", "diversity")
 
 _SUBORDINATORS = frozenset(
     "because although since while if that which who whom whose when where "

@@ -21,13 +21,14 @@ import numpy as np
 
 from . import learners
 from .content import TfidfVocabulary
-from .corpus import (AlignedResponse, FeatureMatrix, SplitAssignment,
-                     LexicalResources, stratified_split)
+from .corpus import (SPLIT_RATIOS, AlignedResponse, FeatureMatrix,
+                     LexicalResources, SplitAssignment, stratified_split)
 from .corpus import fit_standardizer  # noqa: F401 -- perfbench/spans.py traces it here
 from .features import ExtractorConfig, extract_matrix, fit_content_vocabulary
 from .grammar import word_tokens
 from .learners import class_weights
 from .metrics import confusion_matrix, metric_report, to_grades
+from .trees import TASKS
 
 MODEL_KEYS = tuple(learners.DEFAULT_PARAMS)
 SPLITS = ("valid", "test")
@@ -62,7 +63,7 @@ class PromptDataset:
 def prepare_prompt(responses: list[AlignedResponse],
                    resources: LexicalResources,
                    config: ExtractorConfig | None = None,
-                   ratios: tuple[float, float, float] = (0.70, 0.10, 0.20),
+                   ratios: tuple[float, float, float] = SPLIT_RATIOS,
                    audio_lookup=None, threads: int = 1) -> PromptDataset:
     """Split, fit the train-side vocabulary and extract raw features.
 
@@ -168,11 +169,11 @@ def evaluation_entries(dataset: PromptDataset, model, model_key: str) -> dict:
 
 def run_benchmark(dataset: PromptDataset,
                   models: tuple[str, ...] = MODEL_KEYS,
-                  formulations: tuple[str, ...] = learners.TASKS,
+                  formulations: tuple[str, ...] = TASKS,
                   seed: int = 0, params: dict | None = None) -> dict:
     """One report row per (model, formulation), trained from scratch."""
     for kind, names, known in (("model key", models, MODEL_KEYS),
-                               ("formulation", formulations, learners.TASKS)):
+                               ("formulation", formulations, TASKS)):
         unknown = set(names) - set(known)
         if unknown:
             raise ValueError(f"unknown {kind}(s): {sorted(unknown)}")

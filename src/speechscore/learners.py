@@ -19,14 +19,14 @@ import json
 import numbers
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import Mapping
 
 import numpy as np
 
 from .corpus import Standardizer, fit_standardizer
 from .metrics import mse, qwk, to_grades
-from .trees import Presorted, Tree, TreeParams, fit_tree
+from .trees import Presorted, Tree, TreeParams, check_task, fit_tree
 
-TASKS = ("regression", "classification")
 _EPS = 1e-12
 # Ridge damping of the linear and logistic fits; gradient-norm tolerance and
 # iteration cap of the logistic descent.
@@ -210,6 +210,7 @@ def fit_gbt(X, y, weights=None, n_stages: int = 100, learning_rate: float = 0.1,
     of every training row, from which the stage updates the predictions.
     """
     X, y, weights = _as_arrays(X, y, weights)
+    check_task(task)
     if n_stages < 1 or not (0.0 < learning_rate <= 1.0):
         raise ValueError("need n_stages >= 1 and learning_rate in (0, 1]")
     params = params or TreeParams(max_depth=3)
@@ -419,20 +420,44 @@ DEFAULT_PARAMS = {
 }
 
 
+def _integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _at_least(low: int):
+    return f"an integer >= {low}", lambda v, p: _integer(v) and v >= low
+
+
+# The range of each DEFAULT_PARAMS entry: its description, and a test of a
+# value given the column count p of X. fit_model rejects a value outside it.
+PARAM_RANGES = {
+    "n_trees": _at_least(1), "n_stages": _at_least(1),
+    "max_depth": _at_least(1), "min_samples_leaf": _at_least(1),
+    "min_samples_split": _at_least(2),
+    "learning_rate": ("a real number in (0, 1]",
+                      lambda v, p: isinstance(v, numbers.Real)
+                      and not isinstance(v, bool) and 0 < v <= 1),
+    "mtry": ("null or an integer in [1, {p}]",
+             lambda v, p: v is None or (_integer(v) and 1 <= v <= p)),
+}
+
+
 def fit_model(kind: str, params: dict | None, X, y, weights=None,
               task: str = "regression", n_classes: int | None = None,
               seed: int = 0, feature_names: list[str] | None = None):
     """Fit the model of a ``DEFAULT_PARAMS`` key: its row, overridden by
     ``params``. ``linear`` classifies by multinomial logistic regression;
     ``length_baseline`` is a forest on the columns given (W in the harness).
-    A parameter name outside the row, an ``mtry`` that is neither null nor
-    an integer in [1, columns of X], or a ``task`` outside ``TASKS`` is a
-    ``ValueError``."""
+    A ``params`` that is not a mapping, a parameter name outside the row, a
+    value outside its ``PARAM_RANGES`` range, or a ``task`` outside
+    ``trees.TASKS`` is a ``ValueError``."""
     if kind not in DEFAULT_PARAMS:
         raise ValueError(f"unknown model kind {kind!r}")
-    if task not in TASKS:
-        raise ValueError(f"unknown task {task!r}; choose from {list(TASKS)}")
-    params = params or {}
+    check_task(task)
+    params = {} if params is None else params
+    if not isinstance(params, Mapping):
+        raise ValueError(f"parameters for {kind} must be a mapping of names "
+                         f"to values, got {params!r}")
     unknown = set(params) - set(DEFAULT_PARAMS[kind])
     if unknown:
         raise ValueError(f"unknown parameter(s) for {kind}: {sorted(unknown)}")
@@ -442,26 +467,26 @@ def fit_model(kind: str, params: dict | None, X, y, weights=None,
                                 feature_names=feature_names)
         return fit_linear(X, y, feature_names=feature_names)
     p = dict(DEFAULT_PARAMS[kind], **params)
-    mtry, n_columns = p["mtry"], np.shape(X)[1]
-    if mtry is not None and (isinstance(mtry, bool)
-                             or not isinstance(mtry, numbers.Integral)
-                             or not 1 <= mtry <= n_columns):
-        raise ValueError(f"mtry for {kind} must be null or an integer in "
-                         f"[1, {n_columns}], got {mtry!r}")
-    tree_params = TreeParams(max_depth=int(p["max_depth"]),
-                             min_samples_leaf=int(p["min_samples_leaf"]),
-                             min_samples_split=int(p["min_samples_split"]),
-                             mtry=mtry)
+    n_columns = np.shape(X)[1]
+    for name, value in p.items():
+        description, accepts = PARAM_RANGES[name]
+        if not accepts(value, n_columns):
+            raise ValueError(f"{name} for {kind} must be "
+                             f"{description.format(p=n_columns)}, got {value!r}")
+    tree_params = TreeParams(max_depth=p["max_depth"],
+                             min_samples_leaf=p["min_samples_leaf"],
+                             min_samples_split=p["min_samples_split"],
+                             mtry=p["mtry"])
     if kind == "decision_tree":
         return fit_single_tree(X, y, weights, tree_params, task=task,
                                n_classes=n_classes, feature_names=feature_names,
                                seed=seed)
     if kind == "gbt":
-        return fit_gbt(X, y, weights, n_stages=int(p["n_stages"]),
+        return fit_gbt(X, y, weights, n_stages=p["n_stages"],
                        learning_rate=float(p["learning_rate"]),
                        params=tree_params, task=task, n_classes=n_classes,
                        seed=seed, feature_names=feature_names)
-    return fit_forest(X, y, weights, n_trees=int(p["n_trees"]), seed=seed,
+    return fit_forest(X, y, weights, n_trees=p["n_trees"], seed=seed,
                       params=tree_params, task=task, n_classes=n_classes,
                       feature_names=feature_names)
 
@@ -500,8 +525,12 @@ def grid_search(model_kind: str, grid: dict[str, list], X, y, folds: int = 5,
     by lower mean MSE then first-in-grid order. Fold k fits through
     `fit_model`, as a refit does, with seed ``seed + k``. Returns the
     winning parameters and the full CV table."""
-    if not grid or any(len(v) == 0 for v in grid.values()):
+    if not grid:
         raise ValueError("empty parameter grid")
+    for name, axis in grid.items():
+        if not isinstance(axis, list) or not axis:
+            raise ValueError(f"grid axis {name!r} must be a non-empty list, "
+                             f"got {axis!r}")
     if folds < 2:
         raise ValueError("need at least 2 folds")
     X = np.asarray(X, dtype=np.float64)

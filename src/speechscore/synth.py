@@ -24,8 +24,8 @@ import numpy as np
 from .acoustic import AudioBuffer, write_wav
 from .corpus import (RESOURCES_DIR, AlignedPhoneme, AlignedResponse,
                      AlignedWord, Grade, GRADE_LABELS, LexicalResources,
-                     PhonemeClass, Stress, TokenAnnotation, default_resources,
-                     response_to_json)
+                     PhonemeClass, Stress, TokenAnnotation, check_prompt_id,
+                     default_resources, response_to_json)
 from .fluency import fluency_features
 from .grammar import word_tokens
 
@@ -90,6 +90,7 @@ class SynthSpec:
         if d is not None and not 0 <= d <= 1:
             raise ValueError("second_rater_disagreement must lie in [0, 1], "
                              f"got {d}")
+        check_prompt_id(self.prompt_id)
 
 
 def _phonemes_for(word: str, rng: np.random.Generator) -> list[tuple[str, PhonemeClass, Stress]]:

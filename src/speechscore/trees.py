@@ -64,6 +64,13 @@ from dataclasses import dataclass
 import numpy as np
 
 _LEAF = -1
+# The formulations every tree fit accepts; `check_task` rejects any other.
+TASKS = ("regression", "classification")
+
+
+def check_task(task: str) -> None:
+    if task not in TASKS:
+        raise ValueError(f"unknown task {task!r}; choose from {list(TASKS)}")
 
 
 @dataclass
@@ -373,6 +380,7 @@ def fit_tree(X: np.ndarray, y: np.ndarray, weights: np.ndarray | None = None,
         weights = np.ones(y.shape[0], dtype=np.float64)
     else:
         weights = np.asarray(weights, dtype=np.float64)
+    check_task(task)
     params = params or TreeParams()
     if task == "classification":
         if n_classes is None:

@@ -75,6 +75,16 @@ class TestPitchTrack:
         with pytest.raises(ValueError):
             pitch_track(AudioBuffer(np.zeros(320), 16000))
 
+    @pytest.mark.parametrize("frame, hop, message", [
+        (1e-5, 0.01, "frame of 1e-05 s is 0 samples"),
+        (0.04, 1e-5, "hop of 1e-05 s is 0 samples"),
+        (0.04, -0.01, "hop of -0.01 s is -160 samples")])
+    def test_frame_and_hop_of_no_samples_rejected(self, frame, hop, message):
+        # 1e-5 s is 0.16 samples at 16 kHz, which rounds to none.
+        for extract in (pitch_track, extract_acoustic):
+            with pytest.raises(ValueError, match=message):
+                extract(sine(200.0), frame=frame, hop=hop)
+
     def test_silence_floor(self):
         audio = sine(100.0, amp=1e-6)
         assert pitch_track(audio).periods.size == 0

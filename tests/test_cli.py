@@ -388,3 +388,164 @@ def test_determinism_across_thread_counts(pipeline_dirs, tmp_path):
         outs.append(out)
     for name in ("features.csv", "labels.csv", "splits.json", "vocabulary.tsv"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def _exit_code(argv) -> int:
+    """`main`'s exit code, including argparse's exit 2 on a usage error."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+def _command(pipeline_dirs, command, out):
+    if command == "extract":
+        corpus = pipeline_dirs / "corpus"
+        return ["extract", "--manifest", str(corpus / "manifest.txt"),
+                "--resources", str(corpus / "resources"), "--out", str(out),
+                "--groups", "FF"]
+    model = "random_forest" if command == "train-forest" else "gbt"
+    return ["train", "--features", str(pipeline_dirs / "features"),
+            "--out", str(out), "--model", model]
+
+
+def _param(key, value, model="gbt"):
+    command = "train" if model == "gbt" else "train-forest"
+    return (command, "params", json.dumps({key: value}), 1,
+            f"{key} for {model} must be")
+
+
+# (subcommand, option, value outside its range, exit code, text that the
+# error must hold). Exit 1 is a range error in the JSON channel; exit 2 is
+# argparse's usage error for a value of the wrong type or choice.
+OUT_OF_RANGE = [
+    ("extract", "min-df", "0", 1, "min_df"),
+    ("extract", "min-df", "-3", 1, "min_df"),
+    ("extract", "max-terms", "0", 1, "max_terms"),
+    ("extract", "max-terms", "1e3", 2, "--max-terms"),
+    ("extract", "rank-threshold", "-1", 1, "rank_threshold"),
+    ("extract", "ld-mode", "dens", 2, "--ld-mode"),
+    ("extract", "fmin", "0", 1, "fmin"),
+    ("extract", "fmin", "500", 1, "fmin"),
+    ("extract", "fmax", "nan", 1, "fmax"),
+    ("extract", "fmax", "inf", 1, "fmax"),
+    ("extract", "frame", "-0.04", 1, "frame"),
+    ("extract", "frame", "nan", 1, "frame"),
+    ("extract", "hop", "0", 1, "hop"),
+    ("extract", "hop", "-1", 1, "hop"),
+    ("extract", "threads", "0", 1, "--threads"),
+    ("extract", "threads", "-1", 1, "--threads"),
+    ("train", "threads", "0", 1, "--threads"),
+    *(_param(key, value) for key, value in [
+        ("max_depth", 0), ("max_depth", True), ("max_depth", 2.7),
+        ("max_depth", None), ("min_samples_leaf", -4),
+        ("min_samples_leaf", 0), ("min_samples_split", 1), ("n_stages", 0),
+        ("learning_rate", "0.1"), ("learning_rate", True),
+        ("learning_rate", 0), ("learning_rate", 1.5)]),
+    _param("n_trees", 0, model="random_forest"),
+    ("train", "params", "[1, 2]", 1, "mapping"),
+    ("train", "grid", '{"max_depth": 3}', 1, "'max_depth'"),
+]
+
+
+@pytest.mark.parametrize("route", ["argv", "config"])
+@pytest.mark.parametrize("command, option, value, code, needle", OUT_OF_RANGE)
+def test_out_of_range_option_rejected_before_any_output(
+        pipeline_dirs, tmp_path, capsys, route, command, option, value, code,
+        needle):
+    out = tmp_path / "out"
+    argv = _command(pipeline_dirs, command, out)
+    if route == "argv":
+        argv += [f"--{option}", value]
+    else:
+        config = tmp_path / "run.conf"
+        config.write_text(f"{option.replace('-', '_')} = {value}\n")
+        argv += ["--config", str(config)]
+    assert _exit_code(argv) == code
+    err = capsys.readouterr().err.strip().splitlines()[-1]
+    if code == 1:
+        payload = json.loads(err)
+        assert payload["error"] == "ValueError"
+        err = payload["message"]
+    assert needle in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, options", [
+    ("extract", ["--min-df", "1", "--groups", "CF,FF"]),
+    ("extract", ["--max-terms", "1", "--groups", "CF,FF"]),
+    ("extract", ["--rank-threshold", "1", "--groups", "GVF"]),
+    ("extract", ["--ld-mode", "diversity", "--groups", "GVF"]),
+    ("extract", ["--fmin", "499.9"]),
+    ("extract", ["--fmax", "75.1"]),
+    ("extract", ["--frame", "1e-3"]),
+    ("extract", ["--hop", "1e-3"]),
+    ("extract", ["--threads", "2"]),
+    ("train", ["--params", '{"max_depth": 1}']),
+    ("train", ["--params", '{"min_samples_leaf": 1}']),
+    ("train", ["--params", '{"min_samples_split": 2}']),
+    ("train", ["--params", '{"n_stages": 1}']),
+    ("train", ["--params", '{"learning_rate": 1}']),
+    ("train-forest", ["--params", '{"n_trees": 1}']),
+])
+def test_option_range_ends_accepted(pipeline_dirs, tmp_path, command, options):
+    out = tmp_path / "out"
+    # A later --groups overrides the helper's FF.
+    assert main(_command(pipeline_dirs, command, out) + options) == 0
+    assert (out / ("features.csv" if command == "extract"
+                   else "model.json")).exists()
+
+
+def test_config_semantics(pipeline_dirs, tmp_path, capsys):
+    def extract(out, *extra, config=None):
+        argv = _command(pipeline_dirs, "extract", tmp_path / out) + list(extra)
+        if config is not None:
+            (tmp_path / f"{out}.conf").write_text(config)
+            argv += ["--config", str(tmp_path / f"{out}.conf")]
+        return _exit_code(argv)
+
+    # A value on the command line wins, even when it equals the default.
+    assert extract("wins", "--groups", "CF", "--max-terms", "1000",
+                   config="max_terms = 7\n") == 0
+    header = (tmp_path / "wins" / "features.csv").read_text().splitlines()[0]
+    assert header.split(",").count("CF") > 7
+
+    # An unknown key, or one that only abbreviates an option, is an error.
+    for config in ("max_term = 5\n", "func = 3\n"):
+        assert extract("unknown", config=config) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "unknown").exists()
+
+    # `key = true` is the bare flag; `key = false` leaves the flag off.
+    assert extract("flag", "--groups", "SPF", "--include-secondary-stress") == 0
+    assert extract("true", "--groups", "SPF",
+                   config="include_secondary_stress = true\n") == 0
+    assert extract("plain", "--groups", "SPF") == 0
+    assert extract("false", "--groups", "SPF",
+                   config="include_secondary_stress = false\n") == 0
+    for a, b in (("flag", "true"), ("plain", "false")):
+        assert (tmp_path / a / "features.csv").read_bytes() == \
+            (tmp_path / b / "features.csv").read_bytes()
+
+
+def test_prompt_id_cannot_leave_the_output_directory(pipeline_dirs, tmp_path):
+    corpus = tmp_path / "corpus"
+    corpus.mkdir()
+    escaping = {"../escaped", str(tmp_path / "abs"), "..", ""}
+    for i, src in enumerate(sorted((pipeline_dirs / "corpus").glob("*.json"))):
+        payload = json.loads(src.read_text())
+        payload["prompt_id"] = sorted(escaping)[i // 10 % 4] if i % 10 == 0 \
+            else "p1"
+        (corpus / src.name).write_text(json.dumps(payload))
+    out = tmp_path / "out" / "feats"
+    assert main(["extract", "--manifest", str(corpus),
+                 "--resources", str(pipeline_dirs / "corpus" / "resources"),
+                 "--out", str(out), "--groups", "FF"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["corpus", "out"]
+    assert sorted(p.name for p in (tmp_path / "out").iterdir()) == ["feats"]
+    assert (out / "features.csv").exists()
+    rejects = json.loads((out / "rejects.json").read_text())
+    assert len(rejects) == 10
+    assert all("not one plain path component" in r["reason"] for r in rejects)
+    assert {json.loads(Path(r["source"]).read_text())["prompt_id"]
+            for r in rejects} == escaping

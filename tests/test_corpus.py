@@ -143,6 +143,21 @@ class TestLoadCorpus:
         assert [r.response_id for r in corpus.responses] == ["ok"]
         assert "maximum recursion depth" in corpus.rejected[0][1]
 
+    @pytest.mark.parametrize("prompt_id, plain", [
+        ("", False), (".", False), ("..", False), ("../p", False),
+        ("/abs", False), ("a\\b", False), ("a\0b", False),
+        ("p1", True), ("..p", True), ("p.1", True)])
+    def test_prompt_id_must_be_one_plain_path_component(self, tmp_path,
+                                                        prompt_id, plain):
+        payload = _alignment_payload("r0")
+        payload["prompt_id"] = prompt_id
+        corpus = load_corpus(_write_corpus(tmp_path, [payload]))
+        assert len(corpus.responses) == plain
+        if not plain:
+            assert corpus.rejected == [(
+                str(tmp_path / "resp0.json"),
+                f"prompt_id {prompt_id!r} is not one plain path component")]
+
     def test_existing_reject_reasons_unchanged(self, tmp_path):
         payloads = [_alignment_payload(f"r{i}") for i in range(4)]
         payloads[0]["words"][0]["phonemes"][0]["class"] = "glide"

@@ -68,7 +68,8 @@ class TestSynthCorpus:
         ("noise", -2.0), ("noise", float("nan")), ("noise", float("inf")),
         ("second_rater_disagreement", 3.0),
         ("second_rater_disagreement", -0.1),
-        ("second_rater_disagreement", float("nan"))])
+        ("second_rater_disagreement", float("nan")),
+        ("prompt_id", "../x"), ("prompt_id", "a/b"), ("prompt_id", "")])
     def test_out_of_range_spec_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             SynthSpec(n=60, **{field: value})
@@ -155,6 +156,15 @@ class TestPreparePrompt:
         for name in written:
             assert (tmp_path / "library" / name).read_bytes() == \
                 (feats / name).read_bytes(), name
+
+    @pytest.mark.parametrize("field, value", [
+        ("min_df", 0), ("max_terms", 1e3), ("max_terms", True),
+        ("rank_threshold", -1), ("ld_mode", "dens"), ("fmin", 0.0),
+        ("fmin", 600.0), ("fmax", float("nan")), ("frame", -0.04),
+        ("hop", float("inf"))])
+    def test_out_of_range_config_rejected(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ExtractorConfig(**{field: value})
 
     def test_group_partition(self, small_dataset):
         matrix = small_dataset.matrix

@@ -11,7 +11,7 @@ from speechscore.learners import (class_weights, fit_forest, fit_gbt,
                                   fit_single_tree, grid_search, load_model,
                                   model_from_json, save_model)
 from speechscore.metrics import qwk, round_to_grade
-from speechscore.trees import TreeParams
+from speechscore.trees import TreeParams, fit_tree
 
 
 def regression_data(n=200, seed=0, noise=0.3):
@@ -237,6 +237,24 @@ def test_fit_model_rejects_an_unknown_task():
             fit_model(kind, {}, X, np.round(y), task="regresion")
 
 
+@pytest.mark.parametrize("fit, kwargs", [
+    (fit_gbt, {"n_stages": 2}), (fit_forest, {"n_trees": 2}),
+    (fit_single_tree, {}), (fit_tree, {})],
+    ids=["fit_gbt", "fit_forest", "fit_single_tree", "fit_tree"])
+def test_every_tree_fit_rejects_an_unknown_task(fit, kwargs):
+    X, y = regression_data(60, seed=4)
+    with pytest.raises(ValueError, match="unknown task 'Regression'"):
+        fit(X, np.round(y), task="Regression", **kwargs)
+
+
+def test_every_default_parameter_has_a_range_that_holds_it():
+    names = {name for row in learners.DEFAULT_PARAMS.values() for name in row}
+    assert set(learners.PARAM_RANGES) == names
+    for kind, row in learners.DEFAULT_PARAMS.items():
+        for name, value in row.items():
+            assert learners.PARAM_RANGES[name][1](value, 1), (kind, name)
+
+
 class TestGridSearch:
     def test_single_point(self):
         X, y_cont = regression_data(120, seed=5)
@@ -279,8 +297,11 @@ class TestGridSearch:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValueError):
             grid_search("gbt", {}, np.zeros((10, 1)), np.zeros(10))
-        with pytest.raises(ValueError):
-            grid_search("gbt", {"max_depth": []}, np.zeros((10, 1)), np.zeros(10))
+        for axis in ([], 3, (3,)):
+            with pytest.raises(ValueError, match="'max_depth' must be a "
+                                                 "non-empty list"):
+                grid_search("gbt", {"max_depth": axis}, np.zeros((10, 1)),
+                            np.zeros(10))
 
     def test_one_fold_rejected(self):
         with pytest.raises(ValueError, match="2 folds"):
