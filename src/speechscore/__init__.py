@@ -7,9 +7,9 @@ them with agreement metrics, and explain them via gain importance, partial
 dependence and exact SHAP values.
 """
 
-from .corpus import (RESOURCE_FILES, RESOURCES_DIR, AlignedPhoneme,
-                     AlignedResponse, AlignedWord, Corpus, FeatureMatrix, Grade,
-                     LexicalResources, SplitAssignment, Standardizer,
+from .corpus import (RESOURCE_FILES, RESOURCES_DIR, AlignedResponse, Corpus,
+                     FeatureMatrix, Grade, LexicalResources, Phones,
+                     SplitAssignment, Standardizer, Tokens, Words,
                      default_resources, fit_standardizer, load_corpus,
                      parse_response, response_to_json, stratified_split)
 from .explain import gain_importance, pdp, shap_summary, tree_shap

@@ -21,7 +21,8 @@ from pathlib import Path
 
 from . import harness, svg
 from .corpus import (RESOURCE_FILES, RESOURCES_DIR, SPLIT_RATIOS,
-                     LexicalResources, load_corpus, write_float_csv)
+                     LexicalResources, load_corpus, split_shares,
+                     write_float_csv)
 from .explain import gain_importance, pdp, shap_summary
 from .features import ExtractorConfig
 from .grammar import LD_MODES
@@ -55,6 +56,15 @@ def _ratios(text: str) -> tuple[float, ...]:
     return tuple(float(r) for r in text.split(":"))
 
 
+def _json_object(text: str | None, option: str) -> dict:
+    """The JSON object an option holds; {} when the option is not given."""
+    value = json.loads(text) if text else {}
+    if not isinstance(value, dict):
+        raise ValueError(f"{option} must be a JSON object (a mapping of "
+                         f"names to values), got {text!r}")
+    return value
+
+
 def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=1),
                     encoding="utf-8")
@@ -76,6 +86,7 @@ def _out_dir(args) -> Path:
 def cmd_extract(args) -> int:
     config = ExtractorConfig(**{f.name: getattr(args, f.name)
                                 for f in fields(ExtractorConfig)})
+    split_shares(args.ratios)       # checked before any output is written
     resources = LexicalResources.load(args.resources)
     corpus = load_corpus(args.manifest)
     out = _out_dir(args)
@@ -99,12 +110,13 @@ def cmd_extract(args) -> int:
 def cmd_train(args) -> int:
     dataset = harness.load_prompt_dataset(args.features)
     task = args.task
-    params = json.loads(args.params) if args.params else {}
+    params = _json_object(args.params, "--params")
     cv_table = None
     if args.grid:
         # --params enter the grid as singleton axes, so the CV scores the
         # model that the refit below fits.
-        grid = dict(json.loads(args.grid), **{k: [v] for k, v in params.items()})
+        grid = dict(_json_object(args.grid, "--grid"),
+                    **{k: [v] for k, v in params.items()})
         params, cv_table = harness.tune(dataset, grid, args.model, task,
                                         folds=args.folds, seed=args.seed)
     model = harness._train(dataset, args.model, task, params, seed=args.seed)

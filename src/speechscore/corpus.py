@@ -11,10 +11,18 @@ feature-matrix plumbing and the z-scoring that the linear learners apply
 inside their fits. Feature matrices hold raw feature values in their own
 units, and tree models are fit on them as they are.
 
-The timeline records (`AlignedPhoneme`, `AlignedWord`, `TokenAnnotation`)
-are frozen, slotted dataclasses: a corpus holds hundreds of thousands of
-them, so they carry no per-instance ``__dict__``, and their fields cannot be
-reassigned once ``__post_init__`` has validated them.
+A response holds its alignment as three column records, not one object per
+phoneme, word and token:
+
+- `Phones`, in file order: class code, stress code, label, start, end and
+  the index of the word that holds the phoneme;
+- `Words`: text, start and end;
+- `Tokens`: token, POS tag, stopword flag and syllable count.
+
+Numeric columns are read-only NumPy arrays and the others tuples, so the
+columns cannot change once `AlignedResponse` has checked them. That check
+is one pass over all of a response's columns (`_check_records`); it raises
+the first violation in the order the file lists the records.
 """
 
 from __future__ import annotations
@@ -27,7 +35,6 @@ import math
 import re
 import warnings
 from dataclasses import dataclass, field
-from enum import Enum
 from fractions import Fraction
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -44,82 +51,133 @@ POS_TAGS = frozenset({
     "NUM", "INTJ", "PUNCT", "OTHER",
 })
 
+# A phoneme's class code is its class's position here; the schema's "class"
+# field holds the name.
+PHONE_CLASSES = ("vowel", "consonant", "silence")
+VOWEL, CONSONANT, SILENCE = range(3)
+_CLASS_CODES = {name: code for code, name in enumerate(PHONE_CLASSES)}
+
+# A stress code is the schema's ARPAbet-style digit. The parser reads it for
+# vowels only, other phonemes being unstressed, and looks it up here: any
+# other digit is a KeyError, whose message is the reject reason.
+UNSTRESSED, PRIMARY, SECONDARY = range(3)
+_STRESS_CODES = {code: code for code in range(3)}
+
 
 class CorpusError(ValueError):
     """A response or resource file violates the documented input contract."""
 
 
-class PhonemeClass(Enum):
-    VOWEL = "vowel"
-    CONSONANT = "consonant"
-    SILENCE = "silence"
+def _column(values, dtype) -> np.ndarray:
+    column = np.array(values, dtype=dtype)
+    column.flags.writeable = False
+    return column
 
 
-class Stress(Enum):
-    NONE = "none"
-    PRIMARY = "primary"
-    SECONDARY = "secondary"
+class _Columns:
+    """Aligned columns, one entry per record. Fields named in ``_DTYPES``
+    become read-only arrays of that type, the others tuples."""
 
-
-# ARPAbet-style digit convention used by the alignment file schema.
-STRESS_FROM_DIGIT = {0: Stress.NONE, 1: Stress.PRIMARY, 2: Stress.SECONDARY}
-
-# The parser looks classes up here and leaves misses to PhonemeClass(value),
-# whose error message becomes the reject reason.
-_PHONEME_CLASSES = {member.value: member for member in PhonemeClass}
-
-
-@dataclass(frozen=True, slots=True)
-class AlignedPhoneme:
-    label: str
-    klass: PhonemeClass
-    start: float
-    end: float
-    stress: Stress = Stress.NONE
+    _DTYPES = {}
 
     def __post_init__(self):
-        if self.end < self.start - _TIME_EPS:
-            raise CorpusError(f"phoneme {self.label!r} ends before it starts")
-        if self.klass is not PhonemeClass.VOWEL and self.stress is not Stress.NONE:
-            raise CorpusError(f"non-vowel phoneme {self.label!r} carries stress")
+        lengths = set()
+        for name in self.__dataclass_fields__:
+            dtype = self._DTYPES.get(name)
+            value = getattr(self, name)
+            value = tuple(value) if dtype is None else _column(value, dtype)
+            object.__setattr__(self, name, value)
+            lengths.add(len(value))
+        if len(lengths) > 1:
+            raise CorpusError(f"{type(self).__name__} columns differ in length")
 
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
+    def __len__(self) -> int:
+        return len(getattr(self, next(iter(self.__dataclass_fields__))))
 
-
-@dataclass(frozen=True, slots=True)
-class AlignedWord:
-    text: str
-    start: float
-    end: float
-    phonemes: tuple[AlignedPhoneme, ...] = ()
-
-    def __post_init__(self):
-        if self.end <= self.start:
-            raise CorpusError(f"word {self.text!r} has non-positive duration")
-        for ph in self.phonemes:
-            if ph.start < self.start - _TIME_EPS or ph.end > self.end + _TIME_EPS:
-                raise CorpusError(
-                    f"phoneme {ph.label!r} lies outside word {self.text!r}"
-                )
-
-    @property
-    def duration(self) -> float:
-        return self.end - self.start
+    @classmethod
+    def from_rows(cls, rows: Sequence[tuple]):
+        """The columns of records given as tuples in field order."""
+        return cls(*(zip(*rows) if rows else [()] * len(cls.__dataclass_fields__)))
 
 
-@dataclass(frozen=True, slots=True)
-class TokenAnnotation:
-    token: str
-    pos: str = "OTHER"
-    is_stopword: bool = False
-    syllable_count: int = 1
+@dataclass(frozen=True, eq=False)
+class Phones(_Columns):
+    """A response's phonemes, word by word and in file order within a word."""
 
-    def __post_init__(self):
-        if self.pos not in POS_TAGS:
-            raise CorpusError(f"unknown POS tag {self.pos!r}")
-        if self.syllable_count < 0:
+    klass: np.ndarray               # class codes (VOWEL, CONSONANT, SILENCE)
+    stress: np.ndarray              # stress codes (UNSTRESSED, PRIMARY, SECONDARY)
+    label: tuple
+    start: np.ndarray
+    end: np.ndarray
+    word: np.ndarray                # index of the word that holds the phoneme
+
+    _DTYPES = {"klass": np.int8, "stress": np.int8, "start": np.float64,
+               "end": np.float64, "word": np.intp}
+
+
+@dataclass(frozen=True, eq=False)
+class Words(_Columns):
+    text: tuple[str, ...]
+    start: np.ndarray
+    end: np.ndarray
+
+    _DTYPES = {"start": np.float64, "end": np.float64}
+
+
+@dataclass(frozen=True)
+class Tokens(_Columns):
+    token: tuple[str, ...]
+    pos: tuple[str, ...]
+    stopword: tuple[bool, ...]
+    syllables: tuple[int, ...]
+
+    def select(self, keep: Iterable[bool]) -> "Tokens":
+        """The tokens at the positions where ``keep`` is true."""
+        keep = list(keep)
+        return Tokens(*(itertools.compress(column, keep) for column in
+                        (self.token, self.pos, self.stopword, self.syllables)))
+
+
+def _check_records(words: Words, phones: Phones, tokens: Tokens) -> None:
+    """Raise a CorpusError for the first bad record, in file order: word by
+    word, each of its phonemes (one that ends before it starts, then one
+    that is stressed but no vowel), then the word (a non-positive duration,
+    then each phoneme outside it); then token by token (an unknown POS tag,
+    then a negative syllable count).
+
+    ``phones`` may run one word past ``words``: they are the phonemes read
+    of a word whose own fields did not read, and get the phoneme checks
+    only."""
+    start, end, owner = phones.start, phones.end, phones.word
+    bad_phone = ((end < start - _TIME_EPS)
+                 | ((phones.klass != VOWEL) & (phones.stress != UNSTRESSED)))
+    bad_word = words.end <= words.start
+    held = owner < len(words)
+    outside = np.zeros(len(phones), dtype=bool)
+    outside[held] = ((start[held] < words.start[owner[held]] - _TIME_EPS)
+                     | (end[held] > words.end[owner[held]] + _TIME_EPS))
+    # (word, check, index) of each kind's first violation: within a word the
+    # phoneme checks come first, then the word's duration, then containment.
+    firsts = []
+    for check, mask in enumerate((bad_phone, bad_word, outside)):
+        if mask.any():
+            index = int(mask.argmax())
+            firsts.append((index if check == 1 else int(owner[index]), check, index))
+    if firsts:
+        word, check, index = min(firsts)
+        if check == 1:
+            raise CorpusError(f"word {words.text[word]!r} has non-positive duration")
+        label = phones.label[index]
+        if check == 2:
+            raise CorpusError(f"phoneme {label!r} lies outside word "
+                              f"{words.text[word]!r}")
+        if end[index] < start[index] - _TIME_EPS:
+            raise CorpusError(f"phoneme {label!r} ends before it starts")
+        raise CorpusError(f"non-vowel phoneme {label!r} carries stress")
+    for pos, count in zip(tokens.pos, tokens.syllables):
+        if pos not in POS_TAGS:
+            raise CorpusError(f"unknown POS tag {pos!r}")
+        if count < 0:
             raise CorpusError("negative syllable count")
 
 
@@ -166,10 +224,15 @@ class Grade:
 
 @dataclass
 class AlignedResponse:
+    """One response. Building it checks its records (`_check_records`),
+    then that it has words, that they do not overlap, and that its tokens,
+    when there are any, parallel the words."""
+
     response_id: str
     prompt_id: str
-    words: list[AlignedWord]
-    tokens: list[TokenAnnotation]
+    words: Words
+    phones: Phones
+    tokens: Tokens
     syntax: SyntaxSpans | None = None
     transcript: str = ""
     audio_path: Path | None = None
@@ -177,26 +240,22 @@ class AlignedResponse:
     grade2: Grade | None = None
 
     def __post_init__(self):
-        if not self.words:
+        owner = self.phones.word
+        if len(owner) and not (owner[0] >= 0 and owner[-1] < len(self.words)
+                               and np.all(owner[1:] >= owner[:-1])):
+            raise CorpusError("phonemes do not index their words in order")
+        _check_records(self.words, self.phones, self.tokens)
+        words = self.words
+        if not len(words):
             raise CorpusError("empty word timeline")
-        prev_end = None
-        for w in self.words:
-            if prev_end is not None:
-                if w.start < prev_end - _TIME_EPS:
-                    raise CorpusError("overlapping words")
-            prev_end = w.end
-        if self.tokens and len(self.tokens) != len(self.words):
-            raise CorpusError(
-                f"{len(self.tokens)} tokens for {len(self.words)} words"
-            )
+        if np.any(words.start[1:] < words.end[:-1] - _TIME_EPS):
+            raise CorpusError("overlapping words")
+        if self.tokens and len(self.tokens) != len(words):
+            raise CorpusError(f"{len(self.tokens)} tokens for {len(words)} words")
         if not self.transcript:
-            self.transcript = " ".join(w.text for w in self.words)
+            self.transcript = " ".join(words.text)
         if self.syntax is not None:
             self.syntax.validate(len(self.tokens))
-
-    @property
-    def duration(self) -> float:
-        return self.words[-1].end - self.words[0].start
 
 
 # The bundled resource directory, and the four files LexicalResources.load
@@ -287,82 +346,96 @@ def check_prompt_id(prompt_id: str) -> str:
 
 
 def parse_response(payload: dict, base_dir: Path | None = None) -> AlignedResponse:
-    """Build an AlignedResponse from one alignment-file JSON payload."""
+    """Build an AlignedResponse from one alignment-file JSON payload.
+
+    Fields are read in file order. A field that does not read raises its
+    own error, unless a record read before it fails `_check_records`, whose
+    error then wins."""
     if not isinstance(payload, dict):
         raise CorpusError("alignment file does not hold a JSON object")
-    vowel = PhonemeClass.VOWEL
-    unstressed = Stress.NONE
-    words = []
-    for w in payload.get("words", []):
-        if not isinstance(w, dict):
-            raise CorpusError(f"word {len(words)} is not a JSON object")
-        phonemes = []
-        for p in w.get("phonemes", []):
-            try:
-                klass = _PHONEME_CLASSES[p["class"]]
-            except (KeyError, TypeError):
-                klass = PhonemeClass(p["class"])
-            stress = unstressed
-            if klass is vowel:
-                stress = STRESS_FROM_DIGIT[int(p.get("stress", 0))]
-            phonemes.append(AlignedPhoneme(
-                p["label"], klass, float(p["start"]), float(p["end"]), stress))
-        words.append(AlignedWord(str(w["text"]).lower(), float(w["start"]),
-                                 float(w["end"]), tuple(phonemes)))
+    words, phones, tokens = [], [], []
+    try:
+        for w in payload.get("words", []):
+            if not isinstance(w, dict):
+                raise CorpusError(f"word {len(words)} is not a JSON object")
+            index = len(words)
+            for p in w.get("phonemes", []):
+                try:
+                    klass = _CLASS_CODES[p["class"]]
+                except (KeyError, TypeError):
+                    # The schema's name for the class vocabulary.
+                    raise ValueError(f"{p['class']!r} is not a valid "
+                                     "PhonemeClass") from None
+                phones.append((
+                    klass,
+                    _STRESS_CODES[int(p.get("stress", 0))] if klass == VOWEL
+                    else UNSTRESSED,
+                    p["label"], float(p["start"]), float(p["end"]), index))
+            words.append((str(w["text"]).lower(), float(w["start"]),
+                          float(w["end"])))
+        for t in payload.get("tokens", []):
+            text = str(t["token"])
+            tokens.append((
+                text.lower(), t.get("pos", "OTHER"), bool(t.get("stopword", False)),
+                int(t["syllables"] if "syllables" in t
+                    else _heuristic_syllables(text))))
 
-    tokens = []
-    for t in payload.get("tokens", []):
-        text = str(t["token"])
-        tokens.append(TokenAnnotation(
-            text.lower(), t.get("pos", "OTHER"), bool(t.get("stopword", False)),
-            int(t["syllables"] if "syllables" in t else _heuristic_syllables(text))))
-    if not tokens:
-        tokens = [_token_from_word(w) for w in words]
+        syntax = None
+        if "syntax" in payload and payload["syntax"] is not None:
+            if not isinstance(payload["syntax"], dict):
+                raise CorpusError("syntax is not a JSON object")
+            spans = {name: [tuple(r) for r in payload["syntax"].get(name, [])]
+                     for name in _SPAN_FIELDS}
+            syntax = SyntaxSpans(**spans)
 
-    syntax = None
-    if "syntax" in payload and payload["syntax"] is not None:
-        if not isinstance(payload["syntax"], dict):
-            raise CorpusError("syntax is not a JSON object")
-        fields = {name: [tuple(r) for r in payload["syntax"].get(name, [])]
-                  for name in _SPAN_FIELDS}
-        syntax = SyntaxSpans(**fields)
+        audio_path = None
+        if payload.get("wav"):
+            audio_path = Path(payload["wav"])
+            if base_dir is not None and not audio_path.is_absolute():
+                audio_path = base_dir / audio_path
 
-    audio_path = None
-    if payload.get("wav"):
-        audio_path = Path(payload["wav"])
-        if base_dir is not None and not audio_path.is_absolute():
-            audio_path = base_dir / audio_path
+        grade = Grade.from_label(payload["grade"]) if payload.get("grade") else None
+        grade2 = Grade.from_label(payload["grade2"]) if payload.get("grade2") else None
+        response_id = str(payload["response_id"])
+        prompt_id = check_prompt_id(str(payload.get("prompt_id", "default")))
+    except Exception:
+        _check_records(Words.from_rows(words), Phones.from_rows(phones),
+                       Tokens.from_rows(tokens))
+        raise
 
-    grade = Grade.from_label(payload["grade"]) if payload.get("grade") else None
-    grade2 = Grade.from_label(payload["grade2"]) if payload.get("grade2") else None
-
+    words, phones = Words.from_rows(words), Phones.from_rows(phones)
+    tokens = Tokens.from_rows(tokens) if tokens else _tokens_from_words(words, phones)
     return AlignedResponse(
-        response_id=str(payload["response_id"]),
-        prompt_id=check_prompt_id(str(payload.get("prompt_id", "default"))),
-        words=words, tokens=tokens, syntax=syntax,
+        response_id=response_id, prompt_id=prompt_id, words=words,
+        phones=phones, tokens=tokens, syntax=syntax,
         transcript=str(payload.get("transcript", "")),
         audio_path=audio_path, grade=grade, grade2=grade2)
-
-
-_DIGIT_FROM_STRESS = {stress: digit for digit, stress in STRESS_FROM_DIGIT.items()}
 
 
 def response_to_json(response: AlignedResponse) -> dict:
     """The alignment-file payload of one response; `parse_response` reads
     it back."""
+    words, phones, tokens = response.words, response.phones, response.tokens
+    rows = [{"label": label, "class": PHONE_CLASSES[klass], "stress": stress,
+             "start": start, "end": end}
+            for klass, stress, label, start, end in zip(
+                phones.klass.tolist(), phones.stress.tolist(), phones.label,
+                phones.start.tolist(), phones.end.tolist())]
+    ends = np.cumsum(np.bincount(phones.word, minlength=len(words))).tolist()
     payload = {
         "response_id": response.response_id,
         "prompt_id": response.prompt_id,
         "transcript": response.transcript,
-        "words": [{
-            "text": w.text, "start": w.start, "end": w.end,
-            "phonemes": [{
-                "label": p.label, "class": p.klass.value,
-                "stress": _DIGIT_FROM_STRESS[p.stress],
-                "start": p.start, "end": p.end} for p in w.phonemes],
-        } for w in response.words],
-        "tokens": [{"token": t.token, "pos": t.pos, "stopword": t.is_stopword,
-                    "syllables": t.syllable_count} for t in response.tokens],
+        "words": [{"text": text, "start": start, "end": end,
+                   "phonemes": rows[lo:hi]}
+                  for text, start, end, lo, hi in zip(
+                      words.text, words.start.tolist(), words.end.tolist(),
+                      [0] + ends[:-1], ends)],
+        "tokens": [{"token": token, "pos": pos, "stopword": stopword,
+                    "syllables": syllables}
+                   for token, pos, stopword, syllables in zip(
+                       tokens.token, tokens.pos, tokens.stopword,
+                       tokens.syllables)],
     }
     if response.grade is not None:
         payload["grade"] = response.grade.label
@@ -376,12 +449,18 @@ def response_to_json(response: AlignedResponse) -> dict:
     return payload
 
 
-def _token_from_word(word: AlignedWord) -> TokenAnnotation:
-    # minimal fallback when the annotation layer is missing
-    nuclei = sum(1 for p in word.phonemes if p.klass is PhonemeClass.VOWEL)
-    count = nuclei if nuclei else _heuristic_syllables(word.text)
-    pos = "PUNCT" if word.text in {".", "?", "!", ","} else "OTHER"
-    return TokenAnnotation(token=word.text, pos=pos, syllable_count=count)
+def _tokens_from_words(words: Words, phones: Phones) -> Tokens:
+    """The minimal token layer of a payload without one: each word's text,
+    PUNCT for punctuation and OTHER otherwise, its vowel count for
+    syllables (its letters' when it has no vowel phoneme) and no stopword."""
+    nuclei = np.bincount(phones.word[phones.klass == VOWEL],
+                         minlength=len(words)).tolist()
+    return Tokens(
+        words.text,
+        ["PUNCT" if text in {".", "?", "!", ","} else "OTHER" for text in words.text],
+        [False] * len(words),
+        [count or _heuristic_syllables(text)
+         for count, text in zip(nuclei, words.text)])
 
 
 def _heuristic_syllables(text: str) -> int:
@@ -443,6 +522,8 @@ def load_corpus(path: str | Path) -> Corpus:
 
     responses.sort(key=lambda r: r.response_id)
     return Corpus(responses=responses, rejected=rejected)
+
+
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +609,16 @@ def _stratified_counts(sizes: Sequence[int],
             b = a
 
 
+def split_shares(ratios: Sequence[float]) -> tuple[float, float, float]:
+    """Three finite positive train:valid:test weights divided by their sum;
+    a ValueError for anything else."""
+    ratios = tuple(ratios)
+    if len(ratios) != 3 or not all(math.isfinite(r) and r > 0 for r in ratios):
+        raise ValueError("split ratios must be three finite positive numbers, "
+                         f"got {ratios}")
+    return tuple(r / sum(ratios) for r in ratios)
+
+
 def stratified_split(responses: Iterable[AlignedResponse],
                      ratios: tuple[float, float, float] = SPLIT_RATIOS,
                      seed: int = 0) -> SplitAssignment:
@@ -535,15 +626,11 @@ def stratified_split(responses: Iterable[AlignedResponse],
     each grade's share of every split, then seeded shuffling.
 
     ``ratios`` are three finite positive train:valid:test weights, divided
-    by their sum. Deterministic for a fixed seed and independent of input
-    ordering. Every grade must appear on at least 3 responses so each split
-    can be fed.
+    by their sum (`split_shares`). Deterministic for a fixed seed and
+    independent of input ordering. Every grade must appear on at least 3
+    responses so each split can be fed.
     """
-    ratios = tuple(ratios)
-    if len(ratios) != 3 or not all(math.isfinite(r) and r > 0 for r in ratios):
-        raise ValueError("split ratios must be three finite positive numbers, "
-                         f"got {ratios}")
-    ratios = tuple(r / sum(ratios) for r in ratios)
+    ratios = split_shares(ratios)
     by_grade: dict[int, list[str]] = {}
     labels: dict[int, str] = {}
     for r in responses:

@@ -46,6 +46,8 @@ class ExtractorConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not self.groups:
+            raise ValueError(f"groups must name at least one of {list(GROUP_ORDER)}")
         unknown = set(self.groups) - set(GROUP_ORDER)
         if unknown:
             raise ValueError(f"unknown feature group(s): {sorted(unknown)}")

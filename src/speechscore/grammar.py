@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import AlignedResponse, LexicalResources, TokenAnnotation
+from .corpus import AlignedResponse, LexicalResources, Tokens
 
 DEFAULT_RANK_THRESHOLD = 2000
 # The readings of the ld feature. `lexical_features` reads any mode but
@@ -67,12 +67,12 @@ class UnitCounts:
     CN: int = 0
 
 
-def word_tokens(tokens: list[TokenAnnotation]) -> list[TokenAnnotation]:
+def word_tokens(tokens: Tokens) -> Tokens:
     """The words of a response: every token that is not PUNCT."""
-    return [t for t in tokens if t.pos != "PUNCT"]
+    return tokens.select(pos != "PUNCT" for pos in tokens.pos)
 
 
-def lexical_features(tokens: list[TokenAnnotation], resources: LexicalResources,
+def lexical_features(tokens: Tokens, resources: LexicalResources,
                      seed: int = 0,
                      rank_threshold: int = DEFAULT_RANK_THRESHOLD,
                      ld_mode: str = "density",
@@ -87,9 +87,10 @@ def lexical_features(tokens: list[TokenAnnotation], resources: LexicalResources,
     words = word_tokens(tokens)
     if not words:
         raise ValueError("no word tokens")
-    texts = [t.token for t in words]
-    lexical = [t.token for t in words if t.pos in ("NOUN", "VERB", "ADJ", "ADV")]
-    verbs = [t.token for t in words if t.pos == "VERB"]
+    texts = list(words.token)
+    lexical = [text for text, pos in zip(texts, words.pos)
+               if pos in ("NOUN", "VERB", "ADJ", "ADV")]
+    verbs = [text for text, pos in zip(texts, words.pos) if pos == "VERB"]
     word_types = set(texts)
     ranks = resources.frequency_rank
 
@@ -172,7 +173,7 @@ def syntactic_features(units: UnitCounts,
     }
 
 
-def count_and_complexity_features(tokens: list[TokenAnnotation],
+def count_and_complexity_features(tokens: Tokens,
                                   resources: LexicalResources,
                                   flags: set[str] | None = None) -> dict[str, float]:
     """POS totals plus lexicon-scored text complexity.
@@ -184,16 +185,16 @@ def count_and_complexity_features(tokens: list[TokenAnnotation],
     words = word_tokens(tokens)
     features = dict.fromkeys(COUNT_FEATURES, 0.0)
     for name, pos in _POS_TOTALS.items():
-        features[name] = float(sum(1 for t in tokens if t.pos == pos))
-
-    def is_stop(tok: TokenAnnotation) -> bool:
-        return tok.is_stopword or tok.token in resources.stopwords
+        features[name] = float(tokens.pos.count(pos))
+    stop = [flag or text in resources.stopwords
+            for text, flag in zip(words.token, words.stopword)]
 
     for suffix, lexicon in (("mAvg", resources.complexity_avg),
                             ("mMod", resources.complexity_mode)):
         for no_stop in (True, False):
-            pool = [t for t in words if not (no_stop and is_stop(t))]
-            matched = [lexicon[t.token] for t in pool if t.token in lexicon]
+            pool = [text for text, is_stop in zip(words.token, stop)
+                    if not (no_stop and is_stop)]
+            matched = [lexicon[text] for text in pool if text in lexicon]
             infix = "no_sw_" if no_stop else ""
             total_key = f"total_text_complexity_{infix}{suffix}"
             avg_key = f"average_word_complexity_{infix}{suffix}"
@@ -203,20 +204,21 @@ def count_and_complexity_features(tokens: list[TokenAnnotation],
             elif flags is not None:
                 flags.add(f"grammar_no_lexicon_match:{infix}{suffix}")
 
-    content_words = [t for t in words if not is_stop(t)]
-    if content_words:
+    content_syllables = [count for count, is_stop in zip(words.syllables, stop)
+                         if not is_stop]
+    if content_syllables:
         features["average_syllables_in_words"] = (
-            sum(t.syllable_count for t in content_words) / len(content_words))
+            sum(content_syllables) / len(content_syllables))
     elif flags is not None:
         flags.add("grammar_all_stopwords")
     return features
 
 
-def _sentence_ranges(tokens: list[TokenAnnotation]) -> list[tuple[int, int]]:
+def _sentence_ranges(tokens: Tokens) -> list[tuple[int, int]]:
     ranges = []
     start = 0
-    for i, tok in enumerate(tokens):
-        if tok.pos == "PUNCT" and tok.token in _SENTENCE_FINAL:
+    for i, (text, pos) in enumerate(zip(tokens.token, tokens.pos)):
+        if pos == "PUNCT" and text in _SENTENCE_FINAL:
             if i > start:
                 ranges.append((start, i))
             start = i + 1
@@ -225,14 +227,14 @@ def _sentence_ranges(tokens: list[TokenAnnotation]) -> list[tuple[int, int]]:
     return ranges
 
 
-def _verb_chains(tokens: list[TokenAnnotation], lo: int, hi: int) -> list[tuple[int, int]]:
-    """Maximal runs of AUX/VERB tokens inside [lo, hi)."""
+def _verb_chains(pos: tuple[str, ...], lo: int, hi: int) -> list[tuple[int, int]]:
+    """Maximal runs of AUX/VERB tags inside [lo, hi)."""
     chains = []
     i = lo
     while i < hi:
-        if tokens[i].pos in ("VERB", "AUX"):
+        if pos[i] in ("VERB", "AUX"):
             j = i
-            while j < hi and tokens[j].pos in ("VERB", "AUX"):
+            while j < hi and pos[j] in ("VERB", "AUX"):
                 j += 1
             chains.append((i, j))
             i = j
@@ -241,7 +243,7 @@ def _verb_chains(tokens: list[TokenAnnotation], lo: int, hi: int) -> list[tuple[
     return chains
 
 
-def heuristic_syntax(tokens: list[TokenAnnotation]) -> UnitCounts:
+def heuristic_syntax(tokens: Tokens) -> UnitCounts:
     """POS-driven approximation of the syntactic unit counts.
 
     Sentences are punctuation-delimited (min 1 when any word exists);
@@ -256,19 +258,20 @@ def heuristic_syntax(tokens: list[TokenAnnotation]) -> UnitCounts:
     if not sentences:
         sentences = [(0, len(tokens))]
 
+    text, pos = tokens.token, tokens.pos
     counts = UnitCounts(W=len(words), S=len(sentences))
     for lo, hi in sentences:
-        chains = _verb_chains(tokens, lo, hi)
+        chains = _verb_chains(pos, lo, hi)
         counts.VP += len(chains)
         clause_chains = [c for c in chains
-                         if any(tokens[k].pos == "VERB" for k in range(*c))]
+                         if any(pos[k] == "VERB" for k in range(*c))]
         counts.C += len(clause_chains)
 
         # clause-initial conjunction: a CONJ with a verb both before and after
         # it in the same sentence starts a new T-unit
         boundaries = [lo]
         for i in range(lo, hi):
-            if tokens[i].pos != "CONJ" or tokens[i].token in _SUBORDINATORS:
+            if pos[i] != "CONJ" or text[i] in _SUBORDINATORS:
                 continue
             before = any(c[0] < i for c in clause_chains)
             after = any(c[0] > i for c in clause_chains)
@@ -279,7 +282,7 @@ def heuristic_syntax(tokens: list[TokenAnnotation]) -> UnitCounts:
 
         dc_positions = []
         for i in range(lo, hi):
-            if tokens[i].token in _SUBORDINATORS and tokens[i].pos != "PUNCT":
+            if text[i] in _SUBORDINATORS and pos[i] != "PUNCT":
                 if any(c[0] > i for c in chains):
                     dc_positions.append(i)
         counts.DC += len(dc_positions)
@@ -287,15 +290,15 @@ def heuristic_syntax(tokens: list[TokenAnnotation]) -> UnitCounts:
                          if any(a <= p < b for p in dc_positions))
 
         for i in range(lo + 1, hi - 1):
-            if (tokens[i].pos == "CONJ"
-                    and tokens[i - 1].pos == tokens[i + 1].pos
-                    and tokens[i - 1].pos != "PUNCT"):
+            if (pos[i] == "CONJ"
+                    and pos[i - 1] == pos[i + 1]
+                    and pos[i - 1] != "PUNCT"):
                 counts.CP += 1
         for i in range(lo, hi):
-            if tokens[i].pos != "NOUN":
+            if pos[i] != "NOUN":
                 continue
-            if (i > lo and tokens[i - 1].pos == "ADJ") or \
-                    (i + 1 < hi and tokens[i + 1].pos == "PREP"):
+            if (i > lo and pos[i - 1] == "ADJ") or \
+                    (i + 1 < hi and pos[i + 1] == "PREP"):
                 counts.CN += 1
 
     counts.DC = min(counts.DC, counts.C)

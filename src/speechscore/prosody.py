@@ -9,9 +9,13 @@ consonantal) and on syllable spans, with durations in milliseconds.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
-from .corpus import AlignedPhoneme, AlignedResponse, PhonemeClass, Stress
+import numpy as np
+
+from .corpus import (CONSONANT, PRIMARY, SILENCE, UNSTRESSED, VOWEL,
+                     AlignedResponse)
 from .fluency import mean_absolute_deviation
 
 _GAP_EPS = 1e-6
@@ -48,84 +52,66 @@ class NoNuclei(ValueError):
     """Raised when a response has no vowel phonemes to anchor syllables."""
 
 
-@dataclass(slots=True)
-class Syllable:
-    onset: tuple[AlignedPhoneme, ...]
-    nucleus: AlignedPhoneme
-    coda: tuple[AlignedPhoneme, ...]
-    start: float
-    end: float
-    stressed: bool
+@dataclass(frozen=True, eq=False)
+class Syllables:
+    """One syllable per vowel nucleus, in time order. ``first``,
+    ``nucleus`` and ``last`` are positions in the timeline: a syllable's
+    onset is ``first:nucleus`` and its coda ``nucleus + 1:last + 1``. It
+    starts where its first phoneme starts and ends where its last ends."""
+
+    first: np.ndarray
+    nucleus: np.ndarray
+    last: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+    nucleus_start: np.ndarray
+    stressed: np.ndarray
 
 
-def _timeline(response: AlignedResponse) -> list[AlignedPhoneme]:
-    """Non-silence, positive-duration phonemes of all words in time order.
+def _timeline(response: AlignedResponse) -> np.ndarray:
+    """Positions in ``response.phones`` of the non-silence, positive-duration
+    phonemes, which are in time order.
 
     A NaN duration is kept: only a duration that compares <= 0 is dropped.
     """
-    silence = PhonemeClass.SILENCE
-    return [ph for word in response.words for ph in word.phonemes
-            if ph.klass is not silence and not ph.end - ph.start <= 0]
+    phones = response.phones
+    return np.flatnonzero((phones.klass != SILENCE)
+                          & ~(phones.end - phones.start <= 0))
 
 
-def _stretches(phonemes: list[AlignedPhoneme]) -> list[list[AlignedPhoneme]]:
-    """Maximal runs of time-contiguous phonemes; a pause breaks the run."""
-    out: list[list[AlignedPhoneme]] = []
-    run: list[AlignedPhoneme] = []
-    prev_end: float | None = None
-    for ph in phonemes:
-        if prev_end is None or abs(ph.start - prev_end) > _GAP_EPS:
-            run = []
-            out.append(run)
-        run.append(ph)
-        prev_end = ph.end
-    return out
+def _syllables(start: np.ndarray, end: np.ndarray, klass: np.ndarray,
+               stress: np.ndarray, response_id: str,
+               include_secondary: bool) -> Syllables:
+    """One syllable per vowel nucleus of the timeline's phonemes.
 
-
-def syllabify(response: AlignedResponse,
-              include_secondary: bool = False) -> list[Syllable]:
-    """One syllable per vowel nucleus over the response's phoneme sequence.
-
-    The onset-maximal rule applies within each contiguous stretch of speech:
-    a syllable never spans a pause. Consonant-only stretches anchor no
-    syllable and contribute to the interval features only.
+    The onset-maximal rule applies within each stretch of time-contiguous
+    speech, which a pause longer than ``_GAP_EPS`` ends: every consonant
+    before a nucleus is its onset, and only a stretch's last nucleus takes
+    a coda, the consonants that end the stretch. A syllable never spans a
+    pause. Consonant-only stretches anchor no syllable and contribute to the
+    interval features only.
     """
-    return _syllables(_timeline(response), response.response_id,
-                      include_secondary)
-
-
-def _syllables(phonemes: list[AlignedPhoneme], response_id: str,
-               include_secondary: bool) -> list[Syllable]:
-    vowel = PhonemeClass.VOWEL
-    # A tuple: membership tests identity without the Python-level Enum hash.
-    stressed_levels = ((Stress.PRIMARY, Stress.SECONDARY) if include_secondary
-                       else (Stress.PRIMARY,))
-
-    syllables = []
-    for stretch in _stretches(phonemes):
-        nuclei = [i for i, p in enumerate(stretch) if p.klass is vowel]
-        if not nuclei:
-            continue
-        # Every consonant before a nucleus is its onset; only the stretch's
-        # last nucleus takes a coda, the consonants that end the stretch.
-        last = nuclei[-1]
-        onset_start = 0
-        for i in nuclei:
-            nucleus = stretch[i]
-            onset = tuple(stretch[onset_start:i])
-            coda = tuple(stretch[i + 1:]) if i == last else ()
-            syllables.append(Syllable(
-                onset, nucleus, coda,
-                onset[0].start if onset else nucleus.start,
-                coda[-1].end if coda else nucleus.end,
-                nucleus.stress in stressed_levels))
-            onset_start = i + 1
-    if not syllables:
+    nucleus = np.flatnonzero(klass == VOWEL)
+    if not nucleus.size:
         raise NoNuclei(response_id)
-    return syllables
+    opens = np.ones(len(start), dtype=bool)
+    opens[1:] = np.abs(start[1:] - end[:-1]) > _GAP_EPS
+    heads = np.flatnonzero(opens)
+    tails = np.append(heads[1:], len(start)) - 1
+    stretch = (np.cumsum(opens) - 1)[nucleus]
+    shared = stretch[1:] == stretch[:-1]       # nucleus k + 1 shares k's stretch
+    first = heads[stretch]
+    first[1:][shared] = nucleus[:-1][shared] + 1
+    last = nucleus.copy()
+    closing = np.append(~shared, True)
+    last[closing] = tails[stretch[closing]]
+    levels = stress[nucleus]
+    stressed = levels != UNSTRESSED if include_secondary else levels == PRIMARY
+    return Syllables(first, nucleus, last, start[first], end[last],
+                     start[nucleus], stressed)
 
 
-def stress_features(syllables: list[Syllable],
+def stress_features(syllables: Syllables,
                     flags: set[str] | None = None) -> dict[str, float]:
     """Stress frequency and distances between consecutive stressed syllables.
 
@@ -133,18 +119,18 @@ def stress_features(syllables: list[Syllable],
     the difference of nucleus start times; "SD" variants are mean absolute
     deviations, consistent with the fluency features.
     """
-    if not syllables:
+    if not len(syllables.stressed):
         raise ValueError("no syllables")
     features = dict.fromkeys(STRESS_FEATURES, 0.0)
-    stressed = [i for i, s in enumerate(syllables) if s.stressed]
-    features["StressedSyllPercent"] = 100.0 * len(stressed) / len(syllables)
+    stressed = np.flatnonzero(syllables.stressed)
+    features["StressedSyllPercent"] = (100.0 * len(stressed)
+                                       / len(syllables.stressed))
     if len(stressed) < 2:
         if flags is not None:
             flags.add("prosody_too_few_stressed")
         return features
-    index_dists = [float(b - a) for a, b in zip(stressed, stressed[1:])]
-    time_dists = [syllables[b].nucleus.start - syllables[a].nucleus.start
-                  for a, b in zip(stressed, stressed[1:])]
+    index_dists = np.diff(stressed).astype(np.float64).tolist()
+    time_dists = np.diff(syllables.nucleus_start[stressed]).tolist()
     features["StressDistanceSyllMean"] = sum(index_dists) / len(index_dists)
     features["StressDistanceSyllSD"] = mean_absolute_deviation(index_dists)
     features["StressDistanceMean"] = sum(time_dists) / len(time_dists)
@@ -161,101 +147,87 @@ class IntervalSequence:
     syllabic: list[float]
 
 
-def interval_sequence(response: AlignedResponse,
-                      include_secondary: bool = False,
-                      ) -> tuple[IntervalSequence, float]:
-    """Build the interval lists plus total phonation time in milliseconds.
+def _intervals(start: np.ndarray, end: np.ndarray, klass: np.ndarray,
+               syllables: Syllables) -> tuple[IntervalSequence, float]:
+    """The interval lists of the timeline's phonemes, plus their total
+    phonation time, in milliseconds.
 
-    A run breaks when the phoneme class flips, a silence phoneme intervenes,
-    or consecutive phonemes are separated in time (pause between words).
+    A run breaks when the phoneme class flips or when consecutive phonemes
+    are not within ``_GAP_EPS`` of each other in time; a NaN gap breaks it
+    too. A run's duration adds its phonemes' in time order, and a run whose
+    total is not positive is left out.
     """
-    phonemes = _timeline(response)
-    try:
-        syllables = _syllables(phonemes, response.response_id, include_secondary)
-    except NoNuclei:
-        syllables = []
-    return _intervals(phonemes, syllables)
-
-
-def _intervals(phonemes: list[AlignedPhoneme], syllables: list[Syllable],
-               ) -> tuple[IntervalSequence, float]:
-    vowel, consonant = PhonemeClass.VOWEL, PhonemeClass.CONSONANT
-    vocalic: list[float] = []
-    consonantal: list[float] = []
-    durations: list[float] = []
-    run_class: PhonemeClass | None = None
-    run_ms = 0.0
-    prev_end: float | None = None
-    for ph in phonemes:
-        klass, start, end = ph.klass, ph.start, ph.end
-        if (klass is not run_class or prev_end is None
-                or not abs(start - prev_end) <= _GAP_EPS):
-            if run_ms > 0:
-                if run_class is vowel:
-                    vocalic.append(run_ms)
-                elif run_class is consonant:
-                    consonantal.append(run_ms)
-            run_class = klass
-            run_ms = 0.0
-        duration = end - start
-        run_ms += duration * 1000.0
-        durations.append(duration)
-        prev_end = end
-    if run_ms > 0:
-        if run_class is vowel:
-            vocalic.append(run_ms)
-        elif run_class is consonant:
-            consonantal.append(run_ms)
-
-    syllabic = [(s.end - s.start) * 1000.0 for s in syllables]
-    total_phonation_ms = sum(durations) * 1000.0
-    return IntervalSequence(vocalic, consonantal, syllabic), total_phonation_ms
+    duration = end - start
+    ms = duration * 1000.0
+    opens = np.ones(len(start), dtype=bool)
+    opens[1:] = ((klass[1:] != klass[:-1])
+                 | ~(np.abs(start[1:] - end[:-1]) <= _GAP_EPS))
+    heads = np.flatnonzero(opens)
+    sizes = np.diff(np.append(heads, len(start)))
+    totals = ms[heads]
+    for k in range(1, sizes.max(initial=0)):    # one phoneme of each run a step
+        longer = sizes > k
+        totals[longer] += ms[heads[longer] + k]
+    kept = totals > 0
+    run_class = klass[heads]
+    return IntervalSequence(
+        totals[kept & (run_class == VOWEL)].tolist(),
+        totals[kept & (run_class == CONSONANT)].tolist(),
+        ((syllables.end - syllables.start) * 1000.0).tolist(),
+    ), sum(duration.tolist()) * 1000.0
 
 
 def _population_sd(values: list[float]) -> float:
     mean = sum(values) / len(values)
-    return (sum((v - mean) ** 2 for v in values) / len(values)) ** 0.5
+    # Python's ** squares each deviation (C pow); x * x may round otherwise.
+    squares = map(pow, (np.asarray(values) - mean).tolist(), itertools.repeat(2))
+    return (sum(squares) / len(values)) ** 0.5
 
 
 def raw_pvi(durations: list[float]) -> float:
     """Grabe-Low raw Pairwise Variability Index (same unit as the input)."""
-    m = len(durations)
-    return sum(abs(a - b) for a, b in zip(durations, durations[1:])) / (m - 1)
+    d = np.asarray(durations, dtype=np.float64)
+    return sum(np.abs(d[:-1] - d[1:]).tolist()) / (len(d) - 1)
 
 
 def normalized_pvi(durations: list[float]) -> float:
     """Grabe-Low normalized PVI: pair differences scaled by pair means, x100."""
-    m = len(durations)
-    total = sum(abs(a - b) / ((a + b) / 2.0)
-                for a, b in zip(durations, durations[1:]))
-    return 100.0 * total / (m - 1)
+    d = np.asarray(durations, dtype=np.float64)
+    a, b = d[:-1], d[1:]
+    total = sum((np.abs(a - b) / ((a + b) / 2.0)).tolist())
+    return 100.0 * total / (len(d) - 1)
 
 
 def interval_features(intervals: IntervalSequence, total_phonation_ms: float,
                       flags: set[str] | None = None) -> dict[str, float]:
-    """Percentage, duration-variability and PVI features per interval class."""
+    """Percentage, duration-variability and PVI features per interval class.
+
+    Every sum adds Python floats left to right, and array arithmetic gives
+    each term the IEEE result Python's would, silently for inf and NaN."""
     features = dict.fromkeys(INTERVAL_FEATURES, 0.0)
     classes = {"vowel": intervals.vocalic, "consonant": intervals.consonantal,
                "syllable": intervals.syllabic}
-    for name, durations in classes.items():
-        if any(d <= 0 for d in durations):
-            raise ValueError(f"non-positive {name} interval duration")
-        if not durations:
-            if flags is not None:
-                flags.add(f"prosody_no_{name}_intervals")
-            continue
-        if name != "syllable" and total_phonation_ms > 0:
-            features[f"{name}Percentage"] = 100.0 * sum(durations) / total_phonation_ms
-        sd = _population_sd(durations)
-        mean = sum(durations) / len(durations)
-        features[f"{name}DurationSD"] = sd
-        features[f"{name}SDNorm"] = sd / mean if mean > 0 else 0.0
-        if len(durations) < 2:
-            if flags is not None:
-                flags.add(f"prosody_single_{name}_interval")
-            continue
-        features[f"{name}PVI"] = raw_pvi(durations)
-        features[f"{name}PVINorm"] = normalized_pvi(durations)
+    with np.errstate(all="ignore"):
+        for name, durations in classes.items():
+            if np.any(np.asarray(durations, dtype=np.float64) <= 0):
+                raise ValueError(f"non-positive {name} interval duration")
+            if not durations:
+                if flags is not None:
+                    flags.add(f"prosody_no_{name}_intervals")
+                continue
+            if name != "syllable" and total_phonation_ms > 0:
+                features[f"{name}Percentage"] = (100.0 * sum(durations)
+                                                 / total_phonation_ms)
+            sd = _population_sd(durations)
+            mean = sum(durations) / len(durations)
+            features[f"{name}DurationSD"] = sd
+            features[f"{name}SDNorm"] = sd / mean if mean > 0 else 0.0
+            if len(durations) < 2:
+                if flags is not None:
+                    flags.add(f"prosody_single_{name}_interval")
+                continue
+            features[f"{name}PVI"] = raw_pvi(durations)
+            features[f"{name}PVINorm"] = normalized_pvi(durations)
     return features
 
 
@@ -263,9 +235,15 @@ def prosody_features(response: AlignedResponse,
                      include_secondary: bool = False,
                      flags: set[str] | None = None) -> dict[str, float]:
     """All 19 stress- and interval-based features for one response."""
-    phonemes = _timeline(response)
-    syllables = _syllables(phonemes, response.response_id, include_secondary)
-    features = stress_features(syllables, flags)
-    intervals, total_ms = _intervals(phonemes, syllables)
-    features.update(interval_features(intervals, total_ms, flags))
+    phones = response.phones
+    # inf and NaN times give the IEEE results Python floats would, silently.
+    with np.errstate(all="ignore"):
+        timeline = _timeline(response)
+        start, end = phones.start[timeline], phones.end[timeline]
+        klass = phones.klass[timeline]
+        syllables = _syllables(start, end, klass, phones.stress[timeline],
+                               response.response_id, include_secondary)
+        features = stress_features(syllables, flags)
+        features.update(interval_features(
+            *_intervals(start, end, klass, syllables), flags))
     return features

@@ -22,9 +22,9 @@ from typing import Callable
 import numpy as np
 
 from .acoustic import AudioBuffer, write_wav
-from .corpus import (RESOURCES_DIR, AlignedPhoneme, AlignedResponse,
-                     AlignedWord, Grade, GRADE_LABELS, LexicalResources,
-                     PhonemeClass, Stress, TokenAnnotation, check_prompt_id,
+from .corpus import (CONSONANT, PRIMARY, RESOURCES_DIR, SECONDARY,
+                     UNSTRESSED, VOWEL, AlignedResponse, Grade, GRADE_LABELS,
+                     LexicalResources, Phones, Tokens, Words, check_prompt_id,
                      default_resources, response_to_json)
 from .fluency import fluency_features
 from .grammar import word_tokens
@@ -93,36 +93,36 @@ class SynthSpec:
         check_prompt_id(self.prompt_id)
 
 
-def _phonemes_for(word: str, rng: np.random.Generator) -> list[tuple[str, PhonemeClass, Stress]]:
-    """Grapheme-driven phoneme skeleton with a randomly placed primary
-    stress (sometimes none, as alignment output often is)."""
+def _phonemes_for(word: str, rng: np.random.Generator) -> list[tuple[str, int, int]]:
+    """Grapheme-driven phoneme skeleton of (label, class code, stress code)
+    with a randomly placed primary stress (sometimes none, as alignment
+    output often is)."""
     out = []
     prev_vowel = False
     for ch in word.lower():
         if ch in "aeiouy":
             if not prev_vowel:
                 vowel = _VOWEL_PHONES[(ord(ch) * 7 + len(out)) % len(_VOWEL_PHONES)]
-                out.append([vowel, PhonemeClass.VOWEL, Stress.NONE])
+                out.append([vowel, VOWEL, UNSTRESSED])
             prev_vowel = True
         else:
             prev_vowel = False
             phone = _CONS_MAP.get(ch)
             if phone:
-                out.append([phone, PhonemeClass.CONSONANT, Stress.NONE])
+                out.append([phone, CONSONANT, UNSTRESSED])
     if not out:
-        out.append(["AH", PhonemeClass.VOWEL, Stress.NONE])
-    nuclei = [i for i, (_, klass, _) in enumerate(out)
-              if klass is PhonemeClass.VOWEL]
+        out.append(["AH", VOWEL, UNSTRESSED])
+    nuclei = [i for i, (_, klass, _) in enumerate(out) if klass == VOWEL]
     if nuclei:
         draw = rng.random()
         if draw < 0.55:
-            out[nuclei[0]][2] = Stress.PRIMARY
+            out[nuclei[0]][2] = PRIMARY
         elif draw < 0.85:
-            out[nuclei[int(rng.integers(0, len(nuclei)))]][2] = Stress.PRIMARY
+            out[nuclei[int(rng.integers(0, len(nuclei)))]][2] = PRIMARY
         if len(nuclei) > 1 and rng.random() < 0.2:
-            spare = [i for i in nuclei if out[i][2] is Stress.NONE]
+            spare = [i for i in nuclei if out[i][2] == UNSTRESSED]
             if spare:
-                out[spare[int(rng.integers(0, len(spare)))]][2] = Stress.SECONDARY
+                out[spare[int(rng.integers(0, len(spare)))]][2] = SECONDARY
     return [tuple(item) for item in out]
 
 
@@ -165,37 +165,33 @@ def _build_response(index: int, spec: SynthSpec, pools, fillers,
     p_filler = 0.004 + 0.05 * u_filler
     p_pause = 0.05 + 0.40 * (1.0 - u_rate)
 
-    words: list[AlignedWord] = []
-    tokens: list[TokenAnnotation] = []
+    # Records as `Words`, `Phones` and `Tokens` rows.
+    words: list[tuple] = []
+    phones: list[tuple] = []
+    tokens: list[tuple] = []
     t = 0.15 + 0.1 * rng.random()
     spoken = 0
 
     def emit(text: str, pos: str) -> None:
         nonlocal t
         if pos == "PUNCT":
-            words.append(AlignedWord(text=text, start=t, end=t + 0.004))
-            tokens.append(TokenAnnotation(token=text, pos=pos, syllable_count=0))
+            words.append((text, t, t + 0.004))
+            tokens.append((text, pos, False, 0))
             t += 0.004
             return
         skeleton = _phonemes_for(text, rng)
-        weights = np.array([1.6 if k is PhonemeClass.VOWEL else 1.0
-                            for _, k, _ in skeleton])
+        weights = np.array([1.6 if k == VOWEL else 1.0 for _, k, _ in skeleton])
         weights = weights * (0.85 + 0.3 * rng.random(weights.size))
         duration = tempo * (0.16 + 0.17 * rng.random() + 0.035 * len(skeleton))
         spans = duration * weights / weights.sum()
-        phonemes = []
         cursor = t
         for (label, klass, stress), span in zip(skeleton, spans):
-            phonemes.append(AlignedPhoneme(label=label, klass=klass,
-                                           start=cursor, end=cursor + span,
-                                           stress=stress))
+            phones.append((klass, stress, label, cursor, cursor + span,
+                           len(words)))
             cursor += span
-        words.append(AlignedWord(text=text, start=t, end=cursor,
-                                 phonemes=tuple(phonemes)))
-        tokens.append(TokenAnnotation(
-            token=text, pos=pos, is_stopword=text in stopset,
-            syllable_count=sum(1 for _, k, _ in skeleton
-                               if k is PhonemeClass.VOWEL)))
+        words.append((text, t, cursor))
+        tokens.append((text, pos, text in stopset,
+                       sum(1 for _, k, _ in skeleton if k == VOWEL)))
         t = cursor
 
     def maybe_pause() -> None:
@@ -227,13 +223,14 @@ def _build_response(index: int, spec: SynthSpec, pools, fillers,
 
     return AlignedResponse(
         response_id=f"{spec.prompt_id}-{index:05d}", prompt_id=spec.prompt_id,
-        words=words, tokens=tokens)
+        words=Words.from_rows(words), phones=Phones.from_rows(phones),
+        tokens=Tokens.from_rows(tokens))
 
 
 def _measured_latents(response: AlignedResponse,
                       resources: LexicalResources) -> dict[str, float]:
     ff = fluency_features(response, resources)
-    texts = [tok.token for tok in word_tokens(response.tokens)]
+    texts = word_tokens(response.tokens).token
     return {
         "speaking_rate": ff["speaking_rate"],
         "silence_rate": ff["SilenceRate1"],
@@ -247,19 +244,21 @@ def _synth_audio(response: AlignedResponse,
     """Tone skeleton of the response: vowels are sines at the speaker's f0,
     consonants quiet high tones, pauses silence."""
     f0 = 110.0 + 70.0 * rng.random()
-    total = response.words[-1].end + 0.1
+    total = float(response.words.end[-1]) + 0.1
     samples = np.zeros(int(total * _SAMPLE_RATE) + 1, dtype=np.float64)
-    for word in response.words:
-        segments = word.phonemes or ()
-        for ph in segments:
-            lo = int(ph.start * _SAMPLE_RATE)
-            hi = max(lo + 1, int(ph.end * _SAMPLE_RATE))
-            tt = np.arange(hi - lo) / _SAMPLE_RATE
-            if ph.klass is PhonemeClass.VOWEL:
-                amp = 0.4 if ph.stress is Stress.PRIMARY else 0.28
-                samples[lo:hi] += amp * np.sin(2 * np.pi * f0 * tt)
-            elif ph.klass is PhonemeClass.CONSONANT:
-                samples[lo:hi] += 0.06 * np.sin(2 * np.pi * 2100.0 * tt)
+    phones = response.phones
+    for klass, stress, start, end in zip(phones.klass.tolist(),
+                                         phones.stress.tolist(),
+                                         phones.start.tolist(),
+                                         phones.end.tolist()):
+        lo = int(start * _SAMPLE_RATE)
+        hi = max(lo + 1, int(end * _SAMPLE_RATE))
+        tt = np.arange(hi - lo) / _SAMPLE_RATE
+        if klass == VOWEL:
+            amp = 0.4 if stress == PRIMARY else 0.28
+            samples[lo:hi] += amp * np.sin(2 * np.pi * f0 * tt)
+        elif klass == CONSONANT:
+            samples[lo:hi] += 0.06 * np.sin(2 * np.pi * 2100.0 * tt)
     return AudioBuffer(samples=np.clip(samples, -1, 1), sample_rate=_SAMPLE_RATE)
 
 

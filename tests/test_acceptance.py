@@ -23,7 +23,7 @@ from speechscore.prosody import IntervalSequence, interval_features
 from speechscore.synth import SynthSpec, synth_corpus
 from speechscore.trees import TreeParams
 
-from conftest import make_response, make_word, tok
+from conftest import make_response, make_tokens, make_word, silence_profile, tok
 from shap_oracle import brute_force_shap
 from test_acoustic import perturbed_tone, sine
 from test_explain import random_tree, wrap
@@ -72,7 +72,7 @@ def test_criterion_2_qwk_independence():
 
 def test_criterion_3_feature_oracles(resources):
     watch = Stopwatch(1.0)
-    from speechscore.fluency import fluency_features, silence_profile
+    from speechscore.fluency import fluency_features
     from speechscore.grammar import (count_and_complexity_features,
                                      lexical_features, syntactic_features,
                                      UnitCounts)
@@ -87,9 +87,10 @@ def test_criterion_3_feature_oracles(resources):
     assert np.allclose([d for _, d in profile.long_silences], [0.6], atol=1e-9)
 
     # filler rate: "um the uh cat" over 2 s
-    r2 = make_response([make_word(w, i * 0.5, i * 0.5 + 0.45)
-                        for i, w in enumerate(["um", "the", "uh", "cat"])])
-    r2.words[-1] = make_word("cat", 1.5, 2.0)
+    words = [make_word(w, i * 0.5, i * 0.5 + 0.45)
+             for i, w in enumerate(["um", "the", "uh", "cat"])]
+    words[-1] = make_word("cat", 1.5, 2.0)
+    r2 = make_response(words)
     f2 = fluency_features(r2, resources)
     assert abs(f2["filled_pause_rate"] - 1.0) < 1e-9
 
@@ -101,14 +102,15 @@ def test_criterion_3_feature_oracles(resources):
     # ttr and MLS and complexity sums
     tokens = [tok("the", "DET", stop=True), tok("cat", "NOUN"),
               tok("saw", "VERB"), tok("the", "DET", stop=True), tok("cat", "NOUN")]
-    fl = lexical_features(tokens, resources)
+    fl = lexical_features(make_tokens(tokens), resources)
     assert abs(fl["ttr"] - 0.6) < 1e-9
     fs = syntactic_features(UnitCounts(W=100, S=5, C=12, T=8, DC=4))
     assert abs(fs["MLS"] - 20.0) < 1e-9
     assert abs(fs["C/T"] - 1.5) < 1e-9
     assert abs(fs["DC/C"] - 1 / 3) < 1e-9
     assert abs(fs["DC/T"] - 0.5) < 1e-9
-    fc = count_and_complexity_features([tok("cat", "NOUN"), tok("run", "VERB")],
+    fc = count_and_complexity_features(make_tokens([tok("cat", "NOUN"),
+                                                    tok("run", "VERB")]),
                                        resources)
     assert abs(fc["total_text_complexity_mAvg"] - 5.0) < 1e-9
     assert abs(fc["average_word_complexity_mAvg"] - 2.5) < 1e-9

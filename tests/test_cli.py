@@ -445,7 +445,52 @@ OUT_OF_RANGE = [
     _param("n_trees", 0, model="random_forest"),
     ("train", "params", "[1, 2]", 1, "mapping"),
     ("train", "grid", '{"max_depth": 3}', 1, "'max_depth'"),
+    ("train", "grid", "[1]", 1, "--grid must be a JSON object"),
 ]
+
+
+def test_empty_groups_rejected_before_any_output(pipeline_dirs, tmp_path, capsys):
+    out = tmp_path / "out"
+    # The last --groups wins over the helper's FF.
+    assert main(_command(pipeline_dirs, "extract", out) + ["--groups", ","]) == 1
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "ValueError"
+    assert "groups must name at least one" in payload["message"]
+    assert not out.exists()
+
+
+def test_params_must_be_an_object_before_the_grid_merge(pipeline_dirs, tmp_path,
+                                                        capsys):
+    out = tmp_path / "out"
+    argv = _command(pipeline_dirs, "train", out) + [
+        "--grid", '{"max_depth": [3]}', "--params", "[1, 2]"]
+    assert main(argv) == 1
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "ValueError"
+    assert payload["message"].startswith("--params must be a JSON object")
+    assert not out.exists()
+
+
+def test_bad_ratios_rejected_before_rejects_are_written(pipeline_dirs, tmp_path,
+                                                        capsys):
+    corpus = pipeline_dirs / "corpus"
+    manifest = tmp_path / "manifest.txt"
+    (tmp_path / "bad.json").write_text("[]", encoding="utf-8")
+    names = (corpus / "manifest.txt").read_text(encoding="utf-8").split()
+    manifest.write_text("".join(f"{corpus / name}\n" for name in names)
+                        + "bad.json\n", encoding="utf-8")
+    out = tmp_path / "out"
+    argv = ["extract", "--manifest", str(manifest),
+            "--resources", str(corpus / "resources"), "--out", str(out),
+            "--groups", "FF"]
+    assert main(argv + ["--ratios", "1:-1:1"]) == 1
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert "three finite positive numbers" in payload["message"]
+    assert not out.exists()
+    # The same corpus with valid ratios writes the reject beside the features.
+    assert main(argv) == 0
+    assert json.loads((out / "rejects.json").read_text())[0]["source"] == \
+        str(tmp_path / "bad.json")
 
 
 @pytest.mark.parametrize("route", ["argv", "config"])

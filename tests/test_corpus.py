@@ -8,10 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from speechscore.corpus import (AlignedPhoneme, AlignedWord, CorpusError,
-                                FeatureMatrix, Grade, PhonemeClass, Stress,
-                                TokenAnnotation, fit_standardizer,
-                                load_corpus, stratified_split)
+from speechscore.corpus import (CONSONANT, PRIMARY, AlignedResponse,
+                                CorpusError, FeatureMatrix, Grade, Phones,
+                                Words, fit_standardizer, load_corpus,
+                                parse_response, stratified_split)
 
 from conftest import make_response, make_word
 
@@ -61,7 +61,7 @@ class TestLoadCorpus:
         corpus = load_corpus(manifest)
         assert len(corpus.responses) == 3
         assert corpus.rejected == []
-        assert corpus.responses[0].tokens[0].pos == "DET"
+        assert corpus.responses[0].tokens.pos[0] == "DET"
 
     def test_overlapping_words_rejected(self, tmp_path):
         bad = _alignment_payload("bad")
@@ -123,9 +123,9 @@ class TestLoadCorpus:
             payload["tokens"][1]["syllables"] = syllables
         corpus = load_corpus(_write_corpus(tmp_path, [payload]))
         assert corpus.rejected == []
-        token = corpus.responses[0].tokens[1]
+        tokens = corpus.responses[0].tokens
         # "5" has no vowel letter and no letter at all: zero syllables
-        assert (token.token, token.syllable_count) == ("5", syllables or 0)
+        assert (tokens.token[1], tokens.syllables[1]) == ("5", syllables or 0)
 
     def test_infinite_count_rejected(self, tmp_path):
         bad = _alignment_payload("bad")
@@ -173,31 +173,57 @@ class TestLoadCorpus:
 
 
 class TestRecords:
-    RECORDS = [
-        AlignedPhoneme("AH", PhonemeClass.VOWEL, 0.0, 0.1, Stress.PRIMARY),
-        AlignedWord("cat", 0.0, 0.3),
-        TokenAnnotation("cat", "NOUN", False, 1),
-    ]
+    def test_columns_are_read_only(self):
+        r = parse_response(_alignment_payload("r0"))
+        for columns in (r.words, r.phones, r.tokens):
+            for name, value in vars(columns).items():
+                if isinstance(value, np.ndarray):
+                    assert not value.flags.writeable, name
+                else:
+                    assert isinstance(value, tuple), name
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(columns, dataclasses.fields(columns)[0].name, ())
+        with pytest.raises(ValueError, match="read-only"):
+            r.phones.start[0] = 1.0
 
-    @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
-    def test_slotted(self, record):
-        assert not hasattr(record, "__dict__")
+    @pytest.mark.parametrize("where, value, match", [
+        (("words", 0, "phonemes", 1), {"label": "AH", "class": "vowel",
+                                       "start": 0.2, "end": 0.1},
+         "ends before it starts"),
+        (("words", 1, "start"), 0.7, "non-positive duration"),
+        (("tokens", 1, "pos"), "NOPE", "unknown POS tag"),
+    ])
+    def test_post_init_checks_kept(self, where, value, match):
+        payload = _alignment_payload("r0")
+        *path, key = where
+        target = payload
+        for step in path:
+            target = target[step]
+        target[key] = value
+        with pytest.raises(CorpusError, match=match):
+            parse_response(payload)
 
-    @pytest.mark.parametrize("record", RECORDS, ids=lambda r: type(r).__name__)
-    def test_frozen(self, record):
-        name = dataclasses.fields(record)[0].name
-        with pytest.raises(dataclasses.FrozenInstanceError):
-            setattr(record, name, "x")
-
-    def test_post_init_checks_kept(self):
-        with pytest.raises(CorpusError, match="ends before it starts"):
-            AlignedPhoneme("AH", PhonemeClass.VOWEL, 0.2, 0.1)
+    def test_stressed_consonant_rejected_when_built(self):
+        """A payload's stress digit is read for vowels only, so only columns
+        built directly can stress a consonant."""
+        payload = _alignment_payload("r0")
+        payload["words"][0]["phonemes"][0]["stress"] = 1
+        r = parse_response(payload)
+        assert r.phones.stress.tolist() == [0, 0]
+        phones = r.phones
         with pytest.raises(CorpusError, match="carries stress"):
-            AlignedPhoneme("T", PhonemeClass.CONSONANT, 0.0, 0.1, Stress.PRIMARY)
-        with pytest.raises(CorpusError, match="non-positive duration"):
-            AlignedWord("cat", 0.3, 0.3)
-        with pytest.raises(CorpusError, match="unknown POS tag"):
-            TokenAnnotation("cat", "NOPE")
+            AlignedResponse("r0", "p1", r.words, Phones(
+                [CONSONANT], [PRIMARY], ["T"], phones.start[:1],
+                phones.end[:1], [0]), r.tokens)
+
+    def test_built_columns_checked(self):
+        r = parse_response(_alignment_payload("r0"))
+        with pytest.raises(CorpusError, match="Words columns differ in length"):
+            Words(("cat",), [0.0, 1.0], [0.5])
+        for owners in ([0, 2], [-1, 0], [1, 0]):
+            phones = dataclasses.replace(r.phones, word=owners)
+            with pytest.raises(CorpusError, match="do not index their words"):
+                AlignedResponse("r0", "p1", r.words, phones, r.tokens)
 
 
 def _graded_corpus(counts):

@@ -1,10 +1,11 @@
 import pytest
 from pytest import approx
 
+from speechscore.corpus import Words
 from speechscore.fluency import (EmptyResponse, fluency_features,
-                                 mean_absolute_deviation, silence_profile)
+                                 mean_absolute_deviation)
 
-from conftest import make_response, make_word
+from conftest import make_response, make_word, silence_profile
 
 
 def timeline(spans, texts=None):
@@ -13,7 +14,7 @@ def timeline(spans, texts=None):
 
 
 class TestSilenceProfile:
-    def test_hand_timeline(self):
+    def test_hand_timeline(self, resources):
         r = timeline([(0.0, 0.5), (0.7, 1.2), (1.8, 2.3)])
         p = silence_profile(r)
         assert [d for _, d in p.gaps] == approx([0.2, 0.6])
@@ -21,6 +22,12 @@ class TestSilenceProfile:
         assert [d for _, d in p.long_silences] == approx([0.6])
         assert p.response_time == approx(2.3)
         assert p.articulation_time == approx(1.5)
+        # the features read the same profile
+        f = fluency_features(r, resources)
+        assert f["mean_silence"] == approx(0.4)
+        assert f["longpfreq"] == approx(1 / 3)
+        assert f["speaking_rate"] == approx(3 / p.response_time)
+        assert f["articulation_rate"] == approx(3 / p.articulation_time)
 
     def test_single_word(self):
         p = silence_profile(timeline([(1.0, 2.0)]))
@@ -28,13 +35,15 @@ class TestSilenceProfile:
         assert p.response_time == approx(1.0)
         assert p.articulation_time == approx(1.0)
 
-    def test_threshold_is_strict(self):
+    def test_threshold_is_strict(self, resources):
         # build a gap that computes to exactly the float 0.145: the first
         # word ends on 2**-10 so the subtraction is exact
         end1 = 2.0 ** -10
-        p = silence_profile(timeline([(0.0, end1), (end1 + 0.145, 2.0)]))
+        r = timeline([(0.0, end1), (end1 + 0.145, 2.0)])
+        p = silence_profile(r)
         assert p.gaps[0][1] == 0.145
         assert p.silences == []
+        assert fluency_features(r, resources)["general_silence"] == 0.0
 
     def test_leading_trailing_ignored(self):
         # words start late and the profile only sees inter-word gaps
@@ -42,11 +51,13 @@ class TestSilenceProfile:
         assert len(p.gaps) == 1
         assert p.response_time == approx(1.0)
 
-    def test_empty_response(self):
+    def test_empty_response(self, resources):
         r = timeline([(0.0, 0.4)])
-        r.words = []
+        r.words = Words.from_rows([])
         with pytest.raises(EmptyResponse):
             silence_profile(r)
+        with pytest.raises(EmptyResponse):
+            fluency_features(r, resources)
 
 
 def test_mean_absolute_deviation():

@@ -5,7 +5,7 @@ from speechscore.grammar import (UnitCounts, count_and_complexity_features,
                                  grammar_features, heuristic_syntax,
                                  lexical_features, syntactic_features)
 
-from conftest import make_response, make_word, tok
+from conftest import make_response, make_tokens, make_word, tok
 
 
 class TestLexicalFeatures:
@@ -13,64 +13,64 @@ class TestLexicalFeatures:
         tokens = [tok("the", "DET", stop=True), tok("cat", "NOUN"),
                   tok("saw", "VERB"), tok("the", "DET", stop=True),
                   tok("cat", "NOUN")]
-        f = lexical_features(tokens, resources)
+        f = lexical_features(make_tokens(tokens), resources)
         assert f["ttr"] == approx(3 / 5)
         assert f["ndw"] == 3
 
     def test_common_verbs_not_sophisticated(self, resources):
         tokens = [tok("run", "VERB"), tok("run", "VERB")]
-        f = lexical_features(tokens, resources)
+        f = lexical_features(make_tokens(tokens), resources)
         assert f["vs1"] == 0.0
         assert f["vs2"] == 0.0
 
     def test_sophisticated_verb(self, resources):
         # "barks" has rank 4000 > 2000 -> sophisticated
         tokens = [tok("barks", "VERB"), tok("run", "VERB")]
-        f = lexical_features(tokens, resources)
+        f = lexical_features(make_tokens(tokens), resources)
         assert f["vs1"] == approx(1 / 2)
         assert f["vs2"] == approx(1 / 2)
 
     def test_unknown_word_is_sophisticated(self, resources):
         tokens = [tok("xylophonic", "ADJ"), tok("cat", "NOUN")]
-        f = lexical_features(tokens, resources)
+        f = lexical_features(make_tokens(tokens), resources)
         assert f["ls1"] == approx(1 / 2)
 
     def test_ld_density_vs_diversity(self, resources):
         tokens = [tok("cat", "NOUN"), tok("cat", "NOUN"),
                   tok("the", "DET", stop=True), tok("run", "VERB")]
-        dens = lexical_features(tokens, resources, ld_mode="density")
-        dive = lexical_features(tokens, resources, ld_mode="diversity")
+        dens = lexical_features(make_tokens(tokens), resources, ld_mode="density")
+        dive = lexical_features(make_tokens(tokens), resources, ld_mode="diversity")
         assert dens["ld"] == approx(3 / 4)
         assert dive["ld"] == approx(2 / 4)
 
     def test_short_response_fallback(self, resources):
         flags = set()
         tokens = [tok(f"w{i}", "NOUN") for i in range(10)]
-        f = lexical_features(tokens, resources, flags=flags)
+        f = lexical_features(make_tokens(tokens), resources, flags=flags)
         assert "grammar_short_response" in flags
         assert f["ndwz"] == f["ndwerz"] == f["ndwesz"] == 10
 
     def test_fifty_token_windows(self, resources):
         tokens = [tok(f"w{i % 60}", "NOUN") for i in range(80)]
-        f = lexical_features(tokens, resources, seed=3)
+        f = lexical_features(make_tokens(tokens), resources, seed=3)
         assert f["ndwz"] == len({f"w{i % 60}" for i in range(50)})
         assert 1 <= f["ndwerz"] <= 50
         assert 1 <= f["ndwesz"] <= 50
-        again = lexical_features(tokens, resources, seed=3)
+        again = lexical_features(make_tokens(tokens), resources, seed=3)
         assert again["ndwerz"] == f["ndwerz"] and again["ndwesz"] == f["ndwesz"]
 
     def test_all_distinct_fifty(self, resources):
         tokens = [tok(f"word{i}", "NOUN") for i in range(50)]
-        f = lexical_features(tokens, resources)
+        f = lexical_features(make_tokens(tokens), resources)
         assert f["ndwz"] == 50 and f["ttr"] == 1.0
 
     def test_empty_rejected(self, resources):
         with pytest.raises(ValueError):
-            lexical_features([], resources)
+            lexical_features(make_tokens([]), resources)
 
     def test_no_verbs_flagged(self, resources):
         flags = set()
-        lexical_features([tok("cat", "NOUN")], resources, flags=flags)
+        lexical_features(make_tokens([tok("cat", "NOUN")]), resources, flags=flags)
         assert "grammar_no_verbs" in flags
 
 
@@ -101,27 +101,27 @@ class TestSyntacticFeatures:
 class TestCountComplexity:
     def test_hand_sum(self, resources):
         tokens = [tok("cat", "NOUN"), tok("run", "VERB")]
-        f = count_and_complexity_features(tokens, resources)
+        f = count_and_complexity_features(make_tokens(tokens), resources)
         assert f["total_text_complexity_mAvg"] == approx(5.0)
         assert f["average_word_complexity_mAvg"] == approx(2.5)
         assert f["total_text_complexity_no_sw_mAvg"] == approx(5.0)
 
     def test_identical_lexicons_symmetry(self, resources):
         tokens = [tok("cat", "NOUN"), tok("cat", "NOUN")]
-        f = count_and_complexity_features(tokens, resources)
+        f = count_and_complexity_features(make_tokens(tokens), resources)
         # cat has the same avg and mode score
         assert f["total_text_complexity_mAvg"] == f["total_text_complexity_mMod"]
 
     def test_stopword_variants(self, resources):
         tokens = [tok("the", "DET", stop=True), tok("dog", "NOUN")]
-        f = count_and_complexity_features(tokens, resources)
+        f = count_and_complexity_features(make_tokens(tokens), resources)
         assert f["total_text_complexity_no_sw_mAvg"] == approx(2.5)
         assert f["total_text_complexity_no_sw_mMod"] == approx(3.0)
 
     def test_all_stopwords_flagged(self, resources):
         flags = set()
         tokens = [tok("the", "DET", stop=True), tok("a", "DET", stop=True)]
-        f = count_and_complexity_features(tokens, resources, flags)
+        f = count_and_complexity_features(make_tokens(tokens), resources, flags)
         assert f["total_text_complexity_no_sw_mAvg"] == 0.0
         assert "grammar_all_stopwords" in flags
 
@@ -129,7 +129,7 @@ class TestCountComplexity:
         tokens = [tok("big", "ADJ"), tok("cat", "NOUN"), tok("ran", "VERB"),
                   tok("fast", "ADV"), tok("it", "PRON"), tok("and", "CONJ"),
                   tok("the", "DET"), tok("big", "ADJ")]
-        f = count_and_complexity_features(tokens, resources)
+        f = count_and_complexity_features(make_tokens(tokens), resources)
         assert f["total_adjectives"] == 2
         assert f["total_nouns"] == 1
         assert f["total_pronoun"] == 1
@@ -137,7 +137,7 @@ class TestCountComplexity:
     def test_average_syllables(self, resources):
         tokens = [tok("the", "DET", stop=True, syl=1), tok("tiger", "NOUN", syl=2),
                   tok("elephant", "NOUN", syl=3)]
-        f = count_and_complexity_features(tokens, resources)
+        f = count_and_complexity_features(make_tokens(tokens), resources)
         assert f["average_syllables_in_words"] == approx(2.5)
 
 
@@ -150,27 +150,27 @@ class TestHeuristicSyntax:
         tokens = _sentence([("the", "DET"), ("dog", "NOUN"), ("barks", "VERB"),
                             (".", "PUNCT"), ("the", "DET"), ("cat", "NOUN"),
                             ("runs", "VERB"), (".", "PUNCT")])
-        u = heuristic_syntax(tokens)
+        u = heuristic_syntax(make_tokens(tokens))
         assert (u.S, u.C, u.T) == (2, 2, 2)
         assert u.W == 6
 
     def test_clause_initial_conjunction(self):
         tokens = _sentence([("she", "PRON"), ("runs", "VERB"), ("and", "CONJ"),
                             ("he", "PRON"), ("walks", "VERB")])
-        u = heuristic_syntax(tokens)
+        u = heuristic_syntax(make_tokens(tokens))
         assert u.T == 2
         assert u.CP >= 0
 
     def test_noun_coordination_is_not_clause(self):
         tokens = _sentence([("cats", "NOUN"), ("and", "CONJ"), ("dogs", "NOUN"),
                             ("run", "VERB")])
-        u = heuristic_syntax(tokens)
+        u = heuristic_syntax(make_tokens(tokens))
         assert u.T == 1
         assert u.CP == 1      # NOUN and NOUN
 
     def test_no_verbs(self):
         tokens = _sentence([("the", "DET"), ("cat", "NOUN")])
-        u = heuristic_syntax(tokens)
+        u = heuristic_syntax(make_tokens(tokens))
         assert u.C == 0 and u.VP == 0
         f = syntactic_features(u, set())
         assert f["MLC"] == 0.0
@@ -179,7 +179,7 @@ class TestHeuristicSyntax:
         tokens = _sentence([("she", "PRON"), ("left", "VERB"),
                             ("because", "CONJ"), ("he", "PRON"),
                             ("slept", "VERB")])
-        u = heuristic_syntax(tokens)
+        u = heuristic_syntax(make_tokens(tokens))
         assert u.DC == 1
         assert u.CT == 1
         assert u.DC <= u.C
@@ -187,17 +187,17 @@ class TestHeuristicSyntax:
     def test_aux_chain_counts_once(self):
         tokens = _sentence([("she", "PRON"), ("has", "AUX"), ("been", "AUX"),
                             ("running", "VERB")])
-        u = heuristic_syntax(tokens)
+        u = heuristic_syntax(make_tokens(tokens))
         assert u.C == 1 and u.VP == 1
 
     def test_complex_nominal(self):
         tokens = _sentence([("big", "ADJ"), ("cat", "NOUN"), ("of", "PREP"),
                             ("town", "NOUN")])
-        u = heuristic_syntax(tokens)
+        u = heuristic_syntax(make_tokens(tokens))
         assert u.CN == 1      # cat: ADJ before (the PREP after also matches once)
 
     def test_empty(self):
-        assert heuristic_syntax([]).W == 0
+        assert heuristic_syntax(make_tokens([])).W == 0
 
 
 def test_grammar_features_full(resources):

@@ -6,7 +6,7 @@ import pytest
 
 from speechscore import learners
 from speechscore.cli import main as cli_main
-from speechscore.corpus import (Stress, SyntaxSpans, default_resources,
+from speechscore.corpus import (SECONDARY, SyntaxSpans, default_resources,
                                 load_corpus)
 from speechscore.features import ExtractorConfig, GROUP_ORDER, extract_matrix
 from speechscore.harness import (_train, ablation_additive,
@@ -40,7 +40,7 @@ class TestSynthCorpus:
         r2, _ = synth_corpus(SynthSpec(n=60, grade_levels=3, seed=9))
         assert [r.response_id for r in r1] == [r.response_id for r in r2]
         assert [r.grade.label for r in r1] == [r.grade.label for r in r2]
-        assert [w.start for w in r1[0].words] == [w.start for w in r2[0].words]
+        assert r1[0].words.start.tolist() == r2[0].words.start.tolist()
 
     def test_histogram_near_targets(self):
         responses, _ = synth_corpus(SynthSpec(n=500, grade_levels=3, seed=7))
@@ -114,8 +114,7 @@ class TestSynthCorpus:
         corpus = load_corpus(manifest)
         assert len(corpus.responses) == 50
         assert corpus.rejected == []
-        assert any(p.stress is Stress.SECONDARY for r in corpus.responses
-                   for w in r.words for p in w.phonemes)
+        assert any(SECONDARY in r.phones.stress for r in corpus.responses)
         original = {r.response_id: r for r in responses}
         assert sorted(original) == [r.response_id for r in corpus.responses]
         assert corpus.responses[0].syntax is not None
@@ -125,13 +124,14 @@ class TestSynthCorpus:
                     r.audio_path) == \
                 (o.prompt_id, o.transcript, o.grade, o.grade2, o.syntax,
                  o.audio_path)
-            assert len(r.words) == len(o.words)
-            for w, ow in zip(r.words, o.words):
-                assert (w.text, w.start, w.end) == (ow.text, ow.start, ow.end)
-                assert len(w.phonemes) == len(ow.phonemes)
-                for p, op in zip(w.phonemes, ow.phonemes):
-                    assert (p.label, p.klass, p.stress, p.start, p.end) == \
-                        (op.label, op.klass, op.stress, op.start, op.end)
+            assert r.words.text == o.words.text
+            for name in ("start", "end"):
+                assert getattr(r.words, name).tobytes() == \
+                    getattr(o.words, name).tobytes()
+            assert r.phones.label == o.phones.label
+            for name in ("klass", "stress", "start", "end", "word"):
+                assert getattr(r.phones, name).tobytes() == \
+                    getattr(o.phones, name).tobytes()
             assert r.tokens == o.tokens
 
 
@@ -161,7 +161,7 @@ class TestPreparePrompt:
         ("min_df", 0), ("max_terms", 1e3), ("max_terms", True),
         ("rank_threshold", -1), ("ld_mode", "dens"), ("fmin", 0.0),
         ("fmin", 600.0), ("fmax", float("nan")), ("frame", -0.04),
-        ("hop", float("inf"))])
+        ("hop", float("inf")), ("groups", ())])
     def test_out_of_range_config_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             ExtractorConfig(**{field: value})

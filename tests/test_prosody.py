@@ -1,16 +1,58 @@
+from types import SimpleNamespace
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
-from speechscore.corpus import AlignedPhoneme, AlignedWord, PhonemeClass, Stress
+from speechscore.corpus import parse_response
 from speechscore.prosody import (_GAP_EPS, IntervalSequence, NoNuclei,
-                                 Syllable, interval_features,
-                                 interval_sequence, normalized_pvi,
-                                 prosody_features, raw_pvi, stress_features,
-                                 syllabify)
+                                 Syllables, _intervals, _syllables, _timeline,
+                                 interval_features, normalized_pvi,
+                                 prosody_features, raw_pvi, stress_features)
 
-from conftest import make_response, make_word
+import record_oracle as old
+from conftest import make_payload, make_response, make_word
+from record_oracle import PhonemeClass, Stress
+
+_NO_SYLLABLES = Syllables(*[np.zeros(0)] * 7)
+
+
+def _timeline_columns(r):
+    """Start, end, class and stress of the response's timeline phonemes."""
+    kept, phones = _timeline(r), r.phones
+    return (phones.start[kept], phones.end[kept], phones.klass[kept],
+            phones.stress[kept])
+
+
+def syllables_of(r, include_secondary=False):
+    return _syllables(*_timeline_columns(r), r.response_id, include_secondary)
+
+
+def syllabify(r, include_secondary=False):
+    """Each syllable's onset, nucleus and coda labels, start, end and
+    stress, read from the columns that `_syllables` gives."""
+    s = syllables_of(r, include_secondary)
+    labels = [r.phones.label[i] for i in _timeline(r)]
+    return [SimpleNamespace(onset=labels[f:n], nucleus=labels[n],
+                            coda=labels[n + 1:l + 1], start=a, end=b,
+                            stressed=stressed)
+            for f, n, l, a, b, stressed in zip(
+                s.first.tolist(), s.nucleus.tolist(), s.last.tolist(),
+                s.start.tolist(), s.end.tolist(), s.stressed.tolist())]
+
+
+def interval_sequence(r, include_secondary=False):
+    """The interval lists and total phonation time; a response without
+    nuclei has no syllabic intervals."""
+    start, end, klass, stress = _timeline_columns(r)
+    try:
+        syllables = _syllables(start, end, klass, stress, r.response_id,
+                               include_secondary)
+    except NoNuclei:
+        syllables = _NO_SYLLABLES
+    return _intervals(start, end, klass, syllables)
 
 
 class TestSyllabify:
@@ -20,9 +62,9 @@ class TestSyllabify:
         sylls = syllabify(r)
         assert len(sylls) == 1
         s = sylls[0]
-        assert [p.label for p in s.onset] == ["K"]
-        assert s.nucleus.label == "AE"
-        assert [p.label for p in s.coda] == ["T"]
+        assert s.onset == ["K"]
+        assert s.nucleus == "AE"
+        assert s.coda == ["T"]
         assert s.stressed
 
     def test_onset_maximal_about(self):
@@ -32,9 +74,9 @@ class TestSyllabify:
                                       ("AW", "v", 1), ("T", "c", 0)])])
         sylls = syllabify(r)
         assert len(sylls) == 2
-        assert sylls[0].onset == () and sylls[0].coda == ()
-        assert [p.label for p in sylls[1].onset] == ["B"]
-        assert [p.label for p in sylls[1].coda] == ["T"]
+        assert sylls[0].onset == [] and sylls[0].coda == []
+        assert sylls[1].onset == ["B"]
+        assert sylls[1].coda == ["T"]
         assert not sylls[0].stressed and sylls[1].stressed
 
     def test_no_nuclei(self):
@@ -51,8 +93,8 @@ class TestSyllabify:
             make_word("it", 0.5, 0.7, [("IH", "v", 0), ("T", "c", 0)])])
         sylls = syllabify(r)
         assert len(sylls) == 2
-        assert [p.label for p in sylls[0].coda] == ["T"]
-        assert sylls[1].onset == ()
+        assert sylls[0].coda == ["T"]
+        assert sylls[1].onset == []
         assert sylls[0].end == approx(0.2)
 
     def test_secondary_stress_switch(self):
@@ -68,7 +110,7 @@ def _syllable_row(n, stressed_at, start_step=0.2):
         stress = 1 if i in stressed_at else 0
         words.append(make_word(f"w{i}", i * start_step, i * start_step + start_step,
                                [("AH", "v", stress)]))
-    return syllabify(make_response(words))
+    return syllables_of(make_response(words))
 
 
 class TestStressFeatures:
@@ -94,7 +136,7 @@ class TestStressFeatures:
 
     def test_empty_error(self):
         with pytest.raises(ValueError):
-            stress_features([])
+            stress_features(_NO_SYLLABLES)
 
 
 class TestIntervalFeatures:
@@ -187,7 +229,7 @@ def test_prosody_features_compose_public_steps(include_secondary):
                   [("AH", "v", 0), ("B", "c", 0), ("AW", "v", 1), ("T", "c", 0)]),
         make_word("it", 0.9, 1.1, [("IH", "v", 2), ("T", "c", 0)])])
     flags, expected_flags = set(), set()
-    expected = stress_features(syllabify(r, include_secondary), expected_flags)
+    expected = stress_features(syllables_of(r, include_secondary), expected_flags)
     expected.update(interval_features(*interval_sequence(r, include_secondary),
                                       expected_flags))
     assert prosody_features(r, include_secondary, flags) == expected
@@ -195,8 +237,8 @@ def test_prosody_features_compose_public_steps(include_secondary):
 
 
 # Oracle: the per-phoneme timeline, stretch, syllable and interval passes as
-# they were before they were fused and unrolled. The package must reproduce
-# their floats bit for bit.
+# they were before they were fused and unrolled, over the object records of
+# `record_oracle`. The package must reproduce their floats bit for bit.
 
 def _oracle_timeline(response):
     out = []
@@ -238,7 +280,7 @@ def _oracle_syllables(phonemes, response_id, include_secondary):
             coda = tuple(stretch[nucleus_idx + 1:coda_end])
             first = onset[0] if onset else nucleus
             last = coda[-1] if coda else nucleus
-            syllables.append(Syllable(
+            syllables.append(old.Syllable(
                 onset=onset, nucleus=nucleus, coda=coda,
                 start=first.start, end=last.end,
                 stressed=nucleus.stress in stressed_levels))
@@ -277,51 +319,60 @@ def _oracle_intervals(phonemes, syllables):
 def _oracle_prosody_features(response, include_secondary, flags):
     phonemes = _oracle_timeline(response)
     syllables = _oracle_syllables(phonemes, response.response_id, include_secondary)
-    features = stress_features(syllables, flags)
+    features = old.stress_features(syllables, flags)
     intervals, total_ms = _oracle_intervals(phonemes, syllables)
-    features.update(interval_features(intervals, total_ms, flags))
+    features.update(old.interval_features(intervals, total_ms, flags))
     return features
 
 
-_KLASS = {"v": PhonemeClass.VOWEL, "c": PhonemeClass.CONSONANT,
-          "s": PhonemeClass.SILENCE}
-_STRESS = (Stress.NONE, Stress.PRIMARY, Stress.SECONDARY)
+def _oracle_view(s):
+    return ([p.label for p in s.onset], s.nucleus.label,
+            [p.label for p in s.coda], s.start.hex(), s.end.hex(), s.stressed)
+
+
+def _view(s):
+    return (s.onset, s.nucleus, s.coda, s.start.hex(), s.end.hex(), s.stressed)
+
+
 # Pauses: none, one inside the contiguity tolerance, one just past it, and
 # ordinary pauses between words.
 _GAPS = st.sampled_from([0.0, 0.0, 0.5 * _GAP_EPS, 3 * _GAP_EPS]) | st.floats(0.0, 0.6)
 _DURATIONS = st.sampled_from([0.0, 0.01, 0.1]) | st.floats(1e-4, 0.3)
 _PHONE = st.tuples(st.sampled_from("vvccs"), st.integers(0, 2), _DURATIONS)
 _WORD = st.tuples(_GAPS, st.lists(_PHONE, max_size=6), st.floats(0.01, 0.3))
+_CLASS_NAMES = {"v": "vowel", "c": "consonant", "s": "silence"}
 
 
-def _timeline_response(words):
+def _timeline_payload(words):
     """Words laid end to end after their gaps; each word spans its
     phonemes, stretched by ``pad`` when they leave it no duration."""
     built = []
     t = 0.0
+    n = 0
     for i, (gap, phones, pad) in enumerate(words):
         start = t = t + gap
         phonemes = []
         for klass, stress, duration in phones:
-            klass = _KLASS[klass]
-            stress = _STRESS[stress] if klass is PhonemeClass.VOWEL else Stress.NONE
-            phonemes.append(AlignedPhoneme(f"p{len(phonemes)}", klass, t,
-                                           t + duration, stress))
+            phonemes.append({"label": f"p{n}", "class": _CLASS_NAMES[klass],
+                             "stress": stress, "start": t, "end": t + duration})
             t += duration
+            n += 1
         if t <= start:
             t = start + pad
-        built.append(AlignedWord(f"w{i}", start, t, tuple(phonemes)))
-    return make_response(built)
+        built.append({"text": f"w{i}", "start": start, "end": t,
+                      "phonemes": phonemes})
+    return make_payload(built)
 
 
 @given(st.lists(_WORD, min_size=1, max_size=12), st.booleans())
 @settings(max_examples=400, deadline=None)
 def test_fused_passes_match_oracle_bit_for_bit(words, include_secondary):
-    r = _timeline_response(words)
-    phonemes = _oracle_timeline(r)
+    payload = _timeline_payload(words)
+    r, o = parse_response(payload), old.parse_response(payload)
+    phonemes = _oracle_timeline(o)
     seq, total = interval_sequence(r, include_secondary)
     try:
-        syllables = _oracle_syllables(phonemes, r.response_id, include_secondary)
+        syllables = _oracle_syllables(phonemes, o.response_id, include_secondary)
     except NoNuclei:
         with pytest.raises(NoNuclei):
             syllabify(r, include_secondary)
@@ -329,10 +380,11 @@ def test_fused_passes_match_oracle_bit_for_bit(words, include_secondary):
             prosody_features(r, include_secondary)
         expected_seq, expected_total = _oracle_intervals(phonemes, [])
     else:
-        assert syllabify(r, include_secondary) == syllables
+        assert [_view(s) for s in syllabify(r, include_secondary)] == \
+            [_oracle_view(s) for s in syllables]
         flags, expected_flags = set(), set()
         got = prosody_features(r, include_secondary, flags)
-        expected = _oracle_prosody_features(r, include_secondary, expected_flags)
+        expected = _oracle_prosody_features(o, include_secondary, expected_flags)
         assert {k: v.hex() for k, v in got.items()} == \
             {k: v.hex() for k, v in expected.items()}
         assert flags == expected_flags
@@ -343,6 +395,9 @@ def test_fused_passes_match_oracle_bit_for_bit(words, include_secondary):
     assert total.hex() == expected_total.hex()
 
 
-def test_syllables_are_slotted():
-    (syllable,) = syllabify(make_response([make_word("a", 0.0, 0.1, [("AH", "v", 1)])]))
-    assert not hasattr(syllable, "__dict__")
+def test_syllables_are_parallel_columns():
+    syllables = syllables_of(make_response([
+        make_word("a", 0.0, 0.1, [("AH", "v", 1)]),
+        make_word("it", 0.1, 0.3, [("IH", "v", 0), ("T", "c", 0)])]))
+    assert {len(column) for column in vars(syllables).values()} == {2}
+    assert syllables.stressed.tolist() == [True, False]

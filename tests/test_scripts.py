@@ -96,3 +96,24 @@ def test_explain_profile_runs(tmp_path):
     for piece in ("load_prompt_dataset", "shap_summary", "csv shap_values.csv",
                   "svg shap_summary.svg"):
         assert piece in stdout
+
+
+def test_extract_profile_runs(tmp_path):
+    """One timing line per extract layer, then the digest of the
+    features.csv that `extract` writes for the same corpus."""
+    from speechscore.cli import main
+
+    lines = _run(tmp_path, "extract_profile.py",
+                 ["--n", "50", "--repeats", "1"]).splitlines()
+    assert [line.split()[0] for line in lines[1:-1]] == [
+        "read", "json", "parse", "fluency", "prosody", "grammar", "vectorize",
+        "csv"]
+    corpus, features = tmp_path / "corpus", tmp_path / "features"
+    for argv in (["synth", "--n", "50", "--out", str(corpus)],
+                 ["extract", "--manifest", str(corpus),
+                  "--resources", str(corpus / "resources"),
+                  "--out", str(features), "--groups", "CF,FF,SPF,GVF",
+                  "--max-terms", "120"]):
+        assert main(argv + ["--seed", "7"]) == 0
+    digest = hashlib.sha256((features / "features.csv").read_bytes()).hexdigest()
+    assert lines[-1] == f"features.csv sha256 {digest[:12]}"
