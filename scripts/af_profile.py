@@ -1,12 +1,15 @@
 #!/usr/bin/env python3
 """Time and memory of acoustic (AF) extraction by audio duration.
 
-For each duration, a child process synthesises a speech-like signal (voiced
-tones at a varying f0, quiet noise bursts and pauses), runs
-`extract_acoustic` on it and reports milliseconds per second of audio and
-peak RSS (`ru_maxrss`): once after the input is built and once after
-extraction. Each duration runs in its own process so that one peak does not
-hide the next.
+For each duration it synthesises a speech-like signal (voiced tones at a
+varying f0, quiet noise bursts and pauses) and writes it with `write_wav`.
+A child process then reads the file with `read_wav` and runs
+`extract_acoustic` on it, as `extract` does, and reports milliseconds per
+second of audio and peak RSS (`ru_maxrss`): once after the input is read
+and once after extraction. `input_mb` is what reading the input added to
+the peak after import, `extract_mb` what extraction added on top. Each
+duration is written and measured in processes of their own, so that no
+peak (the synthesis's included) hides another.
 
 Usage:
     PYTHONPATH=src python scripts/af_profile.py [--seconds 30 90 300]
@@ -14,10 +17,13 @@ Usage:
 """
 
 import argparse
+import multiprocessing
 import resource
 import subprocess
 import sys
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -38,14 +44,21 @@ def _signal(seconds: float, sample_rate: int, seed: int) -> np.ndarray:
     return samples
 
 
+def _write(wav: Path, seconds: float, sample_rate: int, seed: int) -> None:
+    from speechscore.acoustic import AudioBuffer, write_wav
+
+    write_wav(wav, AudioBuffer(_signal(seconds, sample_rate, seed), sample_rate))
+
+
 def _maxrss_mb() -> float:
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
-def _child(seconds: float, sample_rate: int, repeats: int, seed: int) -> None:
-    from speechscore.acoustic import AudioBuffer, extract_acoustic
+def _child(wav: str, seconds: float, repeats: int) -> None:
+    from speechscore.acoustic import extract_acoustic, read_wav
 
-    audio = AudioBuffer(_signal(seconds, sample_rate, seed), sample_rate)
+    import_rss = _maxrss_mb()
+    audio = read_wav(wav)
     input_rss = _maxrss_mb()
     best = float("inf")
     for _ in range(repeats):
@@ -53,7 +66,8 @@ def _child(seconds: float, sample_rate: int, repeats: int, seed: int) -> None:
         extract_acoustic(audio)
         best = min(best, time.perf_counter() - start)
     peak_rss = _maxrss_mb()
-    print(f"{seconds:8.0f} {1000.0 * best / seconds:12.2f} {input_rss:14.1f} "
+    print(f"{seconds:8.0f} {1000.0 * best / seconds:12.2f} "
+          f"{input_rss - import_rss:10.1f} {input_rss:14.1f} "
           f"{peak_rss:13.1f} {peak_rss - input_rss:12.1f}", flush=True)
 
 
@@ -64,19 +78,28 @@ def main() -> None:
     ap.add_argument("--repeats", type=int, default=3,
                     help="extractions per duration; the fastest is reported")
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--child", action="store_true", help=argparse.SUPPRESS)
+    ap.add_argument("--child", metavar="WAV", help=argparse.SUPPRESS)
     args = ap.parse_args()
     if args.child:
-        _child(args.seconds[0], args.sample_rate, args.repeats, args.seed)
+        _child(args.child, args.seconds[0], args.repeats)
         return
-    print(f"{'audio_s':>8} {'ms/audio_s':>12} {'input_rss_mb':>14} "
+    print(f"{'audio_s':>8} {'ms/audio_s':>12} {'input_mb':>10} {'input_rss_mb':>14} "
           f"{'peak_rss_mb':>13} {'extract_mb':>12}", flush=True)
-    for seconds in args.seconds:
-        subprocess.run([sys.executable, __file__, "--child",
-                        "--seconds", str(seconds),
-                        "--sample-rate", str(args.sample_rate),
-                        "--repeats", str(args.repeats),
-                        "--seed", str(args.seed)], check=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        for seconds in args.seconds:
+            wav = Path(tmp) / f"{seconds:g}.wav"
+            # On Linux a child's ru_maxrss starts at its parent's peak, so
+            # the parent stays small: the synthesis runs in a process of
+            # its own.
+            writer = multiprocessing.get_context("spawn").Process(
+                target=_write, args=(wav, seconds, args.sample_rate, args.seed))
+            writer.start()
+            writer.join()
+            if writer.exitcode != 0:
+                raise SystemExit(f"writing the {seconds:g} s input failed")
+            subprocess.run([sys.executable, __file__, "--child", str(wav),
+                            "--seconds", str(seconds),
+                            "--repeats", str(args.repeats)], check=True)
 
 
 if __name__ == "__main__":

@@ -8,14 +8,34 @@ the voicing threshold or whose RMS sits under the silence floor. This is an
 approximation of point-process pulse extraction, sufficient for the
 instability measures computed here.
 
-All frame-level work runs in one framing pass that walks the signal in blocks
-of `_BLOCK_FRAMES` frames, taken as strided views of the samples. Each block
-yields small per-frame vectors (RMS, peak, best lag and its correlation, ten
+An `AudioBuffer` holds either float64 samples in [-1, 1] or, as `read_wav`
+returns it, the file's int16 PCM (2 bytes per sample instead of 8), whose
+signal is samples / 32768. The passes below scale each PCM span by 2**-15
+when they reach it; int16 to float64 and the power-of-two scale are both
+exact, so a PCM buffer gives the same bits as the equal float buffer.
+
+All frame-level work runs in one framing pass that walks the signal in
+blocks of frames, taken as strided views of the samples. Each block yields
+small per-frame vectors (RMS, peak, best lag and its correlation, ten
 sub-band energies, spectral mass and centroid numerator), and the features
 reduce over those vectors, so peak memory is O(block) rather than
-O(duration). Every frame goes through the same arithmetic as it would in one
-whole-signal array, with the autocorrelation FFT at the power of two
->= 2*frame, so the features do not depend on the block size.
+O(duration). A block holds enough frames for its complex pitch spectrum to
+fill `_BLOCK_BYTES`, so its temporaries stay the same size whatever the
+sample rate and frame length. Every frame goes through the same arithmetic
+as it would in one whole-signal array, with the autocorrelation FFT at the
+power of two >= 2*frame, so the features do not depend on the block size.
+The one size-dependent step is `spectrum * np.conj(spectrum)`: NumPy
+evaluates it in place as `conj(s) * s`, which rounds differently, once the
+temporary reaches 256 KiB (temporary elision). The budget is at least that
+much: a response longer than one block then runs only in full blocks, each
+above the floor as its whole-signal array would be, and a shorter response
+is one block.
+
+The pass writes its block-sized arrays (FFT outputs included, hence NumPy
+>= 2.0) into buffers made once per response. Blocks allocated afresh left
+the speed to the C allocator's history: without an earlier large free,
+glibc returned each block's temporaries to the system and faulted them back
+in for the next block, which made a 60 s response take ~1.6x as long.
 """
 
 from __future__ import annotations
@@ -45,26 +65,44 @@ ACOUSTIC_FEATURES = (
     "total_duration",
 )
 
-# Frames per block of the framing pass: a block's pitch spectra (nfft 2048
-# at 16 kHz) take about 4 MB.
-_BLOCK_FRAMES = 256
+# Bytes of a block's complex pitch spectrum in the framing pass (128 frames
+# at 16 kHz with 40 ms frames). At least NumPy's 256 KiB elision floor (see
+# the module docstring); at 1 MiB the per-frame vectors, which grow with
+# duration, would be a third of the pass's peak at 200 s of audio.
+_BLOCK_BYTES = 2 << 20
+# The float value of one int16 PCM step.
+_PCM_SCALE = 2.0 ** -15
 # Samples per chunk of the zero-crossing count.
 _ZCR_CHUNK = 1 << 16
 _VOICING_THRESHOLD = 0.5
 _SILENCE_FLOOR = 1e-4
 
 
+def _as_float(samples: np.ndarray) -> np.ndarray:
+    """`samples` as float64: int16 PCM scaled by 2**-15, float unchanged."""
+    if samples.dtype == np.int16:
+        return np.multiply(samples, _PCM_SCALE, dtype=np.float64)
+    return samples
+
+
 @dataclass
 class AudioBuffer:
-    samples: np.ndarray      # float64 in [-1, 1]
+    samples: np.ndarray      # int16 PCM, or float64 in [-1, 1]
     sample_rate: int
 
     def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
+        self.samples = np.asarray(self.samples)
+        if self.samples.dtype != np.int16:
+            self.samples = self.samples.astype(np.float64, copy=False)
         if self.sample_rate <= 0:
             raise ValueError("sample rate must be positive")
         if self.samples.size == 0:
             raise ValueError("empty audio buffer")
+
+    @property
+    def signal(self) -> np.ndarray:
+        """The samples as float64 in [-1, 1] (a new array for PCM)."""
+        return _as_float(self.samples)
 
     @property
     def duration(self) -> float:
@@ -86,7 +124,7 @@ class PeriodTrack:
 
 
 def read_wav(path: str | Path) -> AudioBuffer:
-    """Read 16-bit PCM mono WAV, scaling samples to [-1, 1]."""
+    """Read 16-bit PCM mono WAV into a PCM buffer over the file's bytes."""
     try:
         with wave.open(str(path), "rb") as fh:
             if fh.getnchannels() != 1:
@@ -99,14 +137,14 @@ def read_wav(path: str | Path) -> AudioBuffer:
             raw = fh.readframes(fh.getnframes())
     except (wave.Error, EOFError) as exc:
         raise ValueError(f"{path}: malformed WAV ({exc})") from exc
-    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
+    samples = np.frombuffer(raw, dtype="<i2").astype(np.int16, copy=False)
     if samples.size == 0:
         raise ValueError(f"{path}: no samples")
     return AudioBuffer(samples=samples, sample_rate=rate)
 
 
 def write_wav(path: str | Path, audio: AudioBuffer) -> None:
-    scaled = np.clip(np.round(audio.samples * 32767.0), -32768, 32767).astype("<i2")
+    scaled = np.clip(np.round(audio.signal * 32767.0), -32768, 32767).astype("<i2")
     with wave.open(str(path), "wb") as fh:
         fh.setnchannels(1)
         fh.setsampwidth(2)
@@ -150,14 +188,35 @@ class _FrameStats:
     centroid_num: np.ndarray | None = None
 
 
-def _best_lags(block: np.ndarray, lags: np.ndarray,
-               nfft: int) -> tuple[np.ndarray, np.ndarray]:
+@dataclass
+class _BlockBuffers:
+    """The block-sized arrays of one framing pass, made once and reused by
+    every block (module docstring)."""
+
+    frames: np.ndarray       # (rows, frame_len): |block|, then centered
+    squares: np.ndarray      # (rows, frame_len)
+    energy: np.ndarray       # (rows, frame_len)
+    spectrum: np.ndarray     # (rows, nfft/2 + 1), complex
+    acorr: np.ndarray        # (rows, nfft)
+
+    @classmethod
+    def empty(cls, rows: int, frame_len: int, nfft: int) -> "_BlockBuffers":
+        return cls(*(np.empty((rows, frame_len)) for _ in range(3)),
+                   np.empty((rows, nfft // 2 + 1), dtype=np.complex128),
+                   np.empty((rows, nfft)))
+
+
+def _best_lags(block: np.ndarray, lags: np.ndarray, nfft: int,
+               buffers: _BlockBuffers) -> tuple[np.ndarray, np.ndarray]:
     """Lag index of the highest normalized autocorrelation, and its value."""
     frame_len = block.shape[1]
-    centered = block - block.mean(axis=1, keepdims=True)
-    spectrum = np.fft.rfft(centered, n=nfft, axis=1)
-    acorr = np.fft.irfft(spectrum * np.conj(spectrum), n=nfft, axis=1)
-    energy = np.cumsum(centered ** 2, axis=1)
+    centered = np.subtract(block, block.mean(axis=1, keepdims=True),
+                           out=buffers.frames)
+    spectrum = np.fft.rfft(centered, n=nfft, axis=1, out=buffers.spectrum)
+    acorr = np.fft.irfft(spectrum * np.conj(spectrum), n=nfft, axis=1,
+                         out=buffers.acorr)
+    energy = np.cumsum(np.square(centered, out=centered), axis=1,
+                       out=buffers.energy)
     # prefix energy of x[0 : N-lag] and suffix energy of x[lag : N]
     e_pre = energy[:, frame_len - lags - 1]
     e_suf = energy[:, -1:] - energy[:, lags - 1]
@@ -165,6 +224,12 @@ def _best_lags(block: np.ndarray, lags: np.ndarray,
     corr = acorr[:, lags[0]:lags[-1] + 1] / denom
     best = np.argmax(corr, axis=1)
     return best, corr[np.arange(block.shape[0]), best]
+
+
+def _block_frames(nfft: int) -> int:
+    """Frames per block: enough for the block's complex pitch spectrum
+    (nfft/2 + 1 bins of 16 bytes per frame) to fill `_BLOCK_BYTES`."""
+    return -(-_BLOCK_BYTES // (16 * (nfft // 2 + 1)))
 
 
 def _frame_pass(audio: AudioBuffer, frame_len: int, hop_len: int,
@@ -175,14 +240,15 @@ def _frame_pass(audio: AudioBuffer, frame_len: int, hop_len: int,
     Always computes the frame RMS; with `lags`, the pitch part (peak and best
     lag); with `spectral`, the sub-band energies and spectral mass/centroid.
     """
-    frames = sliding_window_view(audio.samples, frame_len)[::hop_len]
-    n = frames.shape[0]
+    n = (audio.samples.size - frame_len) // hop_len + 1
+    nfft = 1 << int(np.ceil(np.log2(2 * frame_len)))
+    block_frames = _block_frames(nfft)
+    buffers = _BlockBuffers.empty(min(n, block_frames), frame_len, nfft)
     stats = _FrameStats(rms=np.empty(n))
     if lags is not None:
         stats.peak = np.empty(n)
         stats.best = np.empty(n, dtype=np.intp)
         stats.best_corr = np.empty(n)
-        nfft = 1 << int(np.ceil(np.log2(2 * frame_len)))
     sub = frame_len // 10
     if spectral:
         if sub >= 1:
@@ -191,21 +257,20 @@ def _frame_pass(audio: AudioBuffer, frame_len: int, hop_len: int,
         stats.centroid_num = np.empty(n)
         freqs = np.fft.rfftfreq(frame_len, d=1.0 / audio.sample_rate)
 
-    for start in range(0, n, _BLOCK_FRAMES):
+    for start in range(0, n, block_frames):
         # The last block ends at the last frame and overlaps the one before,
-        # so every block of a long signal is full size. NumPy evaluates
-        # `s * conj(s)` as `conj(s) * s` in place once the temporary
-        # reaches 256 KiB (temporary elision), and the two round
-        # differently: a short block would not round like a whole-signal
-        # array does.
-        start = max(0, min(start, n - _BLOCK_FRAMES))
-        block = frames[start:start + _BLOCK_FRAMES]
-        rows = slice(start, start + block.shape[0])
-        squares = block ** 2
+        # so every block of a long signal is full size and its pitch
+        # spectrum reaches the elision floor (module docstring).
+        start = max(0, min(start, n - block_frames))
+        rows = slice(start, min(start + block_frames, n))
+        span = audio.samples[start * hop_len:(rows.stop - 1) * hop_len + frame_len]
+        block = sliding_window_view(_as_float(span), frame_len)[::hop_len]
+        squares = np.square(block, out=buffers.squares)
         stats.rms[rows] = np.sqrt(squares.mean(axis=1))
         if lags is not None:
-            stats.peak[rows] = np.abs(block).max(axis=1)
-            stats.best[rows], stats.best_corr[rows] = _best_lags(block, lags, nfft)
+            stats.peak[rows] = np.abs(block, out=buffers.frames).max(axis=1)
+            stats.best[rows], stats.best_corr[rows] = _best_lags(
+                block, lags, nfft, buffers)
         if spectral:
             if sub >= 1:
                 trimmed = squares[:, :10 * sub].reshape(block.shape[0], 10, sub)
@@ -253,7 +318,8 @@ def _zero_crossing_rate(x: np.ndarray) -> float:
         return 0.0
     flips = 0
     for start in range(0, x.size - 1, _ZCR_CHUNK):
-        chunk = x[start:start + _ZCR_CHUNK + 1]
+        # Scaled before the product: int16 products overflow.
+        chunk = _as_float(x[start:start + _ZCR_CHUNK + 1])
         flips += int(np.count_nonzero((chunk[:-1] * chunk[1:]) < 0))
     return flips / (x.size - 1)
 

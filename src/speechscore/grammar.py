@@ -76,15 +76,18 @@ def lexical_features(tokens: Tokens, resources: LexicalResources,
                      seed: int = 0,
                      rank_threshold: int = DEFAULT_RANK_THRESHOLD,
                      ld_mode: str = "density",
-                     flags: set[str] | None = None) -> dict[str, float]:
+                     flags: set[str] | None = None,
+                     words: Tokens | None = None) -> dict[str, float]:
     """Diversity and sophistication features (Lexical Complexity set).
 
     ``ld`` defaults to lexical density (lexical tokens / word tokens); pass
     ``ld_mode="diversity"`` for the types-based reading. ndwerz/ndwesz
     average the distinct-word count over 10 seeded 50-token samples
-    (without replacement / contiguous windows respectively).
+    (without replacement / contiguous windows respectively). ``words`` is
+    ``word_tokens(tokens)`` when the caller has selected them already.
     """
-    words = word_tokens(tokens)
+    if words is None:
+        words = word_tokens(tokens)
     if not words:
         raise ValueError("no word tokens")
     texts = list(words.token)
@@ -175,14 +178,17 @@ def syntactic_features(units: UnitCounts,
 
 def count_and_complexity_features(tokens: Tokens,
                                   resources: LexicalResources,
-                                  flags: set[str] | None = None) -> dict[str, float]:
+                                  flags: set[str] | None = None,
+                                  words: Tokens | None = None) -> dict[str, float]:
     """POS totals plus lexicon-scored text complexity.
 
     Complexity totals sum the lexicon score of every matched token, in four
     variants (stopwords removed/kept x average/mode lexicon column);
-    averages divide by the matched-token count.
+    averages divide by the matched-token count. ``words`` is as in
+    `lexical_features`.
     """
-    words = word_tokens(tokens)
+    if words is None:
+        words = word_tokens(tokens)
     features = dict.fromkeys(COUNT_FEATURES, 0.0)
     for name, pos in _POS_TOTALS.items():
         features[name] = float(tokens.pos.count(pos))
@@ -243,15 +249,17 @@ def _verb_chains(pos: tuple[str, ...], lo: int, hi: int) -> list[tuple[int, int]
     return chains
 
 
-def heuristic_syntax(tokens: Tokens) -> UnitCounts:
+def heuristic_syntax(tokens: Tokens, words: Tokens | None = None) -> UnitCounts:
     """POS-driven approximation of the syntactic unit counts.
 
     Sentences are punctuation-delimited (min 1 when any word exists);
     clauses count verb chains containing a VERB; T-units add clause-initial
     coordinating conjunctions to the sentence count; dependent clauses are
     subordinating markers followed by a verb chain in the same sentence.
+    ``words`` is as in `lexical_features`.
     """
-    words = word_tokens(tokens)
+    if words is None:
+        words = word_tokens(tokens)
     if not words:
         return UnitCounts()
     sentences = _sentence_ranges(tokens)
@@ -306,10 +314,13 @@ def heuristic_syntax(tokens: Tokens) -> UnitCounts:
     return counts
 
 
-def unit_counts_from_spans(response: AlignedResponse) -> UnitCounts:
+def unit_counts_from_spans(response: AlignedResponse,
+                           words: Tokens | None = None) -> UnitCounts:
     spans = response.syntax
+    if words is None:
+        words = word_tokens(response.tokens)
     return UnitCounts(
-        W=len(word_tokens(response.tokens)),
+        W=len(words),
         S=len(spans.sentences), VP=len(spans.verb_phrases),
         C=len(spans.clauses), T=len(spans.t_units),
         DC=len(spans.dependent_clauses), CT=len(spans.complex_t_units),
@@ -322,15 +333,17 @@ def grammar_features(response: AlignedResponse, resources: LexicalResources,
                      ld_mode: str = "density",
                      flags: set[str] | None = None) -> dict[str, float]:
     """All 47 grammar/vocabulary features for one response."""
+    words = word_tokens(response.tokens)
     features = lexical_features(response.tokens, resources, seed=seed,
                                 rank_threshold=rank_threshold,
-                                ld_mode=ld_mode, flags=flags)
+                                ld_mode=ld_mode, flags=flags, words=words)
     if response.syntax is not None:
-        units = unit_counts_from_spans(response)
+        units = unit_counts_from_spans(response, words)
     else:
-        units = heuristic_syntax(response.tokens)
+        units = heuristic_syntax(response.tokens, words)
     features.update(syntactic_features(units, flags))
-    features.update(count_and_complexity_features(response.tokens, resources, flags))
+    features.update(count_and_complexity_features(response.tokens, resources,
+                                                  flags, words=words))
     for name in UNIT_FEATURES:
         features[name] = float(getattr(units, name))
     return features

@@ -1,5 +1,7 @@
+import tempfile
 import tracemalloc
 import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,11 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
-from speechscore.acoustic import (_BLOCK_FRAMES, ACOUSTIC_FEATURES, AudioBuffer,
-                                  PeriodTrack, _frame_lengths, _frame_pass,
-                                  _neighborhood_instability, _pitch_lags,
-                                  acoustic_features, extract_acoustic,
-                                  pitch_track, read_wav, write_wav)
+from speechscore.acoustic import (_BLOCK_BYTES, ACOUSTIC_FEATURES, AudioBuffer,
+                                  PeriodTrack, _block_frames, _frame_lengths,
+                                  _frame_pass, _neighborhood_instability,
+                                  _pitch_lags, acoustic_features,
+                                  extract_acoustic, pitch_track, read_wav,
+                                  write_wav)
 from speechscore.features import ExtractorConfig, extract_matrix
 
 
@@ -27,8 +30,9 @@ class TestReadWav:
         write_wav(path, AudioBuffer(np.zeros(16000), 16000))
         audio = read_wav(path)
         assert audio.sample_rate == 16000
+        assert audio.samples.dtype == np.int16
         assert audio.samples.size == 16000
-        assert np.all(audio.samples == 0.0)
+        assert np.all(audio.signal == 0.0)
 
     def test_full_scale_square_wave(self, tmp_path):
         path = tmp_path / "sq.wav"
@@ -38,7 +42,8 @@ class TestReadWav:
             fh.setframerate(8000)
             fh.writeframes(np.full(100, 32767, dtype="<i2").tobytes())
         audio = read_wav(path)
-        assert np.all(audio.samples == approx(32767 / 32768))
+        assert audio.signal.dtype == np.float64
+        assert np.all(audio.signal == approx(32767 / 32768))
 
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "bad.wav"
@@ -304,17 +309,38 @@ def _hex(features):
     return {name: float(value).hex() for name, value in features.items()}
 
 
+_FRAME_HOPS = [(0.040, 0.010), (0.030, 0.007), (0.050, 0.013)]
+
+
+@st.composite
+def _framing(draw):
+    """Sample rate, frame and hop, and a signal length in samples whose frame
+    count sits at or around a boundary of the computed block length."""
+    sr = draw(st.sampled_from([8000, 16000, 22050]))
+    frame, hop = draw(st.sampled_from(_FRAME_HOPS))
+    frame_len, hop_len = _frame_lengths(sr, frame, hop)
+    block = _block_frames(1 << int(np.ceil(np.log2(2 * frame_len))))
+    n_frames = draw(st.sampled_from([1, block - 1, block, block + 1, 2 * block + 1]))
+    size = frame_len + (n_frames - 1) * hop_len + draw(st.integers(0, hop_len - 1))
+    return sr, frame, hop, size
+
+
+def test_block_length_reaches_the_elision_floor():
+    assert _BLOCK_BYTES >= 256 * 1024
+    for sr in (8000, 16000, 22050):
+        for frame, hop in _FRAME_HOPS + [(0.015, 0.005), (0.2, 0.05)]:
+            frame_len, _ = _frame_lengths(sr, frame, hop)
+            nfft = 1 << int(np.ceil(np.log2(2 * frame_len)))
+            block = _block_frames(nfft)
+            spectrum_bytes = 16 * (nfft // 2 + 1)
+            assert block * spectrum_bytes >= _BLOCK_BYTES
+            assert (block - 1) * spectrum_bytes < _BLOCK_BYTES
+
+
 @st.composite
 def _block_cases(draw):
     """Signals whose frame counts sit at and around the block boundaries."""
-    sr = draw(st.sampled_from([8000, 16000, 22050]))
-    frame, hop = draw(st.sampled_from([(0.040, 0.010), (0.030, 0.007),
-                                       (0.050, 0.013)]))
-    frame_len = int(round(frame * sr))
-    hop_len = max(1, int(round(hop * sr)))
-    n_frames = draw(st.sampled_from([1, _BLOCK_FRAMES - 1, _BLOCK_FRAMES,
-                                     _BLOCK_FRAMES + 1, 2 * _BLOCK_FRAMES + 1]))
-    size = frame_len + (n_frames - 1) * hop_len + draw(st.integers(0, hop_len - 1))
+    sr, frame, hop, size = draw(_framing())
     kind = draw(st.sampled_from(["noise", "tone", "silence", "mixed"]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
     t = np.arange(size) / sr
@@ -379,6 +405,80 @@ class TestBlockPass:
             for window in (3, 5):
                 assert (float(_neighborhood_instability(values, window)).hex()
                         == _reference_neighborhood_instability(values, window).hex())
+
+
+@st.composite
+def _pcm_cases(draw):
+    """int16 signals at and around the block boundaries: full scale, silence,
+    noise, and a tone."""
+    sr, frame, hop, size = draw(_framing())
+    kind = draw(st.sampled_from(["full_scale", "silence", "noise", "tone"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    t = np.arange(size) / sr
+    tone = np.sin(2 * np.pi * draw(st.floats(90.0, 400.0)) * t)
+    if kind == "full_scale":    # square wave between the two extremes
+        pcm = np.where(tone >= 0, 32767, -32768)
+    elif kind == "silence":
+        pcm = np.zeros(size)
+    elif kind == "noise":
+        pcm = rng.integers(-32768, 32768, size)
+    else:
+        pcm = np.round(13000 * tone)
+    return pcm.astype(np.int16), sr, frame, hop
+
+
+class TestPcmBuffer:
+    @given(_pcm_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_read_wav_matches_float_buffer(self, case):
+        pcm, sr, frame, hop = case
+        floats = AudioBuffer(pcm / 32768.0, sr)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "in.wav"
+            with wave.open(str(path), "wb") as fh:
+                fh.setnchannels(1)
+                fh.setsampwidth(2)
+                fh.setframerate(sr)
+                fh.writeframes(pcm.astype("<i2").tobytes())
+            audio = read_wav(path)
+            assert audio.samples.dtype == np.int16
+            assert audio.signal.tobytes() == floats.signal.tobytes()
+
+            flags, expected_flags = set(), set()
+            got = extract_acoustic(audio, frame=frame, hop=hop, flags=flags)
+            want = extract_acoustic(floats, frame=frame, hop=hop,
+                                    flags=expected_flags)
+            assert _hex(got) == _hex(want)
+            assert flags == expected_flags
+
+            write_wav(Path(tmp) / "pcm.wav", audio)
+            write_wav(Path(tmp) / "float.wav", floats)
+            assert ((Path(tmp) / "pcm.wav").read_bytes()
+                    == (Path(tmp) / "float.wav").read_bytes())
+
+    def test_zero_crossings_of_extremes_do_not_overflow(self):
+        pcm = np.array([32767, -32768, 32767, -32768, -32768], dtype=np.int16)
+        track = PeriodTrack(np.zeros(0), np.zeros(0))
+        f = acoustic_features(AudioBuffer(pcm, 8000), track, flags=set())
+        assert f["zero_crossing_rate"] == 3 / 4
+
+
+def test_read_wav_holds_two_bytes_per_sample(tmp_path):
+    """The PCM buffer of a 200 s WAV is the file's int16 data, not a float
+    copy."""
+    sr = 16000
+    path = tmp_path / "long.wav"
+    rng = np.random.default_rng(5)
+    write_wav(path, AudioBuffer(0.3 * rng.standard_normal(200 * sr).clip(-3, 3), sr))
+    tracemalloc.start()
+    try:
+        audio = read_wav(path)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert audio.samples.size == 200 * sr
+    assert held <= 2.1 * audio.samples.size, held
+    assert peak <= 2.1 * audio.samples.size, peak
 
 
 def test_extract_memory_bounded_in_duration():

@@ -1,9 +1,11 @@
 import pytest
 from pytest import approx
 
-from speechscore.grammar import (UnitCounts, count_and_complexity_features,
+from speechscore.grammar import (UNIT_FEATURES, UnitCounts,
+                                 count_and_complexity_features,
                                  grammar_features, heuristic_syntax,
-                                 lexical_features, syntactic_features)
+                                 lexical_features, syntactic_features,
+                                 unit_counts_from_spans)
 
 from conftest import make_response, make_tokens, make_word, tok
 
@@ -222,3 +224,32 @@ def test_annotated_spans_take_precedence(resources):
     r = make_response(words, tokens, syntax=spans)
     f = grammar_features(r, resources)
     assert f["VP"] == 2      # annotated count, not the heuristic's 1
+
+
+def test_grammar_features_match_one_argument_parts():
+    """`grammar_features` selects the words once; its features and flags are
+    those of the parts called on the tokens alone."""
+    import dataclasses
+
+    from speechscore.corpus import SyntaxSpans, default_resources
+    from speechscore.synth import SynthSpec, synth_corpus
+
+    resources = default_resources()
+    responses, _ = synth_corpus(SynthSpec(n=50, seed=3), resources)
+    spans = SyntaxSpans(sentences=[(0, 2)], t_units=[(0, 2)], clauses=[(0, 2)],
+                        verb_phrases=[(0, 2), (1, 2)])
+    for response in responses[:25] + [dataclasses.replace(r, syntax=spans)
+                                      for r in responses[25:]]:
+        flags, expected_flags = set(), set()
+        got = grammar_features(response, resources, seed=5, flags=flags)
+        want = lexical_features(response.tokens, resources, seed=5,
+                                flags=expected_flags)
+        units = (heuristic_syntax(response.tokens) if response.syntax is None
+                 else unit_counts_from_spans(response))
+        want.update(syntactic_features(units, expected_flags))
+        want.update(count_and_complexity_features(response.tokens, resources,
+                                                  expected_flags))
+        want.update({name: float(getattr(units, name)) for name in UNIT_FEATURES})
+        assert list(got) == list(want)
+        assert [v.hex() for v in got.values()] == [v.hex() for v in want.values()]
+        assert flags == expected_flags
