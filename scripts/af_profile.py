@@ -4,12 +4,13 @@
 For each duration it synthesises a speech-like signal (voiced tones at a
 varying f0, quiet noise bursts and pauses) and writes it with `write_wav`.
 A child process then reads the file with `read_wav` and runs
-`extract_acoustic` on it, as `extract` does, and reports milliseconds per
-second of audio and peak RSS (`ru_maxrss`): once after the input is read
-and once after extraction. `input_mb` is what reading the input added to
-the peak after import, `extract_mb` what extraction added on top. Each
-duration is written and measured in processes of their own, so that no
-peak (the synthesis's included) hides another.
+`extract_acoustic` on it with the default `ExtractorConfig`, as `extract`
+does, and reports milliseconds per second of audio and peak RSS
+(`ru_maxrss`): once after the input is read and once after extraction.
+`input_mb` is what reading the input added to the peak after import,
+`extract_mb` what extraction added on top. Each duration is written and
+measured in processes of their own, so that no peak (the synthesis's
+included) hides another.
 
 Usage:
     PYTHONPATH=src python scripts/af_profile.py [--seconds 30 90 300]
@@ -56,14 +57,16 @@ def _maxrss_mb() -> float:
 
 def _child(wav: str, seconds: float, repeats: int) -> None:
     from speechscore.acoustic import extract_acoustic, read_wav
+    from speechscore.features import ExtractorConfig
 
+    config = ExtractorConfig()
     import_rss = _maxrss_mb()
     audio = read_wav(wav)
     input_rss = _maxrss_mb()
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()
-        extract_acoustic(audio)
+        extract_acoustic(audio, config, set())
         best = min(best, time.perf_counter() - start)
     peak_rss = _maxrss_mb()
     print(f"{seconds:8.0f} {1000.0 * best / seconds:12.2f} "

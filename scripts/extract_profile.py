@@ -17,10 +17,9 @@ prints the fastest run of each in seconds:
 - ``csv``: `FeatureMatrix.to_csv` of the extracted matrix.
 
 Last it prints the first 12 hex digits of the SHA-256 of the
-``features.csv`` that `extract` wrote. It calls only names that both the
-object and the columnar record layout define, so one copy runs against any
-checkout's ``src/``; equal digests show that the features are
-byte-identical:
+``features.csv`` that `extract` wrote; equal digests from two checkouts
+show that their features are byte-identical. The layers call each family
+with one `ExtractorConfig` and a flags set, as `extract` does:
 
     PYTHONPATH=src python scripts/extract_profile.py [--n 200] [--seed 7]
         [--repeats 5]
@@ -40,15 +39,16 @@ from pathlib import Path
 from speechscore import cli
 from speechscore.content import vectorize
 from speechscore.corpus import LexicalResources, parse_response
+from speechscore.features import ExtractorConfig
 from speechscore.fluency import fluency_features
 from speechscore.grammar import grammar_features
 from speechscore.harness import load_prompt_dataset
 from speechscore.prosody import NoNuclei, prosody_features
 
 
-def _prosody(response) -> None:
+def _prosody(response, config: ExtractorConfig) -> None:
     try:
-        prosody_features(response, False, set())
+        prosody_features(response, config, set())
     except NoNuclei:
         pass
 
@@ -76,6 +76,7 @@ def main() -> None:
         digest = hashlib.sha256((features / "features.csv").read_bytes())
         dataset = load_prompt_dataset(features)
         resources = LexicalResources.load(corpus / "resources")
+        config = ExtractorConfig(seed=args.seed)
         files = sorted(corpus.glob("*.json"))
         texts = [fp.read_text(encoding="utf-8") for fp in files]
         payloads = [json.loads(text) for text in texts]
@@ -87,9 +88,8 @@ def main() -> None:
             "parse": lambda: [parse_response(p, base_dir=corpus) for p in payloads],
             "fluency": lambda: [fluency_features(r, resources, set())
                                 for r in responses],
-            "prosody": lambda: [_prosody(r) for r in responses],
-            "grammar": lambda: [grammar_features(r, resources, seed=args.seed,
-                                                 flags=set())
+            "prosody": lambda: [_prosody(r, config) for r in responses],
+            "grammar": lambda: [grammar_features(r, resources, config, set())
                                 for r in responses],
             "vectorize": lambda: [vectorize(dataset.vocabulary, r.transcript, set())
                                   for r in responses],

@@ -43,9 +43,13 @@ from __future__ import annotations
 import wave
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
+
+if TYPE_CHECKING:
+    from .features import ExtractorConfig
 
 ACOUSTIC_FEATURES = (
     "mean_pitch",
@@ -152,8 +156,10 @@ def write_wav(path: str | Path, audio: AudioBuffer) -> None:
         fh.writeframes(scaled.tobytes())
 
 
-def _frame_lengths(sample_rate: int, frame: float, hop: float) -> tuple[int, int]:
+def _frame_lengths(sample_rate: int,
+                   config: ExtractorConfig) -> tuple[int, int]:
     """Frame and hop in samples; raises if either rounds to none."""
+    frame, hop = config.frame, config.hop
     lengths = int(round(frame * sample_rate)), int(round(hop * sample_rate))
     for name, seconds, samples in zip(("frame", "hop"), (frame, hop), lengths):
         if samples < 1:
@@ -162,14 +168,15 @@ def _frame_lengths(sample_rate: int, frame: float, hop: float) -> tuple[int, int
     return lengths
 
 
-def _pitch_lags(audio: AudioBuffer, frame_len: int, fmin: float,
-                fmax: float) -> np.ndarray:
-    """Candidate lags in samples; raises if no frame or no band fits."""
+def _pitch_lags(audio: AudioBuffer, frame_len: int,
+                config: ExtractorConfig) -> np.ndarray:
+    """Candidate lags in samples for the ``config`` pitch band; raises if
+    no frame or no band fits."""
     sr = audio.sample_rate
     if audio.samples.size < frame_len:
         raise ValueError("audio shorter than one analysis frame")
-    lag_min = max(1, int(np.ceil(sr / fmax)))
-    lag_max = min(frame_len - 1, int(np.floor(sr / fmin)))
+    lag_min = max(1, int(np.ceil(sr / config.fmax)))
+    lag_max = min(frame_len - 1, int(np.floor(sr / config.fmin)))
     if lag_max <= lag_min:
         raise ValueError("frame too short for the requested pitch band")
     return np.arange(lag_min, lag_max + 1)
@@ -233,8 +240,7 @@ def _block_frames(nfft: int) -> int:
 
 
 def _frame_pass(audio: AudioBuffer, frame_len: int, hop_len: int,
-                lags: np.ndarray | None = None,
-                spectral: bool = False) -> _FrameStats:
+                lags: np.ndarray | None, spectral: bool) -> _FrameStats:
     """One block-wise pass over the frames of `audio`.
 
     Always computes the frame RMS; with `lags`, the pitch part (peak and best
@@ -288,12 +294,12 @@ def _period_track(stats: _FrameStats, lags: np.ndarray,
     return PeriodTrack(periods=periods, amplitudes=stats.peak[voiced])
 
 
-def pitch_track(audio: AudioBuffer, fmin: float = 75.0, fmax: float = 500.0,
-                frame: float = 0.040, hop: float = 0.010) -> PeriodTrack:
-    """Fundamental periods and peak amplitudes of the voiced frames."""
-    frame_len, hop_len = _frame_lengths(audio.sample_rate, frame, hop)
-    lags = _pitch_lags(audio, frame_len, fmin, fmax)
-    stats = _frame_pass(audio, frame_len, hop_len, lags=lags)
+def pitch_track(audio: AudioBuffer, config: ExtractorConfig) -> PeriodTrack:
+    """Fundamental periods and peak amplitudes of the voiced frames, in the
+    ``config`` pitch band, frame and hop."""
+    frame_len, hop_len = _frame_lengths(audio.sample_rate, config)
+    lags = _pitch_lags(audio, frame_len, config)
+    stats = _frame_pass(audio, frame_len, hop_len, lags, False)
     return _period_track(stats, lags, audio.sample_rate)
 
 
@@ -325,7 +331,7 @@ def _zero_crossing_rate(x: np.ndarray) -> float:
 
 
 def _features(audio: AudioBuffer, stats: _FrameStats | None, track: PeriodTrack,
-              flags: set[str] | None) -> dict[str, float]:
+              flags: set[str]) -> dict[str, float]:
     features = dict.fromkeys(ACOUSTIC_FEATURES, 0.0)
     features["total_duration"] = audio.duration
     features["zero_crossing_rate"] = _zero_crossing_rate(audio.samples)
@@ -347,8 +353,7 @@ def _features(audio: AudioBuffer, stats: _FrameStats | None, track: PeriodTrack,
     periods = track.periods
     amps = track.amplitudes
     if periods.size == 0:
-        if flags is not None:
-            flags.add("acoustic_no_voiced_frames")
+        flags.add("acoustic_no_voiced_frames")
         return features
 
     pitch = 1.0 / periods
@@ -360,11 +365,11 @@ def _features(audio: AudioBuffer, stats: _FrameStats | None, track: PeriodTrack,
         rap = _neighborhood_instability(periods, 3)
         features["rapJitter"] = rap
         features["ddpJitter"] = 3.0 * rap
-    elif flags is not None:
+    else:
         flags.add("acoustic_too_few_periods")
     if periods.size >= 5:
         features["ppq5Jitter"] = _neighborhood_instability(periods, 5)
-    elif flags is not None:
+    else:
         flags.add("acoustic_too_few_periods_ppq5")
 
     if amps.size >= 2 and amps.mean() > 0:
@@ -379,27 +384,28 @@ def _features(audio: AudioBuffer, stats: _FrameStats | None, track: PeriodTrack,
 
 
 def acoustic_features(audio: AudioBuffer, track: PeriodTrack,
-                      frame: float = 0.040, hop: float = 0.010,
-                      flags: set[str] | None = None) -> dict[str, float]:
-    """The 15 acoustic features keyed by their printed names.
+                      config: ExtractorConfig,
+                      flags: set[str]) -> dict[str, float]:
+    """The 15 acoustic features keyed by their printed names, framed by the
+    ``config`` frame and hop.
 
     Pitch statistics run over 1/period of the voiced frames; jitter and
     shimmer follow the standard cycle-to-cycle definitions with ddp = 3*rap
     and dda = 3*apq3 as exact identities.
     """
-    frame_len, hop_len = _frame_lengths(audio.sample_rate, frame, hop)
+    frame_len, hop_len = _frame_lengths(audio.sample_rate, config)
     stats = None
     if audio.samples.size >= frame_len:
-        stats = _frame_pass(audio, frame_len, hop_len, spectral=True)
+        stats = _frame_pass(audio, frame_len, hop_len, None, True)
     return _features(audio, stats, track, flags)
 
 
-def extract_acoustic(audio: AudioBuffer, fmin: float = 75.0, fmax: float = 500.0,
-                     frame: float = 0.040, hop: float = 0.010,
-                     flags: set[str] | None = None) -> dict[str, float]:
-    """`acoustic_features(audio, pitch_track(audio))` in one framing pass."""
-    frame_len, hop_len = _frame_lengths(audio.sample_rate, frame, hop)
-    lags = _pitch_lags(audio, frame_len, fmin, fmax)
-    stats = _frame_pass(audio, frame_len, hop_len, lags=lags, spectral=True)
+def extract_acoustic(audio: AudioBuffer, config: ExtractorConfig,
+                     flags: set[str]) -> dict[str, float]:
+    """`acoustic_features(audio, pitch_track(audio, config), config, flags)`
+    in one framing pass."""
+    frame_len, hop_len = _frame_lengths(audio.sample_rate, config)
+    lags = _pitch_lags(audio, frame_len, config)
+    stats = _frame_pass(audio, frame_len, hop_len, lags, True)
     track = _period_track(stats, lags, audio.sample_rate)
     return _features(audio, stats, track, flags)

@@ -176,7 +176,7 @@ def cmd_explain(args) -> int:
                        f"partial dependence: {args.feature}",
                        out / f"pdp_{_slug(args.feature)}.svg",
                        x_label=args.feature, y_label="mean prediction")
-    elif kind == "shap":
+    else:                       # shap: argparse allows only the three kinds
         if args.max_samples < 1:
             raise ValueError(f"--max-samples must be at least 1, "
                              f"got {args.max_samples}")
@@ -186,8 +186,6 @@ def cmd_explain(args) -> int:
                    ([name, repr(value)] for name, value in summary.ranking))
         svg.beeswarm(summary.ranking, summary.phi, summary.feature_values,
                      summary.columns, "SHAP summary", out / "shap_summary.svg")
-    else:
-        raise ValueError(f"unknown explain kind {kind!r}")
     print(f"wrote {kind} artifacts to {out}")
     return 0
 
@@ -199,16 +197,14 @@ def _slug(name: str) -> str:
 def cmd_ablate(args) -> int:
     dataset = harness.load_prompt_dataset(args.features)
     out = _out_dir(args)
-    params = json.loads(args.params) if args.params else None
+    params = _json_object(args.params, "--params")
     if args.mode == "add":
         order = _groups(args.order) if args.order else None
         report = harness.ablation_additive(dataset, order=order, seed=args.seed,
                                            params=params)
-    elif args.mode == "drop":
+    else:                       # drop: argparse allows only add and drop
         report = harness.ablation_leave_one_out(dataset, seed=args.seed,
                                                 params=params)
-    else:
-        raise ValueError(f"unknown ablation mode {args.mode!r}")
     _write_json(out / f"ablation_{args.mode}.json", report.to_json())
     _write_csv(out / f"ablation_{args.mode}.csv",
                ["configuration", "qwk", "r", "mse", "pct_change"],

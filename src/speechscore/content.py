@@ -12,7 +12,10 @@ import re
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
+
+if TYPE_CHECKING:
+    from .features import ExtractorConfig
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
@@ -58,12 +61,13 @@ class TfidfVocabulary:
                    idf=idf)
 
 
-def fit_vocabulary(train_transcripts: Iterable[str], min_df: int = 2,
-                   max_terms: int = 1000) -> TfidfVocabulary:
+def fit_vocabulary(train_transcripts: Iterable[str],
+                   config: ExtractorConfig) -> TfidfVocabulary:
     """Document-frequency vocabulary from train transcripts only.
 
-    Terms below ``min_df`` are dropped; if more than ``max_terms`` survive,
-    the highest-df terms are kept with ties broken lexicographically.
+    Terms below ``config.min_df`` are dropped; if more than
+    ``config.max_terms`` survive, the highest-df terms are kept with ties
+    broken lexicographically.
     """
     df: Counter[str] = Counter()
     n_documents = 0
@@ -76,10 +80,10 @@ def fit_vocabulary(train_transcripts: Iterable[str], min_df: int = 2,
     if n_documents == 0:
         raise ValueError("no non-empty transcripts to fit a vocabulary on")
 
-    kept = [t for t, c in df.items() if c >= min_df]
-    if len(kept) > max_terms:
+    kept = [t for t, c in df.items() if c >= config.min_df]
+    if len(kept) > config.max_terms:
         kept.sort(key=lambda t: (-df[t], t))
-        kept = kept[:max_terms]
+        kept = kept[:config.max_terms]
     kept.sort()
     idf = {t: math.log((1 + n_documents) / (1 + df[t])) + 1.0 for t in kept}
     return TfidfVocabulary(terms=kept,
@@ -88,7 +92,7 @@ def fit_vocabulary(train_transcripts: Iterable[str], min_df: int = 2,
 
 
 def vectorize(vocabulary: TfidfVocabulary, transcript: str,
-              flags: set[str] | None = None) -> dict[str, float]:
+              flags: set[str]) -> dict[str, float]:
     """L2-normalized tf-idf map ``tfidf:<term> -> value`` for one response.
 
     Out-of-vocabulary tokens are ignored; a transcript matching nothing
@@ -97,8 +101,7 @@ def vectorize(vocabulary: TfidfVocabulary, transcript: str,
     counts = Counter(t for t in tokenize(transcript) if t in vocabulary.idf)
     vector = {f"tfidf:{t}": 0.0 for t in vocabulary.terms}
     if not counts:
-        if flags is not None:
-            flags.add("content_all_oov")
+        flags.add("content_all_oov")
         return vector
     weighted = {t: c * vocabulary.idf[t] for t, c in counts.items()}
     norm = math.sqrt(sum(v * v for v in weighted.values()))

@@ -275,7 +275,7 @@ class LexicalResources:
     complexity_avg: dict[str, float] = field(default_factory=dict)
     complexity_mode: dict[str, float] = field(default_factory=dict)
     stopwords: frozenset[str] = frozenset()
-    filled_pauses: frozenset[str] = frozenset({"uh", "um", "er", "err", "hmm", "mm"})
+    filled_pauses: frozenset[str] = frozenset()
 
     def __post_init__(self):
         for word, rank in self.frequency_rank.items():
@@ -292,28 +292,27 @@ class LexicalResources:
 
         ``frequency.tsv`` holds ``word<TAB>rank`` lines, ``complexity.tsv``
         holds ``word<TAB>avg<TAB>mode``, ``stopwords.txt`` and
-        ``fillers.txt`` one word per line. Missing files leave the
-        corresponding field at its default.
+        ``fillers.txt`` one word per line. A ``FileNotFoundError`` names
+        every one of them that ``directory`` lacks.
         """
-        frequency, complexity, stopwords, filler_list = (
-            _read_lines(Path(directory) / name) for name in RESOURCE_FILES)
+        paths = [Path(directory) / name for name in RESOURCE_FILES]
+        missing = [path.name for path in paths if not path.is_file()]
+        if missing:
+            raise FileNotFoundError(f"resource file(s) {missing} not found in "
+                                    f"{str(directory)!r}")
+        frequency, complexity, stopwords, fillers = map(_read_lines, paths)
         ranks = [line.split("\t") for line in frequency]
         rows = [line.split("\t") for line in complexity]
-        kwargs = dict(
+        return cls(
             frequency_rank={word: int(rank) for word, rank in ranks},
             complexity_avg={word: float(avg) for word, avg, _ in rows},
             complexity_mode={word: float(mode) for word, _, mode in rows},
-            stopwords=frozenset(w.strip() for w in stopwords))
-        fillers = [w.strip() for w in filler_list]
-        if fillers:
-            kwargs["filled_pauses"] = frozenset(fillers)
-        return cls(**kwargs)
+            stopwords=frozenset(w.strip() for w in stopwords),
+            filled_pauses=frozenset(w.strip() for w in fillers))
 
 
 def _read_lines(path: Path) -> list[str]:
-    """The non-blank lines of a resource file; none when it is missing."""
-    if not path.exists():
-        return []
+    """The non-blank lines of a resource file."""
     return [line for line in path.read_text(encoding="utf-8").splitlines()
             if line.strip()]
 

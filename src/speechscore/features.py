@@ -21,8 +21,7 @@ from .acoustic import ACOUSTIC_FEATURES, AudioBuffer, extract_acoustic, read_wav
 from .content import TfidfVocabulary, fit_vocabulary, vectorize
 from .corpus import AlignedResponse, FeatureMatrix, LexicalResources
 from .fluency import FLUENCY_FEATURES, fluency_features
-from .grammar import (DEFAULT_RANK_THRESHOLD, GRAMMAR_FEATURES, LD_MODES,
-                      grammar_features)
+from .grammar import GRAMMAR_FEATURES, LD_MODES, grammar_features
 from .prosody import PROSODY_FEATURES, NoNuclei, prosody_features
 
 GROUP_ORDER = ("CF", "FF", "SPF", "GVF", "AF")
@@ -30,13 +29,15 @@ GROUP_ORDER = ("CF", "FF", "SPF", "GVF", "AF")
 
 @dataclass
 class ExtractorConfig:
-    """Extraction settings. A setting outside its range is a ``ValueError``
-    on construction that names the field."""
+    """Extraction settings, and the only place their defaults are written:
+    every feature family reads the fields it uses from this object. A
+    setting outside its range is a ``ValueError`` on construction that
+    names the field."""
 
     groups: tuple[str, ...] = GROUP_ORDER
     min_df: int = 2
     max_terms: int = 1000
-    rank_threshold: int = DEFAULT_RANK_THRESHOLD
+    rank_threshold: int = 2000
     ld_mode: str = "density"
     include_secondary_stress: bool = False
     fmin: float = 75.0
@@ -73,8 +74,7 @@ class ExtractorConfig:
 def fit_content_vocabulary(responses: list[AlignedResponse], train_ids: set[str],
                            config: ExtractorConfig) -> TfidfVocabulary:
     transcripts = [r.transcript for r in responses if r.response_id in train_ids]
-    return fit_vocabulary(transcripts, min_df=config.min_df,
-                          max_terms=config.max_terms)
+    return fit_vocabulary(transcripts, config)
 
 
 def _extract_one(response: AlignedResponse, resources: LexicalResources,
@@ -89,16 +89,12 @@ def _extract_one(response: AlignedResponse, resources: LexicalResources,
         values.update(fluency_features(response, resources, flags))
     if "SPF" in config.groups:
         try:
-            values.update(prosody_features(
-                response, config.include_secondary_stress, flags))
+            values.update(prosody_features(response, config, flags))
         except NoNuclei:
             flags.add("spf_no_nuclei")
             values.update(dict.fromkeys(PROSODY_FEATURES, 0.0))
     if "GVF" in config.groups:
-        values.update(grammar_features(
-            response, resources, seed=config.seed,
-            rank_threshold=config.rank_threshold, ld_mode=config.ld_mode,
-            flags=flags))
+        values.update(grammar_features(response, resources, config, flags))
     if "AF" in config.groups:
         audio = None
         if audio_lookup is not None and response.response_id in audio_lookup:
@@ -109,9 +105,7 @@ def _extract_one(response: AlignedResponse, resources: LexicalResources,
             raise ValueError(
                 f"acoustic features requested but response "
                 f"{response.response_id!r} has no audio")
-        values.update(extract_acoustic(audio, fmin=config.fmin, fmax=config.fmax,
-                                       frame=config.frame, hop=config.hop,
-                                       flags=flags))
+        values.update(extract_acoustic(audio, config, flags))
     return values, flags
 
 
@@ -134,7 +128,7 @@ def _columns_for(config: ExtractorConfig,
 
 
 def extract_matrix(responses: list[AlignedResponse], resources: LexicalResources,
-                   config: ExtractorConfig | None = None,
+                   config: ExtractorConfig,
                    vocabulary: TfidfVocabulary | None = None,
                    audio_lookup: Mapping[str, AudioBuffer] | None = None,
                    threads: int = 1) -> FeatureMatrix:
@@ -143,7 +137,6 @@ def extract_matrix(responses: list[AlignedResponse], resources: LexicalResources
     Rows follow the input response order; per-response extraction is pure
     and parallelizes over a thread pool without affecting the result.
     """
-    config = config or ExtractorConfig()
     if "CF" in config.groups and vocabulary is None:
         raise ValueError("content features need a fitted vocabulary")
     columns, groups = _columns_for(config, vocabulary)
@@ -157,14 +150,17 @@ def extract_matrix(responses: list[AlignedResponse], resources: LexicalResources
     else:
         results = [run(response) for response in responses]
 
-    values = np.zeros((len(responses), len(columns)), dtype=np.float64)
+    values = np.empty((len(responses), len(columns)), dtype=np.float64)
     flags: dict[str, list[str]] = {}
     for i, (response, (row, row_flags)) in enumerate(zip(responses, results)):
-        missing = set(row) - set(columns)
-        if missing:
-            raise ValueError(f"extractor emitted unknown columns: {sorted(missing)[:3]}")
-        for j, name in enumerate(columns):
-            values[i, j] = row.get(name, 0.0)
+        # Every column exactly once: a missing or an unknown one is an error.
+        try:
+            values[i] = [row.pop(name) for name in columns]
+        except KeyError as exc:
+            raise ValueError(f"extractor emitted no column {exc.args[0]!r} for "
+                             f"response {response.response_id!r}") from None
+        if row:
+            raise ValueError(f"extractor emitted unknown columns: {sorted(row)[:3]}")
         if row_flags:
             flags[response.response_id] = sorted(row_flags)
     return FeatureMatrix(response_ids=[r.response_id for r in responses],

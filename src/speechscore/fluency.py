@@ -51,7 +51,7 @@ def mean_absolute_deviation(values) -> float:
 
 def fluency_features(response: AlignedResponse,
                      resources: LexicalResources,
-                     flags: set[str] | None = None) -> dict[str, float]:
+                     flags: set[str]) -> dict[str, float]:
     """The ten breakdown/speed-fluency features keyed by their printed names.
 
     Only words that carry speech count; punctuation pseudo-words in the
@@ -80,8 +80,7 @@ def fluency_features(response: AlignedResponse,
         features["articulation_rate"] = n_words / articulation_time
 
     if n_words < 2:
-        if flags is not None:
-            flags.add("fluency_degenerate")
+        flags.add("fluency_degenerate")
         return features
 
     durations = gaps[gaps > SILENCE_THRESHOLD].tolist()
@@ -94,7 +93,7 @@ def fluency_features(response: AlignedResponse,
     long_durations = gaps[gaps > LONG_SILENCE_THRESHOLD].tolist()
     if long_durations:
         features["long_silence_deviation"] = mean_absolute_deviation(long_durations)
-    elif flags is not None:
+    else:
         flags.add("fluency_no_long_silences")
     features["longpfreq"] = len(long_durations) / n_words
     return features

@@ -1,8 +1,8 @@
 """Grammar and vocabulary features: lexical complexity, syntactic-complexity
 ratios, POS counts and lexicon-based text complexity.
 
-Sophistication is rank-based: a word whose frequency rank exceeds the
-configured threshold (default 2000), or that is absent from the frequency
+Sophistication is rank-based: a word whose frequency rank exceeds
+``ExtractorConfig.rank_threshold``, or that is absent from the frequency
 list entirely, counts as sophisticated. Unit counts come from annotated
 syntax spans when present; otherwise a POS-driven heuristic supplies them.
 Nothing records which source a response's counts came from.
@@ -12,12 +12,15 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .corpus import AlignedResponse, LexicalResources, Tokens
 
-DEFAULT_RANK_THRESHOLD = 2000
+if TYPE_CHECKING:
+    from .features import ExtractorConfig
+
 # The readings of the ld feature. `lexical_features` reads any mode but
 # "density" as "diversity"; `features.ExtractorConfig` rejects other modes.
 LD_MODES = ("density", "diversity")
@@ -72,22 +75,18 @@ def word_tokens(tokens: Tokens) -> Tokens:
     return tokens.select(pos != "PUNCT" for pos in tokens.pos)
 
 
-def lexical_features(tokens: Tokens, resources: LexicalResources,
-                     seed: int = 0,
-                     rank_threshold: int = DEFAULT_RANK_THRESHOLD,
-                     ld_mode: str = "density",
-                     flags: set[str] | None = None,
-                     words: Tokens | None = None) -> dict[str, float]:
-    """Diversity and sophistication features (Lexical Complexity set).
+def lexical_features(words: Tokens, resources: LexicalResources,
+                     config: ExtractorConfig,
+                     flags: set[str]) -> dict[str, float]:
+    """Diversity and sophistication features (Lexical Complexity set) of a
+    response's ``words`` (`word_tokens`).
 
-    ``ld`` defaults to lexical density (lexical tokens / word tokens); pass
-    ``ld_mode="diversity"`` for the types-based reading. ndwerz/ndwesz
-    average the distinct-word count over 10 seeded 50-token samples
-    (without replacement / contiguous windows respectively). ``words`` is
-    ``word_tokens(tokens)`` when the caller has selected them already.
+    ``ld`` is lexical density (lexical tokens / word tokens) when
+    ``config.ld_mode`` is "density", the types-based reading otherwise.
+    ndwerz/ndwesz average the distinct-word count over 10 50-token samples
+    seeded by ``config.seed`` (without replacement / contiguous windows
+    respectively).
     """
-    if words is None:
-        words = word_tokens(tokens)
     if not words:
         raise ValueError("no word tokens")
     texts = list(words.token)
@@ -95,16 +94,16 @@ def lexical_features(tokens: Tokens, resources: LexicalResources,
                if pos in ("NOUN", "VERB", "ADJ", "ADV")]
     verbs = [text for text, pos in zip(texts, words.pos) if pos == "VERB"]
     word_types = set(texts)
-    ranks = resources.frequency_rank
+    ranks, threshold = resources.frequency_rank, config.rank_threshold
 
     def sophisticated(items) -> int:
         """How many of the words are missing from the frequency list or
         ranked past the threshold."""
         return sum(1 for w in items
-                   if (rank := ranks.get(w)) is None or rank > rank_threshold)
+                   if (rank := ranks.get(w)) is None or rank > threshold)
 
     features = dict.fromkeys(LEXICAL_FEATURES, 0.0)
-    if ld_mode == "density":
+    if config.ld_mode == "density":
         features["ld"] = len(lexical) / len(texts)
     else:
         features["ld"] = len(set(lexical)) / len(texts)
@@ -115,7 +114,7 @@ def lexical_features(tokens: Tokens, resources: LexicalResources,
         sophisticated_verb_types = sophisticated(set(verbs))
         features["vs1"] = sophisticated_verb_types / len(verbs)
         features["vs2"] = sophisticated_verb_types ** 2 / len(verbs)
-    elif flags is not None:
+    else:
         flags.add("grammar_no_verbs")
 
     features["ndw"] = float(len(word_types))
@@ -123,15 +122,14 @@ def lexical_features(tokens: Tokens, resources: LexicalResources,
 
     window = 50
     if len(texts) < window:
-        if flags is not None:
-            flags.add("grammar_short_response")
+        flags.add("grammar_short_response")
         features["ndwz"] = float(len(word_types))
         features["ndwerz"] = float(len(word_types))
         features["ndwesz"] = float(len(word_types))
         return features
 
     features["ndwz"] = float(len(set(texts[:window])))
-    rng = np.random.default_rng([seed, zlib.crc32(b"ndw"),
+    rng = np.random.default_rng([config.seed, zlib.crc32(b"ndw"),
                                  zlib.crc32(" ".join(texts[:8]).encode())])
     draws = []
     for _ in range(10):
@@ -147,16 +145,15 @@ def lexical_features(tokens: Tokens, resources: LexicalResources,
 
 
 def _ratio(numerator: float, denominator: float, name: str,
-           flags: set[str] | None) -> float:
+           flags: set[str]) -> float:
     if denominator == 0:
-        if flags is not None:
-            flags.add(f"grammar_zero_denominator:{name}")
+        flags.add(f"grammar_zero_denominator:{name}")
         return 0.0
     return numerator / denominator
 
 
 def syntactic_features(units: UnitCounts,
-                       flags: set[str] | None = None) -> dict[str, float]:
+                       flags: set[str]) -> dict[str, float]:
     """The 13 length/ratio features over sentence, clause and T-unit counts."""
     u = units
     return {
@@ -176,19 +173,16 @@ def syntactic_features(units: UnitCounts,
     }
 
 
-def count_and_complexity_features(tokens: Tokens,
+def count_and_complexity_features(tokens: Tokens, words: Tokens,
                                   resources: LexicalResources,
-                                  flags: set[str] | None = None,
-                                  words: Tokens | None = None) -> dict[str, float]:
-    """POS totals plus lexicon-scored text complexity.
+                                  flags: set[str]) -> dict[str, float]:
+    """POS totals over ``tokens`` plus lexicon-scored text complexity of
+    their ``words`` (`word_tokens`).
 
     Complexity totals sum the lexicon score of every matched token, in four
     variants (stopwords removed/kept x average/mode lexicon column);
-    averages divide by the matched-token count. ``words`` is as in
-    `lexical_features`.
+    averages divide by the matched-token count.
     """
-    if words is None:
-        words = word_tokens(tokens)
     features = dict.fromkeys(COUNT_FEATURES, 0.0)
     for name, pos in _POS_TOTALS.items():
         features[name] = float(tokens.pos.count(pos))
@@ -207,7 +201,7 @@ def count_and_complexity_features(tokens: Tokens,
             if matched:
                 features[total_key] = float(sum(matched))
                 features[avg_key] = float(sum(matched) / len(matched))
-            elif flags is not None:
+            else:
                 flags.add(f"grammar_no_lexicon_match:{infix}{suffix}")
 
     content_syllables = [count for count, is_stop in zip(words.syllables, stop)
@@ -215,7 +209,7 @@ def count_and_complexity_features(tokens: Tokens,
     if content_syllables:
         features["average_syllables_in_words"] = (
             sum(content_syllables) / len(content_syllables))
-    elif flags is not None:
+    else:
         flags.add("grammar_all_stopwords")
     return features
 
@@ -249,17 +243,15 @@ def _verb_chains(pos: tuple[str, ...], lo: int, hi: int) -> list[tuple[int, int]
     return chains
 
 
-def heuristic_syntax(tokens: Tokens, words: Tokens | None = None) -> UnitCounts:
-    """POS-driven approximation of the syntactic unit counts.
+def heuristic_syntax(tokens: Tokens, words: Tokens) -> UnitCounts:
+    """POS-driven approximation of the syntactic unit counts of ``tokens``,
+    whose `word_tokens` are ``words``.
 
     Sentences are punctuation-delimited (min 1 when any word exists);
     clauses count verb chains containing a VERB; T-units add clause-initial
     coordinating conjunctions to the sentence count; dependent clauses are
     subordinating markers followed by a verb chain in the same sentence.
-    ``words`` is as in `lexical_features`.
     """
-    if words is None:
-        words = word_tokens(tokens)
     if not words:
         return UnitCounts()
     sentences = _sentence_ranges(tokens)
@@ -315,10 +307,10 @@ def heuristic_syntax(tokens: Tokens, words: Tokens | None = None) -> UnitCounts:
 
 
 def unit_counts_from_spans(response: AlignedResponse,
-                           words: Tokens | None = None) -> UnitCounts:
+                           words: Tokens) -> UnitCounts:
+    """The unit counts of ``response.syntax``; W is the number of
+    ``words`` (`word_tokens`)."""
     spans = response.syntax
-    if words is None:
-        words = word_tokens(response.tokens)
     return UnitCounts(
         W=len(words),
         S=len(spans.sentences), VP=len(spans.verb_phrases),
@@ -328,22 +320,19 @@ def unit_counts_from_spans(response: AlignedResponse,
 
 
 def grammar_features(response: AlignedResponse, resources: LexicalResources,
-                     seed: int = 0,
-                     rank_threshold: int = DEFAULT_RANK_THRESHOLD,
-                     ld_mode: str = "density",
-                     flags: set[str] | None = None) -> dict[str, float]:
-    """All 47 grammar/vocabulary features for one response."""
+                     config: ExtractorConfig,
+                     flags: set[str]) -> dict[str, float]:
+    """All 47 grammar/vocabulary features for one response. The words are
+    selected once, here, and passed to every part."""
     words = word_tokens(response.tokens)
-    features = lexical_features(response.tokens, resources, seed=seed,
-                                rank_threshold=rank_threshold,
-                                ld_mode=ld_mode, flags=flags, words=words)
+    features = lexical_features(words, resources, config, flags)
     if response.syntax is not None:
         units = unit_counts_from_spans(response, words)
     else:
         units = heuristic_syntax(response.tokens, words)
     features.update(syntactic_features(units, flags))
-    features.update(count_and_complexity_features(response.tokens, resources,
-                                                  flags, words=words))
+    features.update(count_and_complexity_features(response.tokens, words,
+                                                  resources, flags))
     for name in UNIT_FEATURES:
         features[name] = float(getattr(units, name))
     return features

@@ -62,14 +62,13 @@ class PromptDataset:
 
 def prepare_prompt(responses: list[AlignedResponse],
                    resources: LexicalResources,
-                   config: ExtractorConfig | None = None,
+                   config: ExtractorConfig,
                    ratios: tuple[float, float, float] = SPLIT_RATIOS,
                    audio_lookup=None, threads: int = 1) -> PromptDataset:
     """Split, fit the train-side vocabulary and extract raw features.
 
     ``config.seed`` seeds both the split and the ndwerz/ndwesz sampling, as
     ``extract --seed`` does."""
-    config = config or ExtractorConfig()
     prompts = {r.prompt_id for r in responses}
     if len(prompts) != 1:
         raise ValueError(f"expected one prompt, got {sorted(prompts)}")
@@ -157,38 +156,41 @@ def human_agreement(dataset: PromptDataset, split_name: str) -> dict | None:
     return metric_report(h1, h2, dataset.n_classes, already_ordinal=True).to_json()
 
 
+def _human_human(dataset: PromptDataset) -> dict:
+    """``{"human_human": ...}``, `human_agreement` on every split, when the
+    corpus carries a second rater; otherwise empty."""
+    hh = {s: human_agreement(dataset, s) for s in SPLITS}
+    return {"human_human": hh} if any(v is not None for v in hh.values()) else {}
+
+
 def evaluation_entries(dataset: PromptDataset, model, model_key: str) -> dict:
     """A model's ``valid`` and ``test`` entries, plus the ``human_human``
     entry when the corpus carries a second rater."""
-    entries = {s: _evaluate(dataset, model, s, model_key) for s in SPLITS}
-    hh = {s: human_agreement(dataset, s) for s in SPLITS}
-    if any(v is not None for v in hh.values()):
-        entries["human_human"] = hh
-    return entries
+    return {**{s: _evaluate(dataset, model, s, model_key) for s in SPLITS},
+            **_human_human(dataset)}
 
 
 def run_benchmark(dataset: PromptDataset,
                   models: tuple[str, ...] = MODEL_KEYS,
                   formulations: tuple[str, ...] = TASKS,
                   seed: int = 0, params: dict | None = None) -> dict:
-    """One report row per (model, formulation), trained from scratch."""
+    """One report row per (model, formulation), trained from scratch, and
+    the ``human_human`` entry when the corpus carries a second rater."""
     for kind, names, known in (("model key", models, MODEL_KEYS),
                                ("formulation", formulations, TASKS)):
         unknown = set(names) - set(known)
         if unknown:
             raise ValueError(f"unknown {kind}(s): {sorted(unknown)}")
     report = {"prompt": dataset.prompt_id, "n_classes": dataset.n_classes,
-              "rows": []}
+              "rows": [], **_human_human(dataset)}
     for formulation in formulations:
         for model_key in models:
             model = _train(dataset, model_key, formulation,
                            (params or {}).get(model_key), seed)
-            entries = evaluation_entries(dataset, model, model_key)
-            if "human_human" in entries:
-                report["human_human"] = entries.pop("human_human")
-            report["rows"].append({"prompt": dataset.prompt_id,
-                                   "model": model_key,
-                                   "formulation": formulation, **entries})
+            report["rows"].append({
+                "prompt": dataset.prompt_id, "model": model_key,
+                "formulation": formulation,
+                **{s: _evaluate(dataset, model, s, model_key) for s in SPLITS}})
     return report
 
 

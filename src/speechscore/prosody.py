@@ -11,12 +11,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .corpus import (CONSONANT, PRIMARY, SILENCE, UNSTRESSED, VOWEL,
                      AlignedResponse)
 from .fluency import mean_absolute_deviation
+
+if TYPE_CHECKING:
+    from .features import ExtractorConfig
 
 _GAP_EPS = 1e-6
 
@@ -112,7 +116,7 @@ def _syllables(start: np.ndarray, end: np.ndarray, klass: np.ndarray,
 
 
 def stress_features(syllables: Syllables,
-                    flags: set[str] | None = None) -> dict[str, float]:
+                    flags: set[str]) -> dict[str, float]:
     """Stress frequency and distances between consecutive stressed syllables.
 
     Syllable distance is the difference of syllable indices, time distance
@@ -126,8 +130,7 @@ def stress_features(syllables: Syllables,
     features["StressedSyllPercent"] = (100.0 * len(stressed)
                                        / len(syllables.stressed))
     if len(stressed) < 2:
-        if flags is not None:
-            flags.add("prosody_too_few_stressed")
+        flags.add("prosody_too_few_stressed")
         return features
     index_dists = np.diff(stressed).astype(np.float64).tolist()
     time_dists = np.diff(syllables.nucleus_start[stressed]).tolist()
@@ -199,7 +202,7 @@ def normalized_pvi(durations: list[float]) -> float:
 
 
 def interval_features(intervals: IntervalSequence, total_phonation_ms: float,
-                      flags: set[str] | None = None) -> dict[str, float]:
+                      flags: set[str]) -> dict[str, float]:
     """Percentage, duration-variability and PVI features per interval class.
 
     Every sum adds Python floats left to right, and array arithmetic gives
@@ -212,8 +215,7 @@ def interval_features(intervals: IntervalSequence, total_phonation_ms: float,
             if np.any(np.asarray(durations, dtype=np.float64) <= 0):
                 raise ValueError(f"non-positive {name} interval duration")
             if not durations:
-                if flags is not None:
-                    flags.add(f"prosody_no_{name}_intervals")
+                flags.add(f"prosody_no_{name}_intervals")
                 continue
             if name != "syllable" and total_phonation_ms > 0:
                 features[f"{name}Percentage"] = (100.0 * sum(durations)
@@ -223,18 +225,17 @@ def interval_features(intervals: IntervalSequence, total_phonation_ms: float,
             features[f"{name}DurationSD"] = sd
             features[f"{name}SDNorm"] = sd / mean if mean > 0 else 0.0
             if len(durations) < 2:
-                if flags is not None:
-                    flags.add(f"prosody_single_{name}_interval")
+                flags.add(f"prosody_single_{name}_interval")
                 continue
             features[f"{name}PVI"] = raw_pvi(durations)
             features[f"{name}PVINorm"] = normalized_pvi(durations)
     return features
 
 
-def prosody_features(response: AlignedResponse,
-                     include_secondary: bool = False,
-                     flags: set[str] | None = None) -> dict[str, float]:
-    """All 19 stress- and interval-based features for one response."""
+def prosody_features(response: AlignedResponse, config: ExtractorConfig,
+                     flags: set[str]) -> dict[str, float]:
+    """All 19 stress- and interval-based features for one response;
+    ``config.include_secondary_stress`` counts secondary stress as stressed."""
     phones = response.phones
     # inf and NaN times give the IEEE results Python floats would, silently.
     with np.errstate(all="ignore"):
@@ -242,7 +243,8 @@ def prosody_features(response: AlignedResponse,
         start, end = phones.start[timeline], phones.end[timeline]
         klass = phones.klass[timeline]
         syllables = _syllables(start, end, klass, phones.stress[timeline],
-                               response.response_id, include_secondary)
+                               response.response_id,
+                               config.include_secondary_stress)
         features = stress_features(syllables, flags)
         features.update(interval_features(
             *_intervals(start, end, klass, syllables), flags))

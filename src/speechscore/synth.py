@@ -84,6 +84,10 @@ class SynthSpec:
             raise ValueError("need n >= 50 responses")
         if not 2 <= self.grade_levels <= len(GRADE_LABELS):
             raise ValueError("grade_levels must be between 2 and 5")
+        fn = self.score_function
+        if isinstance(fn, str) and fn not in SCORE_FUNCTIONS:
+            raise ValueError(f"unknown score_function {fn!r}; "
+                             f"choose from {sorted(SCORE_FUNCTIONS)}")
         if not (math.isfinite(self.noise) and self.noise >= 0):
             raise ValueError(f"noise must be finite and >= 0, got {self.noise}")
         d = self.second_rater_disagreement
@@ -229,7 +233,7 @@ def _build_response(index: int, spec: SynthSpec, pools, fillers,
 
 def _measured_latents(response: AlignedResponse,
                       resources: LexicalResources) -> dict[str, float]:
-    ff = fluency_features(response, resources)
+    ff = fluency_features(response, resources, set())
     texts = word_tokens(response.tokens).token
     return {
         "speaking_rate": ff["speaking_rate"],
@@ -291,9 +295,6 @@ def synth_corpus(spec: SynthSpec,
 
     fn = spec.score_function
     if isinstance(fn, str):
-        if fn not in SCORE_FUNCTIONS:
-            raise ValueError(f"unknown score function {fn!r}; "
-                             f"choose from {sorted(SCORE_FUNCTIONS)}")
         fn = SCORE_FUNCTIONS[fn]
     score = np.asarray(fn(z), dtype=np.float64)
     sd = score.std()

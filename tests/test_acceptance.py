@@ -75,7 +75,7 @@ def test_criterion_3_feature_oracles(resources):
     from speechscore.fluency import fluency_features
     from speechscore.grammar import (count_and_complexity_features,
                                      lexical_features, syntactic_features,
-                                     UnitCounts)
+                                     UnitCounts, word_tokens)
 
     # silence profile on the hand timeline
     r = make_response([make_word("a", 0.0, 0.5), make_word("b", 0.7, 1.2),
@@ -91,27 +91,29 @@ def test_criterion_3_feature_oracles(resources):
              for i, w in enumerate(["um", "the", "uh", "cat"])]
     words[-1] = make_word("cat", 1.5, 2.0)
     r2 = make_response(words)
-    f2 = fluency_features(r2, resources)
+    f2 = fluency_features(r2, resources, set())
     assert abs(f2["filled_pause_rate"] - 1.0) < 1e-9
 
     # PVI pair
-    fi = interval_features(IntervalSequence([100.0, 200.0], [], []), 300.0)
+    fi = interval_features(IntervalSequence([100.0, 200.0], [], []), 300.0,
+                           set())
     assert abs(fi["vowelPVI"] - 100.0) < 1e-9
     assert abs(fi["vowelPVINorm"] - 200.0 / 3) < 1e-9
 
     # ttr and MLS and complexity sums
     tokens = [tok("the", "DET", stop=True), tok("cat", "NOUN"),
               tok("saw", "VERB"), tok("the", "DET", stop=True), tok("cat", "NOUN")]
-    fl = lexical_features(make_tokens(tokens), resources)
+    fl = lexical_features(word_tokens(make_tokens(tokens)), resources,
+                          ExtractorConfig(), set())
     assert abs(fl["ttr"] - 0.6) < 1e-9
-    fs = syntactic_features(UnitCounts(W=100, S=5, C=12, T=8, DC=4))
+    fs = syntactic_features(UnitCounts(W=100, S=5, C=12, T=8, DC=4), set())
     assert abs(fs["MLS"] - 20.0) < 1e-9
     assert abs(fs["C/T"] - 1.5) < 1e-9
     assert abs(fs["DC/C"] - 1 / 3) < 1e-9
     assert abs(fs["DC/T"] - 0.5) < 1e-9
-    fc = count_and_complexity_features(make_tokens([tok("cat", "NOUN"),
-                                                    tok("run", "VERB")]),
-                                       resources)
+    pair = make_tokens([tok("cat", "NOUN"), tok("run", "VERB")])
+    fc = count_and_complexity_features(pair, word_tokens(pair), resources,
+                                       set())
     assert abs(fc["total_text_complexity_mAvg"] - 5.0) < 1e-9
     assert abs(fc["average_word_complexity_mAvg"] - 2.5) < 1e-9
     _report(3, f"fluency/prosody/grammar hand oracles exact to 1e-9 "
@@ -120,11 +122,12 @@ def test_criterion_3_feature_oracles(resources):
 
 def test_criterion_4_dsp_oracles():
     watch = Stopwatch(30.0)
+    config = ExtractorConfig()
     audio = sine(100.0, seconds=2.0)
-    track = pitch_track(audio)
+    track = pitch_track(audio, config)
     assert track.periods.size > 100
     assert np.all(np.abs(track.periods - 0.010) <= 1.0 / 16000 + 1e-12)
-    features = acoustic_features(audio, track)
+    features = acoustic_features(audio, track, config, set())
     stable = {n: features[n] for n in
               ("rapJitter", "ppq5Jitter", "ddpJitter", "localShimmer",
                "apq3Shimmer", "aqpq5Shimmer", "ddaShimmer")}
@@ -133,7 +136,9 @@ def test_criterion_4_dsp_oracles():
     jitter = []
     for p in (0.0, 0.01, 0.02, 0.05):
         tone = perturbed_tone(p, seconds=2.0)
-        jitter.append(acoustic_features(tone, pitch_track(tone))["rapJitter"])
+        features = acoustic_features(tone, pitch_track(tone, config), config,
+                                     set())
+        jitter.append(features["rapJitter"])
     assert jitter == sorted(jitter), jitter
     assert jitter[-1] > jitter[0]
 
@@ -141,7 +146,7 @@ def test_criterion_4_dsp_oracles():
     from speechscore.acoustic import PeriodTrack
     track2 = PeriodTrack(0.01 * (1 + 0.05 * rng.standard_normal(60)),
                          0.5 * (1 + 0.3 * rng.random(60)))
-    f = acoustic_features(audio, track2)
+    f = acoustic_features(audio, track2, config, set())
     assert f["ddpJitter"] == 3.0 * f["rapJitter"]
     assert f["ddaShimmer"] == 3.0 * f["apq3Shimmer"]
     _report(4, f"tone period exact to 1 lag, stability < 1e-3, jitter "

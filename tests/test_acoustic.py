@@ -18,6 +18,8 @@ from speechscore.acoustic import (_BLOCK_BYTES, ACOUSTIC_FEATURES, AudioBuffer,
                                   write_wav)
 from speechscore.features import ExtractorConfig, extract_matrix
 
+CONFIG = ExtractorConfig()
+
 
 def sine(freq, seconds=1.0, sr=16000, amp=0.5):
     t = np.arange(int(seconds * sr)) / sr
@@ -65,40 +67,42 @@ class TestReadWav:
 class TestPitchTrack:
     def test_pure_tone_period(self):
         audio = sine(100.0)
-        track = pitch_track(audio)
+        track = pitch_track(audio, CONFIG)
         assert track.periods.size > 50
         assert np.all(np.abs(track.periods - 0.010) <= 1.0 / 16000 + 1e-12)
 
     def test_low_noise_mostly_unvoiced(self):
         rng = np.random.default_rng(0)
         audio = AudioBuffer(0.01 * rng.standard_normal(16000), 16000)
-        track = pitch_track(audio)
+        track = pitch_track(audio, CONFIG)
         n_frames = (16000 - 640) // 160 + 1
         assert track.periods.size <= 0.1 * n_frames
 
     def test_too_short(self):
         with pytest.raises(ValueError):
-            pitch_track(AudioBuffer(np.zeros(320), 16000))
+            pitch_track(AudioBuffer(np.zeros(320), 16000), CONFIG)
 
     @pytest.mark.parametrize("frame, hop, message", [
         (1e-5, 0.01, "frame of 1e-05 s is 0 samples"),
         (0.04, 1e-5, "hop of 1e-05 s is 0 samples"),
-        (0.04, -0.01, "hop of -0.01 s is -160 samples")])
+        # ExtractorConfig rejects a negative hop before any framing.
+        (0.04, -0.01, "hop must be finite and > 0, got -0.01")])
     def test_frame_and_hop_of_no_samples_rejected(self, frame, hop, message):
         # 1e-5 s is 0.16 samples at 16 kHz, which rounds to none.
-        for extract in (pitch_track, extract_acoustic):
+        for extract in (pitch_track, lambda audio, config:
+                        extract_acoustic(audio, config, set())):
             with pytest.raises(ValueError, match=message):
-                extract(sine(200.0), frame=frame, hop=hop)
+                extract(sine(200.0), ExtractorConfig(frame=frame, hop=hop))
 
     def test_silence_floor(self):
         audio = sine(100.0, amp=1e-6)
-        assert pitch_track(audio).periods.size == 0
+        assert pitch_track(audio, CONFIG).periods.size == 0
 
 
 class TestAcousticFeatures:
     def test_pure_tone_stability(self):
         audio = sine(100.0, seconds=2.0)
-        f = acoustic_features(audio, pitch_track(audio))
+        f = acoustic_features(audio, pitch_track(audio, CONFIG), CONFIG, set())
         for name in ("rapJitter", "ppq5Jitter", "ddpJitter", "localShimmer",
                      "apq3Shimmer", "aqpq5Shimmer", "ddaShimmer"):
             assert f[name] < 1e-3, name
@@ -110,7 +114,7 @@ class TestAcousticFeatures:
         periods = 0.01 * (1 + 0.03 * rng.standard_normal(40))
         amps = 0.5 * (1 + 0.2 * rng.random(40))
         track = PeriodTrack(periods, amps)
-        f = acoustic_features(sine(100.0), track)
+        f = acoustic_features(sine(100.0), track, CONFIG, set())
         assert f["ddpJitter"] == 3.0 * f["rapJitter"]
         assert f["ddaShimmer"] == 3.0 * f["apq3Shimmer"]
         assert all(f[n] >= 0 for n in ACOUSTIC_FEATURES)
@@ -118,20 +122,20 @@ class TestAcousticFeatures:
     def test_shimmer_by_hand(self):
         # constant periods, amplitudes alternating 0.5/1.0
         track = PeriodTrack(np.full(6, 0.01), np.tile([0.5, 1.0], 3))
-        f = acoustic_features(sine(100.0), track)
+        f = acoustic_features(sine(100.0), track, CONFIG, set())
         assert f["localShimmer"] == approx(0.5 / 0.75)
 
     def test_zero_crossing_rate(self):
         audio = AudioBuffer(np.array([1.0, -1.0, 1.0, -1.0]), 16000)
         track = PeriodTrack(np.zeros(0), np.zeros(0))
-        f = acoustic_features(audio, track, flags=set())
+        f = acoustic_features(audio, track, CONFIG, set())
         assert f["zero_crossing_rate"] == 1.0
 
     def test_scale_invariance(self):
         audio = sine(120.0, seconds=1.5)
         scaled = AudioBuffer(audio.samples * 0.35, audio.sample_rate)
-        f1 = acoustic_features(audio, pitch_track(audio))
-        f2 = acoustic_features(scaled, pitch_track(scaled))
+        f1 = acoustic_features(audio, pitch_track(audio, CONFIG), CONFIG, set())
+        f2 = acoustic_features(scaled, pitch_track(scaled, CONFIG), CONFIG, set())
         for name in ("rapJitter", "ppq5Jitter", "ddpJitter", "localShimmer",
                      "apq3Shimmer", "aqpq5Shimmer", "ddaShimmer"):
             assert f2[name] == approx(f1[name], abs=1e-12)
@@ -139,13 +143,13 @@ class TestAcousticFeatures:
     def test_empty_track_flagged(self):
         flags = set()
         f = acoustic_features(sine(100.0), PeriodTrack(np.zeros(0), np.zeros(0)),
-                              flags=flags)
+                              CONFIG, flags)
         assert "acoustic_no_voiced_frames" in flags
         assert f["mean_pitch"] == 0.0 and f["rapJitter"] == 0.0
 
     def test_emits_all_features(self):
         audio = sine(100.0)
-        f = acoustic_features(audio, pitch_track(audio))
+        f = acoustic_features(audio, pitch_track(audio, CONFIG), CONFIG, set())
         assert set(f) == set(ACOUSTIC_FEATURES)
         assert f["spectral_centroid"] > 0
         assert f["energy_entropy"] > 0
@@ -168,7 +172,7 @@ def test_jitter_monotone_in_perturbation():
     values = []
     for p in (0.0, 0.01, 0.02, 0.05):
         audio = perturbed_tone(p)
-        f = acoustic_features(audio, pitch_track(audio))
+        f = acoustic_features(audio, pitch_track(audio, CONFIG), CONFIG, set())
         values.append(f["rapJitter"])
     assert values == sorted(values), values
     assert values[-1] > values[0]
@@ -318,7 +322,7 @@ def _framing(draw):
     count sits at or around a boundary of the computed block length."""
     sr = draw(st.sampled_from([8000, 16000, 22050]))
     frame, hop = draw(st.sampled_from(_FRAME_HOPS))
-    frame_len, hop_len = _frame_lengths(sr, frame, hop)
+    frame_len, hop_len = _frame_lengths(sr, ExtractorConfig(frame=frame, hop=hop))
     block = _block_frames(1 << int(np.ceil(np.log2(2 * frame_len))))
     n_frames = draw(st.sampled_from([1, block - 1, block, block + 1, 2 * block + 1]))
     size = frame_len + (n_frames - 1) * hop_len + draw(st.integers(0, hop_len - 1))
@@ -329,7 +333,7 @@ def test_block_length_reaches_the_elision_floor():
     assert _BLOCK_BYTES >= 256 * 1024
     for sr in (8000, 16000, 22050):
         for frame, hop in _FRAME_HOPS + [(0.015, 0.005), (0.2, 0.05)]:
-            frame_len, _ = _frame_lengths(sr, frame, hop)
+            frame_len, _ = _frame_lengths(sr, ExtractorConfig(frame=frame, hop=hop))
             nfft = 1 << int(np.ceil(np.log2(2 * frame_len)))
             block = _block_frames(nfft)
             spectrum_bytes = 16 * (nfft // 2 + 1)
@@ -367,9 +371,10 @@ class TestBlockPass:
         audio, frame, hop = case
         # The per-frame correlations pin the arithmetic (FFT length and
         # order of operations), not only the voicing decisions they feed.
-        frame_len, hop_len = _frame_lengths(audio.sample_rate, frame, hop)
-        lags = _pitch_lags(audio, frame_len, 75.0, 500.0)
-        stats = _frame_pass(audio, frame_len, hop_len, lags=lags)
+        config = ExtractorConfig(frame=frame, hop=hop)
+        frame_len, hop_len = _frame_lengths(audio.sample_rate, config)
+        lags = _pitch_lags(audio, frame_len, config)
+        stats = _frame_pass(audio, frame_len, hop_len, lags, False)
         *per_frame, ref_lags = _reference_frame_pitch(audio, frame=frame, hop=hop)
         assert np.array_equal(lags, ref_lags)
         for got, want in zip((stats.rms, stats.peak, stats.best, stats.best_corr),
@@ -377,15 +382,15 @@ class TestBlockPass:
             assert got.tobytes() == want.tobytes()
 
         expected = _reference_pitch_track(audio, frame=frame, hop=hop)
-        track = pitch_track(audio, frame=frame, hop=hop)
+        track = pitch_track(audio, config)
         assert np.array_equal(track.periods, expected.periods)
         assert np.array_equal(track.amplitudes, expected.amplitudes)
 
         expected_flags, flags, extract_flags = set(), set(), set()
         reference = _reference_acoustic_features(audio, expected, frame=frame,
                                                  hop=hop, flags=expected_flags)
-        features = acoustic_features(audio, track, frame=frame, hop=hop, flags=flags)
-        extracted = extract_acoustic(audio, frame=frame, hop=hop, flags=extract_flags)
+        features = acoustic_features(audio, track, config, flags)
+        extracted = extract_acoustic(audio, config, extract_flags)
         assert _hex(features) == _hex(reference)
         assert _hex(extracted) == _hex(reference)
         assert flags == extract_flags == expected_flags
@@ -393,10 +398,10 @@ class TestBlockPass:
     def test_short_audio_features_without_frames(self):
         audio = AudioBuffer(np.array([0.5, -0.5, 0.25]), 16000)
         empty = PeriodTrack(np.zeros(0), np.zeros(0))
-        assert (_hex(acoustic_features(audio, empty))
+        assert (_hex(acoustic_features(audio, empty, CONFIG, set()))
                 == _hex(_reference_acoustic_features(audio, empty)))
         with pytest.raises(ValueError, match="shorter than one analysis frame"):
-            extract_acoustic(audio)
+            extract_acoustic(audio, CONFIG, set())
 
     def test_instability_matches_loop(self):
         rng = np.random.default_rng(3)
@@ -445,9 +450,9 @@ class TestPcmBuffer:
             assert audio.signal.tobytes() == floats.signal.tobytes()
 
             flags, expected_flags = set(), set()
-            got = extract_acoustic(audio, frame=frame, hop=hop, flags=flags)
-            want = extract_acoustic(floats, frame=frame, hop=hop,
-                                    flags=expected_flags)
+            config = ExtractorConfig(frame=frame, hop=hop)
+            got = extract_acoustic(audio, config, flags)
+            want = extract_acoustic(floats, config, expected_flags)
             assert _hex(got) == _hex(want)
             assert flags == expected_flags
 
@@ -459,7 +464,7 @@ class TestPcmBuffer:
     def test_zero_crossings_of_extremes_do_not_overflow(self):
         pcm = np.array([32767, -32768, 32767, -32768, -32768], dtype=np.int16)
         track = PeriodTrack(np.zeros(0), np.zeros(0))
-        f = acoustic_features(AudioBuffer(pcm, 8000), track, flags=set())
+        f = acoustic_features(AudioBuffer(pcm, 8000), track, CONFIG, set())
         assert f["zero_crossing_rate"] == 3 / 4
 
 
@@ -490,7 +495,7 @@ def test_extract_memory_bounded_in_duration():
                             * ((t * 2).astype(int) % 2), sr)
         tracemalloc.start()
         try:
-            extract_acoustic(audio)
+            extract_acoustic(audio, CONFIG, set())
             return tracemalloc.get_traced_memory()[1] / 2 ** 20
         finally:
             tracemalloc.stop()

@@ -7,7 +7,7 @@ import pytest
 
 from speechscore import cli, learners
 from speechscore.cli import build_parser, main
-from speechscore.corpus import FeatureMatrix
+from speechscore.corpus import RESOURCE_FILES, RESOURCES_DIR, FeatureMatrix
 from speechscore.harness import load_prompt_dataset
 
 
@@ -301,11 +301,26 @@ def test_explain_rejects_bad_arguments(pipeline_dirs, tmp_path, capsys, argv,
 
 def test_error_is_machine_readable(tmp_path, capsys):
     code = main(["extract", "--manifest", str(tmp_path / "missing.txt"),
-                 "--resources", str(tmp_path), "--out", str(tmp_path / "o")])
+                 "--resources", str(RESOURCES_DIR), "--out", str(tmp_path / "o")])
     assert code != 0
     err = capsys.readouterr().err.strip().splitlines()[-1]
     payload = json.loads(err)
     assert payload["error"] == "FileNotFoundError"
+    assert "missing.txt" in payload["message"]
+
+
+def test_missing_resources_exit_without_output(pipeline_dirs, tmp_path,
+                                               capsys):
+    out = tmp_path / "out"
+    assert main(["extract", "--manifest",
+                 str(pipeline_dirs / "corpus" / "manifest.txt"),
+                 "--resources", str(tmp_path / "nonexistent"),
+                 "--out", str(out), "--groups", "FF,GVF"]) == 1
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "FileNotFoundError"
+    for name in RESOURCE_FILES:
+        assert name in payload["message"]
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("ratios", ["1:-1:1", "nan:1:1", "0:0:0"])

@@ -8,8 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from speechscore.corpus import (CONSONANT, PRIMARY, AlignedResponse,
-                                CorpusError, FeatureMatrix, Grade, Phones,
+from speechscore.corpus import (CONSONANT, PRIMARY, RESOURCE_FILES,
+                                RESOURCES_DIR, AlignedResponse, CorpusError,
+                                FeatureMatrix, Grade, LexicalResources, Phones,
                                 Words, fit_standardizer, load_corpus,
                                 parse_response, stratified_split)
 
@@ -465,3 +466,20 @@ def test_row_without_values_is_named(tmp_path):
 def test_grade_ordinals():
     assert [Grade.from_label(l).ordinal for l in
             ("A2", "LB1", "HB1", "LB2", "HB2")] == [0, 1, 2, 3, 4]
+
+
+def test_resources_load_names_every_missing_file(tmp_path):
+    (tmp_path / "frequency.tsv").write_bytes(
+        (RESOURCES_DIR / "frequency.tsv").read_bytes())
+    with pytest.raises(FileNotFoundError) as raised:
+        LexicalResources.load(tmp_path)
+    message = str(raised.value)
+    assert "frequency.tsv" not in message
+    for name in RESOURCE_FILES[1:]:
+        assert name in message
+
+
+def test_bundled_fillers_come_from_their_file():
+    words = (RESOURCES_DIR / "fillers.txt").read_text(encoding="utf-8").split()
+    assert LexicalResources.load(RESOURCES_DIR).filled_pauses == frozenset(words)
+    assert LexicalResources().filled_pauses == frozenset()

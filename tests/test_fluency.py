@@ -23,7 +23,7 @@ class TestSilenceProfile:
         assert p.response_time == approx(2.3)
         assert p.articulation_time == approx(1.5)
         # the features read the same profile
-        f = fluency_features(r, resources)
+        f = fluency_features(r, resources, set())
         assert f["mean_silence"] == approx(0.4)
         assert f["longpfreq"] == approx(1 / 3)
         assert f["speaking_rate"] == approx(3 / p.response_time)
@@ -43,7 +43,7 @@ class TestSilenceProfile:
         p = silence_profile(r)
         assert p.gaps[0][1] == 0.145
         assert p.silences == []
-        assert fluency_features(r, resources)["general_silence"] == 0.0
+        assert fluency_features(r, resources, set())["general_silence"] == 0.0
 
     def test_leading_trailing_ignored(self):
         # words start late and the profile only sees inter-word gaps
@@ -57,7 +57,7 @@ class TestSilenceProfile:
         with pytest.raises(EmptyResponse):
             silence_profile(r)
         with pytest.raises(EmptyResponse):
-            fluency_features(r, resources)
+            fluency_features(r, resources, set())
 
 
 def test_mean_absolute_deviation():
@@ -72,7 +72,7 @@ class TestFluencyFeatures:
             t += gap
             spans.append((t, t + 0.5))
             t += 0.5
-        f = fluency_features(timeline(spans), resources)
+        f = fluency_features(timeline(spans), resources, set())
         assert f["general_silence"] == 3
         assert f["mean_silence"] == approx(0.4)
         assert f["silence_absolute_deviation"] == approx((0.2 + 0.2 + 0.0) / 3)
@@ -88,7 +88,7 @@ class TestFluencyFeatures:
             t = spans[-1][1]
         scale = 80.0 / spans[-1][1]
         spans = [(a * scale, b * scale) for a, b in spans]
-        f = fluency_features(timeline(spans), resources)
+        f = fluency_features(timeline(spans), resources, set())
         assert f["general_silence"] == 12
         assert f["SilenceRate1"] == approx(0.12)
         assert f["SilenceRate2"] == approx(0.15)
@@ -97,13 +97,13 @@ class TestFluencyFeatures:
         # 120 words over exactly 60 s
         spans = [(i * 0.5, i * 0.5 + 0.4) for i in range(120)]
         spans[-1] = (spans[-1][0], 60.0)
-        f = fluency_features(timeline(spans), resources)
+        f = fluency_features(timeline(spans), resources, set())
         assert f["speaking_rate"] == approx(120 / 60.0)
 
     def test_filled_pause_rate(self, resources):
         r = timeline([(0.0, 0.4), (0.5, 0.9), (1.0, 1.4), (1.5, 2.0)],
                      texts=["um", "the", "uh", "cat"])
-        f = fluency_features(r, resources)
+        f = fluency_features(r, resources, set())
         assert f["filled_pause_rate"] == approx(2 / 2.0)
         # fillers excluded from the word-count denominators
         assert f["speaking_rate"] == approx(2 / 2.0)
@@ -118,18 +118,18 @@ class TestFluencyFeatures:
 
     def test_articulation_vs_speaking(self, resources):
         r = timeline([(0.0, 0.5), (0.8, 1.2), (1.4, 2.0)])
-        f = fluency_features(r, resources)
+        f = fluency_features(r, resources, set())
         assert f["articulation_rate"] >= f["speaking_rate"]
         dense = timeline([(0.0, 0.5), (0.5, 1.0)])
-        g = fluency_features(dense, resources)
+        g = fluency_features(dense, resources, set())
         assert g["articulation_rate"] == approx(g["speaking_rate"])
 
     def test_dilation_property(self, resources):
         spans = [(0.0, 0.5), (0.7, 1.2), (1.8, 2.3), (3.0, 3.5)]
         c = 2.0
-        f1 = fluency_features(timeline(spans), resources)
+        f1 = fluency_features(timeline(spans), resources, set())
         f2 = fluency_features(timeline([(a * c, b * c) for a, b in spans]),
-                              resources)
+                              resources, set())
         for rate in ("speaking_rate", "articulation_rate", "SilenceRate2"):
             assert f2[rate] == approx(f1[rate] / c)
         for count in ("general_silence", "SilenceRate1", "longpfreq"):
@@ -142,5 +142,5 @@ class TestFluencyFeatures:
         p = silence_profile(r)
         assert len(p.gaps) == 1
         assert p.gaps[0][1] == approx(0.4)
-        f = fluency_features(r, resources)
+        f = fluency_features(r, resources, set())
         assert f["speaking_rate"] == approx(2 / 1.4)

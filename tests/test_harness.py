@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from speechscore import learners
+from speechscore import features, harness, learners
 from speechscore.cli import main as cli_main
 from speechscore.corpus import (SECONDARY, SyntaxSpans, default_resources,
                                 load_corpus)
@@ -17,6 +17,8 @@ from speechscore.learners import (LogisticModel, class_weights, fit_logistic,
                                   fit_model)
 from speechscore.metrics import pearson
 from speechscore.synth import SynthSpec, synth_corpus, write_corpus
+
+from conftest import make_response, make_word
 
 SMALL_CONFIG = ExtractorConfig(groups=("CF", "FF", "SPF", "GVF"), max_terms=40)
 FAST_PARAMS = {"gbt": {"n_stages": 25, "max_depth": 3},
@@ -69,7 +71,8 @@ class TestSynthCorpus:
         ("second_rater_disagreement", 3.0),
         ("second_rater_disagreement", -0.1),
         ("second_rater_disagreement", float("nan")),
-        ("prompt_id", "../x"), ("prompt_id", "a/b"), ("prompt_id", "")])
+        ("prompt_id", "../x"), ("prompt_id", "a/b"), ("prompt_id", ""),
+        ("score_function", "rate")])
     def test_out_of_range_spec_rejected(self, field, value):
         with pytest.raises(ValueError, match=field):
             SynthSpec(n=60, **{field: value})
@@ -222,6 +225,22 @@ class TestBenchmark:
         assert "human_human" in report
         assert report["human_human"]["test"]["qwk"] <= 1.0
 
+    def test_human_agreement_computed_once(self, small_dataset, monkeypatch):
+        calls = []
+
+        def counted(dataset, split_name):
+            calls.append(split_name)
+            return human_agreement(dataset, split_name)
+
+        monkeypatch.setattr(harness, "human_agreement", counted)
+        report = run_benchmark(small_dataset, models=("length_baseline",),
+                               formulations=("regression", "classification"),
+                               seed=5)
+        assert len(report["rows"]) == 2
+        assert calls == list(harness.SPLITS)
+        assert report["human_human"] == {
+            s: human_agreement(small_dataset, s) for s in harness.SPLITS}
+
     def test_reproducible(self, small_dataset):
         r1 = run_benchmark(small_dataset, models=("gbt",),
                            formulations=("regression",), seed=5,
@@ -299,3 +318,22 @@ def test_linear_key_classifies_with_logistic(small_dataset):
     assert isinstance(model, LogisticModel)
     assert np.array_equal(model.coef, direct.coef)
     assert np.array_equal(model.intercept, direct.intercept)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda row: row.pop("longpfreq"), "no column 'longpfreq' for response"),
+    (lambda row: row.update(extra=1.0), r"unknown columns: \['extra'\]")])
+def test_extracted_rows_hold_every_column_once(resources, monkeypatch, edit,
+                                               message):
+    fluency_features = features.fluency_features
+
+    def edited(response, resources, flags):
+        row = fluency_features(response, resources, flags)
+        edit(row)
+        return row
+
+    monkeypatch.setattr(features, "fluency_features", edited)
+    response = make_response([make_word("cat", 0.0, 0.5),
+                              make_word("runs", 0.7, 1.2)])
+    with pytest.raises(ValueError, match=message):
+        extract_matrix([response], resources, ExtractorConfig(groups=("FF",)))

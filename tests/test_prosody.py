@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from pytest import approx
 
 from speechscore.corpus import parse_response
+from speechscore.features import ExtractorConfig
 from speechscore.prosody import (_GAP_EPS, IntervalSequence, NoNuclei,
                                  Syllables, _intervals, _syllables, _timeline,
                                  interval_features, normalized_pvi,
@@ -116,12 +117,12 @@ def _syllable_row(n, stressed_at, start_step=0.2):
 class TestStressFeatures:
     def test_percentage(self):
         sylls = _syllable_row(10, {0, 2, 5, 7})
-        f = stress_features(sylls)
+        f = stress_features(sylls, set())
         assert f["StressedSyllPercent"] == approx(40.0)
 
     def test_distances_by_hand(self):
         sylls = _syllable_row(10, {0, 2, 6})
-        f = stress_features(sylls)
+        f = stress_features(sylls, set())
         assert f["StressDistanceSyllMean"] == approx(3.0)
         assert f["StressDistanceSyllSD"] == approx(1.0)
         # nucleus starts step by 0.2 s
@@ -136,23 +137,26 @@ class TestStressFeatures:
 
     def test_empty_error(self):
         with pytest.raises(ValueError):
-            stress_features(_NO_SYLLABLES)
+            stress_features(_NO_SYLLABLES, set())
 
 
 class TestIntervalFeatures:
     def test_pvi_by_hand(self):
-        f = interval_features(IntervalSequence([100.0, 200.0], [], []), 300.0)
+        f = interval_features(IntervalSequence([100.0, 200.0], [], []), 300.0,
+                              set())
         assert f["vowelPVI"] == approx(100.0)
         assert f["vowelPVINorm"] == approx(100.0 * (100.0 / 150.0))
 
     def test_constant_durations(self):
-        f = interval_features(IntervalSequence([150.0] * 3, [], []), 450.0)
+        f = interval_features(IntervalSequence([150.0] * 3, [], []), 450.0,
+                              set())
         assert f["vowelPVI"] == 0.0
         assert f["vowelDurationSD"] == 0.0
         assert f["vowelSDNorm"] == 0.0
 
     def test_percentage(self):
-        f = interval_features(IntervalSequence([400.0], [600.0], []), 1000.0)
+        f = interval_features(IntervalSequence([400.0], [600.0], []), 1000.0,
+                              set())
         assert f["vowelPercentage"] == approx(40.0)
         assert f["consonantPercentage"] == approx(60.0)
         assert f["vowelPercentage"] + f["consonantPercentage"] == approx(100.0)
@@ -165,14 +169,16 @@ class TestIntervalFeatures:
 
     def test_non_positive_duration_rejected(self):
         with pytest.raises(ValueError):
-            interval_features(IntervalSequence([0.0, 10.0], [], []), 10.0)
+            interval_features(IntervalSequence([0.0, 10.0], [], []), 10.0,
+                              set())
 
     def test_dilation(self):
         base = [100.0, 180.0, 140.0, 220.0]
-        f1 = interval_features(IntervalSequence(list(base), [], []), sum(base))
+        f1 = interval_features(IntervalSequence(list(base), [], []), sum(base),
+                               set())
         c = 3.0
         f2 = interval_features(IntervalSequence([d * c for d in base], [], []),
-                               c * sum(base))
+                               c * sum(base), set())
         assert f2["vowelPVINorm"] == approx(f1["vowelPVINorm"])
         assert f2["vowelPVI"] == approx(c * f1["vowelPVI"])
         assert f2["vowelPercentage"] == approx(f1["vowelPercentage"])
@@ -180,8 +186,8 @@ class TestIntervalFeatures:
     def test_permutation_changes_pvi_not_sd(self):
         a = [100.0, 200.0, 100.0]
         b = [100.0, 100.0, 200.0]
-        fa = interval_features(IntervalSequence(list(a), [], []), 400.0)
-        fb = interval_features(IntervalSequence(list(b), [], []), 400.0)
+        fa = interval_features(IntervalSequence(list(a), [], []), 400.0, set())
+        fb = interval_features(IntervalSequence(list(b), [], []), 400.0, set())
         assert fa["vowelDurationSD"] == approx(fb["vowelDurationSD"])
         assert fa["vowelPVI"] != fb["vowelPVI"]
 
@@ -216,7 +222,7 @@ def test_prosody_features_full():
         make_word("cat", 0.0, 0.3, [("K", "c", 0), ("AE", "v", 1), ("T", "c", 0)]),
         make_word("about", 0.5, 0.9,
                   [("AH", "v", 0), ("B", "c", 0), ("AW", "v", 1), ("T", "c", 0)])])
-    f = prosody_features(r)
+    f = prosody_features(r, ExtractorConfig(), set())
     assert len(f) == 19
     assert f["StressedSyllPercent"] == approx(100.0 * 2 / 3)
 
@@ -232,7 +238,8 @@ def test_prosody_features_compose_public_steps(include_secondary):
     expected = stress_features(syllables_of(r, include_secondary), expected_flags)
     expected.update(interval_features(*interval_sequence(r, include_secondary),
                                       expected_flags))
-    assert prosody_features(r, include_secondary, flags) == expected
+    config = ExtractorConfig(include_secondary_stress=include_secondary)
+    assert prosody_features(r, config, flags) == expected
     assert flags == expected_flags
 
 
@@ -369,6 +376,7 @@ def _timeline_payload(words):
 def test_fused_passes_match_oracle_bit_for_bit(words, include_secondary):
     payload = _timeline_payload(words)
     r, o = parse_response(payload), old.parse_response(payload)
+    config = ExtractorConfig(include_secondary_stress=include_secondary)
     phonemes = _oracle_timeline(o)
     seq, total = interval_sequence(r, include_secondary)
     try:
@@ -377,13 +385,13 @@ def test_fused_passes_match_oracle_bit_for_bit(words, include_secondary):
         with pytest.raises(NoNuclei):
             syllabify(r, include_secondary)
         with pytest.raises(NoNuclei):
-            prosody_features(r, include_secondary)
+            prosody_features(r, config, set())
         expected_seq, expected_total = _oracle_intervals(phonemes, [])
     else:
         assert [_view(s) for s in syllabify(r, include_secondary)] == \
             [_oracle_view(s) for s in syllables]
         flags, expected_flags = set(), set()
-        got = prosody_features(r, include_secondary, flags)
+        got = prosody_features(r, config, flags)
         expected = _oracle_prosody_features(o, include_secondary, expected_flags)
         assert {k: v.hex() for k, v in got.items()} == \
             {k: v.hex() for k, v in expected.items()}

@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 import record_oracle as old
 from speechscore.corpus import (PHONE_CLASSES, CorpusError, LexicalResources,
                                 parse_response, response_to_json)
+from speechscore.features import ExtractorConfig
 from speechscore.fluency import fluency_features, mean_absolute_deviation
 from speechscore.prosody import (IntervalSequence, interval_features,
                                  prosody_features)
@@ -187,7 +188,8 @@ def _check_against_oracle(payload):
     assert _features(fluency_features, new, RESOURCES) == \
         _features(old.fluency_features, reference, RESOURCES)
     for secondary in (False, True):
-        assert _features(prosody_features, new, secondary) == \
+        config = ExtractorConfig(include_secondary_stress=secondary)
+        assert _features(prosody_features, new, config) == \
             _features(old.prosody_features, reference, secondary)
     again = parse_response(response_to_json(new))
     assert _columns(again) == _columns(new)

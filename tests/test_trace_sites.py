@@ -65,3 +65,27 @@ def test_traced_grid_search_records_its_span(spans, tmp_path):
     names = [span.name for span in tracer.spans]
     assert names.count("learners.grid_search") == 1
     assert names.count("learners.fit_gbt") == 2 + 1      # folds + refit
+
+
+def test_traced_extraction_records_each_family_per_response(spans, tmp_path):
+    # A family that `_extract_one` reads from anywhere but the `features`
+    # module globals (a table bound at import time, say) escapes the tracer,
+    # and its per-family self time reads 0 with the run still passing.
+    from speechscore.cli import main
+
+    corpus = tmp_path / "corpus"
+    assert main(["synth", "--n", "50", "--seed", "3", "--out", str(corpus)]) == 0
+    tracer = spans.Tracer()
+    uninstall = tracer.install()
+    try:
+        assert main(["extract", "--manifest", str(corpus / "manifest.txt"),
+                     "--resources", str(corpus / "resources"),
+                     "--out", str(tmp_path / "features"),
+                     "--groups", "CF,FF,SPF,GVF", "--seed", "3"]) == 0
+    finally:
+        uninstall()
+    names = [span.name for span in tracer.spans]
+    for name in ("features.extract_one", "content.vectorize",
+                 "fluency.fluency_features", "prosody.prosody_features",
+                 "grammar.grammar_features"):
+        assert names.count(name) == 50, name
