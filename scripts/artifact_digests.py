@@ -2,7 +2,8 @@
 
 Runs, through `speechscore.cli.main` only and in a temporary directory:
 synth; extract (text groups, 120 vocabulary terms); train a grid-searched
-GBT regressor and a GBT classifier; evaluate both; explain the regressor
+GBT regressor and a grid-searched GBT classifier, whose CV tables cover
+plain and stratified folds; evaluate both; explain the regressor
 three ways (importance, PDP, SHAP); report; ablate add and drop. Then it
 prints one ``sha256  path`` line per output file, sorted by path, with
 paths relative to the run directory.
@@ -42,7 +43,8 @@ def run_pipeline(root: Path, n: int, seed: int) -> None:
         ["train", "--features", str(feats), "--out", str(regressor),
          "--model", "gbt", "--grid", GRID, "--params", PARAMS],
         ["train", "--features", str(feats), "--out", str(classifier),
-         "--model", "gbt", "--task", "classification", "--params", PARAMS],
+         "--model", "gbt", "--task", "classification", "--grid", GRID,
+         "--params", PARAMS],
     ]
     for model in (regressor, classifier):
         steps.append(["evaluate", "--features", str(feats),

@@ -29,6 +29,9 @@ from speechscore.corpus import write_float_csv
 from speechscore.explain import gain_importance, pdp, shap_summary
 from speechscore.learners import load_model
 
+# The PDP grid size of `explain`'s --n-grid default.
+PDP_GRID = 20
+
 
 def _fastest(repeats: int, fn):
     """Run fn `repeats` times; return its last result and the fastest run."""
@@ -66,7 +69,7 @@ def main() -> None:
                     lambda: harness.load_prompt_dataset(args.features))
     model, payload = piece("load_model",
                            lambda: load_model(args.model, with_payload=True))
-    model_key = payload.get("model_key", "gbt")
+    model_key = harness.recorded_model_key(payload)
     X, _, columns = harness._inputs(dataset, model_key, "train", model=model)
     piece("evaluation_entries", lambda: harness.evaluation_entries(
         dataset, model, model_key))
@@ -99,7 +102,7 @@ def main() -> None:
                 [n for n, _ in top], [v for _, v in top],
                 "feature importance (gain)", out / "importance.svg"))
         curve = piece(f"pdp {feature}",
-                      lambda: pdp(model, X, feature, feature_names=columns))
+                      lambda: pdp(model, X, columns, feature, n_grid=PDP_GRID))
         piece("csv pdp.csv", lambda: cli._write_csv(
             out / "pdp.csv", ["grid", "mean_prediction"],
             ([repr(float(g)), repr(float(v))]

@@ -47,12 +47,16 @@ def _build(n: int, seed: int, features: Path) -> None:
 
 
 def _child(features: str, model: str, task: str, repeats: int, seed: int) -> None:
+    import numpy as np
     from speechscore.harness import load_prompt_dataset
     from speechscore.learners import class_weights, fit_model
 
     dataset = load_prompt_dataset(features)
     X, y, _, columns = dataset.design("train")
-    weights = class_weights(y) if task == "classification" else None
+    # Unit weights for regression, spelled out rather than read from
+    # `learners.task_weights`, so that the script runs on older trees too.
+    weights = (class_weights(y) if task == "classification"
+               else np.ones(y.size))
     usage = resource.getrusage(resource.RUSAGE_SELF)
     input_rss, faults = usage.ru_maxrss / 1024.0, usage.ru_minflt
     best = float("inf")

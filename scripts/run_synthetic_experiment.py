@@ -48,7 +48,7 @@ def main():
           f"({len(set(dataset.matrix.groups))} groups)")
 
     best, cv = tune(dataset, {"max_depth": [3, 4], "n_stages": [100]},
-                    seed=args.seed)
+                    "gbt", "regression", folds=5, seed=args.seed)
     print("grid search ->", best)
 
     benchmark = run_benchmark(dataset, seed=args.seed,
@@ -77,7 +77,7 @@ def main():
                   "feature importance (gain)", out / "importance.svg")
     X_train, _, _, columns = dataset.design("train")
     for feature, _ in top[:3]:
-        curve = pdp(model, X_train, feature, feature_names=columns)
+        curve = pdp(model, X_train, columns, feature, n_grid=20)
         svg.line_chart(curve.grid, curve.mean_prediction,
                        f"partial dependence: {feature}",
                        out / f"pdp_{feature.replace('/', '_').replace(':', '_')}.svg",

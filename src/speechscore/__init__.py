@@ -19,7 +19,7 @@ from .harness import (PromptDataset, ablation_additive, ablation_leave_one_out,
 from .learners import (DEFAULT_PARAMS, LinearModel, LogisticModel,
                        TreeEnsembleModel, class_weights, fit_forest, fit_gbt,
                        fit_linear, fit_logistic, fit_model, fit_single_tree,
-                       grid_search, load_model, save_model)
+                       grid_search, load_model, save_model, task_weights)
 from .metrics import (confusion_matrix, mse, pearson, qwk, round_to_grade,
                       to_grades)
 from .synth import SynthSpec, synth_corpus, write_corpus

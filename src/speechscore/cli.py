@@ -140,7 +140,7 @@ def cmd_evaluate(args) -> int:
     dataset = harness.load_prompt_dataset(args.features)
     model, payload = load_model(args.model, with_payload=True)
     out = _out_dir(args)
-    model_key = payload.get("model_key", "gbt")
+    model_key = harness.recorded_model_key(payload)
     report = {"prompt": dataset.prompt_id, "model": model_key,
               "formulation": model.task, "n_classes": dataset.n_classes,
               **harness.evaluation_entries(dataset, model, model_key)}
@@ -153,7 +153,7 @@ def cmd_explain(args) -> int:
     dataset = harness.load_prompt_dataset(args.features)
     model, payload = load_model(args.model, with_payload=True)
     out = _out_dir(args)
-    X, _, columns = harness._inputs(dataset, payload.get("model_key", "gbt"),
+    X, _, columns = harness._inputs(dataset, harness.recorded_model_key(payload),
                                     "train", model=model)
     kind = args.kind
     if kind == "importance":
@@ -166,8 +166,7 @@ def cmd_explain(args) -> int:
     elif kind == "pdp":
         if not args.feature:
             raise ValueError("explain pdp requires --feature")
-        curve = pdp(model, X, args.feature, n_grid=args.n_grid,
-                    feature_names=columns)
+        curve = pdp(model, X, columns, args.feature, n_grid=args.n_grid)
         _write_csv(out / f"pdp_{_slug(args.feature)}.csv",
                    ["grid", "mean_prediction"],
                    ([repr(float(g)), repr(float(v))]
@@ -244,7 +243,8 @@ def cmd_report(args) -> int:
     models = tuple(m.strip() for m in args.models.split(",") if m.strip())
     formulations = tuple(f.strip() for f in args.formulations.split(",") if f.strip())
     report = harness.run_benchmark(dataset, models=models,
-                                   formulations=formulations, seed=args.seed)
+                                   formulations=formulations, seed=args.seed,
+                                   params={})
     _write_json(out / "benchmark.json", report)
     _write_csv(out / "benchmark.csv",
                ["prompt", "model", "formulation", "split", "qwk", "r", "mse"],

@@ -65,7 +65,8 @@ def fit_vocabulary(train_transcripts: Iterable[str],
                    config: ExtractorConfig) -> TfidfVocabulary:
     """Document-frequency vocabulary from train transcripts only.
 
-    Terms below ``config.min_df`` are dropped; if more than
+    Terms below ``config.min_df`` are dropped, and a ``ValueError`` is
+    raised when no term is left; if more than
     ``config.max_terms`` survive, the highest-df terms are kept with ties
     broken lexicographically.
     """
@@ -81,6 +82,10 @@ def fit_vocabulary(train_transcripts: Iterable[str],
         raise ValueError("no non-empty transcripts to fit a vocabulary on")
 
     kept = [t for t, c in df.items() if c >= config.min_df]
+    if not kept:
+        raise ValueError(f"empty vocabulary: no term occurs in min_df="
+                         f"{config.min_df} of the {n_documents} train "
+                         f"transcripts")
     if len(kept) > config.max_terms:
         kept.sort(key=lambda t: (-df[t], t))
         kept = kept[:config.max_terms]

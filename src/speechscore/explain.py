@@ -23,7 +23,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .corpus import FeatureMatrix
 from .learners import TreeEnsembleModel
 from .trees import Tree
 
@@ -86,9 +85,10 @@ class PdpCurve:
 _PDP_STACK_ELEMENTS = 1 << 20
 
 
-def pdp(model, background: FeatureMatrix | np.ndarray, feature: str | int,
-        n_grid: int = 20, feature_names: list[str] | None = None) -> PdpCurve:
-    """Empirical partial dependence of one feature.
+def pdp(model, X: np.ndarray, feature_names: list[str], feature: str, *,
+        n_grid: int) -> PdpCurve:
+    """Empirical partial dependence of one feature over the background
+    rows X, whose columns are ``feature_names``.
 
     The grid spans n_grid equally spaced points between the feature's 1st
     and 99th empirical percentiles; each point is the mean of the model's
@@ -103,21 +103,15 @@ def pdp(model, background: FeatureMatrix | np.ndarray, feature: str | int,
     matrix products (``X @ coef``, ``proba @ arange(k)``) round a row
     differently with the batch shape, which would change the curve's bits.
     """
-    if isinstance(background, FeatureMatrix):
-        X = background.values
-        names = background.columns
-    else:
-        X = np.atleast_2d(np.asarray(background, dtype=np.float64))
-        names = feature_names or [f"f{i}" for i in range(X.shape[1])]
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[0] == 0:
         raise ValueError("empty background matrix")
     if n_grid < 1:
         raise ValueError(f"PDP grid size must be at least 1, got {n_grid}")
-    if isinstance(feature, str) and feature not in names:
+    if feature not in feature_names:
         raise ValueError(f"feature {feature!r} is not one of the model's "
-                         f"{len(names)} columns")
-    col = names.index(feature) if isinstance(feature, str) else int(feature)
-    name = names[col]
+                         f"{len(feature_names)} columns")
+    col = feature_names.index(feature)
 
     lo, hi = np.percentile(X[:, col], [1, 99])
     flags = None
@@ -141,7 +135,7 @@ def pdp(model, background: FeatureMatrix | np.ndarray, feature: str | int,
         preds = np.asarray(model.predict_value(stacked)).reshape(points.size, -1)
         for j, row in enumerate(preds):
             curve[start + j] = float(np.mean(row))
-    return PdpCurve(feature=name, grid=grid, mean_prediction=curve, flags=flags)
+    return PdpCurve(feature=feature, grid=grid, mean_prediction=curve, flags=flags)
 
 
 # ---------------------------------------------------------------------------
@@ -310,15 +304,11 @@ class ShapExplanation:
     ranking: list[tuple[str, float]]   # by mean |phi| descending
 
 
-def shap_summary(model: TreeEnsembleModel, matrix: FeatureMatrix | np.ndarray,
+def shap_summary(model: TreeEnsembleModel, X: np.ndarray,
                  class_index: int | None = None) -> ShapExplanation:
-    """Per-sample SHAP matrix plus the mean-|phi| feature ranking."""
-    if isinstance(matrix, FeatureMatrix):
-        X = matrix.values
-        if list(matrix.columns) != list(model.feature_names):
-            raise ValueError("matrix columns do not match the model")
-    else:
-        X = np.atleast_2d(np.asarray(matrix, dtype=np.float64))
+    """Per-sample SHAP matrix of the rows X, in the model's columns, plus
+    the mean-|phi| feature ranking."""
+    X = np.atleast_2d(np.asarray(X, dtype=np.float64))
     if X.shape[0] == 0:
         raise ValueError("empty matrix")
     phi = _shap_values(model, X, class_index)

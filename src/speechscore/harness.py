@@ -26,7 +26,6 @@ from .corpus import (SPLIT_RATIOS, AlignedResponse, FeatureMatrix,
 from .corpus import fit_standardizer  # noqa: F401 -- perfbench/spans.py traces it here
 from .features import ExtractorConfig, extract_matrix, fit_content_vocabulary
 from .grammar import word_tokens
-from .learners import class_weights
 from .metrics import confusion_matrix, metric_report, to_grades
 from .trees import TASKS
 
@@ -109,26 +108,36 @@ def _inputs(dataset: PromptDataset, model_key: str, split_name: str,
     return X, y, columns
 
 
+def recorded_model_key(payload: dict) -> str:
+    """The model key that `train` records in a model file: a
+    ``ValueError`` when the file holds none or an unknown one."""
+    key = payload.get("model_key")
+    if key not in MODEL_KEYS:
+        raise ValueError(f"model file records no known model_key (got "
+                         f"{key!r}); train writes one of {list(MODEL_KEYS)}")
+    return key
+
+
 def _train(dataset: PromptDataset, model_key: str, formulation: str,
-           params: dict | None, seed: int, groups=None):
+           params: dict, seed: int, groups=None):
     X, y, columns = _inputs(dataset, model_key, "train", groups)
-    weights = class_weights(y) if formulation == "classification" else None
     # Through the module, so that a fit_model replaced there sees the refit.
-    return learners.fit_model(model_key, params, X, y, weights,
+    return learners.fit_model(model_key, params, X, y,
+                              learners.task_weights(y, formulation),
                               task=formulation, n_classes=dataset.n_classes,
                               seed=seed, feature_names=columns)
 
 
-def tune(dataset: PromptDataset, grid: dict, model_key: str = "gbt",
-         formulation: str = "regression", folds: int = 5, seed: int = 0):
+def tune(dataset: PromptDataset, grid: dict, model_key: str,
+         formulation: str, folds: int, seed: int):
     """Grid-search one model key on the train split; returns
     (best_params, cv_table)."""
-    X, y, _ = _inputs(dataset, model_key, "train")
-    weights = class_weights(y) if formulation == "classification" else None
+    X, y, columns = _inputs(dataset, model_key, "train")
     # Called through the module: perfbench/spans.py traces it there.
-    return learners.grid_search(model_key, grid, X, y, folds=folds, seed=seed,
+    return learners.grid_search(model_key, grid, X, y,
+                                learners.task_weights(y, formulation),
                                 task=formulation, n_classes=dataset.n_classes,
-                                weights=weights)
+                                folds=folds, seed=seed, feature_names=columns)
 
 
 def _evaluate(dataset: PromptDataset, model, split_name: str,
@@ -172,12 +181,16 @@ def evaluation_entries(dataset: PromptDataset, model, model_key: str) -> dict:
 
 def run_benchmark(dataset: PromptDataset,
                   models: tuple[str, ...] = MODEL_KEYS,
-                  formulations: tuple[str, ...] = TASKS,
-                  seed: int = 0, params: dict | None = None) -> dict:
-    """One report row per (model, formulation), trained from scratch, and
-    the ``human_human`` entry when the corpus carries a second rater."""
+                  formulations: tuple[str, ...] = TASKS, *, seed: int,
+                  params: dict) -> dict:
+    """One report row per (model, formulation), trained from scratch with
+    ``params.get(model, {})``, and the ``human_human`` entry when the corpus
+    carries a second rater. An empty or unknown model key or formulation
+    list is a ``ValueError``."""
     for kind, names, known in (("model key", models, MODEL_KEYS),
                                ("formulation", formulations, TASKS)):
+        if not names:
+            raise ValueError(f"no {kind}s given; choose from {list(known)}")
         unknown = set(names) - set(known)
         if unknown:
             raise ValueError(f"unknown {kind}(s): {sorted(unknown)}")
@@ -186,7 +199,7 @@ def run_benchmark(dataset: PromptDataset,
     for formulation in formulations:
         for model_key in models:
             model = _train(dataset, model_key, formulation,
-                           (params or {}).get(model_key), seed)
+                           params.get(model_key, {}), seed)
             report["rows"].append({
                 "prompt": dataset.prompt_id, "model": model_key,
                 "formulation": formulation,
@@ -228,7 +241,7 @@ def _ablation(dataset: PromptDataset, mode: str, cells, full: int, seed,
 
 
 def ablation_additive(dataset: PromptDataset, order: tuple[str, ...] | None = None,
-                      seed: int = 0, params: dict | None = None) -> AblationReport:
+                      *, seed: int, params: dict) -> AblationReport:
     """Add feature groups one by one (content first by default); the last
     stage is the full cell."""
     present = list(dict.fromkeys(dataset.matrix.groups))
@@ -240,8 +253,8 @@ def ablation_additive(dataset: PromptDataset, order: tuple[str, ...] | None = No
     return _ablation(dataset, "additive", cells, -1, seed, params)
 
 
-def ablation_leave_one_out(dataset: PromptDataset, seed: int = 0,
-                           params: dict | None = None) -> AblationReport:
+def ablation_leave_one_out(dataset: PromptDataset, *, seed: int,
+                           params: dict) -> AblationReport:
     """Drop one feature group at a time, keeping the others intact."""
     present = list(dict.fromkeys(dataset.matrix.groups))
     cells = [("full", present)] + [

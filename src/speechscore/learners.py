@@ -10,6 +10,10 @@ a fixed ridge damping, and the logistic descent a fixed tolerance and
 iteration cap. ``fit_model`` builds every model of the pipeline from its
 row of ``DEFAULT_PARAMS``, so ``grid_search``, exhaustive over the grid it
 is given and selecting on mean validation QWK, scores what a refit fits.
+
+Every fit takes its task, class count, weights, parameters, seed and column
+names from its caller, and infers none of them from the data:
+``DEFAULT_PARAMS`` is the only place a model default is written.
 """
 
 from __future__ import annotations
@@ -131,48 +135,39 @@ class TreeEnsembleModel:
                    train_loss=list(payload.get("train_loss", [])))
 
 
-def _as_arrays(X, y, weights):
+def _as_arrays(X, y):
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if weights is None:
-        weights = np.ones(y.shape[0], dtype=np.float64)
-    else:
-        weights = np.asarray(weights, dtype=np.float64)
     if not (np.all(np.isfinite(X)) and np.all(np.isfinite(y))):
         raise ValueError("non-finite training data")
-    return X, y, weights
+    return X, y
 
 
-def fit_single_tree(X, y, weights=None, params: TreeParams | None = None,
-                    task: str = "regression", n_classes: int | None = None,
-                    feature_names: list[str] | None = None,
-                    seed: int = 0) -> TreeEnsembleModel:
-    X, y, weights = _as_arrays(X, y, weights)
-    rng = np.random.default_rng(seed)
-    tree = fit_tree(X, y, weights, params, task=task, n_classes=n_classes, rng=rng)
+def fit_single_tree(X, y, weights, *, params: TreeParams, task: str,
+                    n_classes: int | None, seed: int,
+                    feature_names: list[str]) -> TreeEnsembleModel:
+    X, y = _as_arrays(X, y)
+    tree = fit_tree(X, y, weights, params, task=task, n_classes=n_classes,
+                    rng=np.random.default_rng(seed))
     return TreeEnsembleModel(
         kind="single_tree", task=task, trees=[tree], base_score=0.0,
-        learning_rate=1.0,
-        feature_names=feature_names or [f"f{i}" for i in range(X.shape[1])],
+        learning_rate=1.0, feature_names=list(feature_names),
         n_classes=n_classes if task == "classification" else None)
 
 
-def fit_forest(X, y, weights=None, n_trees: int = 100, seed: int = 0,
-               params: TreeParams | None = None, task: str = "regression",
-               n_classes: int | None = None,
-               feature_names: list[str] | None = None) -> TreeEnsembleModel:
+def fit_forest(X, y, weights, *, n_trees: int, params: TreeParams, task: str,
+               n_classes: int | None, seed: int,
+               feature_names: list[str]) -> TreeEnsembleModel:
     """Random forest of bootstrapped trees with one derived seed per tree.
 
     Each split draws ``params.mtry`` candidate columns; ``None`` means the
     square root of the column count for classification and a third of it
     for regression, at least 1.
     """
-    X, y, weights = _as_arrays(X, y, weights)
+    X, y = _as_arrays(X, y)
+    weights = np.asarray(weights, dtype=np.float64)
     if n_trees < 1:
         raise ValueError("need at least one tree")
-    params = params or TreeParams()
-    if task == "classification" and n_classes is None:
-        n_classes = int(y.max()) + 1
     if params.mtry is None:
         p = X.shape[1]
         mtry = int(np.sqrt(p)) if task == "classification" else p // 3
@@ -193,42 +188,43 @@ def fit_forest(X, y, weights=None, n_trees: int = 100, seed: int = 0,
     trees = [one_tree(seq) for seq in seeds]
     return TreeEnsembleModel(
         kind="forest", task=task, trees=trees, base_score=0.0, learning_rate=1.0,
-        feature_names=feature_names or [f"f{i}" for i in range(X.shape[1])],
+        feature_names=list(feature_names),
         n_classes=n_classes if task == "classification" else None)
 
 
-def fit_gbt(X, y, weights=None, n_stages: int = 100, learning_rate: float = 0.1,
-            params: TreeParams | None = None, task: str = "regression",
-            n_classes: int | None = None, seed: int = 0, init: str = "mean",
-            feature_names: list[str] | None = None) -> TreeEnsembleModel:
+def fit_gbt(X, y, weights, *, n_stages: int, learning_rate: float,
+            params: TreeParams, task: str, n_classes: int | None, seed: int,
+            feature_names: list[str]) -> TreeEnsembleModel:
     """Gradient-boosted trees; training loss is recorded per stage.
 
-    For regression each stage fits the current residuals, so the weighted
-    training MSE is non-increasing. ``init="zero"`` starts from a zero base
-    score instead of the weighted mean. Every stage and class fits the same
-    X, so X is presorted once for all of them, and each fit reports the leaf
-    of every training row, from which the stage updates the predictions.
+    Boosting starts from the weighted mean (regression) or the log class
+    priors (classification). For regression each stage fits the current
+    residuals, so the weighted training MSE is non-increasing. Every stage
+    and class fits the same X, so X is presorted once for all of them, and
+    each fit reports the leaf of every training row, from which the stage
+    updates the predictions.
     """
-    X, y, weights = _as_arrays(X, y, weights)
+    X, y = _as_arrays(X, y)
+    weights = np.asarray(weights, dtype=np.float64)
     check_task(task)
     if n_stages < 1 or not (0.0 < learning_rate <= 1.0):
         raise ValueError("need n_stages >= 1 and learning_rate in (0, 1]")
-    params = params or TreeParams(max_depth=3)
-    names = feature_names or [f"f{i}" for i in range(X.shape[1])]
+    names = list(feature_names)
     wsum = weights.sum()
     rng = np.random.default_rng(seed)
     presorted = Presorted(X)
     leaves = np.empty(y.size, dtype=np.int64)
 
     if task == "regression":
-        base = float((weights * y).sum() / wsum) if init == "mean" else 0.0
+        base = float((weights * y).sum() / wsum)
         current = np.full(y.size, base)
         trees: list[Tree] = []
         losses = [float((weights * (y - current) ** 2).sum() / wsum)]
         for _ in range(n_stages):
             residual = y - current
             tree = fit_tree(X, residual, weights, params, task="regression",
-                            rng=rng, presorted=presorted, leaves=leaves)
+                            n_classes=None, rng=rng, presorted=presorted,
+                            leaves=leaves)
             current = current + learning_rate * tree.value[leaves]
             trees.append(tree)
             losses.append(float((weights * (y - current) ** 2).sum() / wsum))
@@ -237,17 +233,12 @@ def fit_gbt(X, y, weights=None, n_stages: int = 100, learning_rate: float = 0.1,
                                  learning_rate=learning_rate,
                                  feature_names=names, train_loss=losses)
 
-    if n_classes is None:
-        n_classes = int(y.max()) + 1
     K = n_classes
     labels = y.astype(np.int64)
     onehot = np.zeros((y.size, K), dtype=np.float64)
     onehot[np.arange(y.size), labels] = 1.0
     priors = (weights[:, None] * onehot).sum(axis=0) / wsum
-    if init == "mean":
-        base = np.log(np.clip(priors, 1e-12, None))
-    else:
-        base = np.zeros(K, dtype=np.float64)
+    base = np.log(np.clip(priors, 1e-12, None))
     logits = np.tile(base, (y.size, 1))
     trees = []
     losses = []
@@ -263,7 +254,8 @@ def fit_gbt(X, y, weights=None, n_stages: int = 100, learning_rate: float = 0.1,
         for k in range(K):
             grad = onehot[:, k] - proba[:, k]
             tree = fit_tree(X, grad, weights, params, task="regression",
-                            rng=rng, presorted=presorted, leaves=leaves)
+                            n_classes=None, rng=rng, presorted=presorted,
+                            leaves=leaves)
             _newton_relabel(tree, leaves, grad, weights, K)
             logits[:, k] += learning_rate * tree.value[leaves]
             trees.append(tree)
@@ -353,21 +345,20 @@ class LogisticModel:
                    n_classes=int(payload["n_classes"]))
 
 
-def fit_linear(X, y, feature_names: list[str] | None = None) -> LinearModel:
+def fit_linear(X, y, *, feature_names: list[str]) -> LinearModel:
     """Ridge-damped least squares (handles collinear designs) on the
     z-scores of X."""
-    X, y, _ = _as_arrays(X, y, None)
+    X, y = _as_arrays(X, y)
     scaler = fit_standardizer(X)
     Xb = np.hstack([scaler.transform(X), np.ones((X.shape[0], 1))])
     gram = Xb.T @ Xb + _DAMPING * np.eye(Xb.shape[1])
     beta = np.linalg.solve(gram, Xb.T @ y)
     return LinearModel(coef=beta[:-1], intercept=float(beta[-1]),
-                       feature_names=feature_names or [f"f{i}" for i in range(X.shape[1])],
-                       scaler=scaler)
+                       feature_names=list(feature_names), scaler=scaler)
 
 
-def fit_logistic(X, y, weights=None, n_classes: int | None = None,
-                 feature_names: list[str] | None = None) -> LogisticModel:
+def fit_logistic(X, y, weights, *, n_classes: int,
+                 feature_names: list[str]) -> LogisticModel:
     """Multinomial logistic regression by full-batch gradient descent.
 
     Fits on the z-scores of X. Runs until the gradient norm of the
@@ -375,10 +366,9 @@ def fit_logistic(X, y, weights=None, n_classes: int | None = None,
     iterations; the step size comes from the softmax Hessian trace bound, so
     descent is monotone.
     """
-    X, y, weights = _as_arrays(X, y, weights)
+    X, y = _as_arrays(X, y)
+    weights = np.asarray(weights, dtype=np.float64)
     scaler = fit_standardizer(X)
-    if n_classes is None:
-        n_classes = int(y.max()) + 1
     K = n_classes
     labels = y.astype(np.int64)
     Xb = np.hstack([scaler.transform(X), np.ones((X.shape[0], 1))])
@@ -396,8 +386,8 @@ def fit_logistic(X, y, weights=None, n_classes: int | None = None,
             break
         beta -= step * grad
     return LogisticModel(coef=beta[:, :-1], intercept=beta[:, -1],
-                         feature_names=feature_names or [f"f{i}" for i in range(X.shape[1])],
-                         scaler=scaler, n_classes=K)
+                         feature_names=list(feature_names), scaler=scaler,
+                         n_classes=K)
 
 
 # ---------------------------------------------------------------------------
@@ -442,9 +432,8 @@ PARAM_RANGES = {
 }
 
 
-def fit_model(kind: str, params: dict | None, X, y, weights=None,
-              task: str = "regression", n_classes: int | None = None,
-              seed: int = 0, feature_names: list[str] | None = None):
+def fit_model(kind: str, params: Mapping, X, y, weights, *, task: str,
+              n_classes: int, seed: int, feature_names: list[str]):
     """Fit the model of a ``DEFAULT_PARAMS`` key: its row, overridden by
     ``params``. ``linear`` classifies by multinomial logistic regression;
     ``length_baseline`` is a forest on the columns given (W in the harness).
@@ -454,7 +443,6 @@ def fit_model(kind: str, params: dict | None, X, y, weights=None,
     if kind not in DEFAULT_PARAMS:
         raise ValueError(f"unknown model kind {kind!r}")
     check_task(task)
-    params = {} if params is None else params
     if not isinstance(params, Mapping):
         raise ValueError(f"parameters for {kind} must be a mapping of names "
                          f"to values, got {params!r}")
@@ -477,18 +465,14 @@ def fit_model(kind: str, params: dict | None, X, y, weights=None,
                              min_samples_leaf=p["min_samples_leaf"],
                              min_samples_split=p["min_samples_split"],
                              mtry=p["mtry"])
+    common = dict(params=tree_params, task=task, n_classes=n_classes,
+                  seed=seed, feature_names=feature_names)
     if kind == "decision_tree":
-        return fit_single_tree(X, y, weights, tree_params, task=task,
-                               n_classes=n_classes, feature_names=feature_names,
-                               seed=seed)
+        return fit_single_tree(X, y, weights, **common)
     if kind == "gbt":
         return fit_gbt(X, y, weights, n_stages=p["n_stages"],
-                       learning_rate=float(p["learning_rate"]),
-                       params=tree_params, task=task, n_classes=n_classes,
-                       seed=seed, feature_names=feature_names)
-    return fit_forest(X, y, weights, n_trees=p["n_trees"], seed=seed,
-                      params=tree_params, task=task, n_classes=n_classes,
-                      feature_names=feature_names)
+                       learning_rate=float(p["learning_rate"]), **common)
+    return fit_forest(X, y, weights, n_trees=p["n_trees"], **common)
 
 
 def class_weights(y) -> np.ndarray:
@@ -499,6 +483,15 @@ def class_weights(y) -> np.ndarray:
     classes, counts = np.unique(y, return_counts=True)
     lookup = {c: y.size / (classes.size * n) for c, n in zip(classes, counts)}
     return np.asarray([lookup[v] for v in y], dtype=np.float64)
+
+
+def task_weights(y, task: str) -> np.ndarray:
+    """The training weights of a formulation: `class_weights` for
+    classification, 1.0 per row for regression."""
+    check_task(task)
+    if task == "classification":
+        return class_weights(y)
+    return np.ones(np.shape(y)[0], dtype=np.float64)
 
 
 def _cv_folds(y, folds, seed, stratified):
@@ -516,15 +509,15 @@ def _cv_folds(y, folds, seed, stratified):
     return assignment
 
 
-def grid_search(model_kind: str, grid: dict[str, list], X, y, folds: int = 5,
-                seed: int = 0, task: str = "regression",
-                n_classes: int | None = None,
-                weights=None) -> tuple[dict, list[dict]]:
+def grid_search(model_kind: str, grid: dict[str, list], X, y, weights, *,
+                task: str, n_classes: int, folds: int, seed: int,
+                feature_names: list[str]) -> tuple[dict, list[dict]]:
     """Exhaustive search over the product of the grid's axes, the first axis
     varying slowest; best point = highest mean validation QWK, ties broken
     by lower mean MSE then first-in-grid order. Fold k fits through
-    `fit_model`, as a refit does, with seed ``seed + k``. Returns the
-    winning parameters and the full CV table."""
+    `fit_model`, as a refit does, on the fold's rows of X and ``weights``,
+    with seed ``seed + k``. Returns the winning parameters and the full CV
+    table."""
     if not grid:
         raise ValueError("empty parameter grid")
     for name, axis in grid.items():
@@ -535,8 +528,7 @@ def grid_search(model_kind: str, grid: dict[str, list], X, y, folds: int = 5,
         raise ValueError("need at least 2 folds")
     X = np.asarray(X, dtype=np.float64)
     y_arr = np.asarray(y, dtype=np.float64)
-    if n_classes is None:
-        n_classes = int(y_arr.max()) + 1
+    weights = np.asarray(weights, dtype=np.float64)
     assignment = _cv_folds(y_arr.astype(np.int64), folds, seed,
                            stratified=(task == "classification"))
 
@@ -547,10 +539,9 @@ def grid_search(model_kind: str, grid: dict[str, list], X, y, folds: int = 5,
             if hold.all() or (~hold).all():
                 flagged = True
                 continue
-            w_tr = weights if weights is None else np.asarray(weights)[~hold]
-            model = fit_model(model_kind, point, X[~hold], y_arr[~hold], w_tr,
-                              task=task, n_classes=n_classes,
-                              seed=seed + fold)
+            model = fit_model(model_kind, point, X[~hold], y_arr[~hold],
+                              weights[~hold], task=task, n_classes=n_classes,
+                              seed=seed + fold, feature_names=feature_names)
             pred = model.predict(X[hold])
             truth = y_arr[hold].astype(np.int64)
             if set(np.unique(truth)) != set(range(n_classes)):

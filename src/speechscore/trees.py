@@ -75,10 +75,10 @@ def check_task(task: str) -> None:
 
 @dataclass
 class TreeParams:
-    max_depth: int = 6
-    min_samples_leaf: int = 1
-    min_samples_split: int = 2
-    mtry: int | None = None    # features considered per split; None = all
+    max_depth: int
+    min_samples_leaf: int
+    min_samples_split: int
+    mtry: int | None           # features considered per split; None = all
 
 
 # A tree's node arrays, in field order, and their dtypes: the one table
@@ -359,13 +359,13 @@ def _splittable(params: TreeParams, n: int, depth: int) -> bool:
                 or 2 * params.min_samples_leaf > n)
 
 
-def fit_tree(X: np.ndarray, y: np.ndarray, weights: np.ndarray | None = None,
-             params: TreeParams | None = None, task: str = "regression",
-             n_classes: int | None = None,
-             rng: np.random.Generator | None = None,
-             presorted: Presorted | None = None,
+def fit_tree(X: np.ndarray, y: np.ndarray, weights: np.ndarray,
+             params: TreeParams, *, task: str, n_classes: int | None,
+             rng: np.random.Generator, presorted: Presorted | None = None,
              leaves: np.ndarray | None = None) -> Tree:
-    """Grow a CART tree; classification when task="classification".
+    """Grow a CART tree; classification, with labels 0 .. n_classes - 1,
+    when task="classification", and regression (n_classes unused) when
+    task="regression". ``rng`` draws the ``params.mtry`` candidate columns.
 
     ``presorted``, when given, must be ``Presorted(X)`` or ``rows(keep)``
     of a presorted matrix whose ``X[keep]`` is X. ``leaves``, when given,
@@ -374,26 +374,17 @@ def fit_tree(X: np.ndarray, y: np.ndarray, weights: np.ndarray | None = None,
     """
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
+    weights = np.asarray(weights, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] != y.shape[0] or X.shape[0] == 0:
         raise ValueError("X and y must be non-empty and aligned")
-    if weights is None:
-        weights = np.ones(y.shape[0], dtype=np.float64)
-    else:
-        weights = np.asarray(weights, dtype=np.float64)
     check_task(task)
-    params = params or TreeParams()
-    if task == "classification":
-        if n_classes is None:
-            n_classes = int(y.max()) + 1
-    else:
+    if task == "regression":
         n_classes = None
     n_rows, n_features = X.shape
     mtry = params.mtry
     if mtry is not None:
         mtry = max(1, min(mtry, n_features))
     sample = mtry is not None and mtry < n_features
-    if sample and rng is None:
-        rng = np.random.default_rng(0)
     presorted = presorted or Presorted(X)
     columns, work = presorted.columns, presorted.work
     order = None if sample else presorted.order

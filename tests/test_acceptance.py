@@ -10,7 +10,7 @@ import pytest
 
 from speechscore.acoustic import acoustic_features, pitch_track
 from speechscore.cli import main as cli_main
-from speechscore.corpus import FeatureMatrix, default_resources
+from speechscore.corpus import default_resources
 from speechscore.explain import pdp, shap_summary, tree_shap
 from speechscore.features import ExtractorConfig
 from speechscore.harness import (ablation_additive, ablation_leave_one_out,
@@ -21,12 +21,11 @@ from speechscore.learners import (TreeEnsembleModel, fit_forest, fit_gbt,
 from speechscore.metrics import mse, pearson, qwk, weight_matrix
 from speechscore.prosody import IntervalSequence, interval_features
 from speechscore.synth import SynthSpec, synth_corpus
-from speechscore.trees import TreeParams
 
 from conftest import make_response, make_tokens, make_word, silence_profile, tok
 from shap_oracle import brute_force_shap
 from test_acoustic import perturbed_tone, sine
-from test_explain import random_tree, wrap
+from test_explain import depth, random_tree, wrap
 
 GENERATING_GROUP = "FF"       # carries speaking rate and the pause structure
 
@@ -170,7 +169,9 @@ def test_criterion_5_shap_correctness():
 
     X = rng.uniform(-2, 2, size=(200, 5))
     y = X[:, 0] + np.sin(2 * X[:, 1]) + 0.2 * rng.standard_normal(200)
-    gbt = fit_gbt(X, y, n_stages=40, params=TreeParams(max_depth=3))
+    gbt = fit_gbt(X, y, np.ones(200), n_stages=40, learning_rate=0.1,
+                  params=depth(3), task="regression", n_classes=None, seed=0,
+                  feature_names=[f"f{i}" for i in range(5)])
     preds = gbt.predict(X)
     err = 0.0
     for i in range(200):
@@ -194,19 +195,15 @@ def test_criterion_6_pdp_correctness():
             return X[:, 0] + X[:, 1]
 
     rng = np.random.default_rng(3)
-    bg = FeatureMatrix(response_ids=[f"r{i}" for i in range(300)],
-                       columns=["a", "b"], groups=["FF", "FF"],
-                       values=rng.uniform(-2, 2, size=(300, 2)))
-    curve = pdp(Additive(), bg, "a", n_grid=20)
-    expected = curve.grid + bg.values[:, 1].mean()
+    bg = rng.uniform(-2, 2, size=(300, 2))
+    curve = pdp(Additive(), bg, ["a", "b"], "a", n_grid=20)
+    expected = curve.grid + bg[:, 1].mean()
     assert np.max(np.abs(curve.mean_prediction - expected)) < 1e-9
 
     from test_explain import manual_tree
     step_model = wrap([manual_tree(0, 0.0, 0.0, 1.0)], ["a"])
-    grid_bg = FeatureMatrix(response_ids=[f"g{i}" for i in range(101)],
-                            columns=["a"], groups=["FF"],
-                            values=np.linspace(-1, 1, 101).reshape(-1, 1))
-    step = pdp(step_model, grid_bg, "a", n_grid=20)
+    grid_bg = np.linspace(-1, 1, 101).reshape(-1, 1)
+    step = pdp(step_model, grid_bg, ["a"], "a", n_grid=20)
     assert np.all(step.mean_prediction[step.grid <= 0] == 0.0)
     assert np.all(step.mean_prediction[step.grid > 0] == 1.0)
     _report(6, f"additive identity < 1e-9 and exact step curve "
@@ -218,22 +215,28 @@ def test_criterion_7_learner_properties(tmp_path):
     rng = np.random.default_rng(11)
     X = rng.uniform(-3, 3, size=(300, 1))
     y = X[:, 0] + 0.1 * rng.standard_normal(300)
-    gbt = fit_gbt(X, y, n_stages=60, learning_rate=0.1)
+    unit = {"weights": np.ones(300), "task": "regression", "n_classes": None,
+            "feature_names": ["x"]}
+    gbt = fit_gbt(X, y, n_stages=60, learning_rate=0.1, params=depth(3),
+                  seed=0, **unit)
     assert all(a >= b - 1e-12 for a, b in zip(gbt.train_loss, gbt.train_loss[1:]))
 
     Xte = rng.uniform(-3, 3, size=(300, 1))
     yte = Xte[:, 0] + 0.1 * rng.standard_normal(300)
-    tree = fit_single_tree(X, y, params=TreeParams(max_depth=5))
-    forest = fit_forest(X, y, n_trees=60, seed=1, params=TreeParams(max_depth=5))
+    tree = fit_single_tree(X, y, params=depth(5), seed=0, **unit)
+    forest = fit_forest(X, y, n_trees=60, params=depth(5), seed=1, **unit)
     mse_tree = float(np.mean((tree.predict(Xte) - yte) ** 2))
     mse_forest = float(np.mean((forest.predict(Xte) - yte) ** 2))
     assert mse_forest <= mse_tree
 
+    # A zero-mean target of -5 and 5 split by a stump: boosting starts at
+    # the mean 0, and each stage fits the residuals of either side.
     nu, k = 0.25, 8
-    shrink = fit_gbt(np.zeros((30, 1)), np.full(30, 5.0), n_stages=k,
-                     learning_rate=nu, init="zero", params=TreeParams(max_depth=0))
+    shrink = fit_gbt(np.repeat([0.0, 1.0], 15).reshape(-1, 1),
+                     np.repeat([-5.0, 5.0], 15), n_stages=k, learning_rate=nu,
+                     params=depth(1), seed=0, **dict(unit, weights=np.ones(30)))
     expected = 5.0 * (1 - (1 - nu) ** k)
-    assert abs(shrink.predict(np.zeros((1, 1)))[0] - expected) < 1e-9
+    assert abs(shrink.predict(np.ones((1, 1)))[0] - expected) < 1e-9
 
     save_model(gbt, tmp_path / "gbt.json")
     reloaded = load_model(tmp_path / "gbt.json")
@@ -254,7 +257,7 @@ def e2e():
                              seed=7)
     dataset = prepare_prompt(responses, resources, config)
     best, cv_table = tune(dataset, {"max_depth": [3, 4], "n_stages": [100]},
-                          seed=7)
+                          "gbt", "regression", folds=5, seed=7)
     model = _train(dataset, "gbt", "regression", best, seed=7)
     test_eval = _evaluate(dataset, model, "test", "gbt")
     return {"dataset": dataset, "best": best, "cv_table": cv_table,
@@ -268,8 +271,7 @@ def test_criterion_8_end_to_end(e2e):
     assert test_qwk >= 0.7, f"held-out QWK {test_qwk:.3f} < 0.7"
 
     X_train, _, _, columns = dataset.design("train")
-    curve = pdp(model, X_train, "speaking_rate", n_grid=20,
-                feature_names=columns)
+    curve = pdp(model, X_train, columns, "speaking_rate", n_grid=20)
     middle = curve.mean_prediction[2:18]     # middle 80 % of the grid
     assert np.all(np.diff(middle) >= -1e-9), middle
 

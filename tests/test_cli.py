@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ from speechscore import cli, learners
 from speechscore.cli import build_parser, main
 from speechscore.corpus import RESOURCE_FILES, RESOURCES_DIR, FeatureMatrix
 from speechscore.harness import load_prompt_dataset
+from speechscore.learners import fit_linear, save_model
 
 
 @pytest.fixture(scope="module")
@@ -106,9 +108,10 @@ def test_grid_search_scores_the_refit_model(pipeline_dirs, tmp_path,
         fits.append(dict(learners.DEFAULT_PARAMS[kind], **(point or {})))
         return real_fit_model(kind, point, *args, **kwargs)
 
-    def record_gbt(X, y, weights=None, **kwargs):
+    def record_gbt(X, y, weights, **kwargs):
         learner_calls.append({k: kwargs[k] for k in
-                              ("n_stages", "learning_rate", "params", "task")})
+                              ("n_stages", "learning_rate", "params", "task",
+                               "feature_names")})
         return real_fit_gbt(X, y, weights, **kwargs)
     monkeypatch.setattr(learners, "fit_model", record_fit)
     monkeypatch.setattr(learners, "fit_gbt", record_gbt)
@@ -127,6 +130,9 @@ def test_grid_search_scores_the_refit_model(pipeline_dirs, tmp_path,
     leaf = params.get("min_samples_leaf",
                       learners.DEFAULT_PARAMS["gbt"]["min_samples_leaf"])
     assert refit_call["params"].min_samples_leaf == leaf
+    # Every fold model, as the refit, carries the dataset's column names.
+    assert refit_call["feature_names"] == FeatureMatrix.from_csv(
+        pipeline_dirs / "features" / "features.csv").columns
     cv_table = json.loads((run / "cv_table.json").read_text())
     assert len(cv_table) == 1
     assert json.loads((run / "model.json").read_text())["params"] == \
@@ -336,14 +342,49 @@ def test_bad_split_ratios_rejected(pipeline_dirs, tmp_path, capsys, ratios):
     assert not (tmp_path / "x" / "splits.json").exists()
 
 
-def test_misspelled_formulation_rejected(pipeline_dirs, tmp_path, capsys):
+@pytest.mark.parametrize("models, formulations, needle", [
+    ("linear", "regresion", "regresion"),
+    (",", "regression", "no model keys given")])
+def test_misspelled_formulation_rejected(pipeline_dirs, tmp_path, capsys,
+                                         models, formulations, needle):
     out = tmp_path / "report"
     assert main(["report", "--features", str(pipeline_dirs / "features"),
-                 "--out", str(out), "--models", "linear",
-                 "--formulations", "regresion"]) == 1
+                 "--out", str(out), "--models", models,
+                 "--formulations", formulations]) == 1
     payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert payload["error"] == "ValueError"
-    assert "regresion" in payload["message"]
+    assert needle in payload["message"]
+    assert not list(out.iterdir())
+
+
+def test_empty_vocabulary_rejected_without_features(pipeline_dirs, tmp_path,
+                                                    capsys):
+    corpus, out = pipeline_dirs / "corpus", tmp_path / "out"
+    assert main(["extract", "--manifest", str(corpus / "manifest.txt"),
+                 "--resources", str(corpus / "resources"), "--out", str(out),
+                 "--groups", "CF,FF", "--min-df", "1000"]) == 1
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "ValueError"
+    assert re.search(r"min_df=1000 of the \d+ train transcripts",
+                     payload["message"]), payload["message"]
+    assert not (out / "features.csv").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["evaluate"], ["explain", "--kind", "pdp", "--feature", "speaking_rate"]])
+def test_model_file_without_its_key_rejected(pipeline_dirs, tmp_path, capsys,
+                                             argv):
+    # A model saved by save_model alone records no model key.
+    feats = pipeline_dirs / "features"
+    X, y, _, columns = load_prompt_dataset(feats).design("train")
+    save_model(fit_linear(X, y, feature_names=columns), tmp_path / "model.json")
+    out = tmp_path / "out"
+    assert main([argv[0], "--features", str(feats),
+                 "--model", str(tmp_path / "model.json"), "--out", str(out),
+                 *argv[1:]]) == 1
+    payload = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert payload["error"] == "ValueError"
+    assert "records no known model_key" in payload["message"]
     assert not list(out.iterdir())
 
 

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from pytest import approx
 
 from speechscore import explain
-from speechscore.corpus import FeatureMatrix
 from speechscore.explain import (DegenerateCover, gain_importance, pdp,
                                  shap_base_value, shap_summary, tree_shap)
 from speechscore.learners import (TreeEnsembleModel, fit_forest, fit_gbt,
@@ -15,6 +14,22 @@ from speechscore.learners import (TreeEnsembleModel, fit_forest, fit_gbt,
 from speechscore.trees import Tree, TreeParams
 
 from shap_oracle import brute_force_shap
+
+REGRESSION = {"task": "regression", "n_classes": None}
+
+
+def depth(max_depth):
+    """Trees of the given depth that may split down to one-row leaves."""
+    return TreeParams(max_depth=max_depth, min_samples_leaf=1,
+                      min_samples_split=2, mtry=None)
+
+
+def names(X):
+    return [f"f{i}" for i in range(np.shape(X)[1])]
+
+
+def unit(y):
+    return np.ones(len(y))
 
 
 def manual_tree(feature, threshold, left_value, right_value,
@@ -90,23 +105,18 @@ class TestGainImportance:
         rng = np.random.default_rng(0)
         X = rng.uniform(-1, 1, size=(500, 2))
         y = X[:, 0] + X[:, 1]
-        model = fit_gbt(X, y, n_stages=30, params=TreeParams(max_depth=2),
-                        feature_names=["a", "b"])
+        model = fit_gbt(X, y, unit(y), n_stages=30, learning_rate=0.1,
+                        params=depth(2), seed=0, feature_names=["a", "b"],
+                        **REGRESSION)
         ranking = dict(gain_importance(model).entries)
         assert abs(ranking["a"] - ranking["b"]) < 0.1
 
 
 class TestPdp:
-    def _background(self, values, columns):
-        values = np.asarray(values, dtype=float)
-        return FeatureMatrix(response_ids=[f"r{i}" for i in range(len(values))],
-                             columns=columns, groups=["FF"] * len(columns),
-                             values=values)
-
     def test_constant_model_flat(self):
         model = wrap([leaf_tree(3.0)], ["x0"])
-        bg = self._background(np.linspace(0, 1, 30).reshape(-1, 1), ["x0"])
-        curve = pdp(model, bg, "x0")
+        bg = np.linspace(0, 1, 30).reshape(-1, 1)
+        curve = pdp(model, bg, ["x0"], "x0", n_grid=20)
         assert np.allclose(curve.mean_prediction, 3.0)
 
     def test_additive_identity(self):
@@ -115,47 +125,44 @@ class TestPdp:
                 return X[:, 0] + X[:, 1]
 
         rng = np.random.default_rng(1)
-        bg = self._background(rng.uniform(-2, 2, size=(200, 2)), ["a", "b"])
-        curve = pdp(Additive(), bg, "a", n_grid=15)
-        expected = curve.grid + bg.values[:, 1].mean()
+        bg = rng.uniform(-2, 2, size=(200, 2))
+        curve = pdp(Additive(), bg, ["a", "b"], "a", n_grid=15)
+        expected = curve.grid + bg[:, 1].mean()
         assert np.max(np.abs(curve.mean_prediction - expected)) < 1e-9
 
     def test_step_curve(self):
         model = wrap([manual_tree(0, 0.0, 0.0, 1.0)], ["x0"])
-        bg = self._background(np.linspace(-1, 1, 101).reshape(-1, 1), ["x0"])
-        curve = pdp(model, bg, "x0", n_grid=20)
+        bg = np.linspace(-1, 1, 101).reshape(-1, 1)
+        curve = pdp(model, bg, ["x0"], "x0", n_grid=20)
         low = curve.mean_prediction[curve.grid <= 0.0]
         high = curve.mean_prediction[curve.grid > 0.0]
         assert np.allclose(low, 0.0) and np.allclose(high, 1.0)
 
     def test_constant_feature_flagged(self):
         model = wrap([leaf_tree(1.0)], ["x0"])
-        bg = self._background(np.full((10, 1), 2.5), ["x0"])
-        curve = pdp(model, bg, "x0")
+        curve = pdp(model, np.full((10, 1), 2.5), ["x0"], "x0", n_grid=20)
         assert curve.grid.size == 1
         assert "pdp_constant_feature" in curve.flags
 
     def test_grid_percentile_clipping(self):
         model = wrap([leaf_tree(0.0)], ["x0"])
         col = np.concatenate([[1e6], np.linspace(0, 1, 199)])
-        bg = self._background(col.reshape(-1, 1), ["x0"])
-        curve = pdp(model, bg, "x0", n_grid=10)
+        curve = pdp(model, col.reshape(-1, 1), ["x0"], "x0", n_grid=10)
         assert curve.grid[-1] < 1e5    # the outlier is clipped away
 
 
     @pytest.mark.parametrize("n_grid", [0, -3])
     def test_grid_size_below_one_rejected(self, n_grid):
         model = wrap([leaf_tree(0.0)], ["x0"])
-        bg = self._background(np.linspace(0, 1, 10).reshape(-1, 1), ["x0"])
+        bg = np.linspace(0, 1, 10).reshape(-1, 1)
         with pytest.raises(ValueError, match=f"grid size .*got {n_grid}"):
-            pdp(model, bg, "x0", n_grid=n_grid)
+            pdp(model, bg, ["x0"], "x0", n_grid=n_grid)
 
     def test_unknown_feature_rejected(self):
         model = wrap([leaf_tree(0.0)], ["x0", "x1"])
-        bg = self._background(np.zeros((4, 2)), ["x0", "x1"])
         with pytest.raises(ValueError, match="'nosuch' is not one of the "
                                              "model's 2 columns"):
-            pdp(model, bg, "nosuch")
+            pdp(model, np.zeros((4, 2)), ["x0", "x1"], "nosuch", n_grid=20)
 
 
 def per_point_pdp(model, X, col, n_grid):
@@ -194,23 +201,29 @@ def pdp_models():
     y = X[:, 0] - X[:, 1] * X[:, 2] + 0.3 * rng.normal(size=120)
     y8 = np.digitize(y, np.quantile(y, np.linspace(0, 1, 9)[1:-1])).astype(float)
     y3 = np.digitize(y, np.quantile(y, [1 / 3, 2 / 3])).astype(float)
-    shallow = TreeParams(max_depth=2)
+    common = {"weights": unit(y), "seed": 0, "feature_names": names(X)}
     models = {
-        "single_tree": fit_single_tree(X, y, params=TreeParams(max_depth=4)),
-        "forest": fit_forest(X, y, n_trees=6, params=shallow, seed=1),
-        "gbt_regressor": fit_gbt(X, y, n_stages=12, params=shallow),
-        "forest_classifier": fit_forest(X, y3, n_trees=6, params=shallow,
-                                        task="classification", seed=2),
+        "single_tree": fit_single_tree(X, y, params=depth(4), **common,
+                                       **REGRESSION),
+        "forest": fit_forest(X, y, n_trees=6, params=depth(2),
+                             **dict(common, seed=1), **REGRESSION),
+        "gbt_regressor": fit_gbt(X, y, n_stages=12, learning_rate=0.1,
+                                 params=depth(2), **common, **REGRESSION),
+        "forest_classifier": fit_forest(X, y3, n_trees=6, params=depth(2),
+                                        task="classification", n_classes=3,
+                                        **dict(common, seed=2)),
         # At 8 classes a stacked `proba @ arange(8)` rounds some rows
         # differently, so these two catch classifiers stacked by mistake.
-        "gbt_classifier_8": fit_gbt(X, y8, n_stages=4,
-                                    params=TreeParams(max_depth=3),
-                                    task="classification"),
-        "logistic_8": fit_logistic(X, y8),
-        "linear": fit_linear(X, y),
+        "gbt_classifier_8": fit_gbt(X, y8, n_stages=4, learning_rate=0.1,
+                                    params=depth(3), task="classification",
+                                    n_classes=8, **common),
+        "logistic_8": fit_logistic(X, y8, unit(y8), n_classes=8,
+                                   feature_names=names(X)),
+        "linear": fit_linear(X, y, feature_names=names(X)),
         "plain": SineProjection(rng.normal(size=8)),
     }
     assert models["gbt_classifier_8"].n_classes == 8
+    assert np.unique(y8).size == 8
     background = rng.uniform(-2, 2, size=(15, 8))
     background[:, CONSTANT_COL] = 0.25
     return models, background
@@ -233,11 +246,12 @@ class TestStackedPdp:
                                 points_per_chunk * X.size)
         for col, n_grid in ((0, 20), (1, 200), (2, 200), (CONSTANT_COL, 20),
                             (1, 2), (2, 1)):
-            curve = pdp(models[kind], X, col, n_grid=n_grid)
+            curve = pdp(models[kind], X, names(X), f"f{col}", n_grid=n_grid)
             grid, expected = per_point_pdp(models[kind], X, col, n_grid)
             assert curve.grid.tobytes() == grid.tobytes()
             assert curve.mean_prediction.tobytes() == expected.tobytes(), (kind, col)
-        assert pdp(models[kind], X, CONSTANT_COL).grid.size == 1
+        assert pdp(models[kind], X, names(X), f"f{CONSTANT_COL}",
+                   n_grid=20).grid.size == 1
 
     @pytest.mark.parametrize("kind", STACKED_KINDS + PER_POINT_KINDS)
     def test_only_regression_tree_ensembles_are_stacked(self, pdp_models,
@@ -254,7 +268,7 @@ class TestStackedPdp:
 
         monkeypatch.setattr(model, name, counting)
         monkeypatch.setattr(explain, "_PDP_STACK_ELEMENTS", 3 * background.size)
-        pdp(model, background, 0, n_grid=20)
+        pdp(model, background, names(background), "f0", n_grid=20)
         if kind in STACKED_KINDS:
             assert batch_rows == [45] * 6 + [30]
         else:
@@ -265,11 +279,12 @@ def test_pdp_memory_bounded_by_stack_budget():
     """Stacking 200 grid points of a 300 x 200 background would take 96 MB."""
     rng = np.random.default_rng(23)
     X = rng.normal(size=(300, 200))
-    model = fit_gbt(X, X[:, 0] + X[:, 1], n_stages=10,
-                    params=TreeParams(max_depth=2))
+    model = fit_gbt(X, X[:, 0] + X[:, 1], unit(X), n_stages=10,
+                    learning_rate=0.1, params=depth(2), seed=0,
+                    feature_names=names(X), **REGRESSION)
     tracemalloc.start()
     try:
-        curve = pdp(model, X, 0, n_grid=200)
+        curve = pdp(model, X, names(X), "f0", n_grid=200)
         peak_mb = tracemalloc.get_traced_memory()[1] / 2 ** 20
     finally:
         tracemalloc.stop()
@@ -322,8 +337,9 @@ class TestTreeShap:
         rng = np.random.default_rng(3)
         X = rng.uniform(-2, 2, size=(150, 3))
         y = X[:, 0] + np.sin(X[:, 1])
-        model = fit_gbt(X, y, n_stages=20, learning_rate=0.2,
-                        params=TreeParams(max_depth=3))
+        model = fit_gbt(X, y, unit(y), n_stages=20, learning_rate=0.2,
+                        params=depth(3), seed=0, feature_names=names(X),
+                        **REGRESSION)
         preds = model.predict(X)
         for i in range(0, 150, 10):
             phi, base = tree_shap(model, X[i])
@@ -333,7 +349,9 @@ class TestTreeShap:
         rng = np.random.default_rng(5)
         X = rng.normal(size=(60, 2))
         y = (X[:, 0] > 0).astype(float)
-        model = fit_gbt(X, y, n_stages=4, task="classification")
+        model = fit_gbt(X, y, unit(y), n_stages=4, learning_rate=0.1,
+                        params=depth(3), task="classification", n_classes=2,
+                        seed=0, feature_names=names(X))
         with pytest.raises(ValueError):
             tree_shap(model, X[0])
         phi, base = tree_shap(model, X[0], class_index=1)
@@ -394,7 +412,8 @@ class TestBruteForce:
         rng = np.random.default_rng(31)
         X = rng.uniform(-1, 1, size=(120, 6))
         y = X[:, 0] - X[:, 1] * X[:, 2] + 0.1 * rng.normal(size=120)
-        model = fit_forest(X, y, n_trees=6, params=TreeParams(max_depth=4), seed=3)
+        model = fit_forest(X, y, unit(y), n_trees=6, params=depth(4), seed=3,
+                           feature_names=names(X), **REGRESSION)
         assert model.tree_scale() == 1 / 6
         preds = model.predict(X)
         for i in range(0, 120, 12):
@@ -406,8 +425,9 @@ class TestBruteForce:
         rng = np.random.default_rng(37)
         X = rng.uniform(-1, 1, size=(150, 5))
         y = np.digitize(X[:, 0] + X[:, 3] * X[:, 4], [-0.4, 0.4]).astype(float)
-        model = fit_gbt(X, y, n_stages=5, learning_rate=0.3,
-                        params=TreeParams(max_depth=3), task="classification")
+        model = fit_gbt(X, y, unit(y), n_stages=5, learning_rate=0.3,
+                        params=depth(3), task="classification", n_classes=3,
+                        seed=0, feature_names=names(X))
         assert model.n_classes == 3
         margins = model.decision_scores(X)
         for k in range(3):
@@ -424,8 +444,9 @@ class TestDummyAxiom:
         X = rng.uniform(-1, 1, size=(200, 4))
         y = X[:, 0] * 2 + X[:, 2]
         # feature 3 is pure noise duplicated from nothing: forbid splits on it
-        model = fit_gbt(X[:, :3], y, n_stages=15, params=TreeParams(max_depth=2),
-                        feature_names=["a", "b", "c"])
+        model = fit_gbt(X[:, :3], y, unit(y), n_stages=15, learning_rate=0.1,
+                        params=depth(2), seed=0, feature_names=["a", "b", "c"],
+                        **REGRESSION)
         model.feature_names = ["a", "b", "c", "dummy"]
         for i in range(0, 200, 25):
             phi, _ = tree_shap(model, np.append(X[i, :3], 99.0))
@@ -437,8 +458,9 @@ class TestShapSummary:
         rng = np.random.default_rng(4)
         X = rng.uniform(-1, 1, size=(80, 3))
         y = 3 * X[:, 1]
-        model = fit_gbt(X, y, n_stages=10, params=TreeParams(max_depth=2),
-                        feature_names=["a", "b", "c"])
+        model = fit_gbt(X, y, unit(y), n_stages=10, learning_rate=0.1,
+                        params=depth(2), seed=0, feature_names=["a", "b", "c"],
+                        **REGRESSION)
         summary = shap_summary(model, X)
         assert summary.ranking[0][0] == "b"
         assert summary.phi.shape == (80, 3)
@@ -454,8 +476,9 @@ class TestShapSummary:
         rng = np.random.default_rng(6)
         X = rng.uniform(-1, 1, size=(300, 2))
         y = X[:, 0]
-        model = fit_gbt(X, y, n_stages=30, params=TreeParams(max_depth=2),
-                        feature_names=["inc", "noise"])
+        model = fit_gbt(X, y, unit(y), n_stages=30, learning_rate=0.1,
+                        params=depth(2), seed=0, feature_names=["inc", "noise"],
+                        **REGRESSION)
         summary = shap_summary(model, X)
         values = X[:, 0]
         phi = summary.phi[:, 0]
@@ -467,7 +490,9 @@ class TestShapSummary:
         rng = np.random.default_rng(8)
         X = rng.uniform(-1, 1, size=(40, 3))
         y = X[:, 0] - 2 * X[:, 2]
-        model = fit_gbt(X, y, n_stages=12, params=TreeParams(max_depth=3))
+        model = fit_gbt(X, y, unit(y), n_stages=12, learning_rate=0.1,
+                        params=depth(3), seed=0, feature_names=names(X),
+                        **REGRESSION)
         summary = shap_summary(model, X)
         preds = model.predict(X)
         recon = summary.base_value + summary.phi.sum(axis=1)
@@ -586,15 +611,18 @@ def fitted_shap_models():
     X = rng.uniform(-1, 1, size=(150, 6))
     y = X[:, 0] - X[:, 1] * X[:, 2] + 0.5 * np.sin(3 * X[:, 3]) + 0.1 * rng.normal(size=150)
     y3 = np.digitize(y, np.quantile(y, [1 / 3, 2 / 3])).astype(float)
-    deep = TreeParams(max_depth=6)
+    common = {"weights": unit(y), "feature_names": names(X)}
     models = {
-        "single_tree": fit_single_tree(X, y, params=deep),
-        "forest": fit_forest(X, y, n_trees=5, params=TreeParams(max_depth=4), seed=3),
+        "single_tree": fit_single_tree(X, y, params=depth(6), seed=0,
+                                       **common, **REGRESSION),
+        "forest": fit_forest(X, y, n_trees=5, params=depth(4), seed=3,
+                             **common, **REGRESSION),
         "gbt_regressor": fit_gbt(X, y, n_stages=10, learning_rate=0.2,
-                                 params=TreeParams(max_depth=4)),
+                                 params=depth(4), seed=0, **common,
+                                 **REGRESSION),
         "gbt_classifier": fit_gbt(X, y3, n_stages=4, learning_rate=0.3,
-                                  params=TreeParams(max_depth=3),
-                                  task="classification"),
+                                  params=depth(3), task="classification",
+                                  n_classes=3, seed=0, **common),
     }
     assert models["forest"].tree_scale() == 1 / 5
     assert models["gbt_classifier"].n_classes == 3

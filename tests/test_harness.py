@@ -186,7 +186,7 @@ class TestPreparePrompt:
         X, _, _, _ = small_dataset.design("train")
         assert np.all(X[:, small_dataset.matrix.columns.index("speaking_rate")] > 0)
         for formulation in ("regression", "classification"):
-            model = _train(small_dataset, "linear", formulation, None, seed=5)
+            model = _train(small_dataset, "linear", formulation, {}, seed=5)
             assert np.array_equal(model.scaler.mean, X.mean(axis=0))
             assert np.array_equal(model.scaler.std, X.std(axis=0))
             Z = model.scaler.transform(X)
@@ -235,7 +235,7 @@ class TestBenchmark:
         monkeypatch.setattr(harness, "human_agreement", counted)
         report = run_benchmark(small_dataset, models=("length_baseline",),
                                formulations=("regression", "classification"),
-                               seed=5)
+                               seed=5, params={})
         assert len(report["rows"]) == 2
         assert calls == list(harness.SPLITS)
         assert report["human_human"] == {
@@ -250,18 +250,23 @@ class TestBenchmark:
                            params=FAST_PARAMS)
         assert json.dumps(r1, sort_keys=True) == json.dumps(r2, sort_keys=True)
 
-    def test_unknown_model_rejected(self, small_dataset):
-        with pytest.raises(ValueError):
-            run_benchmark(small_dataset, models=("nope",))
+    @pytest.mark.parametrize("models, message", [
+        (("nope",), "unknown model key"), ((), "no model keys given")])
+    def test_unknown_model_rejected(self, small_dataset, models, message):
+        with pytest.raises(ValueError, match=message):
+            run_benchmark(small_dataset, models=models, seed=5, params={})
 
-    def test_unknown_formulation_rejected_before_any_fit(self, small_dataset,
-                                                         monkeypatch):
+    @pytest.mark.parametrize("formulations, message", [
+        (("regression", "regresion"), "regresion"),
+        ((), "no formulations given")])
+    def test_unknown_formulation_rejected_before_any_fit(
+            self, small_dataset, monkeypatch, formulations, message):
         fits = []
         monkeypatch.setattr(learners, "fit_model",
                             lambda *args, **kwargs: fits.append(args))
-        with pytest.raises(ValueError, match="regresion"):
+        with pytest.raises(ValueError, match=message):
             run_benchmark(small_dataset, models=("gbt",),
-                          formulations=("regression", "regresion"))
+                          formulations=formulations, seed=5, params={})
         assert fits == []
 
     def test_human_agreement_none_without_rater2(self):
@@ -298,7 +303,7 @@ class TestAblations:
 
     def test_unknown_group_rejected(self, small_dataset):
         with pytest.raises(ValueError):
-            ablation_additive(small_dataset, order=("AF",), seed=5)
+            ablation_additive(small_dataset, order=("AF",), seed=5, params={})
 
     def test_every_stage_retrains(self, small_dataset):
         # configurations with different groups cannot share fitted structure:
@@ -312,7 +317,8 @@ def test_linear_key_classifies_with_logistic(small_dataset):
     X, y, _, columns = small_dataset.design("train")
     weights = class_weights(y)
     model = fit_model("linear", {}, X, y, weights, task="classification",
-                      n_classes=small_dataset.n_classes, feature_names=columns)
+                      n_classes=small_dataset.n_classes, seed=0,
+                      feature_names=columns)
     direct = fit_logistic(X, y, weights, n_classes=small_dataset.n_classes,
                           feature_names=columns)
     assert isinstance(model, LogisticModel)

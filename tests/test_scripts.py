@@ -43,7 +43,7 @@ def _check_fit_digests(tmp_path, stdout):
     """Each fit_profile row's digest is the SHA-256 prefix of the model file
     that `save_model` writes for the same fit."""
     from speechscore.harness import load_prompt_dataset
-    from speechscore.learners import class_weights, fit_model, save_model
+    from speechscore.learners import fit_model, save_model, task_weights
 
     header, *rows = stdout.splitlines()
     assert header.split()[4:6] == ["fit_s", "model_sha256"]
@@ -55,8 +55,7 @@ def _check_fit_digests(tmp_path, stdout):
     seen = set()
     for row in rows:
         _, _, model, task, _, digest = row.split()[:6]
-        weights = class_weights(y) if task == "classification" else None
-        fitted = fit_model(model, {}, X, y, weights, task=task,
+        fitted = fit_model(model, {}, X, y, task_weights(y, task), task=task,
                            n_classes=dataset.n_classes, seed=7, feature_names=columns)
         save_model(fitted, tmp_path / "model.json")
         data = (tmp_path / "model.json").read_bytes()
@@ -73,7 +72,8 @@ def test_artifact_digests_runs(tmp_path):
     assert all(len(line.split("  ", 1)[0]) == 64 for line in lines)
     for expected in ("corpus/manifest.txt", "features/features.csv",
                      "gbt_regression/model.json", "gbt_regression/cv_table.json",
-                     "gbt_classification/report.json", "explain/importance.csv",
+                     "gbt_classification/report.json",
+                     "gbt_classification/cv_table.json", "explain/importance.csv",
                      "explain/pdp_speaking_rate.csv", "explain/shap_values.csv",
                      "report/benchmark.json", "ablate/ablation_add.json",
                      "ablate/ablation_drop.json"):

@@ -1,5 +1,6 @@
 import gc
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,16 +9,26 @@ from hypothesis import strategies as st
 from pytest import approx
 
 from speechscore import learners
-from speechscore.learners import class_weights, fit_gbt
+from speechscore.learners import fit_gbt, task_weights
 from speechscore.trees import (Presorted, Tree, TreeParams, _node_value,
                                _SplitScorer, fit_tree)
+
+# A depth-6 tree that may split down to one-row leaves, on every column.
+DEEP = TreeParams(max_depth=6, min_samples_leaf=1, min_samples_split=2,
+                  mtry=None)
+
+
+def _regression_tree(X, y, params, **kwargs):
+    """A unit-weight regression tree."""
+    return fit_tree(X, y, np.ones(len(y)), params, task="regression",
+                    n_classes=None, rng=np.random.default_rng(0), **kwargs)
 
 
 class TestFitTree:
     def test_exhaustive_split_by_hand(self):
         X = np.array([[1.0], [2.0], [3.0], [4.0]])
         y = np.array([0.0, 0.0, 10.0, 10.0])
-        tree = fit_tree(X, y)
+        tree = _regression_tree(X, y, DEEP)
         assert tree.feature[0] == 0
         assert tree.threshold[0] == approx(2.5)
         leaves = sorted(tree.value[tree.feature == -1])
@@ -26,21 +37,21 @@ class TestFitTree:
 
     def test_constant_target_single_leaf(self):
         X = np.arange(6, dtype=float).reshape(-1, 1)
-        tree = fit_tree(X, np.full(6, 4.2))
+        tree = _regression_tree(X, np.full(6, 4.2), DEEP)
         assert tree.n_nodes == 1
         assert tree.value[0] == approx(4.2)
 
     def test_max_depth_zero(self):
         X = np.arange(4, dtype=float).reshape(-1, 1)
-        tree = fit_tree(X, np.array([0.0, 1.0, 2.0, 3.0]),
-                        params=TreeParams(max_depth=0))
+        tree = _regression_tree(X, np.array([0.0, 1.0, 2.0, 3.0]),
+                                replace(DEEP, max_depth=0))
         assert tree.n_nodes == 1
         assert tree.value[0] == approx(1.5)
 
     def test_contradictory_leaf_params(self):
         X = np.arange(4, dtype=float).reshape(-1, 1)
-        tree = fit_tree(X, np.array([0.0, 1.0, 2.0, 3.0]),
-                        params=TreeParams(min_samples_leaf=3))
+        tree = _regression_tree(X, np.array([0.0, 1.0, 2.0, 3.0]),
+                                replace(DEEP, min_samples_leaf=3))
         assert tree.n_nodes == 1
 
     def test_cover_bookkeeping(self):
@@ -48,7 +59,8 @@ class TestFitTree:
         X = rng.normal(size=(200, 4))
         y = X[:, 0] + 2 * (X[:, 1] > 0) + 0.1 * rng.normal(size=200)
         w = rng.uniform(0.5, 2.0, size=200)
-        tree = fit_tree(X, y, weights=w, params=TreeParams(max_depth=5))
+        tree = fit_tree(X, y, w, replace(DEEP, max_depth=5), task="regression",
+                        n_classes=None, rng=np.random.default_rng(0))
         internal = np.flatnonzero(tree.feature >= 0)
         assert internal.size > 0
         for node in internal:
@@ -61,13 +73,13 @@ class TestFitTree:
         # identical columns: the split must use feature 0
         X = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [4.0, 4.0]])
         y = np.array([0.0, 0.0, 1.0, 1.0])
-        tree = fit_tree(X, y)
+        tree = _regression_tree(X, y, DEEP)
         assert tree.feature[0] == 0
 
     def test_min_samples_leaf_respected(self):
         X = np.arange(10, dtype=float).reshape(-1, 1)
         y = (X[:, 0] > 0.5).astype(float)   # best unrestricted split isolates one row
-        tree = fit_tree(X, y, params=TreeParams(min_samples_leaf=3))
+        tree = _regression_tree(X, y, replace(DEEP, min_samples_leaf=3))
         if tree.feature[0] >= 0:
             left = (X[:, 0] <= tree.threshold[0]).sum()
             assert 3 <= left <= 7
@@ -80,7 +92,9 @@ class TestFitTree:
     def test_threshold_separates_neighbouring_values(self, below, above, w):
         X = np.array([[below]] * 7 + [[above]] * 7)
         y = np.repeat([0.0, 1.0], 7)
-        tree = fit_tree(X, y, np.full(14, w), TreeParams(max_depth=3))
+        tree = fit_tree(X, y, np.full(14, w), replace(DEEP, max_depth=3),
+                        task="regression", n_classes=None,
+                        rng=np.random.default_rng(0))
         assert tree.threshold[0] == below
         assert tree.cover[tree.left[0]] == tree.cover[tree.right[0]] == 7 * w
         assert tree.value.tolist() == [0.5, 0.0, 1.0]
@@ -88,7 +102,8 @@ class TestFitTree:
     def test_classification_gini(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([0, 0, 1, 1], dtype=float)
-        tree = fit_tree(X, y, task="classification", n_classes=2)
+        tree = fit_tree(X, y, np.ones(4), DEEP, task="classification",
+                        n_classes=2, rng=np.random.default_rng(0))
         assert tree.threshold[0] == approx(1.5)
         proba = tree.predict(X)
         assert proba.shape == (4, 2)
@@ -102,10 +117,12 @@ class TestFitTree:
                   "left": np.int64, "right": np.int64, "cover": np.float64,
                   "gain": np.float64, "value": np.float64}
         X = np.random.default_rng(1).normal(size=(50, 3))
-        for task, y, value_ndim in (
-                ("regression", X[:, 0] ** 2, 1),
-                ("classification", (X[:, 0] > 0) + (X[:, 1] > 0.5), 2)):
-            tree = fit_tree(X, y, params=TreeParams(max_depth=4), task=task)
+        for task, y, n_classes, value_ndim in (
+                ("regression", X[:, 0] ** 2, None, 1),
+                ("classification", (X[:, 0] > 0) + (X[:, 1] > 0.5), 3, 2)):
+            tree = fit_tree(X, y, np.ones(50), replace(DEEP, max_depth=4),
+                            task=task, n_classes=n_classes,
+                            rng=np.random.default_rng(0))
             assert tree.n_nodes > 1 and tree.value.ndim == value_ndim
             back = Tree.from_json(json.loads(json.dumps(tree.to_json())))
             assert np.array_equal(back.predict(X), tree.predict(X))
@@ -119,7 +136,7 @@ class TestFitTree:
         rng = np.random.default_rng(2)
         X = rng.normal(size=(140, 5))
         y = X[:, 0] - X[:, 3] ** 2 + 0.1 * rng.normal(size=140)
-        tree = fit_tree(X, y, params=TreeParams(max_depth=4))
+        tree = _regression_tree(X, y, replace(DEEP, max_depth=4))
         leaves = tree.apply(X)
         for x, leaf in zip(X, leaves):
             node = 0
@@ -142,8 +159,8 @@ class TestFitTree:
         gc.collect()
         gc.disable()
         try:
-            fit_tree(X, y, params=TreeParams(max_depth=4, mtry=mtry), task=task,
-                     rng=np.random.default_rng(0))
+            fit_tree(X, y, np.ones(80), replace(DEEP, max_depth=4, mtry=mtry),
+                     task=task, n_classes=3, rng=np.random.default_rng(0))
             found = gc.collect()
         finally:
             gc.enable()
@@ -282,23 +299,17 @@ class TestBatchedSplitSearch:
                 == _bits(_reference_best_split(*case)))
 
 
-def _reference_fit_tree(X, y, weights=None, params=None, task="regression",
-                        n_classes=None, rng=None):
+def _reference_fit_tree(X, y, weights, params, *, task, n_classes, rng):
     """Recursive grower that sorts every node anew: each split comes from
     the one-column scans above on the node's own rows."""
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    w = np.ones(y.size) if weights is None else np.asarray(weights, dtype=np.float64)
-    params = params or TreeParams()
-    if task == "classification":
-        n_classes = n_classes or int(y.max()) + 1
-    else:
+    w = np.asarray(weights, dtype=np.float64)
+    if task == "regression":
         n_classes = None
     p = X.shape[1]
     mtry = None if params.mtry is None else max(1, min(params.mtry, p))
     sample = mtry is not None and mtry < p
-    if sample and rng is None:
-        rng = np.random.default_rng(0)
     nodes = []
 
     def grow(idx, depth):
@@ -395,9 +406,9 @@ class TestPresortedGrowth:
         presorted = Presorted(X)
         for seed in range(4):
             y = X[:, seed] - X[:, 5] + rng.normal(size=90)
-            shared = fit_tree(X, y, params=TreeParams(max_depth=4),
-                              presorted=presorted)
-            fresh = fit_tree(X, y, params=TreeParams(max_depth=4))
+            shared = _regression_tree(X, y, replace(DEEP, max_depth=4),
+                                      presorted=presorted)
+            fresh = _regression_tree(X, y, replace(DEEP, max_depth=4))
             assert _tree_bits(shared) == _tree_bits(fresh)
 
     @pytest.mark.parametrize("task", ["regression", "classification",
@@ -415,14 +426,16 @@ class TestPresortedGrowth:
             y = (np.argsort(np.argsort(signal, kind="stable")) // 40).astype(float)
         else:
             y = np.digitize(signal, np.quantile(signal, [0.33, 0.66])).astype(float)
-        weights = class_weights(y) if task == "classification" else None
+        weights = task_weights(y, task)
         if balanced:
             assert np.array_equal(weights, np.ones(120))
 
         def fit():
             model = fit_gbt(X, y, weights, n_stages=6, learning_rate=0.3,
-                            params=TreeParams(max_depth=3, min_samples_leaf=2),
-                            task=task)
+                            params=TreeParams(max_depth=3, min_samples_leaf=2,
+                                              min_samples_split=2, mtry=None),
+                            task=task, n_classes=3, seed=0,
+                            feature_names=["a", "b", "c", "d", "e", "f"])
             return json.dumps(model.to_json())
 
         fast = fit()
