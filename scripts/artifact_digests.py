@@ -4,9 +4,13 @@ Runs, through `speechscore.cli.main` only and in a temporary directory:
 synth; extract (text groups, 120 vocabulary terms); train a grid-searched
 GBT regressor and a grid-searched GBT classifier, whose CV tables cover
 plain and stratified folds; evaluate both; explain the regressor
-three ways (importance, PDP, SHAP); report; ablate add and drop. Then it
-prints one ``sha256  path`` line per output file, sorted by path, with
-paths relative to the run directory.
+three ways (importance, PDP, SHAP); report; ablate add and drop. Then, on
+a second corpus of 50 responses with audio and two grades: extract of all
+five groups (AF from WAVs read by path) on the first three responses of
+each grade in manifest order, once at ``--threads 1`` and once at
+``--threads 2``, into two directories. Then it prints one ``sha256  path``
+line per output file, sorted by path, with paths relative to the run
+directory.
 
 It calls nothing but the CLI, so one copy of this file runs against any
 checkout's ``src/``; identical output shows that a change keeps every
@@ -23,6 +27,7 @@ import argparse
 import contextlib
 import hashlib
 import io
+import json
 import tempfile
 from pathlib import Path
 
@@ -58,11 +63,38 @@ def run_pipeline(root: Path, n: int, seed: int) -> None:
         steps.append(["ablate", "--features", str(feats), "--out",
                       str(root / "ablate"), "--mode", mode, "--params", PARAMS])
     for step in steps:
-        # The steps' progress lines would mix with the digests on stdout.
-        with contextlib.redirect_stdout(io.StringIO()):
-            status = cli(step + ["--seed", str(seed)])
-        if status != 0:
-            raise SystemExit(f"step failed ({status}): {' '.join(step)}")
+        _run(step, seed)
+
+    audio = root / "audio_corpus"
+    _run(["synth", "--n", "50", "--grades", "2", "--audio", "--out", str(audio)], seed)
+    subset = _grade_subset(audio, 3)
+    for threads in ("1", "2"):
+        _run(["extract", "--manifest", str(subset),
+              "--resources", str(audio / "resources"),
+              "--out", str(root / f"audio_features_threads{threads}"),
+              "--groups", "CF,FF,SPF,GVF,AF", "--threads", threads], seed)
+
+
+def _run(step: list[str], seed: int) -> None:
+    # The steps' progress lines would mix with the digests on stdout.
+    with contextlib.redirect_stdout(io.StringIO()):
+        status = cli(step + ["--seed", str(seed)])
+    if status != 0:
+        raise SystemExit(f"step failed ({status}): {' '.join(step)}")
+
+
+def _grade_subset(corpus: Path, per_grade: int) -> Path:
+    """A manifest of the first `per_grade` responses of each grade, in
+    manifest order; the split needs at least three of each."""
+    picked, seen = [], {}
+    for name in (corpus / "manifest.txt").read_text(encoding="utf-8").split():
+        grade = json.loads((corpus / name).read_text(encoding="utf-8"))["grade"]
+        seen[grade] = seen.get(grade, 0) + 1
+        if seen[grade] <= per_grade:
+            picked.append(name)
+    subset = corpus / "subset.txt"
+    subset.write_text("\n".join(picked) + "\n", encoding="utf-8")
+    return subset
 
 
 def digests(root: Path) -> list[str]:

@@ -29,7 +29,7 @@ def main():
     ap.add_argument("--grades", type=int, default=3)
     ap.add_argument("--seed", type=int, default=7)
     ap.add_argument("--threads", type=int, default=1,
-                    help="feature-extraction threads")
+                    help="feature-extraction worker processes (forked)")
     ap.add_argument("--audio", action="store_true",
                     help="include the acoustic feature group (slower)")
     args = ap.parse_args()

@@ -20,22 +20,25 @@ small per-frame vectors (RMS, peak, best lag and its correlation, ten
 sub-band energies, spectral mass and centroid numerator), and the features
 reduce over those vectors, so peak memory is O(block) rather than
 O(duration). A block holds enough frames for its complex pitch spectrum to
-fill `_BLOCK_BYTES`, so its temporaries stay the same size whatever the
-sample rate and frame length. Every frame goes through the same arithmetic
-as it would in one whole-signal array, with the autocorrelation FFT at the
-power of two >= 2*frame, so the features do not depend on the block size.
-The one size-dependent step is `spectrum * np.conj(spectrum)`: NumPy
-evaluates it in place as `conj(s) * s`, which rounds differently, once the
-temporary reaches 256 KiB (temporary elision). The budget is at least that
-much: a response longer than one block then runs only in full blocks, each
-above the floor as its whole-signal array would be, and a shorter response
-is one block.
+fill `_BLOCK_BYTES`, so its arrays stay the same size whatever the sample
+rate and frame length; that size is chosen for cache and memory alone.
+Every frame goes through the same arithmetic as it would in one
+whole-signal array, with the autocorrelation FFT at the power of two
+>= 2*frame, so the features do not depend on the block size.
 
-The pass writes its block-sized arrays (FFT outputs included, hence NumPy
->= 2.0) into buffers made once per response. Blocks allocated afresh left
-the speed to the C allocator's history: without an earlier large free,
-glibc returned each block's temporaries to the system and faulted them back
-in for the next block, which made a 60 s response take ~1.6x as long.
+The one step whose rounding depends on an array's size is the power
+spectrum `s * np.conj(s)` of the whole-signal form: NumPy evaluates it in
+place as `conj(s) * s` once the temporary `conj(s)` reaches 256 KiB
+(temporary elision), and as `s * conj(s)` below that, and the two round
+differently. The pass writes the product itself, in the order the whole
+signal's pitch spectrum (frames * (nfft/2 + 1) * 16 bytes) would take.
+
+The pass writes every block-sized array (FFT outputs included, hence NumPy
+>= 2.0) into buffers made once per response, and allocates nothing per
+block beyond the per-frame vectors. Blocks allocated afresh left the speed
+to the C allocator's history: without an earlier large free, glibc returned
+each block's temporaries to the system and faulted them back in for the
+next block, which made a 60 s response take ~1.6x as long.
 """
 
 from __future__ import annotations
@@ -69,11 +72,15 @@ ACOUSTIC_FEATURES = (
     "total_duration",
 )
 
-# Bytes of a block's complex pitch spectrum in the framing pass (128 frames
-# at 16 kHz with 40 ms frames). At least NumPy's 256 KiB elision floor (see
-# the module docstring); at 1 MiB the per-frame vectors, which grow with
-# duration, would be a third of the pass's peak at 200 s of audio.
-_BLOCK_BYTES = 2 << 20
+# Bytes of a block's complex pitch spectrum in the framing pass (64 frames
+# at 16 kHz with 40 ms frames), a size chosen for cache and memory only (see
+# the module docstring). At 512 KiB the per-frame vectors, which grow with
+# duration, would set most of the peak: it rose 1.76x from 20 to 200 s of
+# audio, against 1.41x at 1 MiB.
+_BLOCK_BYTES = 1 << 20
+# NumPy evaluates an operation on a temporary of at least this many bytes in
+# place (temporary elision).
+_ELISION_BYTES = 256 << 10
 # The float value of one int16 PCM step.
 _PCM_SCALE = 2.0 ** -15
 # Samples per chunk of the zero-crossing count.
@@ -200,37 +207,58 @@ class _BlockBuffers:
     """The block-sized arrays of one framing pass, made once and reused by
     every block (module docstring)."""
 
+    signal: np.ndarray       # (span,): a block's samples as float
     frames: np.ndarray       # (rows, frame_len): |block|, then centered
     squares: np.ndarray      # (rows, frame_len)
     energy: np.ndarray       # (rows, frame_len)
     spectrum: np.ndarray     # (rows, nfft/2 + 1), complex
+    power: np.ndarray        # (rows, nfft/2 + 1), complex
     acorr: np.ndarray        # (rows, nfft)
+    corr: np.ndarray         # (rows, lags): denominators, then correlations
+    rfft: np.ndarray         # (rows, frame_len/2 + 1), complex
+    magnitude: np.ndarray    # (rows, frame_len/2 + 1)
 
     @classmethod
-    def empty(cls, rows: int, frame_len: int, nfft: int) -> "_BlockBuffers":
-        return cls(*(np.empty((rows, frame_len)) for _ in range(3)),
-                   np.empty((rows, nfft // 2 + 1), dtype=np.complex128),
-                   np.empty((rows, nfft)))
+    def empty(cls, rows: int, frame_len: int, hop_len: int, nfft: int,
+              n_lags: int) -> "_BlockBuffers":
+        pitch_bins, bins = nfft // 2 + 1, frame_len // 2 + 1
+        return cls(np.empty((rows - 1) * hop_len + frame_len),
+                   *(np.empty((rows, frame_len)) for _ in range(3)),
+                   *(np.empty((rows, pitch_bins), dtype=np.complex128)
+                     for _ in range(2)),
+                   np.empty((rows, nfft)), np.empty((rows, n_lags)),
+                   np.empty((rows, bins), dtype=np.complex128),
+                   np.empty((rows, bins)))
 
 
-def _best_lags(block: np.ndarray, lags: np.ndarray, nfft: int,
+def _best_lags(block: np.ndarray, lags: np.ndarray, nfft: int, elide: bool,
                buffers: _BlockBuffers) -> tuple[np.ndarray, np.ndarray]:
-    """Lag index of the highest normalized autocorrelation, and its value."""
+    """Lag index of the highest normalized autocorrelation, and its value.
+
+    `elide` picks the product order of the power spectrum that the whole
+    signal's ``s * np.conj(s)`` takes (module docstring)."""
     frame_len = block.shape[1]
+    lag_min, lag_max = lags[0], lags[-1]
     centered = np.subtract(block, block.mean(axis=1, keepdims=True),
                            out=buffers.frames)
     spectrum = np.fft.rfft(centered, n=nfft, axis=1, out=buffers.spectrum)
-    acorr = np.fft.irfft(spectrum * np.conj(spectrum), n=nfft, axis=1,
-                         out=buffers.acorr)
+    power = np.conj(spectrum, out=buffers.power)
+    if elide:
+        np.multiply(power, spectrum, out=power)
+    else:
+        np.multiply(spectrum, power, out=power)
+    acorr = np.fft.irfft(power, n=nfft, axis=1, out=buffers.acorr)
     energy = np.cumsum(np.square(centered, out=centered), axis=1,
                        out=buffers.energy)
     # prefix energy of x[0 : N-lag] and suffix energy of x[lag : N]
-    e_pre = energy[:, frame_len - lags - 1]
-    e_suf = energy[:, -1:] - energy[:, lags - 1]
-    denom = np.sqrt(np.maximum(e_pre * e_suf, 1e-300))
-    corr = acorr[:, lags[0]:lags[-1] + 1] / denom
+    e_pre = energy[:, frame_len - lag_max - 1:frame_len - lag_min][:, ::-1]
+    corr = np.subtract(energy[:, -1:], energy[:, lag_min - 1:lag_max],
+                       out=buffers.corr)
+    np.multiply(e_pre, corr, out=corr)
+    np.sqrt(np.maximum(corr, 1e-300, out=corr), out=corr)
+    np.divide(acorr[:, lag_min:lag_max + 1], corr, out=corr)
     best = np.argmax(corr, axis=1)
-    return best, corr[np.arange(block.shape[0]), best]
+    return best, np.take_along_axis(corr, best[:, None], axis=1)[:, 0]
 
 
 def _block_frames(nfft: int) -> int:
@@ -248,8 +276,12 @@ def _frame_pass(audio: AudioBuffer, frame_len: int, hop_len: int,
     """
     n = (audio.samples.size - frame_len) // hop_len + 1
     nfft = 1 << int(np.ceil(np.log2(2 * frame_len)))
+    # Whether `s * np.conj(s)` over the whole signal's pitch spectrum would
+    # be evaluated in place as `conj(s) * s` (module docstring).
+    elide = n * 16 * (nfft // 2 + 1) >= _ELISION_BYTES
     block_frames = _block_frames(nfft)
-    buffers = _BlockBuffers.empty(min(n, block_frames), frame_len, nfft)
+    buffers = _BlockBuffers.empty(min(n, block_frames), frame_len, hop_len,
+                                  nfft, 0 if lags is None else lags.size)
     stats = _FrameStats(rms=np.empty(n))
     if lags is not None:
         stats.peak = np.empty(n)
@@ -265,25 +297,29 @@ def _frame_pass(audio: AudioBuffer, frame_len: int, hop_len: int,
 
     for start in range(0, n, block_frames):
         # The last block ends at the last frame and overlaps the one before,
-        # so every block of a long signal is full size and its pitch
-        # spectrum reaches the elision floor (module docstring).
+        # so every block fills the buffers exactly.
         start = max(0, min(start, n - block_frames))
         rows = slice(start, min(start + block_frames, n))
         span = audio.samples[start * hop_len:(rows.stop - 1) * hop_len + frame_len]
-        block = sliding_window_view(_as_float(span), frame_len)[::hop_len]
+        if span.dtype == np.int16:
+            span = np.multiply(span, _PCM_SCALE, out=buffers.signal,
+                               dtype=np.float64)
+        block = sliding_window_view(span, frame_len)[::hop_len]
         squares = np.square(block, out=buffers.squares)
         stats.rms[rows] = np.sqrt(squares.mean(axis=1))
         if lags is not None:
             stats.peak[rows] = np.abs(block, out=buffers.frames).max(axis=1)
             stats.best[rows], stats.best_corr[rows] = _best_lags(
-                block, lags, nfft, buffers)
+                block, lags, nfft, elide, buffers)
         if spectral:
             if sub >= 1:
                 trimmed = squares[:, :10 * sub].reshape(block.shape[0], 10, sub)
                 stats.bands[rows] = trimmed.sum(axis=2)
-            spectrum = np.abs(np.fft.rfft(block, axis=1))
+            spectrum = np.abs(np.fft.rfft(block, axis=1, out=buffers.rfft),
+                              out=buffers.magnitude)
             stats.mass[rows] = spectrum.sum(axis=1)
-            stats.centroid_num[rows] = (spectrum * freqs).sum(axis=1)
+            stats.centroid_num[rows] = np.multiply(
+                spectrum, freqs, out=spectrum).sum(axis=1)
     return stats
 
 

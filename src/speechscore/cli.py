@@ -2,7 +2,9 @@
 synth | report.
 
 Every command is deterministic given its inputs and ``--seed``;
-``--threads`` sets the feature-extraction threads and never changes results.
+``--threads`` sets the feature-extraction worker processes, forked (POSIX
+``fork``) from a process that must be single-threaded, and never changes
+results; training is serial.
 Failures print a machine-readable JSON error to stderr and exit 1; argparse
 rejects a malformed option with exit 2. A ``--config`` file of
 ``key = value`` lines is read as the chosen subcommand's options, placed
@@ -277,8 +279,9 @@ def build_parser() -> argparse.ArgumentParser:
                            formatter_class=argparse.ArgumentDefaultsHelpFormatter)
         p.add_argument("--seed", type=int, default=0, help="master seed")
         p.add_argument("--threads", type=int, default=1,
-                       help="feature-extraction worker threads, >= 1 (never "
-                            "changes results; training is serial)")
+                       help="feature-extraction worker processes (POSIX "
+                            "fork), >= 1 (never changes results; training "
+                            "is serial)")
         p.add_argument("--config", default=None,
                        help="file of key = value lines, read as options "
                             "placed before the command line's")

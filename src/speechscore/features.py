@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -22,6 +21,7 @@ from .content import TfidfVocabulary, fit_vocabulary, vectorize
 from .corpus import AlignedResponse, FeatureMatrix, LexicalResources
 from .fluency import FLUENCY_FEATURES, fluency_features
 from .grammar import GRAMMAR_FEATURES, LD_MODES, grammar_features
+from .parallel import parallel_map
 from .prosody import PROSODY_FEATURES, NoNuclei, prosody_features
 
 GROUP_ORDER = ("CF", "FF", "SPF", "GVF", "AF")
@@ -134,21 +134,19 @@ def extract_matrix(responses: list[AlignedResponse], resources: LexicalResources
                    threads: int = 1) -> FeatureMatrix:
     """Extract the configured feature groups for every response.
 
-    Rows follow the input response order; per-response extraction is pure
-    and parallelizes over a thread pool without affecting the result.
+    Rows follow the input response order. Per-response extraction is pure,
+    so `threads` forked worker processes (`parallel.parallel_map`) give the
+    same matrix as one; at more than one the caller must be single-threaded.
     """
     if "CF" in config.groups and vocabulary is None:
         raise ValueError("content features need a fitted vocabulary")
     columns, groups = _columns_for(config, vocabulary)
 
-    def run(response):
-        return _extract_one(response, resources, vocabulary, config, audio_lookup)
+    def run(i):
+        return _extract_one(responses[i], resources, vocabulary, config,
+                            audio_lookup)
 
-    if threads > 1 and len(responses) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, responses))
-    else:
-        results = [run(response) for response in responses]
+    results = parallel_map(run, len(responses), threads)
 
     values = np.empty((len(responses), len(columns)), dtype=np.float64)
     flags: dict[str, list[str]] = {}

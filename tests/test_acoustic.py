@@ -1,3 +1,4 @@
+import multiprocessing
 import tempfile
 import tracemalloc
 import wave
@@ -10,12 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
-from speechscore.acoustic import (_BLOCK_BYTES, ACOUSTIC_FEATURES, AudioBuffer,
-                                  PeriodTrack, _block_frames, _frame_lengths,
-                                  _frame_pass, _neighborhood_instability,
-                                  _pitch_lags, acoustic_features,
-                                  extract_acoustic, pitch_track, read_wav,
-                                  write_wav)
+from speechscore.acoustic import (_BLOCK_BYTES, _ELISION_BYTES,
+                                  ACOUSTIC_FEATURES, AudioBuffer, PeriodTrack,
+                                  _block_frames, _frame_lengths, _frame_pass,
+                                  _neighborhood_instability, _pitch_lags,
+                                  acoustic_features, extract_acoustic,
+                                  pitch_track, read_wav, write_wav)
 from speechscore.features import ExtractorConfig, extract_matrix
 
 CONFIG = ExtractorConfig()
@@ -319,12 +320,17 @@ _FRAME_HOPS = [(0.040, 0.010), (0.030, 0.007), (0.050, 0.013)]
 @st.composite
 def _framing(draw):
     """Sample rate, frame and hop, and a signal length in samples whose frame
-    count sits at or around a boundary of the computed block length."""
+    count sits at or around a boundary of the computed block length, or of
+    the first count whose whole-signal pitch spectrum reaches NumPy's
+    elision floor (where `s * np.conj(s)` changes its product order)."""
     sr = draw(st.sampled_from([8000, 16000, 22050]))
     frame, hop = draw(st.sampled_from(_FRAME_HOPS))
     frame_len, hop_len = _frame_lengths(sr, ExtractorConfig(frame=frame, hop=hop))
-    block = _block_frames(1 << int(np.ceil(np.log2(2 * frame_len))))
-    n_frames = draw(st.sampled_from([1, block - 1, block, block + 1, 2 * block + 1]))
+    nfft = 1 << int(np.ceil(np.log2(2 * frame_len)))
+    block = _block_frames(nfft)
+    elided = -(-_ELISION_BYTES // (16 * (nfft // 2 + 1)))
+    n_frames = draw(st.sampled_from([1, elided - 1, elided, elided + 1, block - 1,
+                                     block, block + 1, 2 * block + 1]))
     size = frame_len + (n_frames - 1) * hop_len + draw(st.integers(0, hop_len - 1))
     return sr, frame, hop, size
 
@@ -515,6 +521,8 @@ def test_af_extraction_thread_determinism(resources):
         audio[f"r{i}"] = perturbed_tone(0.01 * i, seconds=1.5 + 0.5 * i, seed=i)
     config = ExtractorConfig(groups=("AF",))
     runs = [extract_matrix(responses, resources, config, audio_lookup=audio,
-                           threads=threads) for threads in (1, 2)]
-    assert runs[0].values.tobytes() == runs[1].values.tobytes()
-    assert runs[0].flags == runs[1].flags
+                           threads=threads) for threads in (1, 2, 3)]
+    assert multiprocessing.active_children() == []
+    for run in runs[1:]:
+        assert run.values.tobytes() == runs[0].values.tobytes()
+        assert run.flags == runs[0].flags

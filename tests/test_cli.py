@@ -446,6 +446,35 @@ def test_determinism_across_thread_counts(pipeline_dirs, tmp_path):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+def test_af_determinism_across_thread_counts_on_wavs(tmp_path):
+    """Every group, AF from WAVs read by path, on the first three responses
+    of each grade (the fewest the split takes): the same bytes at 1-3
+    extraction workers."""
+    corpus = tmp_path / "corpus"
+    assert main(["synth", "--n", "50", "--grades", "2", "--audio", "--seed", "3",
+                 "--out", str(corpus)]) == 0
+    picked, per_grade = [], {}
+    for name in (corpus / "manifest.txt").read_text().split():
+        grade = json.loads((corpus / name).read_text())["grade"]
+        per_grade[grade] = per_grade.get(grade, 0) + 1
+        if per_grade[grade] <= 3:
+            picked.append(name)
+    subset = corpus / "subset.txt"
+    subset.write_text("\n".join(picked) + "\n")
+    outs = []
+    for threads in (1, 2, 3):
+        out = tmp_path / f"t{threads}"
+        assert main(["extract", "--manifest", str(subset),
+                     "--resources", str(corpus / "resources"), "--out", str(out),
+                     "--seed", "3", "--threads", str(threads)]) == 0
+        outs.append(out)
+    groups = (outs[0] / "features.csv").read_text().splitlines()[0].split(",")
+    assert set(groups[1:]) == {"CF", "FF", "SPF", "GVF", "AF"}
+    for out in outs[1:]:
+        for name in ("features.csv", "flags.json"):
+            assert (out / name).read_bytes() == (outs[0] / name).read_bytes()
+
+
 def _exit_code(argv) -> int:
     """`main`'s exit code, including argparse's exit 2 on a usage error."""
     try:

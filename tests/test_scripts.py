@@ -76,8 +76,12 @@ def test_artifact_digests_runs(tmp_path):
                      "gbt_classification/cv_table.json", "explain/importance.csv",
                      "explain/pdp_speaking_rate.csv", "explain/shap_values.csv",
                      "report/benchmark.json", "ablate/ablation_add.json",
-                     "ablate/ablation_drop.json"):
+                     "ablate/ablation_drop.json", "audio_corpus/subset.txt"):
         assert expected in paths, expected
+    digest = {path: sha for sha, path in (line.split("  ", 1) for line in lines)}
+    for name in ("features.csv", "flags.json", "labels.csv", "splits.json"):
+        assert (digest[f"audio_features_threads1/{name}"]
+                == digest[f"audio_features_threads2/{name}"]), name
 
 
 def test_explain_profile_runs(tmp_path):
