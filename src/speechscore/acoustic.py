@@ -145,9 +145,14 @@ def read_wav(path: str | Path) -> AudioBuffer:
             if fh.getcomptype() != "NONE":
                 raise ValueError(f"{path}: compressed WAV not supported")
             rate = fh.getframerate()
-            raw = fh.readframes(fh.getnframes())
+            nframes = fh.getnframes()
+            raw = fh.readframes(nframes)
     except (wave.Error, EOFError) as exc:
         raise ValueError(f"{path}: malformed WAV ({exc})") from exc
+    if len(raw) < 2 * nframes:
+        raise ValueError(f"{path}: truncated WAV: the header gives {nframes} "
+                         f"frames ({2 * nframes} bytes), the data holds "
+                         f"{len(raw)} bytes")
     samples = np.frombuffer(raw, dtype="<i2").astype(np.int16, copy=False)
     if samples.size == 0:
         raise ValueError(f"{path}: no samples")

@@ -225,12 +225,11 @@ def cmd_ablate(args) -> int:
 def cmd_synth(args) -> int:
     spec = SynthSpec(n=args.n, grade_levels=args.grades, seed=args.seed,
                      score_function=args.score_function, noise=args.noise,
-                     audio=args.audio,
                      second_rater_disagreement=args.second_rater,
                      prompt_id=args.prompt_id)
-    responses, audio = synth_corpus(spec)
+    responses = synth_corpus(spec)
     out = _out_dir(args)
-    manifest = write_corpus(responses, out, audio)
+    manifest = write_corpus(responses, out, args.seed if args.audio else None)
     resdir = out / "resources"
     resdir.mkdir(exist_ok=True)
     for name in RESOURCE_FILES:

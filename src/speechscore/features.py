@@ -3,8 +3,7 @@
 Group tags follow the ablation vocabulary: CF (content), FF (fluency),
 SPF (suprasegmental pronunciation), GVF (grammar and vocabulary),
 AF (acoustic). Content features require a vocabulary fitted on the train
-split; acoustic features require audio, supplied either as WAV paths on the
-responses or through an in-memory lookup.
+split; acoustic features read each response's WAV from its ``audio_path``.
 """
 
 from __future__ import annotations
@@ -12,11 +11,10 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 
-from .acoustic import ACOUSTIC_FEATURES, AudioBuffer, extract_acoustic, read_wav
+from .acoustic import ACOUSTIC_FEATURES, extract_acoustic, read_wav
 from .content import TfidfVocabulary, fit_vocabulary, vectorize
 from .corpus import AlignedResponse, FeatureMatrix, LexicalResources
 from .fluency import FLUENCY_FEATURES, fluency_features
@@ -79,7 +77,6 @@ def fit_content_vocabulary(responses: list[AlignedResponse], train_ids: set[str]
 
 def _extract_one(response: AlignedResponse, resources: LexicalResources,
                  vocabulary: TfidfVocabulary | None, config: ExtractorConfig,
-                 audio_lookup: Mapping[str, AudioBuffer] | None,
                  ) -> tuple[dict[str, float], set[str]]:
     flags: set[str] = set()
     values: dict[str, float] = {}
@@ -96,16 +93,12 @@ def _extract_one(response: AlignedResponse, resources: LexicalResources,
     if "GVF" in config.groups:
         values.update(grammar_features(response, resources, config, flags))
     if "AF" in config.groups:
-        audio = None
-        if audio_lookup is not None and response.response_id in audio_lookup:
-            audio = audio_lookup[response.response_id]
-        elif response.audio_path is not None:
-            audio = read_wav(response.audio_path)
-        if audio is None:
+        if response.audio_path is None:
             raise ValueError(
                 f"acoustic features requested but response "
                 f"{response.response_id!r} has no audio")
-        values.update(extract_acoustic(audio, config, flags))
+        values.update(extract_acoustic(read_wav(response.audio_path), config,
+                                       flags))
     return values, flags
 
 
@@ -130,7 +123,6 @@ def _columns_for(config: ExtractorConfig,
 def extract_matrix(responses: list[AlignedResponse], resources: LexicalResources,
                    config: ExtractorConfig,
                    vocabulary: TfidfVocabulary | None = None,
-                   audio_lookup: Mapping[str, AudioBuffer] | None = None,
                    threads: int = 1) -> FeatureMatrix:
     """Extract the configured feature groups for every response.
 
@@ -143,8 +135,7 @@ def extract_matrix(responses: list[AlignedResponse], resources: LexicalResources
     columns, groups = _columns_for(config, vocabulary)
 
     def run(i):
-        return _extract_one(responses[i], resources, vocabulary, config,
-                            audio_lookup)
+        return _extract_one(responses[i], resources, vocabulary, config)
 
     results = parallel_map(run, len(responses), threads)
 

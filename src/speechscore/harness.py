@@ -63,7 +63,7 @@ def prepare_prompt(responses: list[AlignedResponse],
                    resources: LexicalResources,
                    config: ExtractorConfig,
                    ratios: tuple[float, float, float] = SPLIT_RATIOS,
-                   audio_lookup=None, threads: int = 1) -> PromptDataset:
+                   threads: int = 1) -> PromptDataset:
     """Split, fit the train-side vocabulary and extract raw features.
 
     ``config.seed`` seeds both the split and the ndwerz/ndwesz sampling, as
@@ -78,7 +78,7 @@ def prepare_prompt(responses: list[AlignedResponse],
     if "CF" in config.groups:
         vocabulary = fit_content_vocabulary(responses, split.train, config)
     matrix = extract_matrix(responses, resources, config, vocabulary,
-                            audio_lookup=audio_lookup, threads=threads)
+                            threads=threads)
 
     y = {r.response_id: r.grade.ordinal for r in responses}
     y2 = {r.response_id: r.grade2.ordinal for r in responses

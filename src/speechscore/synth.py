@@ -75,7 +75,6 @@ class SynthSpec:
     seed: int = 0
     score_function: str | Callable = "rate_ttr_pause"
     noise: float = 0.25
-    audio: bool = False
     second_rater_disagreement: float | None = None
     prompt_id: str = "synth-1"
 
@@ -268,9 +267,9 @@ def _synth_audio(response: AlignedResponse,
 
 def synth_corpus(spec: SynthSpec,
                  resources: LexicalResources | None = None,
-                 ) -> tuple[list[AlignedResponse], dict[str, AudioBuffer]]:
-    """Generate a graded corpus; returns responses plus in-memory audio
-    buffers (empty dict unless ``spec.audio``)."""
+                 ) -> list[AlignedResponse]:
+    """Generate a graded corpus of aligned responses; `write_corpus`
+    synthesizes their audio."""
     resources = resources or default_resources()
     pools = _load_vocab()
     fillers = sorted(resources.filled_pauses)
@@ -322,26 +321,26 @@ def synth_corpus(spec: SynthSpec,
                 o = int(np.clip(o + rng.choice([-1, 1]), 0, spec.grade_levels - 1))
             response.grade2 = Grade.from_label(labels[o])
 
-    audio: dict[str, AudioBuffer] = {}
-    if spec.audio:
-        for i, response in enumerate(responses):
-            audio[response.response_id] = _synth_audio(
-                response, np.random.default_rng([spec.seed, 7919, i]))
-    return responses, audio
+    return responses
 
 
 def write_corpus(responses: list[AlignedResponse], out_dir: str | Path,
-                 audio: dict[str, AudioBuffer] | None = None) -> Path:
-    """Write alignment JSON files (``corpus.response_to_json``) plus WAVs
-    and return the manifest path."""
+                 audio_seed: int | None = None) -> Path:
+    """Write alignment JSON files (``corpus.response_to_json``) and return
+    the manifest path. With an `audio_seed`, each response also gets a WAV
+    of its tone skeleton, synthesized just before it is written, so one
+    response's audio is held at a time. Response ``i`` draws its tone from
+    rng ``[audio_seed, 7919, i]``: pass `synth_corpus`'s list in its order
+    and its spec seed."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     names = []
-    for response in responses:
+    for i, response in enumerate(responses):
         payload = response_to_json(response)
-        if audio and response.response_id in audio:
+        if audio_seed is not None:
             wav_name = f"{response.response_id}.wav"
-            write_wav(out_dir / wav_name, audio[response.response_id])
+            write_wav(out_dir / wav_name, _synth_audio(
+                response, np.random.default_rng([audio_seed, 7919, i])))
             payload["wav"] = wav_name
         name = f"{response.response_id}.json"
         (out_dir / name).write_text(json.dumps(payload, sort_keys=True),

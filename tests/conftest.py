@@ -4,6 +4,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 from types import SimpleNamespace
 
 import pytest
@@ -80,6 +81,25 @@ def silence_profile(response):
         long_silences=[g for g in gaps if g[1] > LONG_SILENCE_THRESHOLD],
         response_time=ends[-1] - starts[0],
         articulation_time=sum(end - start for start, end in zip(starts, ends)))
+
+
+def synth_audio_subset(corpus):
+    """`synth` 50 responses with audio and two grades into `corpus`, and
+    return a manifest of the first three responses of each grade in
+    manifest order (the fewest the split takes)."""
+    from speechscore.cli import main
+
+    assert main(["synth", "--n", "50", "--grades", "2", "--audio", "--seed", "3",
+                 "--out", str(corpus)]) == 0
+    picked, per_grade = [], {}
+    for name in (corpus / "manifest.txt").read_text().split():
+        grade = json.loads((corpus / name).read_text())["grade"]
+        per_grade[grade] = per_grade.get(grade, 0) + 1
+        if per_grade[grade] <= 3:
+            picked.append(name)
+    subset = corpus / "subset.txt"
+    subset.write_text("\n".join(picked) + "\n")
+    return subset
 
 
 @pytest.fixture

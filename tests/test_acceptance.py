@@ -250,7 +250,7 @@ def test_criterion_7_learner_properties(tmp_path):
 def e2e():
     """Criterion-8 pipeline, shared with criterion 10."""
     resources = default_resources()
-    responses, _ = synth_corpus(
+    responses = synth_corpus(
         SynthSpec(n=800, grade_levels=3, seed=7,
                   score_function="rate_ttr_pause"), resources)
     config = ExtractorConfig(groups=("CF", "FF", "SPF", "GVF"), max_terms=120,

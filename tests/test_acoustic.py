@@ -1,3 +1,4 @@
+import dataclasses
 import multiprocessing
 import tempfile
 import tracemalloc
@@ -52,6 +53,18 @@ class TestReadWav:
         path = tmp_path / "bad.wav"
         path.write_bytes(b"RIFF\x00\x00")
         with pytest.raises(ValueError, match="malformed"):
+            read_wav(path)
+
+    @pytest.mark.parametrize("cut", [200, 201])
+    def test_truncated_data_rejected(self, tmp_path, cut):
+        # An even cut must not read as fewer samples, and an odd one must
+        # not end in NumPy's buffer-size error, which names no file.
+        path = tmp_path / "cut.wav"
+        write_wav(path, sine(200.0, seconds=1000 / 16000))
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(ValueError,
+                           match=r"cut\.wav: truncated WAV: the header gives "
+                                 r"1000 frames \(2000 bytes\)"):
             read_wav(path)
 
     def test_stereo_rejected(self, tmp_path):
@@ -512,16 +525,17 @@ def test_extract_memory_bounded_in_duration():
     assert long < 1.5 * short, (short, long)
 
 
-def test_af_extraction_thread_determinism(resources):
-    responses, audio = [], {}
+def test_af_extraction_thread_determinism(resources, tmp_path):
+    responses = []
     for i in range(4):
-        responses.append(make_response(
+        path = tmp_path / f"r{i}.wav"
+        write_wav(path, perturbed_tone(0.01 * i, seconds=1.5 + 0.5 * i, seed=i))
+        responses.append(dataclasses.replace(make_response(
             [make_word("cat", 0.1, 0.5, [("k", "c", 0), ("ae", "v", 1)])],
-            response_id=f"r{i}"))
-        audio[f"r{i}"] = perturbed_tone(0.01 * i, seconds=1.5 + 0.5 * i, seed=i)
+            response_id=f"r{i}"), audio_path=path))
     config = ExtractorConfig(groups=("AF",))
-    runs = [extract_matrix(responses, resources, config, audio_lookup=audio,
-                           threads=threads) for threads in (1, 2, 3)]
+    runs = [extract_matrix(responses, resources, config, threads=threads)
+            for threads in (1, 2, 3)]
     assert multiprocessing.active_children() == []
     for run in runs[1:]:
         assert run.values.tobytes() == runs[0].values.tobytes()

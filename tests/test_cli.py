@@ -1,10 +1,12 @@
 import csv
 import json
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import synth_audio_subset
 
 from speechscore import cli, learners
 from speechscore.cli import build_parser, main
@@ -34,6 +36,21 @@ def test_synth_writes_corpus(pipeline_dirs):
     assert len(files) == 100
     assert (corpus / "manifest.txt").exists()
     assert (corpus / "resources" / "frequency.tsv").exists()
+
+
+def test_synth_audio_memory_bounded(tmp_path):
+    """synth writes each WAV as it synthesizes it, so its peak allocation
+    is one response's audio, not the corpus's (~460 MB of float64 buffers
+    at this size)."""
+    tracemalloc.start()
+    try:
+        assert main(["synth", "--n", "50", "--grades", "2", "--audio",
+                     "--seed", "3", "--out", str(tmp_path / "corpus")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(list((tmp_path / "corpus").glob("*.wav"))) == 50
+    assert peak < 64 * 2 ** 20, peak
 
 
 def test_extract_artifacts(pipeline_dirs):
@@ -451,16 +468,7 @@ def test_af_determinism_across_thread_counts_on_wavs(tmp_path):
     of each grade (the fewest the split takes): the same bytes at 1-3
     extraction workers."""
     corpus = tmp_path / "corpus"
-    assert main(["synth", "--n", "50", "--grades", "2", "--audio", "--seed", "3",
-                 "--out", str(corpus)]) == 0
-    picked, per_grade = [], {}
-    for name in (corpus / "manifest.txt").read_text().split():
-        grade = json.loads((corpus / name).read_text())["grade"]
-        per_grade[grade] = per_grade.get(grade, 0) + 1
-        if per_grade[grade] <= 3:
-            picked.append(name)
-    subset = corpus / "subset.txt"
-    subset.write_text("\n".join(picked) + "\n")
+    subset = synth_audio_subset(corpus)
     outs = []
     for threads in (1, 2, 3):
         out = tmp_path / f"t{threads}"

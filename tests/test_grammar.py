@@ -252,7 +252,7 @@ def test_grammar_features_match_its_parts():
     from speechscore.synth import SynthSpec, synth_corpus
 
     resources = default_resources()
-    responses, _ = synth_corpus(SynthSpec(n=50, seed=3), resources)
+    responses = synth_corpus(SynthSpec(n=50, seed=3), resources)
     spans = SyntaxSpans(sentences=[(0, 2)], t_units=[(0, 2)], clauses=[(0, 2)],
                         verb_phrases=[(0, 2), (1, 2)])
     for response in responses[:25] + [dataclasses.replace(r, syntax=spans)

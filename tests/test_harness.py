@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from speechscore import features, harness, learners
+from speechscore.acoustic import read_wav
 from speechscore.cli import main as cli_main
 from speechscore.corpus import (SECONDARY, SyntaxSpans, default_resources,
                                 load_corpus)
@@ -29,7 +30,7 @@ FAST_PARAMS = {"gbt": {"n_stages": 25, "max_depth": 3},
 @pytest.fixture(scope="module")
 def small_dataset():
     resources = default_resources()
-    responses, _ = synth_corpus(
+    responses = synth_corpus(
         SynthSpec(n=120, grade_levels=3, seed=5, second_rater_disagreement=0.2),
         resources)
     return prepare_prompt(responses, resources, replace(SMALL_CONFIG, seed=5))
@@ -38,14 +39,14 @@ def small_dataset():
 class TestSynthCorpus:
     def test_deterministic(self):
         spec = SynthSpec(n=60, grade_levels=3, seed=9)
-        r1, _ = synth_corpus(spec)
-        r2, _ = synth_corpus(SynthSpec(n=60, grade_levels=3, seed=9))
+        r1 = synth_corpus(spec)
+        r2 = synth_corpus(SynthSpec(n=60, grade_levels=3, seed=9))
         assert [r.response_id for r in r1] == [r.response_id for r in r2]
         assert [r.grade.label for r in r1] == [r.grade.label for r in r2]
         assert r1[0].words.start.tolist() == r2[0].words.start.tolist()
 
     def test_histogram_near_targets(self):
-        responses, _ = synth_corpus(SynthSpec(n=500, grade_levels=3, seed=7))
+        responses = synth_corpus(SynthSpec(n=500, grade_levels=3, seed=7))
         counts = {}
         for r in responses:
             counts[r.grade.label] = counts.get(r.grade.label, 0) + 1
@@ -54,7 +55,7 @@ class TestSynthCorpus:
 
     def test_rate_only_correlation(self):
         resources = default_resources()
-        responses, _ = synth_corpus(
+        responses = synth_corpus(
             SynthSpec(n=200, grade_levels=3, seed=4, score_function="rate_only"),
             resources)
         matrix = extract_matrix(responses, resources,
@@ -87,7 +88,7 @@ class TestSynthCorpus:
                                    score_function=lambda z: z["ttr"] * 0.0))
 
     def test_second_rater(self):
-        responses, _ = synth_corpus(
+        responses = synth_corpus(
             SynthSpec(n=80, grade_levels=3, seed=2,
                       second_rater_disagreement=0.3))
         assert all(r.grade2 is not None for r in responses)
@@ -95,17 +96,19 @@ class TestSynthCorpus:
                             for r in responses)
         assert 0 < disagreements < 50
 
-    def test_audio_layer(self):
-        responses, audio = synth_corpus(SynthSpec(n=50, grade_levels=2, seed=1,
-                                                  audio=True))
-        assert set(audio) == {r.response_id for r in responses}
-        buf = audio[responses[0].response_id]
-        assert buf.sample_rate == 16000
-        assert np.abs(buf.samples).max() <= 1.0
+    def test_audio_layer(self, tmp_path):
+        responses = synth_corpus(SynthSpec(n=50, grade_levels=2, seed=1))
+        corpus = load_corpus(write_corpus(responses, tmp_path, audio_seed=1))
+        assert ({r.audio_path for r in corpus.responses}
+                == {tmp_path / f"{r.response_id}.wav" for r in responses})
+        for response in corpus.responses:
+            buf = read_wav(response.audio_path)
+            assert buf.sample_rate == 16000
+            assert np.abs(buf.signal).max() <= 1.0
 
     def test_written_corpus_round_trips(self, tmp_path):
-        responses, _ = synth_corpus(SynthSpec(n=50, grade_levels=2, seed=3,
-                                              second_rater_disagreement=0.2))
+        responses = synth_corpus(SynthSpec(n=50, grade_levels=2, seed=3,
+                                           second_rater_disagreement=0.2))
         # One response also carries syntax spans and a wav path.
         n = len(responses[0].tokens)
         responses[0].syntax = SyntaxSpans(
@@ -149,7 +152,7 @@ class TestPreparePrompt:
                          "--out", str(feats), "--groups", "CF,FF,SPF,GVF",
                          "--max-terms", "120", "--seed", "7"]) == 0
         resources = default_resources()
-        responses, _ = synth_corpus(SynthSpec(n=60, seed=7), resources)
+        responses = synth_corpus(SynthSpec(n=60, seed=7), resources)
         config = ExtractorConfig(groups=("CF", "FF", "SPF", "GVF"),
                                  max_terms=120, seed=7)
         save_prompt_dataset(prepare_prompt(responses, resources, config),
@@ -271,7 +274,7 @@ class TestBenchmark:
 
     def test_human_agreement_none_without_rater2(self):
         resources = default_resources()
-        responses, _ = synth_corpus(SynthSpec(n=60, grade_levels=3, seed=8))
+        responses = synth_corpus(SynthSpec(n=60, grade_levels=3, seed=8))
         dataset = prepare_prompt(responses, resources,
                                  replace(SMALL_CONFIG, seed=8))
         assert human_agreement(dataset, "test") is None

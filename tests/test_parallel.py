@@ -3,8 +3,12 @@ workers that never outlive the call."""
 
 import dataclasses
 import multiprocessing
+import os
+import subprocess
+import sys
 import time
 import wave
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -48,15 +52,37 @@ class _SerialPool:
     def __exit__(self, *exc):
         return False
 
-    def map(self, fn, items, chunksize):
-        assert chunksize == 1
+    def map(self, fn, items):
         return [fn(i) for i in items]
 
-    def close(self):
-        pass
 
-    def join(self):
-        pass
+_KILLED_WORKER = """
+import multiprocessing, os, signal
+from concurrent.futures.process import BrokenProcessPool
+from speechscore.parallel import parallel_map
+
+def task(i):
+    if i == 2:
+        os.kill(os.getpid(), signal.SIGKILL)
+    return i
+
+try:
+    parallel_map(task, 4, 2)
+except BrokenProcessPool:
+    print("BrokenProcessPool", len(multiprocessing.active_children()))
+"""
+
+
+def test_a_killed_worker_breaks_the_map_instead_of_hanging_it():
+    # A worker that dies mid-task (the OOM killer, say) must break the map,
+    # not hang it; the run sits in a subprocess so that a hang fails this
+    # test instead of stalling the suite.
+    src = Path(parallel.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run([sys.executable, "-c", _KILLED_WORKER], env=env,
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr[-2000:]
+    assert result.stdout.split() == ["BrokenProcessPool", "0"]
 
 
 @pytest.mark.parametrize("workers, n, expected", [
@@ -109,3 +135,14 @@ def test_extract_raises_the_first_bad_response_at_every_thread_count(
         with pytest.raises(ValueError, match=message):
             extract_matrix(responses, resources, config, threads=threads)
         assert multiprocessing.active_children() == []
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_extract_names_the_response_without_audio(tmp_path, resources, threads):
+    responses = _af_responses(tmp_path, set())
+    responses[2] = dataclasses.replace(responses[2], audio_path=None)
+    config = ExtractorConfig(groups=("AF",))
+    with pytest.raises(ValueError, match="acoustic features requested but "
+                                         "response 'r2' has no audio"):
+        extract_matrix(responses, resources, config, threads=threads)
+    assert multiprocessing.active_children() == []

@@ -28,7 +28,6 @@ def _run(tmp_path, script, args):
 
 
 @pytest.mark.parametrize("script, args", [
-    ("run_synthetic_experiment.py", ["--n", "50", "--out", "{tmp}/out"]),
     ("af_profile.py", ["--seconds", "1", "--repeats", "1"]),
     ("fit_profile.py", ["--n", "50", "--models", "gbt", "--tasks", "regression",
                         "classification", "--repeats", "1"]),

@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import synth_audio_subset
 
 SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
 
@@ -89,3 +90,25 @@ def test_traced_extraction_records_each_family_per_response(spans, tmp_path):
                  "fluency.fluency_features", "prosody.prosody_features",
                  "grammar.grammar_features"):
         assert names.count(name) == 50, name
+
+
+def test_traced_af_extraction_reads_and_extracts_each_response(spans, tmp_path):
+    # AF reads each response's WAV by path through the `features` module
+    # globals; a call that bypasses them would leave the acoustic layers
+    # reading 0 in a traced run.
+    from speechscore.cli import main
+
+    corpus = tmp_path / "corpus"
+    subset = synth_audio_subset(corpus)
+    tracer = spans.Tracer()
+    uninstall = tracer.install()
+    try:
+        assert main(["extract", "--manifest", str(subset),
+                     "--resources", str(corpus / "resources"),
+                     "--out", str(tmp_path / "features"),
+                     "--groups", "AF", "--threads", "1", "--seed", "3"]) == 0
+    finally:
+        uninstall()
+    names = [span.name for span in tracer.spans]
+    for name in ("acoustic.read_wav", "acoustic.extract_acoustic"):
+        assert names.count(name) == 6, name
