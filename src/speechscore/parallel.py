@@ -28,10 +28,8 @@ def _run(i: int) -> object:
 
 
 def _fork_pool(processes: int):
-    # Imported here so that the serial path (`--threads 1`) never loads the
-    # executor's modules, about 1 MB of resident memory.
+    # Imported here: the serial path never loads the executor (~1 MB RSS).
     from concurrent.futures import ProcessPoolExecutor
-
     return ProcessPoolExecutor(processes, mp_context=get_context("fork"))
 
 

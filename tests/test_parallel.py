@@ -102,7 +102,8 @@ def test_worker_count_is_min_of_workers_and_items(monkeypatch, workers, n, expec
 
 def _af_responses(tmp_path, bad):
     """Five one-word responses reading WAVs by path; those in `bad` hold a
-    WAV too short for one analysis frame (index 1) or no samples at all."""
+    WAV too short for one analysis frame (index 1), have no WAV (index 2)
+    or hold one with no samples at all."""
     responses = []
     for i in range(5):
         path = tmp_path / f"r{i}.wav"
@@ -112,6 +113,8 @@ def _af_responses(tmp_path, bad):
                                         16000))
         elif i == 1:
             write_wav(path, AudioBuffer(np.full(100, 0.1), 16000))
+        elif i == 2:
+            path = None
         else:
             with wave.open(str(path), "wb") as fh:
                 fh.setnchannels(1)
@@ -126,7 +129,8 @@ def _af_responses(tmp_path, bad):
 
 @pytest.mark.parametrize("bad, message", [
     ({1, 3}, "audio shorter than one analysis frame"),
-    ({3, 4}, r"r3\.wav: no samples")])
+    ({3, 4}, r"r3\.wav: no samples"),
+    ({2, 3}, "acoustic features requested but response 'r2' has no audio")])
 def test_extract_raises_the_first_bad_response_at_every_thread_count(
         tmp_path, resources, bad, message):
     responses = _af_responses(tmp_path, bad)
@@ -135,14 +139,3 @@ def test_extract_raises_the_first_bad_response_at_every_thread_count(
         with pytest.raises(ValueError, match=message):
             extract_matrix(responses, resources, config, threads=threads)
         assert multiprocessing.active_children() == []
-
-
-@pytest.mark.parametrize("threads", [1, 2])
-def test_extract_names_the_response_without_audio(tmp_path, resources, threads):
-    responses = _af_responses(tmp_path, set())
-    responses[2] = dataclasses.replace(responses[2], audio_path=None)
-    config = ExtractorConfig(groups=("AF",))
-    with pytest.raises(ValueError, match="acoustic features requested but "
-                                         "response 'r2' has no audio"):
-        extract_matrix(responses, resources, config, threads=threads)
-    assert multiprocessing.active_children() == []
