@@ -220,6 +220,7 @@ class _BlockBuffers:
     power: np.ndarray        # (rows, nfft/2 + 1), complex
     acorr: np.ndarray        # (rows, nfft)
     corr: np.ndarray         # (rows, lags): denominators, then correlations
+    silent: np.ndarray       # (rows, lags), bool: lags of no lagged energy
     rfft: np.ndarray         # (rows, frame_len/2 + 1), complex
     magnitude: np.ndarray    # (rows, frame_len/2 + 1)
 
@@ -232,6 +233,7 @@ class _BlockBuffers:
                    *(np.empty((rows, pitch_bins), dtype=np.complex128)
                      for _ in range(2)),
                    np.empty((rows, nfft)), np.empty((rows, n_lags)),
+                   np.empty((rows, n_lags), dtype=bool),
                    np.empty((rows, bins), dtype=np.complex128),
                    np.empty((rows, bins)))
 
@@ -260,8 +262,12 @@ def _best_lags(block: np.ndarray, lags: np.ndarray, nfft: int, elide: bool,
     corr = np.subtract(energy[:, -1:], energy[:, lag_min - 1:lag_max],
                        out=buffers.corr)
     np.multiply(e_pre, corr, out=corr)
+    # A lag whose prefix or suffix holds no energy correlates with nothing;
+    # dividing its FFT rounding noise by the floor would read as |corr| ~ 1e133.
+    silent = np.less_equal(corr, 1e-300, out=buffers.silent)
     np.sqrt(np.maximum(corr, 1e-300, out=corr), out=corr)
     np.divide(acorr[:, lag_min:lag_max + 1], corr, out=corr)
+    np.copyto(corr, 0.0, where=silent)
     best = np.argmax(corr, axis=1)
     return best, np.take_along_axis(corr, best[:, None], axis=1)[:, 0]
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
-from speechscore.acoustic import (_BLOCK_BYTES, _ELISION_BYTES,
+from speechscore.acoustic import (_BLOCK_BYTES, _ELISION_BYTES, _SILENCE_FLOOR,
                                   ACOUSTIC_FEATURES, AudioBuffer, PeriodTrack,
                                   _block_frames, _frame_lengths, _frame_pass,
                                   _neighborhood_instability, _pitch_lags,
@@ -107,6 +107,21 @@ class TestPitchTrack:
                         extract_acoustic(audio, config, set())):
             with pytest.raises(ValueError, match=message):
                 extract(sine(200.0), ExtractorConfig(frame=frame, hop=hop))
+
+    def test_lags_of_no_energy_correlate_with_nothing(self):
+        # A burst that sums to exactly 0 leaves the mean of the frames that
+        # hold it exactly 0, so the silence before it stays exactly 0 once
+        # centered, and the lags whose prefix lies in that silence have no
+        # energy. Their correlation is 0, not FFT rounding noise over 1e-150.
+        burst = np.tile([1200, -700, -500, 300, -300], 16)
+        pcm = np.concatenate([np.zeros(2000), burst, np.zeros(2000)]).astype(np.int16)
+        audio = AudioBuffer(pcm, 16000)
+        frame_len, hop_len = _frame_lengths(audio.sample_rate, CONFIG)
+        lags = _pitch_lags(audio, frame_len, CONFIG)
+        stats = _frame_pass(audio, frame_len, hop_len, lags, False)
+        live = stats.rms >= _SILENCE_FLOOR
+        assert live.any()
+        assert np.all(stats.best_corr[live] <= 1 + 1e-9), stats.best_corr[live].max()
 
     def test_silence_floor(self):
         audio = sine(100.0, amp=1e-6)
@@ -227,8 +242,9 @@ def _reference_frame_pitch(audio, fmin=75.0, fmax=500.0, frame=0.040,
     lags = np.arange(lag_min, lag_max + 1)
     e_pre = energy[:, frame_len - lags - 1]
     e_suf = total - np.where(lags[None, :] > 0, energy[:, lags - 1], 0.0)
-    denom = np.sqrt(np.maximum(e_pre * e_suf, 1e-300))
-    corr = acorr[:, lag_min:lag_max + 1] / denom
+    product = e_pre * e_suf
+    corr = acorr[:, lag_min:lag_max + 1] / np.sqrt(np.maximum(product, 1e-300))
+    corr[product <= 1e-300] = 0.0
 
     best = np.argmax(corr, axis=1)
     rows = np.arange(frames.shape[0])
