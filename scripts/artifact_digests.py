@@ -8,9 +8,10 @@ three ways (importance, PDP, SHAP); report; ablate add and drop. Then, on
 a second corpus of 50 responses with audio and two grades: extract of all
 five groups (AF from WAVs read by path) on the first three responses of
 each grade in manifest order, once at ``--threads 1`` and once at
-``--threads 2``, into two directories. Then it prints one ``sha256  path``
-line per output file, sorted by path, with paths relative to the run
-directory.
+``--threads 2``, into two directories; then the same two extracts at
+``--frame 0.03 --hop 0.007 --fmin 90 --fmax 400``. Then it prints one
+``sha256  path`` line per output file, sorted by path, with paths relative
+to the run directory.
 
 It calls nothing but the CLI, so one copy of this file runs against any
 checkout's ``src/``; identical output shows that a change keeps every
@@ -35,6 +36,14 @@ from speechscore.cli import main as cli
 
 GRID = '{"max_depth": [2, 3]}'
 PARAMS = '{"n_stages": 30}'
+# The AF subset's output directories, each with its extract options: the
+# default framing, and one whose pitch FFT length (675 at 16 kHz) is not a
+# power of two.
+FRAMINGS = {
+    "audio_features": [],
+    "audio_features_frame30": ["--frame", "0.03", "--hop", "0.007",
+                               "--fmin", "90", "--fmax", "400"],
+}
 
 
 def run_pipeline(root: Path, n: int, seed: int) -> None:
@@ -68,11 +77,13 @@ def run_pipeline(root: Path, n: int, seed: int) -> None:
     audio = root / "audio_corpus"
     _run(["synth", "--n", "50", "--grades", "2", "--audio", "--out", str(audio)], seed)
     subset = _grade_subset(audio, 3)
-    for threads in ("1", "2"):
-        _run(["extract", "--manifest", str(subset),
-              "--resources", str(audio / "resources"),
-              "--out", str(root / f"audio_features_threads{threads}"),
-              "--groups", "CF,FF,SPF,GVF,AF", "--threads", threads], seed)
+    for name, framing in FRAMINGS.items():
+        for threads in ("1", "2"):
+            _run(["extract", "--manifest", str(subset),
+                  "--resources", str(audio / "resources"),
+                  "--out", str(root / f"{name}_threads{threads}"),
+                  "--groups", "CF,FF,SPF,GVF,AF", "--threads", threads,
+                  *framing], seed)
 
 
 def _run(step: list[str], seed: int) -> None:

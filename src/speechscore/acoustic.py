@@ -8,6 +8,18 @@ the voicing threshold or whose RMS sits under the silence floor. This is an
 approximation of point-process pulse extraction, sufficient for the
 instability measures computed here.
 
+The autocorrelation is the inverse FFT of a frame's power spectrum, a
+circular correlation of length nfft: its lag k adds in the linear
+correlation's lag nfft - k. The linear correlation of an N-sample frame is
+zero beyond lag N - 1, so for every lag the tracker reads (k <= lag_max)
+that added term is zero once nfft >= N + lag_max. The pass takes the
+smallest 2^a * 3^b * 5^c at least that (`_fft_length`): 864 points for
+40 ms frames at 16 kHz with fmin 75 Hz (lag_max 213), where the power of
+two >= 2N would be 2048. A lag whose prefix x[0:N-lag] or suffix x[lag:N]
+holds no energy (their energies' product at most 1e-300), as digital
+silence at the head of a frame whose mean is exactly 0 does, correlates 0:
+its FFT value is rounding noise, which the floor would scale to ~1e133.
+
 An `AudioBuffer` holds either float64 samples in [-1, 1] or, as `read_wav`
 returns it, the file's int16 PCM (2 bytes per sample instead of 8), whose
 signal is samples / 32768. The passes below scale each PCM span by 2**-15
@@ -19,12 +31,12 @@ blocks of frames, taken as strided views of the samples. Each block yields
 small per-frame vectors (RMS, peak, best lag and its correlation, ten
 sub-band energies, spectral mass and centroid numerator), and the features
 reduce over those vectors, so peak memory is O(block) rather than
-O(duration). A block holds enough frames for its complex pitch spectrum to
-fill `_BLOCK_BYTES`, so its arrays stay the same size whatever the sample
+O(duration). A block holds enough frames for its widest complex spectrum
+(the pitch spectrum, or without pitch the frame spectrum) to fill
+`_BLOCK_BYTES`, so its arrays stay about the same size whatever the sample
 rate and frame length; that size is chosen for cache and memory alone.
 Every frame goes through the same arithmetic as it would in one
-whole-signal array, with the autocorrelation FFT at the power of two
->= 2*frame, so the features do not depend on the block size.
+whole-signal array, so the features do not depend on the block size.
 
 The one step whose rounding depends on an array's size is the power
 spectrum `s * np.conj(s)` of the whole-signal form: NumPy evaluates it in
@@ -72,11 +84,11 @@ ACOUSTIC_FEATURES = (
     "total_duration",
 )
 
-# Bytes of a block's complex pitch spectrum in the framing pass (64 frames
+# Bytes of a block's complex pitch spectrum in the framing pass (152 frames
 # at 16 kHz with 40 ms frames), a size chosen for cache and memory only (see
 # the module docstring). At 512 KiB the per-frame vectors, which grow with
-# duration, would set most of the peak: it rose 1.76x from 20 to 200 s of
-# audio, against 1.41x at 1 MiB.
+# duration, would set most of the peak: it rose 1.59x from 20 to 200 s of
+# audio, against 1.31x at 1 MiB.
 _BLOCK_BYTES = 1 << 20
 # NumPy evaluates an operation on a temporary of at least this many bytes in
 # place (temporary elision).
@@ -210,32 +222,59 @@ class _FrameStats:
 @dataclass
 class _BlockBuffers:
     """The block-sized arrays of one framing pass, made once and reused by
-    every block (module docstring)."""
+    every block (module docstring); a part the pass does not compute has
+    none."""
 
-    signal: np.ndarray       # (span,): a block's samples as float
-    frames: np.ndarray       # (rows, frame_len): |block|, then centered
-    squares: np.ndarray      # (rows, frame_len)
-    energy: np.ndarray       # (rows, frame_len)
-    spectrum: np.ndarray     # (rows, nfft/2 + 1), complex
-    power: np.ndarray        # (rows, nfft/2 + 1), complex
-    acorr: np.ndarray        # (rows, nfft)
-    corr: np.ndarray         # (rows, lags): denominators, then correlations
-    silent: np.ndarray       # (rows, lags), bool: lags of no lagged energy
-    rfft: np.ndarray         # (rows, frame_len/2 + 1), complex
-    magnitude: np.ndarray    # (rows, frame_len/2 + 1)
+    signal: np.ndarray                  # (span,): a block's samples as float
+    squares: np.ndarray                 # (rows, frame_len)
+    frames: np.ndarray | None = None    # (rows, frame_len): |block|, then centered
+    energy: np.ndarray | None = None    # (rows, frame_len)
+    spectrum: np.ndarray | None = None  # (rows, nfft/2 + 1), complex
+    power: np.ndarray | None = None     # (rows, nfft/2 + 1), complex
+    acorr: np.ndarray | None = None     # (rows, nfft)
+    corr: np.ndarray | None = None      # (rows, lags): denominators, then correlations
+    silent: np.ndarray | None = None    # (rows, lags), bool: lags of no lagged energy
+    rfft: np.ndarray | None = None      # (rows, frame_len/2 + 1), complex
+    magnitude: np.ndarray | None = None  # (rows, frame_len/2 + 1)
 
     @classmethod
-    def empty(cls, rows: int, frame_len: int, hop_len: int, nfft: int,
-              n_lags: int) -> "_BlockBuffers":
-        pitch_bins, bins = nfft // 2 + 1, frame_len // 2 + 1
-        return cls(np.empty((rows - 1) * hop_len + frame_len),
-                   *(np.empty((rows, frame_len)) for _ in range(3)),
-                   *(np.empty((rows, pitch_bins), dtype=np.complex128)
-                     for _ in range(2)),
-                   np.empty((rows, nfft)), np.empty((rows, n_lags)),
-                   np.empty((rows, n_lags), dtype=bool),
-                   np.empty((rows, bins), dtype=np.complex128),
-                   np.empty((rows, bins)))
+    def empty(cls, rows: int, frame_len: int, hop_len: int, nfft: int | None,
+              n_lags: int, spectral: bool) -> "_BlockBuffers":
+        """Buffers for blocks of `rows` frames: the pitch part when `nfft` is
+        given, the spectral part when `spectral` is set."""
+        buffers = cls(np.empty((rows - 1) * hop_len + frame_len),
+                      np.empty((rows, frame_len)))
+        if nfft is not None:
+            pitch_bins = nfft // 2 + 1
+            buffers.frames = np.empty((rows, frame_len))
+            buffers.energy = np.empty((rows, frame_len))
+            buffers.spectrum = np.empty((rows, pitch_bins), dtype=np.complex128)
+            buffers.power = np.empty((rows, pitch_bins), dtype=np.complex128)
+            buffers.acorr = np.empty((rows, nfft))
+            buffers.corr = np.empty((rows, n_lags))
+            buffers.silent = np.empty((rows, n_lags), dtype=bool)
+        if spectral:
+            bins = frame_len // 2 + 1
+            buffers.rfft = np.empty((rows, bins), dtype=np.complex128)
+            buffers.magnitude = np.empty((rows, bins))
+        return buffers
+
+
+def _fft_length(n: int) -> int:
+    """The smallest 2**a * 3**b * 5**c >= n: a length that pocketfft
+    transforms with its fast radices only."""
+    best = 1 << (n - 1).bit_length()
+    fives = 1
+    while fives < best:
+        threes = fives
+        while threes < best:
+            length = threes
+            while length < n:
+                length *= 2
+            best = min(best, length)
+            threes *= 3
+        fives *= 5
+    return best
 
 
 def _best_lags(block: np.ndarray, lags: np.ndarray, nfft: int, elide: bool,
@@ -272,10 +311,10 @@ def _best_lags(block: np.ndarray, lags: np.ndarray, nfft: int, elide: bool,
     return best, np.take_along_axis(corr, best[:, None], axis=1)[:, 0]
 
 
-def _block_frames(nfft: int) -> int:
-    """Frames per block: enough for the block's complex pitch spectrum
-    (nfft/2 + 1 bins of 16 bytes per frame) to fill `_BLOCK_BYTES`."""
-    return -(-_BLOCK_BYTES // (16 * (nfft // 2 + 1)))
+def _block_frames(bins: int) -> int:
+    """Frames per block: enough for the block's widest complex spectrum
+    (`bins` bins of 16 bytes per frame) to fill `_BLOCK_BYTES`."""
+    return -(-_BLOCK_BYTES // (16 * bins))
 
 
 def _frame_pass(audio: AudioBuffer, frame_len: int, hop_len: int,
@@ -286,18 +325,21 @@ def _frame_pass(audio: AudioBuffer, frame_len: int, hop_len: int,
     lag); with `spectral`, the sub-band energies and spectral mass/centroid.
     """
     n = (audio.samples.size - frame_len) // hop_len + 1
-    nfft = 1 << int(np.ceil(np.log2(2 * frame_len)))
-    # Whether `s * np.conj(s)` over the whole signal's pitch spectrum would
-    # be evaluated in place as `conj(s) * s` (module docstring).
-    elide = n * 16 * (nfft // 2 + 1) >= _ELISION_BYTES
-    block_frames = _block_frames(nfft)
-    buffers = _BlockBuffers.empty(min(n, block_frames), frame_len, hop_len,
-                                  nfft, 0 if lags is None else lags.size)
+    nfft, bins = None, frame_len // 2 + 1
     stats = _FrameStats(rms=np.empty(n))
     if lags is not None:
+        nfft = _fft_length(frame_len + int(lags[-1]))
+        bins = nfft // 2 + 1
+        # Whether `s * np.conj(s)` over the whole signal's pitch spectrum
+        # would be evaluated in place as `conj(s) * s` (module docstring).
+        elide = n * 16 * bins >= _ELISION_BYTES
         stats.peak = np.empty(n)
         stats.best = np.empty(n, dtype=np.intp)
         stats.best_corr = np.empty(n)
+    block_frames = _block_frames(bins)
+    buffers = _BlockBuffers.empty(min(n, block_frames), frame_len, hop_len,
+                                  nfft, 0 if lags is None else lags.size,
+                                  spectral)
     sub = frame_len // 10
     if spectral:
         if sub >= 1:

@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import multiprocessing
 import tempfile
 import tracemalloc
@@ -13,8 +14,9 @@ from hypothesis import strategies as st
 from pytest import approx
 
 from speechscore.acoustic import (_BLOCK_BYTES, _ELISION_BYTES, _SILENCE_FLOOR,
-                                  ACOUSTIC_FEATURES, AudioBuffer, PeriodTrack,
-                                  _block_frames, _frame_lengths, _frame_pass,
+                                  _VOICING_THRESHOLD, ACOUSTIC_FEATURES,
+                                  AudioBuffer, PeriodTrack, _block_frames,
+                                  _fft_length, _frame_lengths, _frame_pass,
                                   _neighborhood_instability, _pitch_lags,
                                   acoustic_features, extract_acoustic,
                                   pitch_track, read_wav, write_wav)
@@ -215,9 +217,11 @@ def _reference_frames(samples, frame_len, hop):
     return samples[idx]
 
 
-def _reference_frame_pitch(audio, fmin=75.0, fmax=500.0, frame=0.040,
-                           hop=0.010):
-    """Per frame: RMS, peak, best lag, its correlation; plus the lags."""
+def _reference_correlations(audio, fmin=75.0, fmax=500.0, frame=0.040,
+                            hop=0.010, nfft=None):
+    """Per frame: RMS, peak and the normalized correlation of every lag;
+    plus the lags. The autocorrelation FFT has `nfft` points, by default
+    the framing pass's length."""
     sr = audio.sample_rate
     frame_len = int(round(frame * sr))
     hop_len = max(1, int(round(hop * sr)))
@@ -233,7 +237,8 @@ def _reference_frame_pitch(audio, fmin=75.0, fmax=500.0, frame=0.040,
     peak = np.abs(frames).max(axis=1)
 
     centered = frames - frames.mean(axis=1, keepdims=True)
-    nfft = 1 << int(np.ceil(np.log2(2 * frame_len)))
+    if nfft is None:
+        nfft = _fft_length(frame_len + lag_max)
     spectrum = np.fft.rfft(centered, n=nfft, axis=1)
     acorr = np.fft.irfft(spectrum * np.conj(spectrum), n=nfft, axis=1)[:, :frame_len]
 
@@ -245,10 +250,14 @@ def _reference_frame_pitch(audio, fmin=75.0, fmax=500.0, frame=0.040,
     product = e_pre * e_suf
     corr = acorr[:, lag_min:lag_max + 1] / np.sqrt(np.maximum(product, 1e-300))
     corr[product <= 1e-300] = 0.0
+    return rms, peak, corr, lags
 
+
+def _reference_frame_pitch(audio, frame=0.040, hop=0.010):
+    """Per frame: RMS, peak, best lag, its correlation; plus the lags."""
+    rms, peak, corr, lags = _reference_correlations(audio, frame=frame, hop=hop)
     best = np.argmax(corr, axis=1)
-    rows = np.arange(frames.shape[0])
-    return rms, peak, best, corr[rows, best], lags
+    return rms, peak, best, corr[np.arange(corr.shape[0]), best], lags
 
 
 def _reference_pitch_track(audio, frame=0.040, hop=0.010,
@@ -344,36 +353,69 @@ def _hex(features):
 
 
 _FRAME_HOPS = [(0.040, 0.010), (0.030, 0.007), (0.050, 0.013)]
+_RATES = [8000, 16000, 22050]
+
+
+def _pitch_nfft(sr, frame_len, config=CONFIG):
+    """The framing pass's pitch FFT length, and the old power of two."""
+    lags = _pitch_lags(AudioBuffer(np.zeros(frame_len), sr), frame_len, config)
+    return (_fft_length(frame_len + int(lags[-1])),
+            1 << int(np.ceil(np.log2(2 * frame_len))))
 
 
 @st.composite
 def _framing(draw):
     """Sample rate, frame and hop, and a signal length in samples whose frame
-    count sits at or around a boundary of the computed block length, or of
-    the first count whose whole-signal pitch spectrum reaches NumPy's
-    elision floor (where `s * np.conj(s)` changes its product order)."""
-    sr = draw(st.sampled_from([8000, 16000, 22050]))
+    count sits at or around a boundary of the computed block length (of the
+    pitch pass and of the spectral-only pass), or of the first count whose
+    whole-signal pitch spectrum reaches NumPy's elision floor (where
+    `s * np.conj(s)` changes its product order)."""
+    sr = draw(st.sampled_from(_RATES))
     frame, hop = draw(st.sampled_from(_FRAME_HOPS))
     frame_len, hop_len = _frame_lengths(sr, ExtractorConfig(frame=frame, hop=hop))
-    nfft = 1 << int(np.ceil(np.log2(2 * frame_len)))
-    block = _block_frames(nfft)
+    nfft, _ = _pitch_nfft(sr, frame_len)
+    block = _block_frames(nfft // 2 + 1)
+    spectral = _block_frames(frame_len // 2 + 1)
     elided = -(-_ELISION_BYTES // (16 * (nfft // 2 + 1)))
     n_frames = draw(st.sampled_from([1, elided - 1, elided, elided + 1, block - 1,
-                                     block, block + 1, 2 * block + 1]))
+                                     block, block + 1, 2 * block + 1,
+                                     spectral - 1, spectral, spectral + 1]))
     size = frame_len + (n_frames - 1) * hop_len + draw(st.integers(0, hop_len - 1))
     return sr, frame, hop, size
 
 
 def test_block_length_reaches_the_elision_floor():
     assert _BLOCK_BYTES >= 256 * 1024
-    for sr in (8000, 16000, 22050):
+    for sr in _RATES:
         for frame, hop in _FRAME_HOPS + [(0.015, 0.005), (0.2, 0.05)]:
             frame_len, _ = _frame_lengths(sr, ExtractorConfig(frame=frame, hop=hop))
-            nfft = 1 << int(np.ceil(np.log2(2 * frame_len)))
-            block = _block_frames(nfft)
-            spectrum_bytes = 16 * (nfft // 2 + 1)
-            assert block * spectrum_bytes >= _BLOCK_BYTES
-            assert (block - 1) * spectrum_bytes < _BLOCK_BYTES
+            nfft, _ = _pitch_nfft(sr, frame_len)
+            for bins in (nfft // 2 + 1, frame_len // 2 + 1):
+                block = _block_frames(bins)
+                spectrum_bytes = 16 * bins
+                assert block * spectrum_bytes >= _BLOCK_BYTES
+                assert (block - 1) * spectrum_bytes < _BLOCK_BYTES
+
+
+def test_fft_length_is_the_smallest_5_smooth_length():
+    def smooth(m):
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        return m == 1
+
+    for n in range(1, 5001):
+        assert _fft_length(n) == next(m for m in itertools.count(n) if smooth(m)), n
+    for sr in _RATES:
+        for frame, hop in _FRAME_HOPS:
+            config = ExtractorConfig(frame=frame, hop=hop)
+            frame_len, _ = _frame_lengths(sr, config)
+            lag_max = int(_pitch_lags(AudioBuffer(np.zeros(frame_len), sr),
+                                      frame_len, config)[-1])
+            nfft, power_of_two = _pitch_nfft(sr, frame_len, config)
+            assert frame_len + lag_max <= nfft <= power_of_two
+    assert _pitch_nfft(16000, 640) == (864, 2048)
+    assert _pitch_nfft(16000, 480, ExtractorConfig(fmin=90.0, fmax=400.0)) == (675, 1024)
 
 
 @st.composite
@@ -429,6 +471,29 @@ class TestBlockPass:
         assert _hex(features) == _hex(reference)
         assert _hex(extracted) == _hex(reference)
         assert flags == extract_flags == expected_flags
+
+    @given(_block_cases())
+    @settings(max_examples=60, deadline=None)
+    def test_lags_match_the_power_of_two_length(self, case):
+        # Both lengths give the linear correlation at every read lag, so
+        # only a near tie between two lags may pick differently.
+        audio, frame, hop = case
+        config = ExtractorConfig(frame=frame, hop=hop)
+        frame_len, hop_len = _frame_lengths(audio.sample_rate, config)
+        lags = _pitch_lags(audio, frame_len, config)
+        stats = _frame_pass(audio, frame_len, hop_len, lags, False)
+        _, power_of_two = _pitch_nfft(audio.sample_rate, frame_len)
+        _, _, corr, _ = _reference_correlations(audio, frame=frame, hop=hop,
+                                                nfft=power_of_two)
+        rows = np.arange(corr.shape[0])
+        best = corr.argmax(axis=1)
+        live = stats.rms >= _SILENCE_FLOOR
+        voiced = (stats.best_corr >= _VOICING_THRESHOLD) & live
+        want_voiced = (corr[rows, best] >= _VOICING_THRESHOLD) & live
+        moved = stats.best != best
+        assert np.all(np.abs(corr[rows, stats.best] - corr[rows, best])[moved]
+                      <= 1e-9)
+        assert np.array_equal(voiced[~moved], want_voiced[~moved])
 
     def test_short_audio_features_without_frames(self):
         audio = AudioBuffer(np.array([0.5, -0.5, 0.25]), 16000)

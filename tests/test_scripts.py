@@ -78,9 +78,10 @@ def test_artifact_digests_runs(tmp_path):
                      "ablate/ablation_drop.json", "audio_corpus/subset.txt"):
         assert expected in paths, expected
     digest = {path: sha for sha, path in (line.split("  ", 1) for line in lines)}
-    for name in ("features.csv", "flags.json", "labels.csv", "splits.json"):
-        assert (digest[f"audio_features_threads1/{name}"]
-                == digest[f"audio_features_threads2/{name}"]), name
+    for framing in ("audio_features", "audio_features_frame30"):
+        for name in ("features.csv", "flags.json", "labels.csv", "splits.json"):
+            assert (digest[f"{framing}_threads1/{name}"]
+                    == digest[f"{framing}_threads2/{name}"]), (framing, name)
 
 
 def test_explain_profile_runs(tmp_path):
