@@ -31,19 +31,14 @@ blocks of frames, taken as strided views of the samples. Each block yields
 small per-frame vectors (RMS, peak, best lag and its correlation, ten
 sub-band energies, spectral mass and centroid numerator), and the features
 reduce over those vectors, so peak memory is O(block) rather than
-O(duration). A block holds enough frames for its widest complex spectrum
-(the pitch spectrum, or without pitch the frame spectrum) to fill
+O(duration). A block holds enough frames for its pitch spectrum to fill
 `_BLOCK_BYTES`, so its arrays stay about the same size whatever the sample
 rate and frame length; that size is chosen for cache and memory alone.
 Every frame goes through the same arithmetic as it would in one
-whole-signal array, so the features do not depend on the block size.
-
-The one step whose rounding depends on an array's size is the power
-spectrum `s * np.conj(s)` of the whole-signal form: NumPy evaluates it in
-place as `conj(s) * s` once the temporary `conj(s)` reaches 256 KiB
-(temporary elision), and as `s * conj(s)` below that, and the two round
-differently. The pass writes the product itself, in the order the whole
-signal's pitch spectrum (frames * (nfft/2 + 1) * 16 bytes) would take.
+whole-signal array, so the features do not depend on the block size. The
+pass writes the power spectrum itself, as `conj(s) * s` at every size:
+left to NumPy, `s * np.conj(s)` changes its product order, and so its
+rounding, once its temporary reaches the size NumPy elides in place.
 
 The pass writes every block-sized array (FFT outputs included, hence NumPy
 >= 2.0) into buffers made once per response, and allocates nothing per
@@ -85,14 +80,11 @@ ACOUSTIC_FEATURES = (
 )
 
 # Bytes of a block's complex pitch spectrum in the framing pass (152 frames
-# at 16 kHz with 40 ms frames), a size chosen for cache and memory only (see
-# the module docstring). At 512 KiB the per-frame vectors, which grow with
-# duration, would set most of the peak: it rose 1.59x from 20 to 200 s of
-# audio, against 1.31x at 1 MiB.
+# at 16 kHz with 40 ms frames, whose buffers take 6.3 MB in all), a size
+# chosen for cache and memory only (see the module docstring). At 512 KiB
+# the per-frame vectors, which grow with duration, would set most of the
+# peak: it rose 1.65x from 20 to 200 s of audio, against 1.32x at 1 MiB.
 _BLOCK_BYTES = 1 << 20
-# NumPy evaluates an operation on a temporary of at least this many bytes in
-# place (temporary elision).
-_ELISION_BYTES = 256 << 10
 # The float value of one int16 PCM step.
 _PCM_SCALE = 2.0 ** -15
 # Samples per chunk of the zero-crossing count.
@@ -208,56 +200,48 @@ def _pitch_lags(audio: AudioBuffer, frame_len: int,
 
 @dataclass
 class _FrameStats:
-    """Per-frame vectors from the framing pass; unrequested parts stay None."""
+    """Per-frame vectors from the framing pass."""
 
     rms: np.ndarray
-    peak: np.ndarray | None = None          # pitch part
-    best: np.ndarray | None = None          # index into the lags
-    best_corr: np.ndarray | None = None
-    bands: np.ndarray | None = None         # spectral part: (frames, 10)
-    mass: np.ndarray | None = None
-    centroid_num: np.ndarray | None = None
+    peak: np.ndarray
+    best: np.ndarray                # index into the lags
+    best_corr: np.ndarray
+    bands: np.ndarray | None        # (frames, 10); none for frames under 10 samples
+    mass: np.ndarray
+    centroid_num: np.ndarray
 
 
 @dataclass
 class _BlockBuffers:
     """The block-sized arrays of one framing pass, made once and reused by
-    every block (module docstring); a part the pass does not compute has
-    none."""
+    every block (module docstring)."""
 
-    signal: np.ndarray                  # (span,): a block's samples as float
-    squares: np.ndarray                 # (rows, frame_len)
-    frames: np.ndarray | None = None    # (rows, frame_len): |block|, then centered
-    energy: np.ndarray | None = None    # (rows, frame_len)
-    spectrum: np.ndarray | None = None  # (rows, nfft/2 + 1), complex
-    power: np.ndarray | None = None     # (rows, nfft/2 + 1), complex
-    acorr: np.ndarray | None = None     # (rows, nfft)
-    corr: np.ndarray | None = None      # (rows, lags): denominators, then correlations
-    silent: np.ndarray | None = None    # (rows, lags), bool: lags of no lagged energy
-    rfft: np.ndarray | None = None      # (rows, frame_len/2 + 1), complex
-    magnitude: np.ndarray | None = None  # (rows, frame_len/2 + 1)
+    signal: np.ndarray      # (span,): a block's samples as float
+    squares: np.ndarray     # (rows, frame_len): squares, then centered energy
+    frames: np.ndarray      # (rows, frame_len): |block|, then centered
+    spectrum: np.ndarray    # (rows, nfft/2 + 1), complex
+    power: np.ndarray       # (rows, nfft/2 + 1), complex
+    acorr: np.ndarray       # (rows, nfft)
+    corr: np.ndarray        # (rows, lags): denominators, then correlations
+    silent: np.ndarray      # (rows, lags), bool: lags of no lagged energy
+    rfft: np.ndarray        # (rows, frame_len/2 + 1), complex
+    magnitude: np.ndarray   # (rows, frame_len/2 + 1)
 
     @classmethod
-    def empty(cls, rows: int, frame_len: int, hop_len: int, nfft: int | None,
-              n_lags: int, spectral: bool) -> "_BlockBuffers":
-        """Buffers for blocks of `rows` frames: the pitch part when `nfft` is
-        given, the spectral part when `spectral` is set."""
-        buffers = cls(np.empty((rows - 1) * hop_len + frame_len),
-                      np.empty((rows, frame_len)))
-        if nfft is not None:
-            pitch_bins = nfft // 2 + 1
-            buffers.frames = np.empty((rows, frame_len))
-            buffers.energy = np.empty((rows, frame_len))
-            buffers.spectrum = np.empty((rows, pitch_bins), dtype=np.complex128)
-            buffers.power = np.empty((rows, pitch_bins), dtype=np.complex128)
-            buffers.acorr = np.empty((rows, nfft))
-            buffers.corr = np.empty((rows, n_lags))
-            buffers.silent = np.empty((rows, n_lags), dtype=bool)
-        if spectral:
-            bins = frame_len // 2 + 1
-            buffers.rfft = np.empty((rows, bins), dtype=np.complex128)
-            buffers.magnitude = np.empty((rows, bins))
-        return buffers
+    def empty(cls, rows: int, frame_len: int, hop_len: int, nfft: int,
+              n_lags: int) -> "_BlockBuffers":
+        """Buffers for blocks of `rows` frames."""
+        pitch_bins, bins = nfft // 2 + 1, frame_len // 2 + 1
+        return cls(signal=np.empty((rows - 1) * hop_len + frame_len),
+                   squares=np.empty((rows, frame_len)),
+                   frames=np.empty((rows, frame_len)),
+                   spectrum=np.empty((rows, pitch_bins), dtype=np.complex128),
+                   power=np.empty((rows, pitch_bins), dtype=np.complex128),
+                   acorr=np.empty((rows, nfft)),
+                   corr=np.empty((rows, n_lags)),
+                   silent=np.empty((rows, n_lags), dtype=bool),
+                   rfft=np.empty((rows, bins), dtype=np.complex128),
+                   magnitude=np.empty((rows, bins)))
 
 
 def _fft_length(n: int) -> int:
@@ -277,25 +261,19 @@ def _fft_length(n: int) -> int:
     return best
 
 
-def _best_lags(block: np.ndarray, lags: np.ndarray, nfft: int, elide: bool,
+def _best_lags(block: np.ndarray, lags: np.ndarray, nfft: int,
                buffers: _BlockBuffers) -> tuple[np.ndarray, np.ndarray]:
-    """Lag index of the highest normalized autocorrelation, and its value.
-
-    `elide` picks the product order of the power spectrum that the whole
-    signal's ``s * np.conj(s)`` takes (module docstring)."""
+    """Lag index of the highest normalized autocorrelation, and its value."""
     frame_len = block.shape[1]
     lag_min, lag_max = lags[0], lags[-1]
     centered = np.subtract(block, block.mean(axis=1, keepdims=True),
                            out=buffers.frames)
     spectrum = np.fft.rfft(centered, n=nfft, axis=1, out=buffers.spectrum)
-    power = np.conj(spectrum, out=buffers.power)
-    if elide:
-        np.multiply(power, spectrum, out=power)
-    else:
-        np.multiply(spectrum, power, out=power)
+    power = np.multiply(np.conj(spectrum, out=buffers.power), spectrum,
+                        out=buffers.power)
     acorr = np.fft.irfft(power, n=nfft, axis=1, out=buffers.acorr)
     energy = np.cumsum(np.square(centered, out=centered), axis=1,
-                       out=buffers.energy)
+                       out=buffers.squares)
     # prefix energy of x[0 : N-lag] and suffix energy of x[lag : N]
     e_pre = energy[:, frame_len - lag_max - 1:frame_len - lag_min][:, ::-1]
     corr = np.subtract(energy[:, -1:], energy[:, lag_min - 1:lag_max],
@@ -312,41 +290,27 @@ def _best_lags(block: np.ndarray, lags: np.ndarray, nfft: int, elide: bool,
 
 
 def _block_frames(bins: int) -> int:
-    """Frames per block: enough for the block's widest complex spectrum
-    (`bins` bins of 16 bytes per frame) to fill `_BLOCK_BYTES`."""
+    """Frames per block: enough for the block's pitch spectrum (`bins` bins
+    of 16 bytes per frame) to fill `_BLOCK_BYTES`."""
     return -(-_BLOCK_BYTES // (16 * bins))
 
 
 def _frame_pass(audio: AudioBuffer, frame_len: int, hop_len: int,
-                lags: np.ndarray | None, spectral: bool) -> _FrameStats:
-    """One block-wise pass over the frames of `audio`.
-
-    Always computes the frame RMS; with `lags`, the pitch part (peak and best
-    lag); with `spectral`, the sub-band energies and spectral mass/centroid.
-    """
+                lags: np.ndarray) -> _FrameStats:
+    """One block-wise pass over the frames of `audio`: RMS, sub-band
+    energies, peak, best lag and its correlation, spectral mass and
+    centroid numerator."""
     n = (audio.samples.size - frame_len) // hop_len + 1
-    nfft, bins = None, frame_len // 2 + 1
-    stats = _FrameStats(rms=np.empty(n))
-    if lags is not None:
-        nfft = _fft_length(frame_len + int(lags[-1]))
-        bins = nfft // 2 + 1
-        # Whether `s * np.conj(s)` over the whole signal's pitch spectrum
-        # would be evaluated in place as `conj(s) * s` (module docstring).
-        elide = n * 16 * bins >= _ELISION_BYTES
-        stats.peak = np.empty(n)
-        stats.best = np.empty(n, dtype=np.intp)
-        stats.best_corr = np.empty(n)
-    block_frames = _block_frames(bins)
+    nfft = _fft_length(frame_len + int(lags[-1]))
+    block_frames = _block_frames(nfft // 2 + 1)
     buffers = _BlockBuffers.empty(min(n, block_frames), frame_len, hop_len,
-                                  nfft, 0 if lags is None else lags.size,
-                                  spectral)
+                                  nfft, lags.size)
     sub = frame_len // 10
-    if spectral:
-        if sub >= 1:
-            stats.bands = np.empty((n, 10))
-        stats.mass = np.empty(n)
-        stats.centroid_num = np.empty(n)
-        freqs = np.fft.rfftfreq(frame_len, d=1.0 / audio.sample_rate)
+    stats = _FrameStats(rms=np.empty(n), peak=np.empty(n),
+                        best=np.empty(n, dtype=np.intp), best_corr=np.empty(n),
+                        bands=np.empty((n, 10)) if sub >= 1 else None,
+                        mass=np.empty(n), centroid_num=np.empty(n))
+    freqs = np.fft.rfftfreq(frame_len, d=1.0 / audio.sample_rate)
 
     for start in range(0, n, block_frames):
         # The last block ends at the last frame and overlaps the one before,
@@ -358,22 +322,30 @@ def _frame_pass(audio: AudioBuffer, frame_len: int, hop_len: int,
             span = np.multiply(span, _PCM_SCALE, out=buffers.signal,
                                dtype=np.float64)
         block = sliding_window_view(span, frame_len)[::hop_len]
+        # The squares go before the pitch part, which reuses their buffer.
         squares = np.square(block, out=buffers.squares)
         stats.rms[rows] = np.sqrt(squares.mean(axis=1))
-        if lags is not None:
-            stats.peak[rows] = np.abs(block, out=buffers.frames).max(axis=1)
-            stats.best[rows], stats.best_corr[rows] = _best_lags(
-                block, lags, nfft, elide, buffers)
-        if spectral:
-            if sub >= 1:
-                trimmed = squares[:, :10 * sub].reshape(block.shape[0], 10, sub)
-                stats.bands[rows] = trimmed.sum(axis=2)
-            spectrum = np.abs(np.fft.rfft(block, axis=1, out=buffers.rfft),
-                              out=buffers.magnitude)
-            stats.mass[rows] = spectrum.sum(axis=1)
-            stats.centroid_num[rows] = np.multiply(
-                spectrum, freqs, out=spectrum).sum(axis=1)
+        if sub >= 1:
+            trimmed = squares[:, :10 * sub].reshape(block.shape[0], 10, sub)
+            stats.bands[rows] = trimmed.sum(axis=2)
+        stats.peak[rows] = np.abs(block, out=buffers.frames).max(axis=1)
+        stats.best[rows], stats.best_corr[rows] = _best_lags(
+            block, lags, nfft, buffers)
+        spectrum = np.abs(np.fft.rfft(block, axis=1, out=buffers.rfft),
+                          out=buffers.magnitude)
+        stats.mass[rows] = spectrum.sum(axis=1)
+        stats.centroid_num[rows] = np.multiply(
+            spectrum, freqs, out=spectrum).sum(axis=1)
     return stats
+
+
+def _frame_stats(audio: AudioBuffer,
+                 config: ExtractorConfig) -> tuple[_FrameStats, np.ndarray]:
+    """The framing pass over `audio` at the ``config`` frame, hop and pitch
+    band, and the band's candidate lags."""
+    frame_len, hop_len = _frame_lengths(audio.sample_rate, config)
+    lags = _pitch_lags(audio, frame_len, config)
+    return _frame_pass(audio, frame_len, hop_len, lags), lags
 
 
 def _period_track(stats: _FrameStats, lags: np.ndarray,
@@ -386,9 +358,7 @@ def _period_track(stats: _FrameStats, lags: np.ndarray,
 def pitch_track(audio: AudioBuffer, config: ExtractorConfig) -> PeriodTrack:
     """Fundamental periods and peak amplitudes of the voiced frames, in the
     ``config`` pitch band, frame and hop."""
-    frame_len, hop_len = _frame_lengths(audio.sample_rate, config)
-    lags = _pitch_lags(audio, frame_len, config)
-    stats = _frame_pass(audio, frame_len, hop_len, lags, False)
+    stats, lags = _frame_stats(audio, config)
     return _period_track(stats, lags, audio.sample_rate)
 
 
@@ -419,25 +389,23 @@ def _zero_crossing_rate(x: np.ndarray) -> float:
     return flips / (x.size - 1)
 
 
-def _features(audio: AudioBuffer, stats: _FrameStats | None, track: PeriodTrack,
+def _features(audio: AudioBuffer, stats: _FrameStats, track: PeriodTrack,
               flags: set[str]) -> dict[str, float]:
     features = dict.fromkeys(ACOUSTIC_FEATURES, 0.0)
     features["total_duration"] = audio.duration
     features["zero_crossing_rate"] = _zero_crossing_rate(audio.samples)
-
-    if stats is not None:
-        features["stdev_energy"] = float(stats.rms.std())
-        if stats.bands is not None:
-            bins = stats.bands.sum(axis=0)
-            total = bins.sum()
-            if total > 0:
-                p = bins / total
-                p = p[p > 0]
-                features["energy_entropy"] = float(-(p * np.log2(p)).sum())
-        nonzero = stats.mass > 0
-        if nonzero.any():
-            centroids = stats.centroid_num[nonzero] / stats.mass[nonzero]
-            features["spectral_centroid"] = float(centroids.mean())
+    features["stdev_energy"] = float(stats.rms.std())
+    if stats.bands is not None:
+        bins = stats.bands.sum(axis=0)
+        total = bins.sum()
+        if total > 0:
+            p = bins / total
+            p = p[p > 0]
+            features["energy_entropy"] = float(-(p * np.log2(p)).sum())
+    nonzero = stats.mass > 0
+    if nonzero.any():
+        centroids = stats.centroid_num[nonzero] / stats.mass[nonzero]
+        features["spectral_centroid"] = float(centroids.mean())
 
     periods = track.periods
     amps = track.amplitudes
@@ -476,16 +444,14 @@ def acoustic_features(audio: AudioBuffer, track: PeriodTrack,
                       config: ExtractorConfig,
                       flags: set[str]) -> dict[str, float]:
     """The 15 acoustic features keyed by their printed names, framed by the
-    ``config`` frame and hop.
+    ``config`` frame and hop; raises as `pitch_track` does for audio
+    shorter than one frame or a pitch band the frame cannot hold.
 
     Pitch statistics run over 1/period of the voiced frames; jitter and
     shimmer follow the standard cycle-to-cycle definitions with ddp = 3*rap
     and dda = 3*apq3 as exact identities.
     """
-    frame_len, hop_len = _frame_lengths(audio.sample_rate, config)
-    stats = None
-    if audio.samples.size >= frame_len:
-        stats = _frame_pass(audio, frame_len, hop_len, None, True)
+    stats, _ = _frame_stats(audio, config)
     return _features(audio, stats, track, flags)
 
 
@@ -493,8 +459,6 @@ def extract_acoustic(audio: AudioBuffer, config: ExtractorConfig,
                      flags: set[str]) -> dict[str, float]:
     """`acoustic_features(audio, pitch_track(audio, config), config, flags)`
     in one framing pass."""
-    frame_len, hop_len = _frame_lengths(audio.sample_rate, config)
-    lags = _pitch_lags(audio, frame_len, config)
-    stats = _frame_pass(audio, frame_len, hop_len, lags, True)
+    stats, lags = _frame_stats(audio, config)
     track = _period_track(stats, lags, audio.sample_rate)
     return _features(audio, stats, track, flags)

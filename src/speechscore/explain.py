@@ -260,7 +260,7 @@ def _scalar_trees(model: TreeEnsembleModel, class_index: int | None):
             raise ValueError("class_index is required to explain a classifier margin")
         K = model.n_classes
         trees = [t for i, t in enumerate(model.trees) if i % K == class_index]
-        return trees, model.learning_rate, float(np.asarray(model.base_score)[class_index])
+        return trees, model.tree_scale(), float(np.asarray(model.base_score)[class_index])
     if model.task == "classification":
         raise ValueError("SHAP supports regression models and classifier margins")
     base = float(model.base_score) if np.ndim(model.base_score) == 0 else 0.0
